@@ -9,7 +9,6 @@ from tubediff.network import (
     TwoPath,
     interval_mesh,
     load_mesh,
-    radius_derivative,
     read_mesh,
     refine,
     two_paths,

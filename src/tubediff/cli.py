@@ -5,7 +5,7 @@ Four subcommands share one YAML configuration format:
 ``simulate``
     march a single model and write ``trajectory.csv`` plus a
     ``manifest.yaml`` echoing the configuration, the stability limit,
-    a hash of the geometry, and a median per-step timing.
+    a hash of the geometry, and the march's wall time per step.
 ``compare``
     run several models on an analytic channel and write one error row
     per model to ``errors.csv``.
@@ -24,9 +24,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import statistics
 import sys
-import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -34,7 +32,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .discretize import FluxWindow, LateralFluxField, assemble_model
+from .discretize import FluxWindow, LateralFluxField
 from .geometry import ball_on_stick, constricted_tree
 from .integrate import (
     BoundaryData,
@@ -51,6 +49,7 @@ from .verify import (
     SinusoidChannel,
     channel_convergence,
     final_error,
+    refinement_ladder,
     run_channel,
     tree_convergence,
 )
@@ -279,19 +278,6 @@ def _out_dir(cfg: dict, override: str | None) -> Path:
     return out
 
 
-def _median_step_time(mesh, profile, spec, dt, initial, samples: int = 1000) -> float:
-    op = assemble_model(mesh, profile, spec)
-    c = np.asarray(initial, dtype=float)
-    if c.ndim == 0:
-        c = np.full(mesh.n_nodes, float(c))
-    timings = []
-    for _ in range(samples):
-        t0 = time.perf_counter()
-        op.matrix @ c
-        timings.append(time.perf_counter() - t0)
-    return statistics.median(timings)
-
-
 def cmd_simulate(cfg: dict, out_override: str | None, force: bool) -> int:
     out = _out_dir(cfg, out_override)
     section = _section(cfg, "run")
@@ -328,8 +314,7 @@ def cmd_simulate(cfg: dict, out_override: str | None, force: bool) -> int:
         "geometry_sha256": geometry.fingerprint,
         "nodes": geometry.mesh.n_nodes,
         "steps": int(round(t_end / dt)),
-        "step_time_median_s": _median_step_time(
-            geometry.mesh, geometry.profile, model, dt, initial),
+        "step_time_s": traj.step_time_s,
         "notes": list(traj.notes),
         "warnings": list(report.warnings) if report is not None else [],
     }
@@ -399,8 +384,7 @@ def cmd_convergence(cfg: dict, out_override: str | None, force: bool) -> int:
         if kind in TREE_BUILDERS:
             meshes = [TREE_BUILDERS[kind](k) for k in range(levels + 1)]
         else:
-            meshes = [geometry.mesh if k == 0 else refine(geometry.mesh, k)
-                      for k in range(levels + 1)]
+            meshes = refinement_ladder(geometry.mesh, levels + 1)
 
         def initial(mesh):
             bundle = Geometry(mesh, geometry.profile, None, "")

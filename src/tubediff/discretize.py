@@ -20,7 +20,8 @@ the ``neumann`` coupling follow storage order as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,7 +30,6 @@ from tubediff.network import (
     AWAY,
     TOWARD,
     NetworkMesh,
-    central_slopes,
     two_paths,
     upwind_stencil,
 )
@@ -113,9 +113,8 @@ class _Builder:
 
 def local_spacings(mesh: NetworkMesh) -> np.ndarray:
     """Node-local grid spacing: arithmetic mean of incident edge lengths."""
-    return np.array(
-        [np.mean([dx for _, dx in mesh.neighbors(i)]) for i in range(mesh.n_nodes)]
-    )
+    degree, lengths, _ = mesh.incident_sums()
+    return lengths / degree
 
 
 def _leaf_slots(mesh: NetworkMesh) -> tuple[dict[int, int], tuple[int, ...]]:
@@ -163,11 +162,13 @@ def laplacian_parts(mesh: NetworkMesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
 
 
 def slope_matrix(mesh: NetworkMesh) -> sp.csr_matrix:
-    """Matrix form of the central away-from-root first derivative.
+    """Central away-from-root first derivative of a nodal field, as a matrix.
 
-    Rows reproduce :func:`tubediff.network.central_slopes` including the
-    one-sided fallbacks at leaves and at the root, so ``slope_matrix @ v``
-    equals the loop implementation up to rounding.
+    Interior rows take the mean away-side value minus the mean toward-side
+    value over the mean span.  Where one side is empty (leaves and a
+    leaf root) the row falls back to the second-order two-path stencil
+    into the populated side, averaged over paths, or to a single-edge
+    difference when the mesh is too small for a two-edge path.
     """
     n = mesh.n_nodes
     mat = _Builder(n, n)
@@ -269,6 +270,102 @@ def wind_stencils(
     return stencils, notes
 
 
+# ----------------------------------------------------------------------
+# shared fields
+# ----------------------------------------------------------------------
+
+# Parts derived from each mesh, built on first request and dropped with
+# the mesh.  Meshes never change after construction, so entries never
+# go stale.
+_DERIVED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _per_mesh(mesh: NetworkMesh, build, *args):
+    """``build(mesh, *args)``, computed once per mesh and arguments."""
+    store = _DERIVED.setdefault(mesh, {})
+    key = (build, *args)
+    if key not in store:
+        store[key] = build(mesh, *args)
+    return store[key]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class Fields:
+    """Stencils and coefficient fields of one mesh and radius profile.
+
+    :func:`fields` builds one record per (mesh, profile); assembly, the
+    lateral map, the Kalinay mass factors and the stability screen all
+    read it.  ``slopes`` is ``slope @ radii``.  Arrays are read-only and
+    the sparse parts are shared, so treat them as read-only too.
+    """
+
+    profile: object
+    radii: np.ndarray
+    slopes: np.ndarray
+    spacings: np.ndarray       # mean incident edge length
+    edge_sums: np.ndarray      # sum of incident edge lengths
+    inverse_sums: np.ndarray   # sum of their reciprocals
+    slope: sp.csr_matrix
+    laplacian: tuple[sp.csr_matrix, sp.csr_matrix]
+    wind: tuple[WindStencil, ...]
+    wind_notes: tuple[str, ...]
+    mesh_ref: weakref.ref      # weak, so the record never keeps its mesh alive
+
+    @property
+    def third(self) -> tuple[sp.csr_matrix, sp.csr_matrix, tuple[str, ...]]:
+        """Third-derivative parts, built when first asked for."""
+        return _per_mesh(self.mesh_ref(), third_derivative_parts)
+
+    @property
+    def expansion(self) -> tuple[np.ndarray, np.ndarray]:
+        """Expanded-flux grid factors dx**2 R'**2 / (4 R**2) and dx**2 R' / (4 R)."""
+        dx, radii, slopes = self.spacings, self.radii, self.slopes
+        return dx * dx * slopes * slopes / (4.0 * radii * radii), dx * dx * slopes / (4.0 * radii)
+
+    def diffusivity(self, spec: ModelSpec) -> np.ndarray:
+        """Per-node diffusion coefficient D(x) of a model."""
+        return np.array([diffusion_coefficient(spec, s) for s in self.slopes])
+
+    def mass(self, spec: ModelSpec) -> np.ndarray:
+        """Per-node factor on the time derivative of a model."""
+        if spec.kind is ModelKind.KALINAY_TEMPORAL:
+            return kalinay_mass_factors(self.mesh_ref(), self.profile, spec.epsilon)
+        if spec.kind is ModelKind.EXPANDED_FLUX:
+            return effj_mass_factor(self.spacings, self.radii, self.slopes)
+        return np.ones(len(self.radii))
+
+
+def _build_fields(mesh: NetworkMesh, profile) -> Fields:
+    radii = _read_only(profile.radii(mesh))
+    slope = _per_mesh(mesh, slope_matrix)
+    slopes = _read_only(slope @ radii)
+    _, lengths, inverses = mesh.incident_sums()
+    wind, notes = wind_stencils(mesh, radii, slopes)
+    return Fields(
+        profile=profile,
+        radii=radii,
+        slopes=slopes,
+        spacings=_read_only(local_spacings(mesh)),
+        edge_sums=_read_only(lengths),
+        inverse_sums=_read_only(inverses),
+        slope=slope,
+        laplacian=_per_mesh(mesh, laplacian_parts),
+        wind=tuple(wind),
+        wind_notes=tuple(notes),
+        mesh_ref=weakref.ref(mesh),
+    )
+
+
+def fields(mesh: NetworkMesh, profile) -> Fields:
+    """The shared :class:`Fields` of a mesh and a (hashable) profile."""
+    return _per_mesh(mesh, _build_fields, profile)
+
+
 def advection_parts(
     mesh: NetworkMesh, profile, spec: ModelSpec
 ) -> tuple[sp.csr_matrix, sp.csr_matrix, tuple[str, ...]]:
@@ -279,25 +376,24 @@ def advection_parts(
     the Neumann data, so the whole term moves into the boundary coupling.
     """
     n = mesh.n_nodes
-    radii = profile.radii(mesh)
-    slopes = central_slopes(radii, mesh)
+    f = fields(mesh, profile)
+    diff = f.diffusivity(spec)
     slot, _ = _leaf_slots(mesh)
     mat = _Builder(n, n)
     neu = _Builder(n, len(slot))
 
-    stencils, notes = wind_stencils(mesh, radii, slopes)
-    for st in stencils:
+    for st in f.wind:
         i = st.node
-        coef = diffusion_coefficient(spec, slopes[i]) * (2.0 / radii[i]) * st.radius_slope
+        coef = diff[i] * (2.0 / f.radii[i]) * st.radius_slope
         vals = [coef * w for w in st.weights]
         # pin the origin weight to minus the rest so the scaled row still
         # annihilates constants after rounding
         vals[0] = -sum(vals[1:])
         mat.add_many(i, st.cols, vals)
     for i in mesh.leaf_indices():
-        coef = diffusion_coefficient(spec, slopes[i]) * (2.0 / radii[i]) * slopes[i]
+        coef = diff[i] * (2.0 / f.radii[i]) * f.slopes[i]
         neu.add(i, slot[i], coef)
-    return mat.matrix(), neu.matrix(), tuple(notes)
+    return mat.matrix(), neu.matrix(), f.wind_notes
 
 
 def third_derivative_parts(
@@ -314,9 +410,8 @@ def third_derivative_parts(
         root leaf:      (c2 - 4 c1 + 3 c0) / (2 h**3) + g / h**2
         other leaves:   (-3 cn + 4 cp - c_pp) / (2 h**3) + g / h**2
     """
-    n = mesh.n_nodes
-    lap_m, lap_n = laplacian_parts(mesh)
-    slope = slope_matrix(mesh).tolil()
+    lap_m, lap_n = _per_mesh(mesh, laplacian_parts)
+    slope = _per_mesh(mesh, slope_matrix).tolil()
     leaf_rows = mesh.leaf_indices()
     for i in leaf_rows:
         slope.rows[i] = []
@@ -362,53 +457,32 @@ def third_derivative_parts(
 
 def assemble_model(mesh: NetworkMesh, profile, spec: ModelSpec) -> SpatialOperator:
     """Assemble the full spatial operator for one model variant."""
-    n = mesh.n_nodes
-    radii = profile.radii(mesh)
-    slopes = central_slopes(radii, mesh)
+    f = fields(mesh, profile)
     _, boundary_ids = _leaf_slots(mesh)
-    lap_m, lap_n = laplacian_parts(mesh)
-    mass = np.ones(n)
-    notes: tuple[str, ...] = ()
+    lap_m, lap_n = f.laplacian
+    mass = f.mass(spec)
 
     if spec.kind is ModelKind.SIMPLE_DIFFUSION:
         matrix = (spec.d0 * lap_m).tocsr()
         neumann = (spec.d0 * lap_n).tocsr()
-        return SpatialOperator(matrix, neumann, boundary_ids, mass, notes)
+        return SpatialOperator(matrix, neumann, boundary_ids, mass)
 
-    adv_m, adv_n, adv_notes = advection_parts(mesh, profile, spec)
-    notes = adv_notes
+    adv_m, adv_n, notes = advection_parts(mesh, profile, spec)
 
     if spec.kind in (ModelKind.ZWANZIG, ModelKind.REGUERA_RUBI, ModelKind.KALINAY_PERCUS):
-        d = sp.diags([diffusion_coefficient(spec, s) for s in slopes])
-        matrix = (d @ lap_m + adv_m).tocsr()
-        neumann = (d @ lap_n + adv_n).tocsr()
-        return SpatialOperator(matrix, neumann, boundary_ids, mass, notes)
-
-    if spec.kind is ModelKind.FICK_JACOBS:
-        matrix = (spec.d0 * lap_m + adv_m).tocsr()
-        neumann = (spec.d0 * lap_n + adv_n).tocsr()
-        return SpatialOperator(matrix, neumann, boundary_ids, mass, notes)
-
-    if spec.kind is ModelKind.KALINAY_TEMPORAL:
-        matrix = (spec.d0 * lap_m + adv_m).tocsr()
-        neumann = (spec.d0 * lap_n + adv_n).tocsr()
-        mass = kalinay_mass_factors(mesh, profile, spec.epsilon)
-        return SpatialOperator(matrix, neumann, boundary_ids, mass, notes)
-
-    if spec.kind is ModelKind.EXPANDED_FLUX:
-        dx = local_spacings(mesh)
-        thr_m, thr_n, thr_notes = third_derivative_parts(mesh)
+        d = sp.diags(f.diffusivity(spec))
+        matrix = d @ lap_m + adv_m
+        neumann = d @ lap_n + adv_n
+    elif spec.kind is ModelKind.EXPANDED_FLUX:
+        thr_m, thr_n, thr_notes = f.third
         notes = notes + thr_notes
-        k1 = sp.diags(dx * dx * slopes * slopes / (4.0 * radii * radii))
-        k2 = sp.diags(dx * dx * slopes / (4.0 * radii))
-        matrix = (spec.d0 * (lap_m + k1 @ lap_m + k2 @ thr_m) + adv_m).tocsr()
-        neumann = (spec.d0 * (lap_n + k1 @ lap_n + k2 @ thr_n) + adv_n).tocsr()
-        mass = np.array(
-            [effj_mass_factor(dx[i], radii[i], slopes[i]) for i in range(n)]
-        )
-        return SpatialOperator(matrix, neumann, boundary_ids, mass, notes)
-
-    raise ValueError(f"unhandled model kind {spec.kind}")  # pragma: no cover
+        k1, k2 = (sp.diags(k) for k in f.expansion)
+        matrix = spec.d0 * (lap_m + k1 @ lap_m + k2 @ thr_m) + adv_m
+        neumann = spec.d0 * (lap_n + k1 @ lap_n + k2 @ thr_n) + adv_n
+    else:  # Fick-Jacobs, and the temporal model with its own mass factor
+        matrix = spec.d0 * lap_m + adv_m
+        neumann = spec.d0 * lap_n + adv_n
+    return SpatialOperator(matrix.tocsr(), neumann.tocsr(), boundary_ids, mass, notes)
 
 
 # ----------------------------------------------------------------------
@@ -453,43 +527,19 @@ def lateral_operator(mesh: NetworkMesh, profile, spec: ModelSpec) -> sp.csr_matr
     closures reuse one-sided slope estimates of J itself in place of
     external end-slope data.
     """
-    radii = profile.radii(mesh)
+    f = fields(mesh, profile)
+    radii, slopes, dx = f.radii, f.slopes, f.spacings
     lead = sp.diags(2.0 / radii)
     if spec.kind is not ModelKind.EXPANDED_FLUX:
         return lead.tocsr()
 
-    slopes = central_slopes(radii, mesh)
-    dx = local_spacings(mesh)
-    s_full = slope_matrix(mesh)
-    leaf_rows = mesh.leaf_indices()
-    s_bound = s_full[list(leaf_rows), :]
-
-    lap_m, lap_n = laplacian_parts(mesh)
-    thr_m, thr_n, _ = third_derivative_parts(mesh)
+    s_full = f.slope
+    s_bound = s_full[list(mesh.leaf_indices()), :]
+    lap_m, lap_n = f.laplacian
+    thr_m, thr_n, _ = f.third
     j2 = lap_m + lap_n @ s_bound
     j3 = thr_m + thr_n @ s_bound
     correction = sp.diags(dx * dx / (12.0 * radii)) @ (
         sp.diags(2.0 * slopes / radii) @ s_full + j2 + j3 / 3.0
     )
     return (lead + correction).tocsr()
-
-
-def assemble_lateral(
-    mesh: NetworkMesh, profile, spec: ModelSpec, field: LateralFluxField, t: float
-) -> np.ndarray:
-    """Source vector for a scheduled lateral flux field at time t."""
-    return lateral_operator(mesh, profile, spec) @ field.values(mesh, t)
-
-
-def dump_operator(op: SpatialOperator) -> str:
-    """Sorted, diff-friendly text form of an operator (debug helper)."""
-    coo = op.matrix.tocoo()
-    triplets = sorted(zip(coo.row, coo.col, coo.data))
-    lines = [f"{i} {j} {v!r}" for i, j, v in triplets]
-    coo = op.neumann.tocoo()
-    for i, j, v in sorted(zip(coo.row, coo.col, coo.data)):
-        lines.append(f"{i} g{j} {v!r}")
-    for i, m in enumerate(op.mass_diag):
-        if m != 1.0:
-            lines.append(f"{i} mass {m!r}")
-    return "\n".join(lines) + "\n"

@@ -11,6 +11,7 @@ concentration.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -113,6 +114,7 @@ class Trajectory:
     fluxes: np.ndarray | None = None      # effective wall flux, same shape
     notes: tuple[str, ...] = ()
     stability: StabilityReport | None = None
+    step_time_s: float | None = None      # wall time of the march per step
 
     @property
     def final(self) -> np.ndarray:
@@ -145,11 +147,7 @@ class Trajectory:
 
 def trapezoid_weights(mesh: NetworkMesh) -> np.ndarray:
     """Nodal quadrature weights: half the incident edge lengths."""
-    w = np.zeros(mesh.n_nodes)
-    for i in range(mesh.n_nodes):
-        for _, dx in mesh.neighbors(i):
-            w[i] += 0.5 * dx
-    return w
+    return 0.5 * mesh.incident_sums()[1]
 
 
 def step(
@@ -185,10 +183,15 @@ def run(
 
     ``initial`` is a node-ordered array or a scalar fill value.  The
     stability screen runs first and refuses an over-large step unless
-    ``force`` is set.
+    ``force`` is set.  ``n_snapshots`` counts the initial and the final
+    state, so it must be at least 2.
     """
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
+    if n_snapshots < 2:
+        raise ValueError(
+            f"n_snapshots={n_snapshots}: need at least 2 (the initial and the final state)"
+        )
     n_steps = max(1, int(round(t_end / dt)))
     if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
         raise ValueError(f"t_end={t_end} is not a whole number of steps of dt={dt}")
@@ -219,6 +222,7 @@ def run(
         if lateral is not None:
             fluxes.append(j_eff.copy())
 
+    start = time.perf_counter()
     for k in range(n_steps + 1):
         t = k * dt
         j_eff = None
@@ -234,6 +238,7 @@ def run(
             break
         g = boundary.vector(op.boundary_nodes, t) if boundary is not None else None
         c = step(c, op, dt, g, source)
+    march_s = time.perf_counter() - start
 
     return Trajectory(
         mesh=mesh,
@@ -244,4 +249,5 @@ def run(
         fluxes=np.array(fluxes) if lateral is not None else None,
         notes=op.notes,
         stability=report,
+        step_time_s=march_s / n_steps,
     )

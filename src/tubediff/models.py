@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from tubediff.network import MeshError, NetworkMesh, central_slopes
+from tubediff.network import MeshError, NetworkMesh
 
 
 class ModelKind(Enum):
@@ -90,10 +90,6 @@ def diffusion_coefficient(spec: ModelSpec, slope: float) -> float:
     return spec.d0
 
 
-def diffusion_coefficients(spec: ModelSpec, slopes: np.ndarray) -> np.ndarray:
-    return np.array([diffusion_coefficient(spec, s) for s in np.asarray(slopes)])
-
-
 def kalinay_g(x: float, slope: float, epsilon: float = 1.0) -> float:
     """Spatial weight whose derivative rescales the time term.
 
@@ -120,18 +116,22 @@ def kalinay_mass_factors(mesh: NetworkMesh, profile, epsilon: float = 1.0) -> np
     """Per-node time-derivative factors 1 + g'(x) for the temporal model.
 
     g is evaluated at every node from the centrally differenced radius
-    slope, then differentiated with the same central rules.  The weight
+    slope, then differentiated with the same slope matrix.  The weight
     depends on the absolute axial coordinate, so node x positions must
     carry it; that also restricts the model to unbranched channels.
     """
+    from tubediff.discretize import fields  # discretize imports this module
+
     require_channel(mesh, "the temporally corrected model")
-    radii = profile.radii(mesh)
-    slopes = central_slopes(radii, mesh)
+    f = fields(mesh, profile)
     xs = mesh.positions[:, 0]
-    g = np.array([kalinay_g(x, s, epsilon) for x, s in zip(xs, slopes)])
-    return 1.0 + central_slopes(g, mesh)
+    g = np.array([kalinay_g(x, s, epsilon) for x, s in zip(xs, f.slopes)])
+    return 1.0 + f.slope @ g
 
 
-def effj_mass_factor(dx: float, radius: float, slope: float) -> float:
-    """Expanded-flux time-derivative factor 1 + dx**2 R'**2 / (12 R**2)."""
+def effj_mass_factor(dx, radius, slope):
+    """Expanded-flux time-derivative factor 1 + dx**2 R'**2 / (12 R**2).
+
+    Takes floats or equally shaped arrays.
+    """
     return 1.0 + (dx * dx * slope * slope) / (12.0 * radius * radius)

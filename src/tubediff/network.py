@@ -62,18 +62,6 @@ class TwoPath:
     dx2: float
 
 
-@dataclass(frozen=True)
-class SlopeEstimate:
-    """Radius derivative estimate plus the stencil actually used.
-
-    ``mode_used`` differs from the requested mode when a boundary or the
-    root forces a fallback; callers that care can detect that here.
-    """
-
-    value: float
-    mode_used: str
-
-
 def _as_node(spec) -> Node:
     if isinstance(spec, Node):
         return spec
@@ -190,6 +178,8 @@ class NetworkMesh:
 
         self.radii: np.ndarray = np.array([nd.radius for nd in self.nodes])
         self.positions: np.ndarray = np.array([nd.position for nd in self.nodes])
+        self.radii.flags.writeable = False
+        self.positions.flags.writeable = False
         self.node_ids: tuple[int, ...] = tuple(nd.id for nd in self.nodes)
 
     # ------------------------------------------------------------------
@@ -262,6 +252,13 @@ class NetworkMesh:
     def max_degree(self) -> int:
         return max(len(a) for a in self._adj)
 
+    def incident_sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per node: incident edge count, summed lengths, summed reciprocals."""
+        degree = np.array([len(a) for a in self._adj])
+        lengths = np.array([sum(dx for _, dx in a) for a in self._adj])
+        inverses = np.array([sum(1.0 / dx for _, dx in a) for a in self._adj])
+        return degree, lengths, inverses
+
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"NetworkMesh(n_nodes={self.n_nodes}, n_edges={len(self.edges)}, "
@@ -274,6 +271,7 @@ class NetworkMesh:
 # ----------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class TabulatedRadius:
     """Radii read straight off the mesh nodes.  No closed form available."""
 
@@ -449,15 +447,6 @@ def refine(mesh: NetworkMesh, levels: int = 1) -> NetworkMesh:
 # ----------------------------------------------------------------------
 
 
-def orient(mesh: NetworkMesh) -> dict[int, int | None]:
-    """Map each node id to the id of its toward-root neighbor (None at root)."""
-    out: dict[int, int | None] = {}
-    for i, nd in enumerate(mesh.nodes):
-        p = mesh.parent_index(i)
-        out[nd.id] = None if p < 0 else mesh.nodes[p].id
-    return out
-
-
 def two_paths(mesh: NetworkMesh, node_id: int, side: str) -> list[TwoPath]:
     """All two-edge walks leaving ``node_id`` on the given side.
 
@@ -498,94 +487,3 @@ def upwind_stencil(dx1: float, dx2: float) -> tuple[float, float, float]:
     a2 = -r * dx1 * dx1
     a0 = -(a1 + a2)
     return a0, a1, a2
-
-
-def _directional_two_path_slope(values: np.ndarray, mesh: NetworkMesh, path: TwoPath) -> float:
-    a0, a1, a2 = upwind_stencil(path.dx1, path.dx2)
-    i0 = mesh.index(path.origin)
-    i1 = mesh.index(path.first)
-    i2 = mesh.index(path.second)
-    return a0 * values[i0] + a1 * values[i1] + a2 * values[i2]
-
-
-def _one_sided_slope(values: np.ndarray, mesh: NetworkMesh, i: int) -> tuple[float, str]:
-    """Away-from-root first derivative at a node with only one usable side.
-
-    Prefers the second-order two-path stencil; degrades to a single-edge
-    difference when the mesh is too small for one.  Returns (value, mode).
-    """
-    node_id = mesh.nodes[i].id
-    for side, sign in ((AWAY, 1.0), (TOWARD, -1.0)):
-        paths = two_paths(mesh, node_id, side)
-        if paths:
-            vals = [sign * _directional_two_path_slope(values, mesh, p) for p in paths]
-            return float(np.mean(vals)), "one-sided"
-        nbrs = mesh.side_neighbors(i, side)
-        if nbrs:
-            vals = [sign * (values[j] - values[i]) / dx for j, dx in nbrs]
-            return float(np.mean(vals)), "one-sided-first-order"
-    raise MeshError(f"node {node_id} has no neighbors to difference against")
-
-
-def _central_slope(values: np.ndarray, mesh: NetworkMesh, i: int) -> tuple[float, str]:
-    """Central away-from-root derivative: mean away values minus mean toward
-    values over the mean span.  Falls back one-sided where a side is empty."""
-    toward = mesh.side_neighbors(i, TOWARD)
-    away = mesh.side_neighbors(i, AWAY)
-    if toward and away:
-        r_away = float(np.mean([values[j] for j, _ in away]))
-        r_toward = float(np.mean([values[j] for j, _ in toward]))
-        span = float(np.mean([dx for _, dx in away]) + np.mean([dx for _, dx in toward]))
-        return (r_away - r_toward) / span, "central"
-    return _one_sided_slope(values, mesh, i)
-
-
-def radius_derivative(
-    mesh: NetworkMesh,
-    profile,
-    node_id: int,
-    mode: str = "central",
-    path: TwoPath | None = None,
-) -> SlopeEstimate:
-    """Estimate dR/dx at a node, measured in the away-from-root direction.
-
-    Modes
-    -----
-    central
-        Mean away-side minus mean toward-side radius over the mean span.
-        At leaves (and at the root) this silently degrades to ``one-sided``
-        and the returned ``mode_used`` says so.
-    one-sided
-        Second-order two-path stencil into the only populated side.
-    path
-        Directional derivative along the supplied TwoPath; the sign follows
-        the path direction rather than the root orientation.
-    analytic
-        Closed-form slope of an analytic profile at the node position.
-    """
-    i = mesh.index(node_id)
-    values = profile.radii(mesh)
-    if mode == "central":
-        value, used = _central_slope(values, mesh, i)
-        return SlopeEstimate(value, used)
-    if mode == "one-sided":
-        value, used = _one_sided_slope(values, mesh, i)
-        return SlopeEstimate(value, used)
-    if mode == "path":
-        if path is None or path.origin != node_id:
-            raise ValueError("path mode needs a TwoPath rooted at this node")
-        return SlopeEstimate(_directional_two_path_slope(values, mesh, path), "path")
-    if mode == "analytic":
-        if not getattr(profile, "analytic", False):
-            raise ValueError("tabulated profiles have no analytic slope")
-        x = float(mesh.positions[i, 0])
-        return SlopeEstimate(float(profile.slope(x)), "analytic")
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def central_slopes(values: np.ndarray, mesh: NetworkMesh) -> np.ndarray:
-    """Vector of central away-from-root derivatives of a nodal field."""
-    out = np.empty(mesh.n_nodes)
-    for i in range(mesh.n_nodes):
-        out[i], _ = _central_slope(values, mesh, i)
-    return out

@@ -26,16 +26,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
-from .discretize import laplacian_parts, local_spacings, third_derivative_parts, wind_stencils
-from .models import (
-    ModelKind,
-    ModelSpec,
-    diffusion_coefficient,
-    effj_mass_factor,
-    kalinay_mass_factors,
-)
-from .network import NetworkMesh, central_slopes
+from .discretize import Fields, fields
+from .models import ModelKind, ModelSpec
+from .network import NetworkMesh
 
 # float slack so a bound sitting exactly at 1 still passes
 TOLERANCE = 1e-12
@@ -75,86 +70,23 @@ class StabilityReport:
         return "\n".join(lines)
 
 
-def _edge_sums(mesh: NetworkMesh) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node sum of incident edge lengths and of their reciprocals."""
-    sum_dx = np.zeros(mesh.n_nodes)
-    sum_inv = np.zeros(mesh.n_nodes)
-    for i in range(mesh.n_nodes):
-        for _, dx in mesh.neighbors(i):
-            sum_dx[i] += dx
-            sum_inv[i] += 1.0 / dx
-    return sum_dx, sum_inv
-
-
-def _model_fields(mesh: NetworkMesh, profile, spec: ModelSpec):
-    """Per-node diffusivity and mass factor for one model variant."""
-    radii = profile.radii(mesh)
-    slopes = central_slopes(radii, mesh)
-    n = mesh.n_nodes
-    mass = np.ones(n)
-    if spec.kind is ModelKind.SIMPLE_DIFFUSION:
-        diff = np.full(n, spec.d0)
-        return radii, np.zeros(n), diff, mass
-    diff = np.array([diffusion_coefficient(spec, s) for s in slopes])
-    if spec.kind is ModelKind.KALINAY_TEMPORAL:
-        mass = kalinay_mass_factors(mesh, profile, spec.epsilon)
-    elif spec.kind is ModelKind.EXPANDED_FLUX:
-        dx = local_spacings(mesh)
-        mass = np.array(
-            [effj_mass_factor(dx[i], radii[i], slopes[i]) for i in range(n)]
-        )
+def _screened_coefficients(f: Fields, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node diffusivity and mass factor the screens bound with."""
+    diff = f.diffusivity(spec)
+    if spec.kind is ModelKind.EXPANDED_FLUX:
         # the grid-scaled term raises the effective second-derivative
         # coefficient, so screen with it included
-        diff = diff * (1.0 + dx * dx * slopes * slopes / (4.0 * radii * radii))
-    return radii, slopes, diff, mass
+        diff = diff * (1.0 + f.expansion[0])
+    return diff, f.mass(spec)
 
 
-def check_diffusion(mesh: NetworkMesh, dt: float, d0: float = 1.0) -> StabilityReport:
-    """Diffusive positivity bound alone, at constant diffusivity d0."""
-    if dt <= 0.0:
-        raise ValueError("time step must be positive")
-    if d0 <= 0.0:
-        raise ValueError("diffusivity must be positive")
-    sum_dx, sum_inv = _edge_sums(mesh)
-    rate = 2.0 * d0 * sum_inv / sum_dx          # alpha*beta per unit dt
-    dt_max = 1.0 / rate
-    worst = int(np.argmin(dt_max))
-    ab = dt * rate
-    node_pass = {
-        mesh.node_ids[i]: bool(ab[i] <= 1.0 + TOLERANCE)
-        for i in range(mesh.n_nodes)
-    }
-    return StabilityReport(
-        dt=dt,
-        dt_max=float(dt_max[worst]),
-        passed=all(node_pass.values()),
-        binding_node=int(mesh.node_ids[worst]),
-        alpha_beta=float(ab.max()),
-        advection_rho=1.0,
-        node_pass=node_pass,
-    )
-
-
-def diffusion_dt_max(mesh: NetworkMesh, d0: float = 1.0) -> float:
-    """Largest step passing the diffusive bound (uniform grid: h^2 / 2 d0)."""
-    sum_dx, sum_inv = _edge_sums(mesh)
-    return float(np.min(sum_dx / (2.0 * d0 * sum_inv)))
-
-
-def _advection_entries(mesh, radii, slopes, diff):
-    """Per-node list of (coef, weights) pairs for the upwind stencils."""
-    stencils, notes = wind_stencils(mesh, radii, slopes)
-    per_node: dict[int, list[tuple[float, tuple[float, ...]]]] = {}
-    for st in stencils:
-        coef = diff[st.node] * (2.0 / radii[st.node]) * st.radius_slope
-        per_node.setdefault(st.node, []).append((coef, st.weights))
-    return per_node, tuple(notes)
-
-
-def _advection_screen(mesh, radii, slopes, diff, mass, dt):
+def _advection_screen(mesh, f: Fields, diff, mass, dt):
     """Per-node pi-mode data: (|rho(pi)|, dt bound, pass flag, warnings)."""
-    per_node, notes = _advection_entries(mesh, radii, slopes, diff)
-    warnings = list(notes)
+    per_node: dict[int, list[tuple[float, tuple[float, ...]]]] = {}
+    for st in f.wind:
+        coef = diff[st.node] * (2.0 / f.radii[st.node]) * st.radius_slope
+        per_node.setdefault(st.node, []).append((coef, st.weights))
+    warnings = list(f.wind_notes)
     growing: list[tuple[int, float]] = []
     n = mesh.n_nodes
     rho_pi = np.ones(n)
@@ -197,10 +129,9 @@ def check_advection(
     """Pi-mode amplification bound for the upwind advection rows alone."""
     if dt <= 0.0:
         raise ValueError("time step must be positive")
-    radii, slopes, diff, mass = _model_fields(mesh, profile, spec)
-    rho_pi, dt_max, node_pass, warnings = _advection_screen(
-        mesh, radii, slopes, diff, mass, dt
-    )
+    f = fields(mesh, profile)
+    diff, mass = _screened_coefficients(f, spec)
+    rho_pi, dt_max, node_pass, warnings = _advection_screen(mesh, f, diff, mass, dt)
     worst = int(np.argmin(dt_max))
     return StabilityReport(
         dt=dt,
@@ -220,9 +151,9 @@ def check_model(
     """Combined screen: diffusive bound and advection bound per node."""
     if dt <= 0.0:
         raise ValueError("time step must be positive")
-    radii, slopes, diff, mass = _model_fields(mesh, profile, spec)
-    sum_dx, sum_inv = _edge_sums(mesh)
-    rate = 2.0 * diff * sum_inv / sum_dx
+    f = fields(mesh, profile)
+    diff, mass = _screened_coefficients(f, spec)
+    rate = 2.0 * diff * f.inverse_sums / f.edge_sums
     ab = dt * rate / mass
     dt_max = mass / rate
 
@@ -234,9 +165,7 @@ def check_model(
     rho_max = 1.0
 
     if spec.kind is not ModelKind.SIMPLE_DIFFUSION:
-        rho_pi, adv_dt, adv_pass, adv_warn = _advection_screen(
-            mesh, radii, slopes, diff, mass, dt
-        )
+        rho_pi, adv_dt, adv_pass, adv_warn = _advection_screen(mesh, f, diff, mass, dt)
         warnings.extend(adv_warn)
         rho_max = float(np.abs(rho_pi).max())
         for node_id, ok in adv_pass.items():
@@ -244,18 +173,11 @@ def check_model(
         dt_max = np.minimum(dt_max, adv_dt)
 
     if spec.kind is ModelKind.EXPANDED_FLUX:
-        dx = local_spacings(mesh)
-        lap_m, _ = laplacian_parts(mesh)
-        thr_m, _, _ = third_derivative_parts(mesh)
-        k1 = dx * dx * slopes * slopes / (4.0 * radii * radii)
-        k2 = dx * dx * slopes / (4.0 * radii)
-        lap_rows = np.abs((1.0 + k1)[:, None] * lap_m.toarray()).sum(axis=1)
-        thr_rows = np.abs(k2[:, None] * thr_m.toarray()).sum(axis=1)
-        for i in range(n):
-            if thr_rows[i] > lap_rows[i]:
-                warnings.append(
-                    f"expansion-dominates-diffusion node={mesh.node_ids[i]}"
-                )
+        k1, k2 = f.expansion
+        lap_rows = abs(sp.diags(1.0 + k1) @ f.laplacian[0]).sum(axis=1).A1
+        thr_rows = abs(sp.diags(k2) @ f.third[0]).sum(axis=1).A1
+        for i in np.flatnonzero(thr_rows > lap_rows):
+            warnings.append(f"expansion-dominates-diffusion node={mesh.node_ids[i]}")
 
     worst = int(np.argmin(dt_max))
     return StabilityReport(

@@ -261,8 +261,11 @@ def channel_convergence(
 
 
 def refinement_ladder(mesh: NetworkMesh, levels: int) -> list[NetworkMesh]:
-    """The mesh followed by its successive edge bisections."""
-    return [mesh if k == 0 else refine(mesh, k) for k in range(levels)]
+    """The mesh followed by its successive edge bisections, ``levels`` in all."""
+    meshes = [mesh]
+    for _ in range(levels - 1):
+        meshes.append(refine(meshes[-1], 1))
+    return meshes[:levels]
 
 
 def common_node_error(traj: Trajectory, reference: Trajectory) -> float:

@@ -1,18 +1,20 @@
 """Spatial operator assembly: stencil rows, closures, and model variants."""
 
+import gc
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import yaml
 
+from tubediff import cli, discretize, integrate
 from tubediff.discretize import (
     FluxWindow,
     LateralFluxField,
     advection_parts,
-    assemble_lateral,
     assemble_model,
-    dump_operator,
+    fields,
     laplacian_parts,
     lateral_operator,
     local_spacings,
@@ -22,12 +24,15 @@ from tubediff.discretize import (
 )
 from tubediff.models import ModelKind, ModelSpec
 from tubediff.network import (
+    AWAY,
+    TOWARD,
     ConeRadius,
     MeshError,
     NetworkMesh,
     TabulatedRadius,
-    central_slopes,
     interval_mesh,
+    two_paths,
+    upwind_stencil,
 )
 from tests.test_network import chain_mesh, y_mesh
 
@@ -45,6 +50,40 @@ def star_mesh():
     ]
     edges = [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)]
     return NetworkMesh(nodes, edges, root=1)
+
+
+def loop_slopes(values, mesh):
+    """Reference for :func:`slope_matrix`, one node at a time.
+
+    Central: mean away-side value minus mean toward-side value over the
+    mean span.  Where a side is empty, the second-order two-path stencil
+    into the populated side (mean over paths), else a single edge.
+    """
+    out = np.empty(mesh.n_nodes)
+    for i in range(mesh.n_nodes):
+        toward = mesh.side_neighbors(i, TOWARD)
+        away = mesh.side_neighbors(i, AWAY)
+        if toward and away:
+            r_away = np.mean([values[j] for j, _ in away])
+            r_toward = np.mean([values[j] for j, _ in toward])
+            span = np.mean([dx for _, dx in away]) + np.mean([dx for _, dx in toward])
+            out[i] = (r_away - r_toward) / span
+            continue
+        for side, sign in ((AWAY, 1.0), (TOWARD, -1.0)):
+            paths = two_paths(mesh, mesh.node_ids[i], side)
+            if paths:
+                ests = []
+                for p in paths:
+                    a0, a1, a2 = upwind_stencil(p.dx1, p.dx2)
+                    i1, i2 = mesh.index(p.first), mesh.index(p.second)
+                    ests.append(sign * (a0 * values[i] + a1 * values[i1] + a2 * values[i2]))
+                out[i] = np.mean(ests)
+                break
+            nbrs = mesh.side_neighbors(i, side)
+            if nbrs:
+                out[i] = np.mean([sign * (values[j] - values[i]) / dx for j, dx in nbrs])
+                break
+    return out
 
 
 class TestLaplacian:
@@ -95,7 +134,7 @@ class TestSlopeMatrix:
         rng = np.random.default_rng(7)
         values = rng.uniform(0.5, 2.0, mesh.n_nodes)
         via_matrix = slope_matrix(mesh) @ values
-        via_loop = central_slopes(values, mesh)
+        via_loop = loop_slopes(values, mesh)
         assert via_matrix == pytest.approx(via_loop, rel=1e-13, abs=1e-13)
 
 
@@ -144,7 +183,7 @@ class TestAdvection:
         edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (1, 4, 1.0), (4, 5, 1.0)]
         mesh = NetworkMesh(nodes, edges, root=0)
         stencils, notes = wind_stencils(
-            mesh, mesh.radii, central_slopes(mesh.radii, mesh)
+            mesh, mesh.radii, slope_matrix(mesh) @ mesh.radii
         )
         at_branch = [s for s in stencils if s.node == mesh.index(1)]
         assert len(at_branch) == 2
@@ -237,7 +276,7 @@ class TestAssembleModel:
         mesh = chain_mesh([1.0, 2.0, 3.0, 4.0, 5.0], h=0.5)
         op = assemble_model(mesh, TabulatedRadius(), EF)
         dx = local_spacings(mesh)
-        slopes = central_slopes(mesh.radii, mesh)
+        slopes = loop_slopes(mesh.radii, mesh)
         expected = 1.0 + dx**2 * slopes**2 / (12.0 * mesh.radii**2)
         assert op.mass_diag == pytest.approx(expected, rel=1e-14)
         assert np.all(op.mass_diag > 1.0)
@@ -319,7 +358,7 @@ class TestLateralFlux:
     def test_zero_field_gives_zero_source(self):
         mesh = chain_mesh([1.0] * 5)
         field = LateralFluxField()
-        s = assemble_lateral(mesh, TabulatedRadius(), FJ, field, 0.0)
+        s = lateral_operator(mesh, TabulatedRadius(), FJ) @ field.values(mesh, 0.0)
         assert np.array_equal(s, np.zeros(5))
 
     def test_window_schedule(self):
@@ -331,7 +370,7 @@ class TestLateralFlux:
     def test_leading_term_for_fick_jacobs(self):
         mesh = chain_mesh([2.0] * 5)
         field = LateralFluxField((FluxWindow((0, 1, 2, 3, 4), 3.0),))
-        s = assemble_lateral(mesh, TabulatedRadius(), FJ, field, 0.0)
+        s = lateral_operator(mesh, TabulatedRadius(), FJ) @ field.values(mesh, 0.0)
         assert s == pytest.approx(np.full(5, 3.0), rel=1e-14)  # (2/R) J = J at R=2
 
     def test_expanded_flux_reduces_to_leading_term_for_linear_j(self):
@@ -347,10 +386,56 @@ class TestLateralFlux:
         assert lam @ np.full(6, 4.0) == pytest.approx(np.full(6, 4.0), abs=1e-12)
 
 
-class TestDump:
-    def test_dump_is_sorted_and_parseable(self):
-        mesh = chain_mesh([1.0, 2.0, 3.0])
-        op = assemble_model(mesh, TabulatedRadius(), FJ)
-        text = dump_operator(op)
-        lines = text.strip().splitlines()
-        assert all(len(line.split()) == 3 for line in lines)
+class TestSharedFields:
+    def test_one_record_per_mesh_and_profile(self):
+        mesh = y_mesh(radii=(1.2, 0.7, 0.31, 0.9, 1.05, 0.4))
+        f = fields(mesh, TabulatedRadius())
+        assert fields(mesh, TabulatedRadius()) is f
+        assert fields(y_mesh(), TabulatedRadius()) is not f
+        assert np.array_equal(f.slopes, slope_matrix(mesh) @ mesh.radii)
+        assert np.array_equal(f.spacings, local_spacings(mesh))
+        for a in (f.radii, f.slopes, f.spacings, f.edge_sums, f.inverse_sums):
+            assert not a.flags.writeable
+
+    def test_slopes_match_the_loop_reference(self):
+        profile = ConeRadius(0.3)
+        mesh = interval_mesh(0.0, 5.0, 41, profile)
+        f = fields(mesh, profile)
+        assert f.slopes == pytest.approx(loop_slopes(f.radii, mesh), rel=1e-13)
+
+    def test_record_is_dropped_with_its_mesh(self):
+        mesh = chain_mesh([1.0, 2.0, 3.0, 4.0, 5.0])
+        assemble_model(mesh, TabulatedRadius(), EF)
+        assert mesh in discretize._DERIVED
+        count = len(discretize._DERIVED)
+        del mesh
+        gc.collect()
+        assert len(discretize._DERIVED) == count - 1
+
+    def test_simulate_builds_each_part_once(self, tmp_path, monkeypatch):
+        # a lateral expanded-flux tree run needs every stencil: the
+        # screen, the assembly and the lateral map must share them
+        calls = {}
+
+        def counted(name):
+            build = getattr(discretize, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return build(*args, **kwargs)
+            return wrapper
+
+        for name in ("slope_matrix", "laplacian_parts", "third_derivative_parts",
+                     "wind_stencils", "assemble_model"):
+            monkeypatch.setattr(discretize, name, counted(name))
+        monkeypatch.setattr(integrate, "assemble_model", discretize.assemble_model)
+
+        doc = yaml.safe_load(open("configs/ball_on_stick_regulated.yaml"))
+        doc["run"]["t_end"] = 0.05
+        doc["run"]["snapshots"] = 3
+        path = tmp_path / "lateral.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert calls == {"slope_matrix": 1, "laplacian_parts": 1,
+                         "third_derivative_parts": 1, "wind_stencils": 1,
+                         "assemble_model": 1}

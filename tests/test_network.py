@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tubediff.discretize import slope_matrix
 from tubediff.network import (
     AWAY,
     TOWARD,
@@ -17,8 +18,6 @@ from tubediff.network import (
     format_mesh,
     interval_mesh,
     load_mesh,
-    orient,
-    radius_derivative,
     refine,
     two_paths,
     upwind_stencil,
@@ -153,7 +152,8 @@ class TestRefine:
 class TestOrientation:
     def test_cable_parents(self):
         mesh = chain_mesh([1.0, 1.0, 1.0])
-        assert orient(mesh) == {0: None, 1: 0, 2: 1}
+        parents = [mesh.parent_index(mesh.index(node_id)) for node_id in (0, 1, 2)]
+        assert parents == [-1, mesh.index(0), mesh.index(1)]
 
     def test_branch_sides(self):
         mesh = y_mesh()
@@ -213,53 +213,53 @@ class TestUpwindStencil:
 
 
 class TestRadiusDerivative:
+    """Radius slopes: the analytic profiles and the rows of slope_matrix."""
+
     def test_cone_analytic_slope(self):
         mesh = interval_mesh(0.0, 10.0, 11, ConeRadius(0.2))
-        est = radius_derivative(mesh, ConeRadius(0.2), 5, mode="analytic")
-        assert est.value == 0.2
+        assert ConeRadius(0.2).slope(mesh.positions[mesh.index(5), 0]) == 0.2
 
     def test_sinusoid_analytic_slope(self):
         mesh = interval_mesh(1.0, 5.0, 9, SinusoidRadius(0.5))
-        est = radius_derivative(mesh, SinusoidRadius(0.5), 0, mode="analytic")
-        assert est.value == pytest.approx(0.5 * math.cos(0.5), rel=1e-15)
+        x = mesh.positions[mesh.index(0), 0]
+        assert SinusoidRadius(0.5).slope(x) == pytest.approx(0.5 * math.cos(0.5), rel=1e-15)
 
     def test_tabulated_central_difference(self):
         mesh = chain_mesh([1.0, 1.1, 1.2])
-        est = radius_derivative(mesh, TabulatedRadius(), 1, mode="central")
-        assert est.mode_used == "central"
-        assert est.value == pytest.approx(0.1, rel=1e-12)
+        row = slope_matrix(mesh).toarray()[1]
+        assert np.array_equal(row, [-0.5, 0.0, 0.5])  # central, no own weight
+        assert row @ mesh.radii == pytest.approx(0.1, rel=1e-12)
 
     def test_central_at_leaf_falls_back_one_sided(self):
         mesh = chain_mesh([1.0, 1.1, 1.2])
-        est = radius_derivative(mesh, TabulatedRadius(), 0, mode="central")
-        assert est.mode_used == "one-sided"
+        row = slope_matrix(mesh).toarray()[0]
+        assert np.array_equal(row, [-1.5, 2.0, -0.5])  # (-3, 4, -1) / 2h
         # radii are linear in x, the two-path stencil is exact
-        assert est.value == pytest.approx(0.1, rel=1e-12)
+        assert row @ mesh.radii == pytest.approx(0.1, rel=1e-12)
 
     def test_central_matches_analytic_on_linear_radii(self):
         profile = ConeRadius(0.7)
         mesh = interval_mesh(0.0, 4.0, 17, profile)
-        for node_id in range(mesh.n_nodes):
-            est = radius_derivative(mesh, TabulatedRadius(), node_id)
-            assert est.value == pytest.approx(0.7, rel=1e-12)
+        slopes = slope_matrix(mesh) @ TabulatedRadius().radii(mesh)
+        assert slopes == pytest.approx(np.full(17, 0.7), rel=1e-12)
 
     def test_non_root_leaf_sign_points_away_from_root(self):
         mesh = chain_mesh([1.0, 1.1, 1.2])
-        est = radius_derivative(mesh, TabulatedRadius(), 2, mode="central")
-        assert est.mode_used == "one-sided"
-        assert est.value == pytest.approx(0.1, rel=1e-12)
+        row = slope_matrix(mesh).toarray()[2]
+        assert np.array_equal(row, [0.5, -2.0, 1.5])  # toward-root stencil, negated
+        assert row @ mesh.radii == pytest.approx(0.1, rel=1e-12)
 
     def test_path_mode_is_directional(self):
         mesh = chain_mesh([1.0, 1.1, 1.2, 1.3])
         (toward_path,) = two_paths(mesh, 2, TOWARD)
-        est = radius_derivative(mesh, TabulatedRadius(), 2, mode="path", path=toward_path)
+        weights = upwind_stencil(toward_path.dx1, toward_path.dx2)
+        walk = [mesh.index(n) for n in (2, toward_path.first, toward_path.second)]
         # walking toward the root the radius shrinks
-        assert est.value == pytest.approx(-0.1, rel=1e-12)
+        assert np.dot(weights, mesh.radii[walk]) == pytest.approx(-0.1, rel=1e-12)
 
     def test_tabulated_has_no_analytic_mode(self):
-        mesh = chain_mesh([1.0, 1.1, 1.2])
-        with pytest.raises(ValueError, match="analytic"):
-            radius_derivative(mesh, TabulatedRadius(), 1, mode="analytic")
+        assert not TabulatedRadius.analytic
+        assert not hasattr(TabulatedRadius(), "slope")
 
 
 class TestIntervalMesh:

@@ -1,23 +1,26 @@
 """Tests for the explicit-Euler stability screens."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from tubediff.geometry import constricted_tree
 from tubediff.models import ModelKind, ModelSpec
 from tubediff.network import ConeRadius, NetworkMesh, TabulatedRadius, interval_mesh
-from tubediff.stability import (
-    StabilityReport,
-    check_advection,
-    check_diffusion,
-    check_model,
-    diffusion_dt_max,
-)
+from tubediff.stability import StabilityReport, check_advection, check_model
 
 from tests.test_network import chain_mesh
 
 FJ = ModelSpec(ModelKind.FICK_JACOBS)
 EF = ModelSpec(ModelKind.EXPANDED_FLUX)
 SIMPLE = ModelSpec(ModelKind.SIMPLE_DIFFUSION)
+
+
+def diffusive_screen(mesh, dt, d0=1.0):
+    """The diffusive bound alone: the screen of the radius-blind model."""
+    spec = ModelSpec(ModelKind.SIMPLE_DIFFUSION, d0=d0)
+    return check_model(mesh, TabulatedRadius(), spec, dt)
 
 
 def symmetric_y_mesh():
@@ -37,26 +40,25 @@ def symmetric_y_mesh():
 class TestDiffusionBound:
     def test_uniform_grid_limit_is_h_squared_over_2d(self):
         mesh = interval_mesh(0.0, 1.0, 11, TabulatedRadius())
-        report = check_diffusion(mesh, dt=0.001)
+        report = diffusive_screen(mesh, dt=0.001)
         assert report.dt_max == pytest.approx(0.005, rel=1e-12)
-        assert diffusion_dt_max(mesh) == pytest.approx(0.005, rel=1e-12)
-        assert diffusion_dt_max(mesh, d0=2.0) == pytest.approx(0.0025, rel=1e-12)
+        assert diffusive_screen(mesh, dt=1.0, d0=2.0).dt_max == pytest.approx(0.0025, rel=1e-12)
 
     def test_passes_exactly_at_the_bound(self):
         mesh = interval_mesh(0.0, 1.0, 11, TabulatedRadius())
-        report = check_diffusion(mesh, dt=0.005)
+        report = diffusive_screen(mesh, dt=0.005)
         assert report.passed
         assert report.alpha_beta == pytest.approx(1.0, rel=1e-12)
 
     def test_fails_just_past_the_bound(self):
         mesh = interval_mesh(0.0, 1.0, 11, TabulatedRadius())
-        report = check_diffusion(mesh, dt=0.00501)
+        report = diffusive_screen(mesh, dt=0.00501)
         assert not report.passed
         assert report.alpha_beta == pytest.approx(1.002, rel=1e-12)
 
     def test_alpha_beta_value(self):
         mesh = interval_mesh(0.0, 1.0, 11, TabulatedRadius())
-        report = check_diffusion(mesh, dt=0.004)
+        report = diffusive_screen(mesh, dt=0.004)
         assert report.alpha_beta == pytest.approx(0.8, rel=1e-12)
 
     def test_short_leaf_edge_binds(self):
@@ -68,16 +70,16 @@ class TestDiffusionBound:
         ]
         edges = [(0, 1, 0.5), (1, 2, 0.25)]
         mesh = NetworkMesh(nodes, edges, root=0)
-        report = check_diffusion(mesh, dt=0.001)
+        report = diffusive_screen(mesh, dt=0.001)
         assert report.dt_max == pytest.approx(0.03125, rel=1e-12)
         assert report.binding_node == 2
 
     def test_rejects_nonpositive_step(self):
         mesh = interval_mesh(0.0, 1.0, 5, TabulatedRadius())
         with pytest.raises(ValueError):
-            check_diffusion(mesh, dt=0.0)
+            diffusive_screen(mesh, dt=0.0)
         with pytest.raises(ValueError):
-            check_diffusion(mesh, dt=0.001, d0=-1.0)
+            diffusive_screen(mesh, dt=0.001, d0=-1.0)
 
 
 class TestAdvectionBound:
@@ -120,10 +122,10 @@ class TestAdvectionBound:
 
 class TestModelScreen:
     def test_simple_diffusion_matches_diffusion_only(self):
+        # the radius-blind model screens with the h^2 / 2 D bound alone
         mesh = chain_mesh([1.0, 2.0, 3.0, 4.0, 5.0], h=0.5)
         combined = check_model(mesh, TabulatedRadius(), SIMPLE, dt=0.01)
-        alone = check_diffusion(mesh, dt=0.01)
-        assert combined.dt_max == alone.dt_max
+        assert combined.dt_max == 0.125
         assert combined.advection_rho == 1.0
         assert combined.warnings == ()
 
@@ -175,8 +177,8 @@ class TestModelScreen:
 
     def test_report_table_mentions_verdict(self):
         mesh = interval_mesh(0.0, 1.0, 11, TabulatedRadius())
-        good = check_diffusion(mesh, dt=0.004).as_table()
-        bad = check_diffusion(mesh, dt=0.00501).as_table()
+        good = diffusive_screen(mesh, dt=0.004).as_table()
+        bad = diffusive_screen(mesh, dt=0.00501).as_table()
         assert "PASS" in good
         assert "FAIL" in bad and "failing nodes" in bad
 
@@ -184,3 +186,16 @@ class TestModelScreen:
         mesh = chain_mesh([1.0, 2.0, 3.0], h=1.0)
         with pytest.raises(ValueError):
             check_model(mesh, TabulatedRadius(), FJ, dt=-0.1)
+
+    def test_expanded_flux_screen_memory_stays_sparse(self):
+        # 993 nodes: one dense n x n float64 matrix would take 7.9 MB
+        mesh = constricted_tree(5)
+        n = mesh.n_nodes
+        tracemalloc.start()
+        try:
+            check_model(mesh, TabulatedRadius(), EF, dt=1e-6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert n == 993
+        assert peak < 8 * n * n

@@ -8,7 +8,7 @@ import pytest
 from tubediff.discretize import assemble_model
 from tubediff.integrate import Trajectory
 from tubediff.models import ModelKind, ModelSpec
-from tubediff.network import TabulatedRadius, refine
+from tubediff.network import TabulatedRadius, format_mesh, refine
 from tubediff.verify import (
     ConeChannel,
     ConvergenceResult,
@@ -170,6 +170,18 @@ class TestChannelRuns:
         assert set(table) == {"fick-jacobs", "simple-diffusion"}
         assert all(v > 0.0 for v in table.values())
 
+    @pytest.mark.parametrize("n_snapshots", [0, 1])
+    def test_fewer_than_two_snapshots_are_refused(self, n_snapshots):
+        # one snapshot used to hold only the initial state, none crashed
+        with pytest.raises(ValueError, match=f"n_snapshots={n_snapshots}"):
+            run_channel(ConeChannel(taper=0.2), FJ, n=21, dt=0.005, t_end=0.2,
+                        n_snapshots=n_snapshots)
+
+    def test_two_snapshots_end_at_t_end(self):
+        traj = run_channel(ConeChannel(taper=0.2), FJ, n=21, dt=0.005, t_end=0.2)
+        assert list(traj.times) == pytest.approx([0.0, 0.2])
+        assert traj.step_time_s > 0.0
+
 
 class TestConvergence:
     def test_fitted_slope_recovers_a_power_law(self):
@@ -216,6 +228,13 @@ class TestBranchedComparison:
     def test_ladder_counts(self):
         meshes = refinement_ladder(y_mesh(), 3)
         assert [m.n_nodes for m in meshes] == [6, 11, 21]
+
+    def test_ladder_rungs_equal_direct_refinement(self):
+        mesh = y_mesh(radii=(1.2, 0.7, 0.31, 0.9, 1.05, 0.4))
+        meshes = refinement_ladder(mesh, 4)
+        assert len(meshes) == 4
+        for k, rung in enumerate(meshes):
+            assert format_mesh(rung) == format_mesh(refine(mesh, k))
 
     def test_common_node_error_against_synthetic_reference(self):
         coarse = y_mesh()
