@@ -6,12 +6,10 @@ from tubediff.network import (
     NetworkMesh,
     SinusoidRadius,
     TabulatedRadius,
-    TwoPath,
     interval_mesh,
     load_mesh,
     read_mesh,
     refine,
-    two_paths,
     write_mesh,
 )
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -85,15 +86,29 @@ def _section(cfg: dict, name: str, required: bool = True) -> dict:
     return value
 
 
+def _read(section: dict, key: str, convert=float, default=None, what="a number"):
+    """``convert`` applied to ``section[key]`` (``default`` when absent);
+    a value it cannot take becomes a ConfigError naming the key."""
+    value = section.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"'{key}' must be {what}, got {value!r}") from None
+
+
+def _ints(value) -> tuple[int, ...]:
+    """Node ids or counts from a YAML list."""
+    if isinstance(value, str):
+        raise TypeError("a string is not a list")
+    return tuple(int(n) for n in value)
+
+
 def _positive(section: dict, key: str, kind=float):
     if key not in section:
         raise ConfigError(f"'run' section needs '{key}'")
-    try:
-        value = kind(section[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'{key}' must be a number, got {section[key]!r}") from exc
-    if value <= 0:
-        raise ConfigError(f"'{key}' must be positive, got {value}")
+    value = _read(section, key, kind)
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"'{key}' must be positive and finite, got {value}")
     return value
 
 
@@ -117,14 +132,16 @@ def build_model(cfg: dict) -> ModelSpec:
         raise ConfigError("'run' section needs 'model'")
     if isinstance(entry, str):
         entry = {"name": entry}
+    if not isinstance(entry, dict):
+        raise ConfigError(f"'model' must be a name or a mapping, got {entry!r}")
     name = entry.get("name")
     if name not in MODEL_NAMES:
         known = ", ".join(sorted(MODEL_NAMES))
         raise ConfigError(f"unknown model {name!r}; choose one of: {known}")
     return ModelSpec(
         MODEL_NAMES[name],
-        d0=float(entry.get("d0", 1.0)),
-        epsilon=float(entry.get("epsilon", 1.0)),
+        d0=_read(entry, "d0", default=1.0),
+        epsilon=_read(entry, "epsilon", default=1.0),
     )
 
 
@@ -133,21 +150,21 @@ def build_geometry(cfg: dict, model: ModelSpec) -> Geometry:
     kind = section.get("kind")
     if kind == "cone":
         channel = ConeChannel(
-            taper=float(section.get("taper", 0.0)),
-            sigma=float(section.get("sigma", 4.0)),
-            center=float(section.get("center", 0.0)),
-            x0=float(section.get("x0", 0.0)),
-            x1=float(section.get("x1", 10.0)),
+            taper=_read(section, "taper", default=0.0),
+            sigma=_read(section, "sigma", default=4.0),
+            center=_read(section, "center", default=0.0),
+            x0=_read(section, "x0", default=0.0),
+            x1=_read(section, "x1", default=10.0),
             d0=model.d0,
         )
     elif kind == "sinusoid":
         if "wavenumber" not in section:
             raise ConfigError("sinusoid geometry needs 'wavenumber'")
         channel = SinusoidChannel(
-            wavenumber=float(section["wavenumber"]),
-            sigma=float(section.get("sigma", 2.0)),
-            center=float(section.get("center", 1.0)),
-            margin=float(section.get("margin", 1.0)),
+            wavenumber=_read(section, "wavenumber"),
+            sigma=_read(section, "sigma", default=2.0),
+            center=_read(section, "center", default=1.0),
+            margin=_read(section, "margin", default=1.0),
             d0=model.d0,
         )
     elif kind == "file":
@@ -161,21 +178,20 @@ def build_geometry(cfg: dict, model: ModelSpec) -> Geometry:
             mesh = read_mesh(path)
         except MeshError as exc:
             raise ConfigError(f"geometry file {path}: {exc}") from exc
-        levels = int(section.get("levels", 0))
+        levels = _read(section, "levels", int, 0, "a whole number")
         if levels:
             mesh = refine(mesh, levels)
         return Geometry(mesh, TabulatedRadius(), None, _fingerprint(mesh))
     elif kind in TREE_BUILDERS:
-        mesh = TREE_BUILDERS[kind](int(section.get("levels", 0)))
+        mesh = TREE_BUILDERS[kind](_read(section, "levels", int, 0, "a whole number"))
         return Geometry(mesh, TabulatedRadius(), None, _fingerprint(mesh))
     else:
         known = "cone, sinusoid, file, " + ", ".join(sorted(TREE_BUILDERS))
         raise ConfigError(f"unknown geometry kind {kind!r}; choose one of: {known}")
 
-    n = section.get("n")
-    if n is None:
+    if section.get("n") is None:
         raise ConfigError(f"{kind} geometry needs 'n'")
-    n = int(n)
+    n = _read(section, "n", int, what="a whole number")
     if n < 3:
         raise ConfigError(f"'n' must be at least 3, got {n}")
     mesh = channel.mesh(n)
@@ -190,7 +206,7 @@ def build_initial(cfg: dict, geometry: Geometry):
     section = _section(cfg, "initial", required=False)
     kind = section.get("kind", "exact" if geometry.channel else "uniform")
     if kind == "uniform":
-        return float(section.get("value", 1.0))
+        return _read(section, "value", default=1.0)
     if kind == "exact":
         if geometry.channel is None:
             raise ConfigError("initial kind 'exact' needs a cone or sinusoid geometry")
@@ -198,9 +214,9 @@ def build_initial(cfg: dict, geometry: Geometry):
         return geometry.channel.concentration(x, 0.0)
     if kind == "arc-bump":
         arc = geometry.mesh.arc_lengths()
-        center = float(section.get("center", 0.0))
+        center = _read(section, "center", default=0.0)
         width = _positive(section, "width") if "width" in section else 1.0
-        baseline = float(section.get("baseline", 0.0))
+        baseline = _read(section, "baseline", default=0.0)
         bump = np.exp(-(((arc - center) / width) ** 2))
         return baseline + bump / geometry.mesh.radii**2
     raise ConfigError(f"unknown initial kind {kind!r}; "
@@ -226,7 +242,9 @@ def build_boundary(cfg: dict, geometry: Geometry) -> BoundaryData | None:
         entries = section.get("slopes")
         if not isinstance(entries, dict) or not entries:
             raise ConfigError("boundary kind 'slopes' needs a 'slopes' mapping")
-        return BoundaryData({int(k): float(v) for k, v in entries.items()})
+        return BoundaryData(_read(section, "slopes",
+                                  lambda m: {int(k): float(v) for k, v in m.items()},
+                                  what="a mapping of leaf ids to numbers"))
     raise ConfigError(f"unknown boundary kind {kind!r}; "
                       "choose one of: closed, exact, slopes")
 
@@ -242,10 +260,10 @@ def build_lateral(cfg: dict) -> LateralFluxField | None:
         if not isinstance(entry, dict) or "nodes" not in entry or "strength" not in entry:
             raise ConfigError("each lateral window needs 'nodes' and 'strength'")
         windows.append(FluxWindow(
-            tuple(int(n) for n in entry["nodes"]),
-            float(entry["strength"]),
-            t_start=float(entry.get("from", 0.0)),
-            t_end=float(entry.get("until", np.inf)),
+            _read(entry, "nodes", _ints, what="a list of node ids"),
+            _read(entry, "strength"),
+            t_start=_read(entry, "from", default=0.0),
+            t_end=_read(entry, "until", default=np.inf),
         ))
     return LateralFluxField(tuple(windows))
 
@@ -256,14 +274,15 @@ def build_policy(cfg: dict) -> ConstraintPolicy | None:
         return None
     if not isinstance(section, dict):
         raise ConfigError("'policy' section must be a mapping")
-    nodes = section.get("nodes", "all")
-    node_ids = None if nodes == "all" else tuple(int(n) for n in nodes)
+    node_ids = None
+    if section.get("nodes", "all") != "all":
+        node_ids = _read(section, "nodes", _ints, what="'all' or a list of node ids")
     try:
         return ConstraintPolicy(
             node_ids=node_ids,
-            c_hi=float(section.get("c_hi", 6.0)),
-            c_lo=float(section.get("c_lo", 4.0)),
-            outflow_strength=float(section.get("outflow_strength", 2.0)),
+            c_hi=_read(section, "c_hi", default=6.0),
+            c_lo=_read(section, "c_lo", default=4.0),
+            outflow_strength=_read(section, "outflow_strength", default=2.0),
         )
     except ValueError as exc:
         raise ConfigError(f"policy: {exc}") from exc
@@ -285,7 +304,7 @@ def cmd_simulate(cfg: dict, out_override: str | None, force: bool) -> int:
     geometry = build_geometry(cfg, model)
     dt = _positive(section, "dt")
     t_end = _positive(section, "t_end")
-    snapshots = int(section.get("snapshots", 11))
+    snapshots = _read(section, "snapshots", int, 11, "a whole number")
     initial = build_initial(cfg, geometry)
     boundary = build_boundary(cfg, geometry)
     lateral = build_lateral(cfg)
@@ -371,15 +390,15 @@ def cmd_convergence(cfg: dict, out_override: str | None, force: bool) -> int:
         if not isinstance(ns, list) or len(ns) < 3:
             raise ConfigError("channel convergence needs an 'ns' list "
                               "of at least 3 node counts")
+        ns = _read(conv, "ns", _ints, what="a list of node counts")
         result = channel_convergence(
-            geometry.channel, model, ns=[int(n) for n in ns],
+            geometry.channel, model, ns=list(ns),
             dt=dt, t_end=t_end, force=force,
         )
     else:
-        levels = conv.get("levels")
-        if levels is None or int(levels) < 3:
+        levels = _read(conv, "levels", int, 0, "a whole number")
+        if levels < 3:
             raise ConfigError("tree convergence needs 'levels' of at least 3")
-        levels = int(levels)
         kind = _section(cfg, "geometry")["kind"]
         if kind in TREE_BUILDERS:
             meshes = [TREE_BUILDERS[kind](k) for k in range(levels + 1)]

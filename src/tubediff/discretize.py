@@ -26,13 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from tubediff.network import (
-    AWAY,
-    TOWARD,
-    NetworkMesh,
-    two_paths,
-    upwind_stencil,
-)
+from tubediff.network import NetworkMesh, upwind_stencil
 from tubediff.models import (
     ModelKind,
     ModelSpec,
@@ -82,46 +76,21 @@ class SpatialOperator:
         return rhs / self.mass_diag
 
 
-class _Builder:
-    """Accumulates (row, col, value) triplets with exact-zero row sums.
+def _csr(rows, cols, vals, shape) -> sp.csr_matrix:
+    """Sparse matrix from (broadcast) triplets in one build.
 
-    Row interiors are accumulated per call; ``add_row`` computes the
-    diagonal as minus the float sum of the off-diagonal weights so that
-    constants sit in the kernel as exactly as the arithmetic allows.
+    Exact zeros are left out; duplicates are summed in the order given,
+    so listing a row's terms in stencil order fixes its rounding.
     """
-
-    def __init__(self, n_rows: int, n_cols: int):
-        self.rows: list[int] = []
-        self.cols: list[int] = []
-        self.vals: list[float] = []
-        self.shape = (n_rows, n_cols)
-
-    def add(self, i: int, j: int, v: float) -> None:
-        if v != 0.0:
-            self.rows.append(i)
-            self.cols.append(j)
-            self.vals.append(v)
-
-    def add_many(self, i: int, cols, vals) -> None:
-        for j, v in zip(cols, vals):
-            self.add(i, j, v)
-
-    def matrix(self) -> sp.csr_matrix:
-        m = sp.coo_matrix((self.vals, (self.rows, self.cols)), shape=self.shape)
-        return m.tocsr()
+    rows, cols, vals = (a.ravel() for a in np.broadcast_arrays(rows, cols, vals))
+    keep = vals != 0.0
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape)
 
 
 def local_spacings(mesh: NetworkMesh) -> np.ndarray:
     """Node-local grid spacing: arithmetic mean of incident edge lengths."""
     degree, lengths, _ = mesh.incident_sums()
     return lengths / degree
-
-
-def _leaf_slots(mesh: NetworkMesh) -> tuple[dict[int, int], tuple[int, ...]]:
-    leaves = mesh.leaf_indices()
-    slot = {i: k for k, i in enumerate(leaves)}
-    ids = tuple(mesh.node_ids[i] for i in leaves)
-    return slot, ids
 
 
 # ----------------------------------------------------------------------
@@ -140,98 +109,67 @@ def laplacian_parts(mesh: NetworkMesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     from the root at every leaf).
     """
     n = mesh.n_nodes
-    slot, _ = _leaf_slots(mesh)
-    mat = _Builder(n, n)
-    neu = _Builder(n, len(slot))
-    for i in range(n):
-        nbrs = mesh.neighbors(i)
-        if mesh.is_leaf(i):
-            (j, dx) = nbrs[0]
-            w = 2.0 / (dx * dx)
-            mat.add(i, j, w)
-            mat.add(i, i, -w)
-            sign = -1.0 if mesh.parent_index(i) < 0 else 1.0
-            neu.add(i, slot[i], sign * 2.0 / dx)
-        else:
-            scale = 2.0 / sum(dx for _, dx in nbrs)
-            weights = [scale / dx for _, dx in nbrs]
-            for (j, _), w in zip(nbrs, weights):
-                mat.add(i, j, w)
-            mat.add(i, i, -sum(weights))
-    return mat.matrix(), neu.matrix()
+    rows, dx = mesh.origin, mesh.nbr_dx
+    _, lengths, _ = mesh.incident_sums()
+    w = np.where(mesh.degree[rows] == 1, 2.0 / (dx * dx), (2.0 / lengths)[rows] / dx)
+    diag = np.arange(n)
+    matrix = _csr(np.concatenate([rows, diag]), np.concatenate([mesh.nbr, diag]),
+                  np.concatenate([w, -np.bincount(rows, weights=w, minlength=n)]), (n, n))
+    leaves = mesh.leaf_indices()  # in storage order, as the Neumann slots
+    sign = np.where(mesh.parent[leaves] < 0, -1.0, 1.0)
+    neumann = _csr(leaves, np.arange(len(leaves)), sign * 2.0 / dx[mesh.indptr[leaves]],
+                   (n, len(leaves)))
+    return matrix, neumann
 
 
 def slope_matrix(mesh: NetworkMesh) -> sp.csr_matrix:
     """Central away-from-root first derivative of a nodal field, as a matrix.
 
     Interior rows take the mean away-side value minus the mean toward-side
-    value over the mean span.  Where one side is empty (leaves and a
-    leaf root) the row falls back to the second-order two-path stencil
-    into the populated side, averaged over paths, or to a single-edge
-    difference when the mesh is too small for a two-edge path.
+    value over the mean span.  Where one side is empty (leaves and the
+    root) every neighbour lies on the other side, so the row falls back
+    to the second-order two-path stencil over all walks leaving the node,
+    averaged, or to a single-edge difference when the mesh is too small
+    for a two-edge path.
     """
     n = mesh.n_nodes
-    mat = _Builder(n, n)
-    for i in range(n):
-        toward = mesh.side_neighbors(i, TOWARD)
-        away = mesh.side_neighbors(i, AWAY)
-        if toward and away:
-            span = float(
-                np.mean([dx for _, dx in away]) + np.mean([dx for _, dx in toward])
-            )
-            for j, _ in away:
-                mat.add(i, j, 1.0 / (len(away) * span))
-            for j, _ in toward:
-                mat.add(i, j, -1.0 / (len(toward) * span))
-            continue
-        # one-sided: second-order along two-edge paths where available
-        node_id = mesh.node_ids[i]
-        placed = False
-        for side, sign in ((AWAY, 1.0), (TOWARD, -1.0)):
-            paths = two_paths(mesh, node_id, side)
-            if paths:
-                share = sign / len(paths)
-                for p in paths:
-                    a0, a1, a2 = upwind_stencil(p.dx1, p.dx2)
-                    mat.add(i, i, share * a0)
-                    mat.add(i, mesh.index(p.first), share * a1)
-                    mat.add(i, mesh.index(p.second), share * a2)
-                placed = True
-                break
-            nbrs = mesh.side_neighbors(i, side)
-            if nbrs:
-                share = sign / len(nbrs)
-                for j, dx in nbrs:
-                    mat.add(i, j, share / dx)
-                    mat.add(i, i, -share / dx)
-                placed = True
-                break
-        if not placed:  # pragma: no cover - single-node meshes are rejected earlier
-            raise ValueError("isolated node")
-    return mat.matrix()
+    rows, cols, dx = mesh.origin, mesh.nbr, mesh.nbr_dx
+    has_parent = mesh.parent >= 0
+    n_away = mesh.degree - has_parent
+    central = has_parent & (n_away > 0)
+    sign = np.where(has_parent, -1.0, 1.0)  # one-sided rows: toward leaves, away root
+
+    toward = mesh.parent[rows] == cols
+    away_dx = np.bincount(rows[~toward], weights=dx[~toward], minlength=n)
+    span = np.zeros(n)
+    span[rows[toward]] = dx[toward]
+    span[central] += away_dx[central] / n_away[central]
+    c = central[rows]
+    central_w = np.where(toward[c], -1.0 / span[rows[c]],
+                         1.0 / (n_away[rows[c]] * span[rows[c]]))
+
+    walks = mesh.walks[~central[mesh.walks["origin"]]]
+    o = walks["origin"]
+    n_walks = np.bincount(o, minlength=n)
+    share = sign / np.maximum(n_walks, 1)
+    a0, a1, a2 = upwind_stencil(walks["dx1"], walks["dx2"])
+    path_cols = np.stack([o, walks["first"], walks["second"]], axis=1)
+    path_w = share[o, None] * np.stack([a0, a1, a2], axis=1)
+
+    e = (~central & (n_walks == 0))[rows]  # too small for a two-edge path
+    edge_w = (sign / mesh.degree)[rows[e]] / dx[e]
+    return _csr(
+        np.concatenate([rows[c], np.repeat(o, 3), np.repeat(rows[e], 2)]),
+        np.concatenate([cols[c], path_cols.ravel(),
+                        np.stack([cols[e], rows[e]], axis=1).ravel()]),
+        np.concatenate([central_w, path_w.ravel(),
+                        np.stack([edge_w, -edge_w], axis=1).ravel()]),
+        (n, n),
+    )
 
 
-@dataclass(frozen=True)
-class WindStencil:
-    """One upwind contribution to the first-derivative row of a node.
-
-    ``cols`` holds storage indices ordered along the path starting at the
-    origin; ``weights`` are the matching derivative weights and
-    ``radius_slope`` is dR/ds along the same direction, so the product
-    radius_slope * weights is orientation-free.
-    """
-
-    node: int
-    cols: tuple[int, ...]
-    weights: tuple[float, ...]
-    radius_slope: float
-    first_order: bool = False
-
-
-def wind_stencils(
-    mesh: NetworkMesh, radii: np.ndarray, slopes: np.ndarray
-) -> tuple[list[WindStencil], list[str]]:
-    """Upwind first-derivative stencils for every non-leaf node.
+def wind_stencils(mesh: NetworkMesh, radii: np.ndarray, slopes: np.ndarray):
+    """Upwind first-derivative stencils for every non-leaf node, as arrays.
 
     The wind side follows the sign of the central radius slope: the term
     transports information from the side the radius grows toward, so
@@ -239,35 +177,47 @@ def wind_stencils(
     toward-root paths.  A zero slope contributes nothing.  When the wind
     side offers no two-edge path the stencil degrades to a first-order
     single-edge difference and the degradation is reported in the notes.
+
+    Returns ``(rows, cols, weights, radius_slope, first_order, notes)``:
+    one stencil per entry of ``rows``, ordered by row.  ``cols`` (m x 3)
+    walks outward from the row's node and ``weights`` (m x 3) are the
+    matching derivative weights (a first-order stencil pads its third
+    column with a zero weight on the node itself); ``radius_slope`` is
+    dR/ds along the same walk, so radius_slope * weights is
+    orientation-free.
     """
-    stencils: list[WindStencil] = []
-    notes: list[str] = []
-    for i in range(mesh.n_nodes):
-        if mesh.is_leaf(i):
-            continue  # leaves carry the prescribed end slope instead
-        s = slopes[i]
-        if s == 0.0:
-            continue
-        side = AWAY if s > 0.0 else TOWARD
-        node_id = mesh.node_ids[i]
-        paths = two_paths(mesh, node_id, side)
-        if paths:
-            for p in paths:
-                a = upwind_stencil(p.dx1, p.dx2)
-                i1, i2 = mesh.index(p.first), mesh.index(p.second)
-                dr_ds = a[0] * radii[i] + a[1] * radii[i1] + a[2] * radii[i2]
-                stencils.append(WindStencil(i, (i, i1, i2), a, dr_ds))
-            continue
-        nbrs = mesh.side_neighbors(i, side)
-        if not nbrs:
-            notes.append(f"no-upwind-side node={node_id}")
-            continue
-        for j, dx in nbrs:
-            weights = (-1.0 / dx, 1.0 / dx)
-            dr_ds = (radii[j] - radii[i]) / dx
-            stencils.append(WindStencil(i, (i, j), weights, dr_ds, first_order=True))
-        notes.append(f"first-order-upwind node={node_id}")
-    return stencils, notes
+    n = mesh.n_nodes
+    active = (mesh.degree > 1) & (slopes != 0.0)  # leaves carry the end slope
+    upwind_toward = ~(slopes > 0.0)
+
+    walks = mesh.walks
+    o, i1, i2 = walks["origin"], walks["first"], walks["second"]
+    on_side = active[o] & ((mesh.parent[o] == i1) == upwind_toward[o])
+    o, i1, i2 = o[on_side], i1[on_side], i2[on_side]
+    a0, a1, a2 = upwind_stencil(walks["dx1"][on_side], walks["dx2"][on_side])
+    path_slope = a0 * radii[o] + a1 * radii[i1] + a2 * radii[i2]
+
+    fallback = active & (np.bincount(o, minlength=n) == 0)
+    rows, nbr, dx = mesh.origin, mesh.nbr, mesh.nbr_dx
+    e = fallback[rows] & ((mesh.parent[rows] == nbr) == upwind_toward[rows])
+    i, j, dx = rows[e], nbr[e], dx[e]
+    edge_slope = (radii[j] - radii[i]) / dx
+
+    stencil_rows = np.concatenate([o, i])
+    order = np.argsort(stencil_rows, kind="stable")
+    cols = np.concatenate([np.stack([o, i1, i2], axis=1), np.stack([i, j, i], axis=1)])
+    weights = np.concatenate([np.stack([a0, a1, a2], axis=1),
+                              np.stack([-1.0 / dx, 1.0 / dx, np.zeros_like(dx)], axis=1)])
+    first_order = np.repeat([False, True], [len(o), len(i)])
+    radius_slope = np.concatenate([path_slope, edge_slope])
+
+    sideless = np.bincount(i, minlength=n) == 0
+    notes = tuple(
+        f"{'no-upwind-side' if sideless[k] else 'first-order-upwind'} node={mesh.node_ids[k]}"
+        for k in np.flatnonzero(fallback)
+    )
+    return (stencil_rows[order], cols[order], weights[order], radius_slope[order],
+            first_order[order], notes)
 
 
 # ----------------------------------------------------------------------
@@ -312,7 +262,7 @@ class Fields:
     inverse_sums: np.ndarray   # sum of their reciprocals
     slope: sp.csr_matrix
     laplacian: tuple[sp.csr_matrix, sp.csr_matrix]
-    wind: tuple[WindStencil, ...]
+    wind: tuple[np.ndarray, ...]  # rows, cols, weights, radius_slope, first_order
     wind_notes: tuple[str, ...]
     mesh_ref: weakref.ref      # weak, so the record never keeps its mesh alive
 
@@ -329,7 +279,12 @@ class Fields:
 
     def diffusivity(self, spec: ModelSpec) -> np.ndarray:
         """Per-node diffusion coefficient D(x) of a model."""
-        return np.array([diffusion_coefficient(spec, s) for s in self.slopes])
+        return diffusion_coefficient(spec, self.slopes)
+
+    def wind_coefficients(self, diff: np.ndarray) -> np.ndarray:
+        """Per-stencil factor D (2/R) dR/ds on the upwind weights."""
+        rows, _, _, radius_slope, _ = self.wind
+        return diff[rows] * (2.0 / self.radii[rows]) * radius_slope
 
     def mass(self, spec: ModelSpec) -> np.ndarray:
         """Per-node factor on the time derivative of a model."""
@@ -345,7 +300,7 @@ def _build_fields(mesh: NetworkMesh, profile) -> Fields:
     slope = _per_mesh(mesh, slope_matrix)
     slopes = _read_only(slope @ radii)
     _, lengths, inverses = mesh.incident_sums()
-    wind, notes = wind_stencils(mesh, radii, slopes)
+    *wind, notes = wind_stencils(mesh, radii, slopes)
     return Fields(
         profile=profile,
         radii=radii,
@@ -355,8 +310,8 @@ def _build_fields(mesh: NetworkMesh, profile) -> Fields:
         inverse_sums=_read_only(inverses),
         slope=slope,
         laplacian=_per_mesh(mesh, laplacian_parts),
-        wind=tuple(wind),
-        wind_notes=tuple(notes),
+        wind=tuple(_read_only(a) for a in wind),
+        wind_notes=notes,
         mesh_ref=weakref.ref(mesh),
     )
 
@@ -378,22 +333,16 @@ def advection_parts(
     n = mesh.n_nodes
     f = fields(mesh, profile)
     diff = f.diffusivity(spec)
-    slot, _ = _leaf_slots(mesh)
-    mat = _Builder(n, n)
-    neu = _Builder(n, len(slot))
-
-    for st in f.wind:
-        i = st.node
-        coef = diff[i] * (2.0 / f.radii[i]) * st.radius_slope
-        vals = [coef * w for w in st.weights]
-        # pin the origin weight to minus the rest so the scaled row still
-        # annihilates constants after rounding
-        vals[0] = -sum(vals[1:])
-        mat.add_many(i, st.cols, vals)
-    for i in mesh.leaf_indices():
-        coef = diff[i] * (2.0 / f.radii[i]) * f.slopes[i]
-        neu.add(i, slot[i], coef)
-    return mat.matrix(), neu.matrix(), f.wind_notes
+    rows, cols, weights, _, _ = f.wind
+    vals = f.wind_coefficients(diff)[:, None] * weights
+    # pin the origin weight to minus the rest so the scaled row still
+    # annihilates constants after rounding
+    vals[:, 0] = -(vals[:, 1] + vals[:, 2])
+    leaves = mesh.leaf_indices()
+    coef = diff[leaves] * (2.0 / f.radii[leaves]) * f.slopes[leaves]
+    return (_csr(rows[:, None], cols, vals, (n, n)),
+            _csr(leaves, np.arange(len(leaves)), coef, (n, len(leaves))),
+            f.wind_notes)
 
 
 def third_derivative_parts(
@@ -404,50 +353,40 @@ def third_derivative_parts(
     Interior nodes take a central difference of the discrete
     second-derivative field, composing the slope rule with the assembled
     second-derivative operator so constants stay exactly in the kernel.
-    Leaf closures, with h the mean spacing of the inward two-edge path
-    and g the end slope:
+    Leaf closures average over the two-edge walks leaving the leaf, with
+    h the mean spacing of the walk and g the end slope:
 
         root leaf:      (c2 - 4 c1 + 3 c0) / (2 h**3) + g / h**2
         other leaves:   (-3 cn + 4 cp - c_pp) / (2 h**3) + g / h**2
     """
+    n = mesh.n_nodes
     lap_m, lap_n = _per_mesh(mesh, laplacian_parts)
-    slope = _per_mesh(mesh, slope_matrix).tolil()
-    leaf_rows = mesh.leaf_indices()
-    for i in leaf_rows:
-        slope.rows[i] = []
-        slope.data[i] = []
-    interior_slope = slope.tocsr()
-    mat = (interior_slope @ lap_m).tolil()
-    neu = (interior_slope @ lap_n).tolil()
+    slope = _per_mesh(mesh, slope_matrix)
+    slope_rows = np.repeat(np.arange(n), np.diff(slope.indptr))
+    interior_slope = _csr(slope_rows, slope.indices,
+                          np.where(mesh.degree[slope_rows] > 1, slope.data, 0.0), (n, n))
 
-    slot, _ = _leaf_slots(mesh)
-    notes: list[str] = []
-    for i in leaf_rows:
-        node_id = mesh.node_ids[i]
-        is_root = mesh.parent_index(i) < 0
-        side = AWAY if is_root else TOWARD
-        paths = two_paths(mesh, node_id, side)
-        if not paths:
-            notes.append(f"no-third-derivative-closure node={node_id}")
-            continue
-        row: dict[int, float] = {}
-        neu_w = 0.0
-        for p in paths:
-            h = 0.5 * (p.dx1 + p.dx2)
-            w = 1.0 / (2.0 * h * h * h)
-            i1, i2 = mesh.index(p.first), mesh.index(p.second)
-            if is_root:
-                terms = {i: 3.0 * w, i1: -4.0 * w, i2: w}
-            else:
-                terms = {i: -3.0 * w, i1: 4.0 * w, i2: -w}
-            for j, v in terms.items():
-                row[j] = row.get(j, 0.0) + v / len(paths)
-            neu_w += 1.0 / (h * h) / len(paths)
-        mat.rows[i] = sorted(row)
-        mat.data[i] = [row[j] for j in mat.rows[i]]
-        neu.rows[i] = [slot[i]]
-        neu.data[i] = [neu_w]
-    return mat.tocsr(), neu.tocsr(), tuple(notes)
+    leaves = mesh.leaf_indices()
+    walks = mesh.walks[mesh.degree[mesh.walks["origin"]] == 1]
+    o = walks["origin"]
+    n_walks = np.bincount(o, minlength=n)
+    count = n_walks[o]
+    h = 0.5 * (walks["dx1"] + walks["dx2"])
+    w = 1.0 / (2.0 * h * h * h)
+    sign = np.where(mesh.parent[o] < 0, 1.0, -1.0)
+    cols = np.stack([o, walks["first"], walks["second"]], axis=1)
+    vals = (sign[:, None] * np.array([3.0, -4.0, 1.0]) * w[:, None]) / count[:, None]
+    slot = np.searchsorted(leaves, o)
+    neu_w = np.bincount(slot, weights=1.0 / (h * h) / count, minlength=len(leaves))
+
+    matrix = interior_slope @ lap_m + _csr(o[:, None], cols, vals, (n, n))
+    neumann = interior_slope @ lap_n + _csr(leaves, np.arange(len(leaves)), neu_w,
+                                            (n, len(leaves)))
+    matrix.sort_indices()  # row sums downstream run in stored order
+    neumann.sort_indices()
+    notes = tuple(f"no-third-derivative-closure node={mesh.node_ids[i]}"
+                  for i in leaves[n_walks[leaves] == 0])
+    return matrix, neumann, notes
 
 
 # ----------------------------------------------------------------------
@@ -458,7 +397,7 @@ def third_derivative_parts(
 def assemble_model(mesh: NetworkMesh, profile, spec: ModelSpec) -> SpatialOperator:
     """Assemble the full spatial operator for one model variant."""
     f = fields(mesh, profile)
-    _, boundary_ids = _leaf_slots(mesh)
+    boundary_ids = tuple(mesh.node_ids[i] for i in mesh.leaf_indices())
     lap_m, lap_n = f.laplacian
     mass = f.mass(spec)
 
@@ -534,7 +473,7 @@ def lateral_operator(mesh: NetworkMesh, profile, spec: ModelSpec) -> sp.csr_matr
         return lead.tocsr()
 
     s_full = f.slope
-    s_bound = s_full[list(mesh.leaf_indices()), :]
+    s_bound = s_full[mesh.leaf_indices()]
     lap_m, lap_n = f.laplacian
     thr_m, thr_n, _ = f.third
     j2 = lap_m + lap_n @ s_bound

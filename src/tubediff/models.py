@@ -66,49 +66,53 @@ class ModelSpec:
         return cls(kind, d0=d0, epsilon=epsilon)
 
 
-def _arctan_over(u: float) -> float:
+def _arctan_over(u: np.ndarray) -> np.ndarray:
     """arctan(u)/u, continued through u = 0."""
-    if abs(u) < _SERIES_CUTOFF:
-        u2 = u * u
-        return 1.0 - u2 / 3.0 + u2 * u2 / 5.0
-    return math.atan(u) / u
+    small = np.abs(u) < _SERIES_CUTOFF
+    u2 = u * u
+    safe = np.where(small, 1.0, u)
+    return np.where(small, 1.0 - u2 / 3.0 + u2 * u2 / 5.0, np.arctan(safe) / safe)
 
 
-def diffusion_coefficient(spec: ModelSpec, slope: float) -> float:
-    """Effective diffusion coefficient for a given local radius slope.
+def diffusion_coefficient(spec: ModelSpec, slope):
+    """Effective diffusion coefficient for a local radius slope.
 
-    Only the Zwanzig, Reguera-Rubi and Kalinay-Percus variants actually
-    depend on the slope; every other model runs with ``spec.d0``.
+    Takes a float or an array of slopes and returns the same shape.  Only
+    the Zwanzig, Reguera-Rubi and Kalinay-Percus variants actually depend
+    on the slope; every other model runs with ``spec.d0``.
     """
-    s = float(slope)
+    s = np.asarray(slope, dtype=float)
     if spec.kind is ModelKind.ZWANZIG:
-        return spec.d0 / (1.0 + s * s / 2.0)
-    if spec.kind is ModelKind.REGUERA_RUBI:
-        return spec.d0 / (1.0 + s * s / 4.0) ** (1.0 / 3.0)
-    if spec.kind is ModelKind.KALINAY_PERCUS:
-        return spec.d0 * _arctan_over(s / 2.0)
-    return spec.d0
+        d = spec.d0 / (1.0 + s * s / 2.0)
+    elif spec.kind is ModelKind.REGUERA_RUBI:
+        d = spec.d0 / (1.0 + s * s / 4.0) ** (1.0 / 3.0)
+    elif spec.kind is ModelKind.KALINAY_PERCUS:
+        d = spec.d0 * _arctan_over(s / 2.0)
+    else:
+        d = np.full(s.shape, spec.d0)
+    return d if d.ndim else float(d)
 
 
-def kalinay_g(x: float, slope: float, epsilon: float = 1.0) -> float:
+def kalinay_g(x, slope, epsilon: float = 1.0):
     """Spatial weight whose derivative rescales the time term.
 
     g(x) = (x/2) * (arctan(u)/u + (u/3) arctan(u) - 1) with
     u = sqrt(epsilon) * slope.  The bracket vanishes like u**4/ (45/4)
     at small slopes, so a series branch keeps it smooth through zero.
+    Takes floats or equally shaped arrays.
     """
-    u = math.sqrt(epsilon) * float(slope)
-    if abs(u) < _SERIES_CUTOFF:
-        bracket = (4.0 / 45.0) * u ** 4
-    else:
-        at = math.atan(u)
-        bracket = at / u + (u / 3.0) * at - 1.0
-    return 0.5 * float(x) * bracket
+    u = math.sqrt(epsilon) * np.asarray(slope, dtype=float)
+    small = np.abs(u) < _SERIES_CUTOFF
+    at = np.arctan(u)
+    bracket = np.where(small, (4.0 / 45.0) * u ** 4,
+                       at / np.where(small, 1.0, u) + (u / 3.0) * at - 1.0)
+    g = 0.5 * np.asarray(x, dtype=float) * bracket
+    return g if g.ndim else float(g)
 
 
 def require_channel(mesh: NetworkMesh, what: str) -> None:
     """Reject branched meshes for features defined along a single axis."""
-    if mesh.max_degree() > 2:
+    if mesh.degree.max() > 2:
         raise MeshError(f"{what} is only defined on unbranched channels")
 
 
@@ -124,9 +128,7 @@ def kalinay_mass_factors(mesh: NetworkMesh, profile, epsilon: float = 1.0) -> np
 
     require_channel(mesh, "the temporally corrected model")
     f = fields(mesh, profile)
-    xs = mesh.positions[:, 0]
-    g = np.array([kalinay_g(x, s, epsilon) for x, s in zip(xs, f.slopes)])
-    return 1.0 + f.slope @ g
+    return 1.0 + f.slope @ kalinay_g(mesh.positions[:, 0], f.slopes, epsilon)
 
 
 def effj_mass_factor(dx, radius, slope):

@@ -10,15 +10,15 @@ geometry (refinement) return new meshes.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-TOWARD = "toward"
-AWAY = "away"
+# One two-edge walk origin -> first -> second; node fields are storage indices.
+WALK_DTYPE = np.dtype([("origin", np.intp), ("first", np.intp), ("second", np.intp),
+                       ("dx1", float), ("dx2", float)])
 
 
 class MeshError(ValueError):
@@ -47,19 +47,12 @@ class Edge:
     length: float
 
 
-@dataclass(frozen=True)
-class TwoPath:
-    """Two consecutive edges walked outward from ``origin``.
-
-    ``dx1`` is the origin-to-first length, ``dx2`` the first-to-second
-    length.  Node fields hold ids, not storage indices.
-    """
-
-    origin: int
-    first: int
-    second: int
-    dx1: float
-    dx2: float
+def _row_slots(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Positions of every entry of the given CSR rows, row after row."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    ends = np.cumsum(counts)
+    return np.repeat(starts - ends + counts, counts) + np.arange(counts.sum())
 
 
 def _as_node(spec) -> Node:
@@ -81,6 +74,13 @@ class NetworkMesh:
         between their endpoints.
     root : int
         Id of the designated root node.
+
+    Adjacency is held as read-only arrays over storage indices: directed
+    edge ``k`` runs from ``origin[k]`` to ``nbr[k]`` with length
+    ``nbr_dx[k]``, and node ``i``'s edges fill ``indptr[i]:indptr[i+1]``,
+    sorted by neighbour id.  ``parent`` (-1 at the root) orients the tree,
+    ``degree`` counts incident edges and ``walks`` lists every two-edge
+    walk (see ``WALK_DTYPE``) in the same order.
     """
 
     def __init__(self, nodes: Iterable, edges: Iterable, root: int):
@@ -137,50 +137,65 @@ class NetworkMesh:
                 " (extra edges close a cycle)"
             )
 
-        # Adjacency as (neighbor index, edge length), sorted by neighbor id
-        # so that every downstream stencil enumeration is deterministic.
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for e in self.edges:
-            ia, ib = self._index[e.a], self._index[e.b]
-            adj[ia].append((ib, e.length))
-            adj[ib].append((ia, e.length))
-        for lst in adj:
-            lst.sort(key=lambda pair: self.nodes[pair[0]].id)
-        self._adj = adj
+        # Directed edges in CSR form: row i holds i's neighbours, sorted by
+        # neighbour id so that every stencil enumeration is deterministic.
+        self.node_ids: tuple[int, ...] = tuple(nd.id for nd in self.nodes)
+        ids = np.array(self.node_ids)
+        ends = np.array([(self._index[e.a], self._index[e.b]) for e in self.edges],
+                        dtype=np.intp).reshape(-1, 2)
+        lengths = np.array([e.length for e in self.edges])
+        tail = np.concatenate([ends[:, 0], ends[:, 1]])
+        head = np.concatenate([ends[:, 1], ends[:, 0]])
+        order = np.lexsort((ids[head], tail))
+        self.degree = np.bincount(tail, minlength=n)
+        self.indptr = np.concatenate([[0], np.cumsum(self.degree)])
+        self.origin = tail[order]
+        self.nbr = head[order]
+        self.nbr_dx = np.concatenate([lengths, lengths])[order]
 
-        # Orientation: breadth-first from the root.  parent[i] is the storage
-        # index of the toward-root neighbor, or -1 for the root itself.
-        parent = np.full(n, -1, dtype=int)
-        arc = np.full(n, np.nan)
+        # Orientation: breadth-first from the root over the CSR rows, as
+        # lists (a numpy walk per BFS level is slower on deep trees and
+        # chains).  parent[i] is the toward-root neighbour, -1 at the root.
+        starts, nbr, dx = self.indptr.tolist(), self.nbr.tolist(), self.nbr_dx.tolist()
         iroot = self._index[self.root]
+        parent = [-1] * n
+        arc = [math.nan] * n
         arc[iroot] = 0.0
-        visited = np.zeros(n, dtype=bool)
+        visited = [False] * n
         visited[iroot] = True
-        queue = deque([iroot])
-        while queue:
-            i = queue.popleft()
-            for j, length in adj[i]:
+        queue = [iroot]
+        for i in queue:  # the queue grows while it is walked
+            for k in range(starts[i], starts[i + 1]):
+                j = nbr[k]
                 if not visited[j]:
                     visited[j] = True
                     parent[j] = i
-                    arc[j] = arc[i] + length
+                    arc[j] = arc[i] + dx[k]
                     queue.append(j)
-        if not visited.all():
-            missing = [self.nodes[i].id for i in np.flatnonzero(~visited)]
+        if len(queue) < n:
+            missing = [nd.id for nd, seen in zip(self.nodes, visited) if not seen]
             raise MeshError(f"mesh is disconnected; unreachable nodes: {missing}")
-        self._parent = parent
-        self._arc = arc
-        children: list[list[int]] = [[] for _ in range(n)]
-        for j in range(n):
-            if parent[j] >= 0:
-                children[parent[j]].append(j)
-        self._children = [tuple(c) for c in children]
+        self.parent = np.array(parent, dtype=np.intp)
+        self._arc = np.array(arc)
+
+        # Every two-edge walk origin -> first -> second with second != origin,
+        # ordered by origin, then first id, then second id.
+        e1 = np.repeat(np.arange(len(self.nbr)), self.degree[self.nbr])
+        e2 = _row_slots(self.indptr, self.nbr)
+        keep = self.nbr[e2] != self.origin[e1]
+        e1, e2 = e1[keep], e2[keep]
+        self.walks = np.empty(len(e1), dtype=WALK_DTYPE)
+        self.walks["origin"] = self.origin[e1]
+        self.walks["first"] = self.nbr[e1]
+        self.walks["second"] = self.nbr[e2]
+        self.walks["dx1"] = self.nbr_dx[e1]
+        self.walks["dx2"] = self.nbr_dx[e2]
 
         self.radii: np.ndarray = np.array([nd.radius for nd in self.nodes])
         self.positions: np.ndarray = np.array([nd.position for nd in self.nodes])
-        self.radii.flags.writeable = False
-        self.positions.flags.writeable = False
-        self.node_ids: tuple[int, ...] = tuple(nd.id for nd in self.nodes)
+        for a in (self.radii, self.positions, self.degree, self.indptr, self.origin,
+                  self.nbr, self.nbr_dx, self.parent, self.walks):
+            a.flags.writeable = False
 
     # ------------------------------------------------------------------
     # basic queries (by storage index unless the name says id)
@@ -196,68 +211,27 @@ class NetworkMesh:
         except KeyError:
             raise MeshError(f"no node with id {node_id}") from None
 
-    def neighbors(self, i: int) -> list[tuple[int, float]]:
-        return self._adj[i]
-
-    def degree(self, i: int) -> int:
-        return len(self._adj[i])
-
-    def is_leaf(self, i: int) -> bool:
-        return len(self._adj[i]) == 1
-
     def parent_index(self, i: int) -> int:
         """Toward-root neighbor index, or -1 at the root."""
-        return int(self._parent[i])
-
-    def children_indices(self, i: int) -> tuple[int, ...]:
-        return self._children[i]
-
-    def edge_length(self, i: int, j: int) -> float:
-        for k, length in self._adj[i]:
-            if k == j:
-                return length
-        raise MeshError(
-            f"nodes {self.nodes[i].id} and {self.nodes[j].id} are not adjacent"
-        )
+        return int(self.parent[i])
 
     def arc_lengths(self) -> np.ndarray:
         """Path distance of every node from the root."""
         return self._arc.copy()
 
-    def leaf_indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n_nodes) if self.is_leaf(i))
-
-    def boundary_indices(self) -> tuple[int, ...]:
-        """Leaves, plus the root if it is not already a leaf."""
-        out = list(self.leaf_indices())
-        iroot = self.index(self.root)
-        if iroot not in out:
-            out.insert(0, iroot)
-        return tuple(out)
-
-    def side_neighbors(self, i: int, side: str) -> list[tuple[int, float]]:
-        """Neighbors on one side: ``toward`` the root or ``away`` from it."""
-        if side == TOWARD:
-            p = self.parent_index(i)
-            if p < 0:
-                return []
-            return [(p, self.edge_length(i, p))]
-        if side == AWAY:
-            return [(c, self.edge_length(i, c)) for c in self.children_indices(i)]
-        raise ValueError(f"side must be '{TOWARD}' or '{AWAY}', got {side!r}")
+    def leaf_indices(self) -> np.ndarray:
+        """Storage indices of the degree-one nodes, ascending."""
+        return np.flatnonzero(self.degree == 1)
 
     def total_length(self) -> float:
         return float(sum(e.length for e in self.edges))
 
-    def max_degree(self) -> int:
-        return max(len(a) for a in self._adj)
-
     def incident_sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per node: incident edge count, summed lengths, summed reciprocals."""
-        degree = np.array([len(a) for a in self._adj])
-        lengths = np.array([sum(dx for _, dx in a) for a in self._adj])
-        inverses = np.array([sum(1.0 / dx for _, dx in a) for a in self._adj])
-        return degree, lengths, inverses
+        n = self.n_nodes
+        lengths = np.bincount(self.origin, weights=self.nbr_dx, minlength=n)
+        inverses = np.bincount(self.origin, weights=1.0 / self.nbr_dx, minlength=n)
+        return self.degree, lengths, inverses
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -443,42 +417,15 @@ def refine(mesh: NetworkMesh, levels: int = 1) -> NetworkMesh:
 
 
 # ----------------------------------------------------------------------
-# stencil queries
+# stencil weights
 # ----------------------------------------------------------------------
-
-
-def two_paths(mesh: NetworkMesh, node_id: int, side: str) -> list[TwoPath]:
-    """All two-edge walks leaving ``node_id`` on the given side.
-
-    The first step goes to a neighbor on that side; the second step
-    continues to any neighbor of the intermediate node other than the
-    origin.  On a tree no walk can revisit a node, so each result is a
-    genuine length-2 path.  Results are ordered by (first id, second id).
-    """
-    i = mesh.index(node_id)
-    paths = []
-    for j, dx1 in mesh.side_neighbors(i, side):
-        for k, dx2 in mesh.neighbors(j):
-            if k == i:
-                continue
-            paths.append(
-                TwoPath(
-                    origin=node_id,
-                    first=mesh.nodes[j].id,
-                    second=mesh.nodes[k].id,
-                    dx1=dx1,
-                    dx2=dx2,
-                )
-            )
-    paths.sort(key=lambda p: (p.first, p.second))
-    return paths
 
 
 def upwind_stencil(dx1: float, dx2: float) -> tuple[float, float, float]:
     """Second-order one-sided derivative weights along a two-edge path.
 
     Returns (a0, a1, a2) with f'(origin) ~= a0*f0 + a1*f1 + a2*f2, exact for
-    quadratics.  a0 is defined as -(a1 + a2) so the weights annihilate
+    quadratics; takes floats or equally shaped arrays.  a0 is defined as -(a1 + a2) so the weights annihilate
     constants exactly in floating point.  On a uniform spacing h this is the
     familiar (-3, 4, -1) / (2h) one-sided difference.
     """

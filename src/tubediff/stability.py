@@ -81,44 +81,36 @@ def _screened_coefficients(f: Fields, spec: ModelSpec) -> tuple[np.ndarray, np.n
 
 
 def _advection_screen(mesh, f: Fields, diff, mass, dt):
-    """Per-node pi-mode data: (|rho(pi)|, dt bound, pass flag, warnings)."""
-    per_node: dict[int, list[tuple[float, tuple[float, ...]]]] = {}
-    for st in f.wind:
-        coef = diff[st.node] * (2.0 / f.radii[st.node]) * st.radius_slope
-        per_node.setdefault(st.node, []).append((coef, st.weights))
-    warnings = list(f.wind_notes)
-    growing: list[tuple[int, float]] = []
+    """Per-node pi-mode data: (rho(pi), dt bound, pass flags, warnings)."""
     n = mesh.n_nodes
-    rho_pi = np.ones(n)
-    dt_max = np.full(n, math.inf)
-    node_pass = {int(mesh.node_ids[i]): True for i in range(n)}
-    xi = np.linspace(0.0, math.pi, _XI_SAMPLES)
+    rows, _, weights, _, _ = f.wind
+    coef = f.wind_coefficients(diff)
+    q = np.bincount(rows, weights=coef * (weights[:, 0] - weights[:, 1] + weights[:, 2]),
+                    minlength=n)
+    rho_pi = 1.0 + dt * q / mass
+    with np.errstate(divide="ignore"):
+        dt_max = np.where(q < 0.0, 2.0 * mass / -q, np.where(q > 0.0, 0.0, math.inf))
+    node_pass = np.abs(rho_pi) <= 1.0 + TOLERANCE
+    warnings = list(f.wind_notes)
+    warnings += [f"downwind-amplification node={mesh.node_ids[i]}"
+                 for i in np.flatnonzero(q > 0.0)]
 
-    for i, entries in per_node.items():
-        q = sum(
-            coef * sum((-1.0) ** k * w for k, w in enumerate(weights))
-            for coef, weights in entries
-        )
-        rho_pi[i] = 1.0 + dt * q / mass[i]
-        if q < 0.0:
-            dt_max[i] = 2.0 * mass[i] / (-q)
-        elif q > 0.0:
-            dt_max[i] = 0.0
-            warnings.append(f"downwind-amplification node={mesh.node_ids[i]}")
-        node_pass[int(mesh.node_ids[i])] = bool(abs(rho_pi[i]) <= 1.0 + TOLERANCE)
-
-        symbol = np.ones_like(xi, dtype=complex)
-        for coef, weights in entries:
-            for k, w in enumerate(weights):
-                symbol += (dt / mass[i]) * coef * w * np.exp(1j * k * xi)
-        peak = float(np.abs(symbol).max())
-        if peak > 1.0 + TOLERANCE and abs(rho_pi[i]) <= 1.0 + TOLERANCE:
-            growing.append((int(mesh.node_ids[i]), peak))
-    if growing:
-        worst_node, worst_peak = max(growing, key=lambda pair: pair[1])
+    # |1 + (dt/m) (C0 + C1 e^{i xi} + C2 e^{2i xi})| over the sampled xi,
+    # with C_k the node's sum of coef * w_k
+    scale = dt / mass
+    c0, c1, c2 = (np.bincount(rows, weights=coef * weights[:, k], minlength=n)
+                  for k in range(3))
+    peak = np.zeros(n)
+    for xi in np.linspace(0.0, math.pi, _XI_SAMPLES):
+        re = 1.0 + scale * (c0 + c1 * math.cos(xi) + c2 * math.cos(2.0 * xi))
+        im = scale * (c1 * math.sin(xi) + c2 * math.sin(2.0 * xi))
+        peak = np.maximum(peak, np.hypot(re, im))
+    growing = np.flatnonzero((peak > 1.0 + TOLERANCE) & node_pass)
+    if growing.size:
+        worst = growing[np.argmax(peak[growing])]
         warnings.append(
-            f"mode-growth at {len(growing)} node(s) "
-            f"(worst node={worst_node}, max|rho|-1={worst_peak - 1.0:.3g})"
+            f"mode-growth at {growing.size} node(s) "
+            f"(worst node={mesh.node_ids[worst]}, max|rho|-1={peak[worst] - 1.0:.3g})"
         )
     return rho_pi, dt_max, node_pass, warnings
 
@@ -136,11 +128,11 @@ def check_advection(
     return StabilityReport(
         dt=dt,
         dt_max=float(dt_max[worst]),
-        passed=all(node_pass.values()),
+        passed=bool(node_pass.all()),
         binding_node=int(mesh.node_ids[worst]),
         alpha_beta=0.0,
         advection_rho=float(np.abs(rho_pi).max()),
-        node_pass=node_pass,
+        node_pass=dict(zip(mesh.node_ids, node_pass.tolist())),
         warnings=tuple(warnings),
     )
 
@@ -157,10 +149,7 @@ def check_model(
     ab = dt * rate / mass
     dt_max = mass / rate
 
-    n = mesh.n_nodes
-    node_pass = {
-        int(mesh.node_ids[i]): bool(ab[i] <= 1.0 + TOLERANCE) for i in range(n)
-    }
+    node_pass = ab <= 1.0 + TOLERANCE
     warnings: list[str] = []
     rho_max = 1.0
 
@@ -168,25 +157,24 @@ def check_model(
         rho_pi, adv_dt, adv_pass, adv_warn = _advection_screen(mesh, f, diff, mass, dt)
         warnings.extend(adv_warn)
         rho_max = float(np.abs(rho_pi).max())
-        for node_id, ok in adv_pass.items():
-            node_pass[node_id] = node_pass[node_id] and ok
+        node_pass &= adv_pass
         dt_max = np.minimum(dt_max, adv_dt)
 
     if spec.kind is ModelKind.EXPANDED_FLUX:
         k1, k2 = f.expansion
         lap_rows = abs(sp.diags(1.0 + k1) @ f.laplacian[0]).sum(axis=1).A1
         thr_rows = abs(sp.diags(k2) @ f.third[0]).sum(axis=1).A1
-        for i in np.flatnonzero(thr_rows > lap_rows):
-            warnings.append(f"expansion-dominates-diffusion node={mesh.node_ids[i]}")
+        warnings += [f"expansion-dominates-diffusion node={mesh.node_ids[i]}"
+                     for i in np.flatnonzero(thr_rows > lap_rows)]
 
     worst = int(np.argmin(dt_max))
     return StabilityReport(
         dt=dt,
         dt_max=float(dt_max[worst]),
-        passed=all(node_pass.values()),
+        passed=bool(node_pass.all()),
         binding_node=int(mesh.node_ids[worst]),
         alpha_beta=float(ab.max()),
         advection_rho=rho_max,
-        node_pass=node_pass,
+        node_pass=dict(zip(mesh.node_ids, node_pass.tolist())),
         warnings=tuple(warnings),
     )

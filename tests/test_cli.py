@@ -87,6 +87,23 @@ class TestConfigErrors:
     def test_no_arguments_is_a_usage_error(self):
         assert main([]) == 2
 
+    @pytest.mark.parametrize("key,edit", [
+        ("snapshots", lambda doc: doc["run"].update(snapshots=None)),
+        ("d0", lambda doc: doc["run"].update(model={"name": "fick-jacobs", "d0": None})),
+        ("model", lambda doc: doc["run"].update(model=5)),
+        ("nodes", lambda doc: doc.update(policy={"nodes": 5})),
+        ("from", lambda doc: doc.update(
+            lateral=[{"nodes": [1], "strength": 1.0, "from": None}])),
+        ("dt", lambda doc: doc["run"].update(dt=float("nan"))),
+    ])
+    def test_bad_value_is_one_error_line_naming_the_key(self, tmp_path, capsys, key, edit):
+        doc = small_channel()
+        edit(doc)
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+        assert len(lines) == 1 and f"'{key}'" in lines[0], lines
+
 
 class TestStabilityCheck:
     def test_cable_at_the_limit_passes_on_the_boundary(self, capsys):

@@ -63,7 +63,7 @@ class TestTopology:
         mesh = builder()
         assert mesh.n_nodes == STICK_NODES + 2 * ARM_NODES
         assert [mesh.node_ids[i] for i in mesh.leaf_indices()] == [0, 23, 31]
-        assert mesh.max_degree() == 3
+        assert mesh.degree.max() == 3
         assert mesh.root == bulb_node_id() == 0
         assert branch_node_id() == 15
         assert exit_node_ids() == (23, 31)

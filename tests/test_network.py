@@ -7,8 +7,6 @@ import pytest
 
 from tubediff.discretize import slope_matrix
 from tubediff.network import (
-    AWAY,
-    TOWARD,
     ConeRadius,
     GeometryParseError,
     MeshError,
@@ -19,7 +17,6 @@ from tubediff.network import (
     interval_mesh,
     load_mesh,
     refine,
-    two_paths,
     upwind_stencil,
 )
 
@@ -50,6 +47,15 @@ def y_mesh(radii=(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)):
     ]
     edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (2, 5, 1.0)]
     return NetworkMesh(nodes, edges, root=0)
+
+
+def walks_from(mesh, node_id, side):
+    """Two-edge walks leaving a node ``toward`` the root or ``away`` from it,
+    read off ``mesh.walks`` as (first id, second id, dx1, dx2)."""
+    w = mesh.walks[mesh.walks["origin"] == mesh.index(node_id)]
+    w = w[(mesh.parent[w["origin"]] == w["first"]) == (side == "toward")]
+    return [(mesh.node_ids[j], mesh.node_ids[k], dx1, dx2)
+            for j, k, dx1, dx2 in zip(w["first"], w["second"], w["dx1"], w["dx2"])]
 
 
 class TestLoading:
@@ -158,35 +164,36 @@ class TestOrientation:
     def test_branch_sides(self):
         mesh = y_mesh()
         i2 = mesh.index(2)
-        toward = [j for j, _ in mesh.side_neighbors(i2, TOWARD)]
-        away = [j for j, _ in mesh.side_neighbors(i2, AWAY)]
+        nbrs = mesh.nbr[mesh.indptr[i2]:mesh.indptr[i2 + 1]]
+        toward = nbrs[nbrs == mesh.parent[i2]]
+        away = nbrs[mesh.parent[nbrs] == i2]
         assert [mesh.node_ids[j] for j in toward] == [1]
         assert sorted(mesh.node_ids[j] for j in away) == [3, 5]
 
     def test_degree_three_node_present_in_y(self):
         mesh = y_mesh()
-        assert mesh.degree(mesh.index(2)) == 3
+        assert mesh.degree[mesh.index(2)] == 3
 
 
 class TestTwoPaths:
     def test_interior_cable_node_has_one_path_each_side(self):
         mesh = chain_mesh([1.0] * 5)
-        assert len(two_paths(mesh, 2, AWAY)) == 1
-        assert len(two_paths(mesh, 2, TOWARD)) == 1
+        assert len(walks_from(mesh, 2, "away")) == 1
+        assert len(walks_from(mesh, 2, "toward")) == 1
 
     def test_branching_gives_two_away_paths(self):
         mesh = y_mesh()
-        paths = two_paths(mesh, 1, AWAY)
-        assert [(p.first, p.second) for p in paths] == [(2, 3), (2, 5)]
+        paths = walks_from(mesh, 1, "away")
+        assert [(first, second) for first, second, _, _ in paths] == [(2, 3), (2, 5)]
 
     def test_leaf_has_no_away_paths(self):
         mesh = chain_mesh([1.0] * 4)
-        assert two_paths(mesh, 3, AWAY) == []
+        assert walks_from(mesh, 3, "away") == []
 
     def test_path_step_lengths_match_edges(self):
         mesh = chain_mesh([1.0] * 4, h=0.25)
-        (p,) = two_paths(mesh, 1, AWAY)
-        assert (p.dx1, p.dx2) == (0.25, 0.25)
+        ((_, _, dx1, dx2),) = walks_from(mesh, 1, "away")
+        assert (dx1, dx2) == (0.25, 0.25)
 
 
 class TestUpwindStencil:
@@ -251,9 +258,9 @@ class TestRadiusDerivative:
 
     def test_path_mode_is_directional(self):
         mesh = chain_mesh([1.0, 1.1, 1.2, 1.3])
-        (toward_path,) = two_paths(mesh, 2, TOWARD)
-        weights = upwind_stencil(toward_path.dx1, toward_path.dx2)
-        walk = [mesh.index(n) for n in (2, toward_path.first, toward_path.second)]
+        ((first, second, dx1, dx2),) = walks_from(mesh, 2, "toward")
+        weights = upwind_stencil(dx1, dx2)
+        walk = [mesh.index(n) for n in (2, first, second)]
         # walking toward the root the radius shrinks
         assert np.dot(weights, mesh.radii[walk]) == pytest.approx(-0.1, rel=1e-12)
 
