@@ -1,0 +1,140 @@
+#!/usr/bin/env python3
+"""Run every shipped config under two checkouts and compare the artifacts.
+
+    python3 scripts/compare_outputs.py DIR_A DIR_B [--work WORK]
+
+DIR_A and DIR_B are checkouts of this repository, for example the
+working tree and a ``git worktree`` (or ``git archive``) of its parent.
+Every ``configs/*.yaml`` of DIR_A is run through ``tubediff.cli.main``
+once with each checkout's ``src``, in a fresh process, writing into
+``WORK/a/<config>`` and ``WORK/b/<config>``.  A config with a
+``compare`` or ``convergence`` section runs that command; any other
+runs ``simulate`` and ``stability-check``.
+
+For every CSV artifact the report says whether the bytes are identical
+and gives the largest relative difference per numeric column.  Of
+``manifest.yaml`` everything but the timestamp (``written``) and the
+timing (``step_time_s``) is compared.  Exit codes and console output
+(with the output directory masked) are compared too.  The exit status
+is 0 when everything matches byte for byte, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import yaml
+
+CLI_ENTRY = "import sys; from tubediff.cli import main; sys.exit(main())"
+VARYING_MANIFEST_KEYS = ("written", "step_time_s")
+
+
+def commands(config: Path) -> list[str]:
+    doc = yaml.safe_load(config.read_text())
+    for command in ("compare", "convergence"):
+        if command in doc:
+            return [command]
+    return ["simulate", "stability-check"]
+
+
+def run_cli(checkout: Path, command: str, config: Path, out: Path) -> tuple[int, str]:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI_ENTRY, command, "--config", str(config),
+         "--out", str(out)],
+        cwd=checkout, env=env, capture_output=True, text=True,
+    )
+    return proc.returncode, (proc.stdout + proc.stderr).replace(str(out), "<out>")
+
+
+def column_differences(path_a: Path, path_b: Path) -> dict[str, float] | str:
+    """Largest relative difference per numeric column, or why none exists."""
+    with open(path_a, newline="") as fa, open(path_b, newline="") as fb:
+        rows_a, rows_b = list(csv.reader(fa)), list(csv.reader(fb))
+    if rows_a[:1] != rows_b[:1] or len(rows_a) != len(rows_b):
+        return "headers or row counts differ"
+    worst: dict[str, float] = {}
+    for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
+        for name, va, vb in zip(rows_a[0], row_a, row_b):
+            try:
+                a, b = float(va), float(vb)
+            except ValueError:
+                rel = 0.0 if va == vb else float("inf")
+            else:
+                scale = max(abs(a), abs(b))
+                rel = abs(a - b) / scale if scale > 0.0 else 0.0
+            worst[name] = max(worst.get(name, 0.0), rel)
+    return worst
+
+
+def manifest_results(path: Path) -> dict:
+    doc = yaml.safe_load(path.read_text())
+    return {k: v for k, v in doc.items() if k not in VARYING_MANIFEST_KEYS}
+
+
+def compare_run(out_a: Path, out_b: Path) -> list[str]:
+    """Report lines for one pair of output directories; '!' marks a difference."""
+    lines = []
+    names = sorted({p.name for p in out_a.glob("*")} | {p.name for p in out_b.glob("*")})
+    for name in names:
+        a, b = out_a / name, out_b / name
+        if not (a.exists() and b.exists()):
+            lines.append(f"! {name}: written by one checkout only")
+        elif name == "manifest.yaml":
+            ra, rb = manifest_results(a), manifest_results(b)
+            keys = sorted(k for k in set(ra) | set(rb) if ra.get(k) != rb.get(k))
+            lines.append(f"! {name}: differs in {', '.join(keys)}" if keys
+                         else f"  {name}: results equal")
+        elif a.read_bytes() == b.read_bytes():
+            lines.append(f"  {name}: bytes identical")
+        elif name.endswith(".csv"):
+            worst = column_differences(a, b)
+            detail = worst if isinstance(worst, str) else ", ".join(
+                f"{col} {rel:.2e}" for col, rel in worst.items() if rel > 0.0)
+            lines.append(f"! {name}: bytes differ; largest relative difference: {detail}")
+        else:
+            lines.append(f"! {name}: bytes differ")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("dir_a", type=Path)
+    parser.add_argument("dir_b", type=Path)
+    parser.add_argument("--work", type=Path, default=None,
+                        help="where the outputs go (default: a temporary directory)")
+    args = parser.parse_args(argv)
+    checkouts = {"a": args.dir_a.resolve(), "b": args.dir_b.resolve()}
+    work = args.work or Path(tempfile.mkdtemp(prefix="compare_outputs-"))
+    print(f"outputs under {work}")
+
+    same = True
+    for config in sorted((checkouts["a"] / "configs").glob("*.yaml")):
+        for command in commands(config):
+            results = {}
+            for side, checkout in checkouts.items():
+                out = work / side / f"{config.stem}-{command}"
+                out.mkdir(parents=True, exist_ok=True)
+                results[side] = (run_cli(checkout, command, checkout / "configs" / config.name,
+                                         out), out)
+            (rc_a, text_a), out_a = results["a"]
+            (rc_b, text_b), out_b = results["b"]
+            print(f"{config.name} [{command}] exit {rc_a}/{rc_b}")
+            lines = compare_run(out_a, out_b)
+            if rc_a != rc_b or text_a != text_b:
+                lines.append("! exit code or console output differs")
+            for line in lines:
+                print(line)
+            same = same and not any(line.startswith("!") for line in lines)
+    print("all artifacts identical" if same else "differences found")
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

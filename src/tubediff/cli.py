@@ -5,10 +5,11 @@ Four subcommands share one YAML configuration format:
 ``simulate``
     march a single model and write ``trajectory.csv`` plus a
     ``manifest.yaml`` echoing the configuration, the stability limit,
-    a hash of the geometry, and the march's wall time per step.
+    a hash of the geometry, the march's wall time per step and the
+    total tube contents at the first and the last snapshot.
 ``compare``
-    run several models on an analytic channel and write one error row
-    per model to ``errors.csv``.
+    march several models together on an analytic channel and write one
+    error row per model to ``errors.csv``.
 ``convergence``
     run a refinement ladder (node-count list for channels, bisection
     levels for trees) and write ``convergence.csv``.
@@ -41,6 +42,7 @@ from .integrate import (
     SimulationError,
     StabilityError,
     run,
+    trapezoid_weights,
 )
 from .models import MODEL_NAMES, ModelSpec
 from .network import MeshError, TabulatedRadius, format_mesh, read_mesh, refine
@@ -49,9 +51,9 @@ from .verify import (
     ConeChannel,
     SinusoidChannel,
     channel_convergence,
-    final_error,
+    exact_boundary,
+    model_errors,
     refinement_ladder,
-    run_channel,
     tree_convergence,
 )
 
@@ -232,12 +234,7 @@ def build_boundary(cfg: dict, geometry: Geometry) -> BoundaryData | None:
         channel = geometry.channel
         if channel is None:
             raise ConfigError("boundary kind 'exact' needs a cone or sinusoid geometry")
-        mesh = geometry.mesh
-        slopes = {}
-        for i in mesh.leaf_indices():
-            xe = mesh.positions[i, 0]
-            slopes[mesh.node_ids[i]] = lambda t, xe=xe: float(channel.slope(xe, t))
-        return BoundaryData(slopes)
+        return exact_boundary(channel, geometry.mesh)
     if kind == "slopes":
         entries = section.get("slopes")
         if not isinstance(entries, dict) or not entries:
@@ -334,6 +331,7 @@ def cmd_simulate(cfg: dict, out_override: str | None, force: bool) -> int:
         "nodes": geometry.mesh.n_nodes,
         "steps": int(round(t_end / dt)),
         "step_time_s": traj.step_time_s,
+        "tube_contents": _contents_ledger(traj),
         "notes": list(traj.notes),
         "warnings": list(report.warnings) if report is not None else [],
     }
@@ -341,6 +339,15 @@ def cmd_simulate(cfg: dict, out_override: str | None, force: bool) -> int:
         yaml.safe_dump(manifest, fh, sort_keys=False)
     print(f"wrote {csv_path}")
     return 0
+
+
+def _contents_ledger(traj) -> dict:
+    """Total tube contents sum w pi R^2 c (trapezoid weights w) at the
+    first and the last snapshot."""
+    w = trapezoid_weights(traj.mesh)
+    initial, final = (float(w @ traj.tube_contents(k)) for k in (0, -1))
+    change = (final - initial) / initial if initial != 0.0 else None
+    return {"initial": initial, "final": final, "relative_change": change}
 
 
 def cmd_compare(cfg: dict, out_override: str | None, force: bool) -> int:
@@ -359,19 +366,16 @@ def cmd_compare(cfg: dict, out_override: str | None, force: bool) -> int:
 
     dt = _positive(section, "dt")
     t_end = _positive(section, "t_end")
-    n = geometry.mesh.n_nodes
-    rows = []
-    for name in names:
-        spec = ModelSpec(MODEL_NAMES[name], d0=base.d0, epsilon=base.epsilon)
-        traj = run_channel(geometry.channel, spec, n=n, dt=dt, t_end=t_end,
-                           force=force)
-        rows.append((name, final_error(traj, geometry.channel)))
+    specs = [ModelSpec(MODEL_NAMES[name], d0=base.d0, epsilon=base.epsilon)
+             for name in names]
+    errors = model_errors(geometry.channel, specs, n=geometry.mesh.n_nodes,
+                          dt=dt, t_end=t_end, force=force)
 
     csv_path = out / "errors.csv"
     with open(csv_path, "w") as fh:
         fh.write("model,l1\n")
-        for name, err in rows:
-            fh.write(f"{name},{err!r}\n")
+        for name in names:
+            fh.write(f"{name},{errors[name]!r}\n")
     print(f"wrote {csv_path}")
     return 0
 

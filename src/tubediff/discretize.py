@@ -449,8 +449,7 @@ class LateralFluxField:
         out = np.zeros(mesh.n_nodes)
         for w in self.windows:
             if w.t_start <= t < w.t_end:
-                for node_id in w.node_ids:
-                    out[mesh.index(node_id)] += w.strength
+                np.add.at(out, mesh.indices(w.node_ids), w.strength)
         return out
 
 

@@ -211,6 +211,10 @@ class NetworkMesh:
         except KeyError:
             raise MeshError(f"no node with id {node_id}") from None
 
+    def indices(self, node_ids) -> np.ndarray:
+        """Storage indices of ``node_ids``, in the order given."""
+        return np.array([self.index(node_id) for node_id in node_ids], dtype=np.intp)
+
     def parent_index(self, i: int) -> int:
         """Toward-root neighbor index, or -1 at the root."""
         return int(self.parent[i])

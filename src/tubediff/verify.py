@@ -20,10 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import BoundaryData, Trajectory, run
+from .integrate import BoundaryData, Trajectory, run, run_models
 from .models import ModelKind, ModelSpec
 from .network import (ConeRadius, NetworkMesh, SinusoidRadius, TabulatedRadius,
                       interval_mesh, refine)
+
+# the C library's exp, element by element: numpy's vectorized exp differs
+# from it in the last bit for some inputs on some CPUs, and a sinusoid
+# slope must not depend on whether it is taken at one time or at many
+_exp = np.vectorize(math.exp, otypes=[float])
 
 # exact values this small (relative to the largest) are excluded from
 # relative-error averages
@@ -107,8 +112,8 @@ class SinusoidChannel:
     def spread(self, t: float) -> float:
         return self.sigma * self.sigma + self.d0 * t
 
-    def _gain(self, t: float) -> float:
-        return math.exp(self.d0 * self.wavenumber * self.wavenumber * t)
+    def _gain(self, t):
+        return _exp(self.d0 * self.wavenumber * self.wavenumber * t)
 
     def tube_contents(self, x, t: float):
         x = np.asarray(x)
@@ -152,6 +157,42 @@ def l1_error(numeric: np.ndarray, exact: np.ndarray) -> float:
     return float(np.mean(np.abs((exact[mask] - numeric[mask]) / exact[mask])))
 
 
+def exact_boundary(channel, mesh: NetworkMesh) -> BoundaryData:
+    """The channel's exact end slopes at the mesh leaves, as callables
+    of an array of times."""
+    x = mesh.positions[:, 0]
+    return BoundaryData({
+        int(mesh.node_ids[i]): (lambda t, xe=float(x[i]): channel.slope(xe, t))
+        for i in mesh.leaf_indices()
+    })
+
+
+def _channel_runs(
+    channel,
+    specs,
+    *,
+    n: int,
+    dt: float,
+    t_end: float,
+    n_snapshots: int = 2,
+    force: bool = False,
+) -> list[Trajectory]:
+    """March several models together on one channel grid, fed by the
+    exact end slopes."""
+    mesh = channel.mesh(n)
+    return run_models(
+        mesh,
+        channel.profile(),
+        specs,
+        dt=dt,
+        t_end=t_end,
+        initial=channel.concentration(mesh.positions[:, 0], 0.0),
+        boundary=exact_boundary(channel, mesh),
+        n_snapshots=n_snapshots,
+        force=force,
+    )
+
+
 def run_channel(
     channel,
     spec: ModelSpec,
@@ -163,27 +204,8 @@ def run_channel(
     force: bool = False,
 ) -> Trajectory:
     """March one model on a channel, fed by the exact end slopes."""
-    mesh = channel.mesh(n)
-    x = mesh.positions[:, 0]
-    leaves = [int(mesh.node_ids[i]) for i in mesh.leaf_indices()]
-    ends = {node_id: float(x[mesh.index(node_id)]) for node_id in leaves}
-    boundary = BoundaryData(
-        {
-            node_id: (lambda t, xe=xe: float(channel.slope(xe, t)))
-            for node_id, xe in ends.items()
-        }
-    )
-    return run(
-        mesh,
-        channel.profile(),
-        spec,
-        dt=dt,
-        t_end=t_end,
-        initial=channel.concentration(x, 0.0),
-        boundary=boundary,
-        n_snapshots=n_snapshots,
-        force=force,
-    )
+    return _channel_runs(channel, (spec,), n=n, dt=dt, t_end=t_end,
+                        n_snapshots=n_snapshots, force=force)[0]
 
 
 def final_error(traj: Trajectory, channel) -> float:
@@ -197,11 +219,8 @@ def model_errors(
     channel, specs, *, n: int, dt: float, t_end: float, force: bool = False
 ) -> dict[str, float]:
     """Final-time error of several models on one channel and grid."""
-    out = {}
-    for spec in specs:
-        traj = run_channel(channel, spec, n=n, dt=dt, t_end=t_end, force=force)
-        out[spec.kind.value] = final_error(traj, channel)
-    return out
+    trajs = _channel_runs(channel, specs, n=n, dt=dt, t_end=t_end, force=force)
+    return {traj.model: final_error(traj, channel) for traj in trajs}
 
 
 def fitted_slope(spacings, errors) -> float:

@@ -5,6 +5,7 @@ console output, and the CSV artifacts.  Heavyweight experiment configs
 are exercised by the acceptance suite; here the runs are kept short.
 """
 
+import math
 import re
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 import yaml
 
 from tubediff.cli import main
+from tubediff.geometry import constricted_tree
 
 CONFIGS = "configs"
 
@@ -171,6 +173,31 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path),
                      "--force"]) == 0
         assert "marching anyway" in capsys.readouterr().err
+
+    def test_tube_contents_ledger_matches_the_csv(self, tmp_path):
+        doc = {
+            "run": {"model": "fick-jacobs", "dt": 2.5e-3, "t_end": 0.1, "snapshots": 3},
+            "geometry": {"kind": "constricted-tree", "levels": 1},
+            "initial": {"kind": "arc-bump", "center": 1.0, "width": 0.4, "baseline": 0.2},
+        }
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        ledger = yaml.safe_load((tmp_path / "manifest.yaml").read_text())["tube_contents"]
+
+        mesh = constricted_tree(1)
+        weight = dict.fromkeys(mesh.node_ids, 0.0)
+        for edge in mesh.edges:
+            weight[edge.a] += 0.5 * edge.length
+            weight[edge.b] += 0.5 * edge.length
+        rows = [line.split(",") for line in
+                (tmp_path / "trajectory.csv").read_text().splitlines()[1:]]
+        first, last = rows[0][0], rows[-1][0]
+        totals = [math.fsum(weight[int(r[1])] * float(r[4]) for r in rows if r[0] == t)
+                  for t in (first, last)]
+        assert ledger["initial"] == pytest.approx(totals[0], rel=1e-13)
+        assert ledger["final"] == pytest.approx(totals[1], rel=1e-13)
+        assert ledger["relative_change"] == pytest.approx(
+            (totals[1] - totals[0]) / totals[0], rel=1e-6, abs=1e-15)
 
     def test_documented_cone_run_completes_50000_steps(self, tmp_path):
         code = main(["simulate", "--config",

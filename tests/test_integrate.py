@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from tubediff.discretize import FluxWindow, LateralFluxField, assemble_model
+import tubediff.integrate as integrate
+from tubediff.discretize import (
+    FluxWindow,
+    LateralFluxField,
+    assemble_model,
+    lateral_operator,
+)
+from tubediff.geometry import ball_on_stick
 from tubediff.integrate import (
     BoundaryData,
     ConstraintPolicy,
@@ -11,16 +18,146 @@ from tubediff.integrate import (
     StabilityError,
     Trajectory,
     run,
+    run_models,
     step,
     trapezoid_weights,
 )
 from tubediff.models import ModelKind, ModelSpec
 from tubediff.network import ConeRadius, TabulatedRadius, interval_mesh
+from tubediff.verify import ConeChannel, SinusoidChannel, exact_boundary
 
 from tests.test_network import chain_mesh, y_mesh
 
 SIMPLE = ModelSpec(ModelKind.SIMPLE_DIFFUSION)
 FJ = ModelSpec(ModelKind.FICK_JACOBS)
+EF = ModelSpec(ModelKind.EXPANDED_FLUX)
+ALL_MODELS = tuple(ModelSpec(kind) for kind in ModelKind)
+
+
+def scalar_lateral(mesh, field, t):
+    """Scheduled wall flux at one time, node by node."""
+    out = np.zeros(mesh.n_nodes)
+    for w in field.windows:
+        if w.t_start <= t < w.t_end:
+            for node_id in w.node_ids:
+                out[mesh.index(node_id)] += w.strength
+    return out
+
+
+def scalar_policy(mesh, policy, c, base):
+    """The constraint thresholds, node by node."""
+    out = base.copy()
+    ids = mesh.node_ids if policy.node_ids is None else policy.node_ids
+    for node_id in ids:
+        i = mesh.index(node_id)
+        if c[i] > policy.c_hi:
+            out[i] = -policy.outflow_strength
+        elif c[i] < policy.c_lo:
+            out[i] = 0.0
+    return out
+
+
+def reference_march(mesh, profile, spec, *, dt, t_end, initial, boundary=None,
+                    lateral=None, policy=None, n_snapshots=11):
+    """One model, one ``step`` at a time, end slopes evaluated per step at
+    a scalar time: the reference the batched march must equal bit for bit."""
+    n_steps = int(round(t_end / dt))
+    op = assemble_model(mesh, profile, spec)
+    lat = lateral_operator(mesh, profile, spec) if lateral is not None else None
+    c = np.array(np.broadcast_to(np.asarray(initial, dtype=float), (mesh.n_nodes,)))
+    snaps = set(np.round(np.linspace(0, n_steps, n_snapshots)).astype(int).tolist())
+    times, states, fluxes = [], [], []
+    for k in range(n_steps + 1):
+        t = k * dt
+        j = source = None
+        if lateral is not None:
+            j = scalar_lateral(mesh, lateral, t)
+            if policy is not None:
+                j = scalar_policy(mesh, policy, c, j)
+            source = lat @ j
+        if k in snaps:
+            times.append(t)
+            states.append(c.copy())
+            fluxes.append(j)
+        if k == n_steps:
+            break
+        g = None
+        if boundary is not None:
+            g = [float(v(t)) if callable(v) else float(v)
+                 for v in (boundary.slopes.get(b, 0.0) for b in op.boundary_nodes)]
+        c = step(c, op, dt, g, source)
+    return np.array(times), np.array(states), (
+        np.array(fluxes) if lateral is not None else None)
+
+
+def assert_matches_reference(trajs, specs, mesh, profile, **kwargs):
+    assert [traj.model for traj in trajs] == [spec.kind.value for spec in specs]
+    for traj, spec in zip(trajs, specs):
+        times, states, fluxes = reference_march(mesh, profile, spec, **kwargs)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.states, states), spec.kind.value
+        if fluxes is None:
+            assert traj.fluxes is None
+        else:
+            assert np.array_equal(traj.fluxes, fluxes), spec.kind.value
+
+
+class TestBatchedMarch:
+    @pytest.mark.parametrize("channel, dt", [
+        (ConeChannel(taper=2.0), 2.0e-4),
+        (SinusoidChannel(wavenumber=0.3), 1.0e-4),
+    ])
+    def test_all_models_batched_equal_the_reference(self, channel, dt):
+        mesh = channel.mesh(41)
+        kwargs = dict(dt=dt, t_end=300 * dt,
+                      initial=channel.concentration(mesh.positions[:, 0], 0.0),
+                      boundary=exact_boundary(channel, mesh), n_snapshots=4)
+        trajs = run_models(mesh, channel.profile(), ALL_MODELS, **kwargs)
+        assert_matches_reference(trajs, ALL_MODELS, mesh, channel.profile(), **kwargs)
+
+    @pytest.mark.parametrize("node_ids", [None, (23, 12, 11, 23, 31, 2)])
+    def test_lateral_windows_and_policy_equal_the_reference(self, node_ids):
+        mesh = ball_on_stick(1)
+        field = LateralFluxField((
+            FluxWindow((11, 12, 13), 3.0, t_start=0.0, t_end=0.05),
+            FluxWindow((23, 31, 23), -2.0, t_start=0.02),
+        ))
+        specs = (FJ, EF)
+        kwargs = dict(dt=5.0e-4, t_end=0.1, initial=5.0, lateral=field,
+                      policy=ConstraintPolicy(node_ids=node_ids, c_hi=5.05, c_lo=4.95),
+                      n_snapshots=7)
+        trajs = run_models(mesh, TabulatedRadius(), specs, **kwargs)
+        assert_matches_reference(trajs, specs, mesh, TabulatedRadius(), **kwargs)
+        # the band policy really acted
+        assert (trajs[1].fluxes == -2.0).any() and (trajs[1].fluxes == 0.0).any()
+
+    def test_chunks_that_split_snapshot_intervals(self, monkeypatch):
+        channel = ConeChannel(taper=1.0)
+        mesh = channel.mesh(21)
+        # chunks of 7 steps; 53 steps with snapshots at 0, 11, 21, 32, 42, 53
+        monkeypatch.setattr(integrate, "CHUNK_VALUES", 7 * 2 * mesh.n_nodes)
+        specs = (FJ, EF)
+        kwargs = dict(dt=1.0e-3, t_end=0.053,
+                      initial=channel.concentration(mesh.positions[:, 0], 0.0),
+                      boundary=exact_boundary(channel, mesh), n_snapshots=6)
+        trajs = run_models(mesh, channel.profile(), specs, **kwargs)
+        assert trajs[0].times == pytest.approx([0.0, 0.011, 0.021, 0.032, 0.042, 0.053])
+        assert_matches_reference(trajs, specs, mesh, channel.profile(), **kwargs)
+
+    def test_blowup_names_the_model_that_blew_up(self):
+        mesh = chain_mesh([1.0] * 5)  # dt_max: 0.5 at d0 = 1, 0.125 at d0 = 4
+        x = mesh.positions[:, 0]
+        specs = (SIMPLE, ModelSpec(ModelKind.FICK_JACOBS, d0=4.0))
+        with pytest.raises(SimulationError, match="fick-jacobs") as info:
+            run_models(mesh, TabulatedRadius(), specs, dt=0.3, t_end=900.0,
+                       initial=np.sin(np.pi * x / 4.0), force=True)
+        assert "simple-diffusion" not in str(info.value)
+
+    def test_every_model_is_screened_before_marching(self):
+        mesh = chain_mesh([1.0] * 5)
+        specs = (SIMPLE, ModelSpec(ModelKind.FICK_JACOBS, d0=4.0))
+        with pytest.raises(StabilityError):
+            run_models(mesh, TabulatedRadius(), specs, dt=0.3, t_end=0.6, initial=1.0)
 
 
 class TestStep:
@@ -188,7 +325,23 @@ class TestConstraintPolicy:
             ConstraintPolicy(node_ids=(0,), outflow_strength=0.0)
 
 
+class TestBoundarySeries:
+    def test_constants_callables_and_absent_leaves(self):
+        data = BoundaryData({0: -1.0, 4: lambda t: 0.5 * t, 7: lambda t: 2.0})
+        out = data.series((0, 4, 7, 9), np.array([0.0, 1.0, 3.0]))
+        assert np.array_equal(out, [[-1.0, 0.0, 2.0, 0.0],
+                                    [-1.0, 0.5, 2.0, 0.0],
+                                    [-1.0, 1.5, 2.0, 0.0]])
+
+
 class TestLateralFlux:
+    def test_repeated_ids_add_up(self):
+        mesh = chain_mesh([1.0] * 5)
+        field = LateralFluxField((FluxWindow((1, 3, 1), 0.5),
+                                  FluxWindow((1,), 0.25, t_start=1.0)))
+        assert np.array_equal(field.values(mesh, 0.0), [0.0, 1.0, 0.0, 0.5, 0.0])
+        assert np.array_equal(field.values(mesh, 1.0), [0.0, 1.25, 0.0, 0.5, 0.0])
+
     def test_windows_turn_off_in_recorded_fluxes(self):
         mesh = chain_mesh([1.0] * 5)
         field = LateralFluxField((FluxWindow((1, 2), 3.0, t_start=0.0, t_end=0.5),))

@@ -15,6 +15,7 @@ from tubediff.verify import (
     SinusoidChannel,
     channel_convergence,
     common_node_error,
+    exact_boundary,
     final_error,
     fitted_slope,
     l1_error,
@@ -149,6 +150,20 @@ class TestL1Error:
     def test_shape_mismatch_is_rejected(self):
         with pytest.raises(ValueError):
             l1_error([1.0], [1.0, 2.0])
+
+
+class TestExactBoundary:
+    @pytest.mark.parametrize("channel", [ConeChannel(taper=1.0),
+                                         SinusoidChannel(wavenumber=0.3)])
+    def test_series_equals_scalar_slopes_bit_for_bit(self, channel):
+        mesh = channel.mesh(21)
+        ends = tuple(int(mesh.node_ids[i]) for i in mesh.leaf_indices())
+        times = np.arange(1000) * 0.0137
+        series = exact_boundary(channel, mesh).series(ends, times)
+        x = mesh.positions[:, 0]
+        scalar = [[float(channel.slope(float(x[mesh.index(e)]), float(t))) for e in ends]
+                  for t in times]
+        assert np.array_equal(series, scalar)
 
 
 class TestChannelRuns:
