@@ -24,9 +24,9 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from tubediff.network import NetworkMesh, upwind_stencil
+from tubediff.sparse import CSR, build as _csr, scale_rows
 from tubediff.models import (
     ModelKind,
     ModelSpec,
@@ -40,8 +40,8 @@ from tubediff.models import (
 class SpatialOperator:
     """Assembled right-hand side of the semi-discrete system."""
 
-    matrix: sp.csr_matrix
-    neumann: sp.csr_matrix
+    matrix: CSR
+    neumann: CSR
     boundary_nodes: tuple[int, ...]
     mass_diag: np.ndarray
     notes: tuple[str, ...] = ()
@@ -76,17 +76,6 @@ class SpatialOperator:
         return rhs / self.mass_diag
 
 
-def _csr(rows, cols, vals, shape) -> sp.csr_matrix:
-    """Sparse matrix from (broadcast) triplets in one build.
-
-    Exact zeros are left out; duplicates are summed in the order given,
-    so listing a row's terms in stencil order fixes its rounding.
-    """
-    rows, cols, vals = (a.ravel() for a in np.broadcast_arrays(rows, cols, vals))
-    keep = vals != 0.0
-    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape)
-
-
 def local_spacings(mesh: NetworkMesh) -> np.ndarray:
     """Node-local grid spacing: arithmetic mean of incident edge lengths."""
     degree, lengths, _ = mesh.incident_sums()
@@ -98,7 +87,7 @@ def local_spacings(mesh: NetworkMesh) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def laplacian_parts(mesh: NetworkMesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+def laplacian_parts(mesh: NetworkMesh) -> tuple[CSR, CSR]:
     """Second-derivative matrix and its Neumann coupling (no diffusion
     coefficient applied).
 
@@ -122,7 +111,7 @@ def laplacian_parts(mesh: NetworkMesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     return matrix, neumann
 
 
-def slope_matrix(mesh: NetworkMesh) -> sp.csr_matrix:
+def slope_matrix(mesh: NetworkMesh) -> CSR:
     """Central away-from-root first derivative of a nodal field, as a matrix.
 
     Interior rows take the mean away-side value minus the mean toward-side
@@ -260,14 +249,14 @@ class Fields:
     spacings: np.ndarray       # mean incident edge length
     edge_sums: np.ndarray      # sum of incident edge lengths
     inverse_sums: np.ndarray   # sum of their reciprocals
-    slope: sp.csr_matrix
-    laplacian: tuple[sp.csr_matrix, sp.csr_matrix]
+    slope: CSR
+    laplacian: tuple[CSR, CSR]
     wind: tuple[np.ndarray, ...]  # rows, cols, weights, radius_slope, first_order
     wind_notes: tuple[str, ...]
     mesh_ref: weakref.ref      # weak, so the record never keeps its mesh alive
 
     @property
-    def third(self) -> tuple[sp.csr_matrix, sp.csr_matrix, tuple[str, ...]]:
+    def third(self) -> tuple[CSR, CSR, tuple[str, ...]]:
         """Third-derivative parts, built when first asked for."""
         return _per_mesh(self.mesh_ref(), third_derivative_parts)
 
@@ -323,7 +312,7 @@ def fields(mesh: NetworkMesh, profile) -> Fields:
 
 def advection_parts(
     mesh: NetworkMesh, profile, spec: ModelSpec
-) -> tuple[sp.csr_matrix, sp.csr_matrix, tuple[str, ...]]:
+) -> tuple[CSR, CSR, tuple[str, ...]]:
     """Rows for the radial advection term D(x) (2/R) (dR/dx) dc/dx.
 
     Interior nodes use the two-path upwind machinery; multiple wind-side
@@ -347,7 +336,7 @@ def advection_parts(
 
 def third_derivative_parts(
     mesh: NetworkMesh,
-) -> tuple[sp.csr_matrix, sp.csr_matrix, tuple[str, ...]]:
+) -> tuple[CSR, CSR, tuple[str, ...]]:
     """Third-derivative rows in the away-from-root sense (no coefficient).
 
     Interior nodes take a central difference of the discrete
@@ -362,9 +351,7 @@ def third_derivative_parts(
     n = mesh.n_nodes
     lap_m, lap_n = _per_mesh(mesh, laplacian_parts)
     slope = _per_mesh(mesh, slope_matrix)
-    slope_rows = np.repeat(np.arange(n), np.diff(slope.indptr))
-    interior_slope = _csr(slope_rows, slope.indices,
-                          np.where(mesh.degree[slope_rows] > 1, slope.data, 0.0), (n, n))
+    interior_slope = scale_rows((mesh.degree > 1).astype(float), slope)
 
     leaves = mesh.leaf_indices()
     walks = mesh.walks[mesh.degree[mesh.walks["origin"]] == 1]
@@ -382,8 +369,6 @@ def third_derivative_parts(
     matrix = interior_slope @ lap_m + _csr(o[:, None], cols, vals, (n, n))
     neumann = interior_slope @ lap_n + _csr(leaves, np.arange(len(leaves)), neu_w,
                                             (n, len(leaves)))
-    matrix.sort_indices()  # row sums downstream run in stored order
-    neumann.sort_indices()
     notes = tuple(f"no-third-derivative-closure node={mesh.node_ids[i]}"
                   for i in leaves[n_walks[leaves] == 0])
     return matrix, neumann, notes
@@ -402,26 +387,24 @@ def assemble_model(mesh: NetworkMesh, profile, spec: ModelSpec) -> SpatialOperat
     mass = f.mass(spec)
 
     if spec.kind is ModelKind.SIMPLE_DIFFUSION:
-        matrix = (spec.d0 * lap_m).tocsr()
-        neumann = (spec.d0 * lap_n).tocsr()
-        return SpatialOperator(matrix, neumann, boundary_ids, mass)
+        return SpatialOperator(spec.d0 * lap_m, spec.d0 * lap_n, boundary_ids, mass)
 
     adv_m, adv_n, notes = advection_parts(mesh, profile, spec)
 
     if spec.kind in (ModelKind.ZWANZIG, ModelKind.REGUERA_RUBI, ModelKind.KALINAY_PERCUS):
-        d = sp.diags(f.diffusivity(spec))
-        matrix = d @ lap_m + adv_m
-        neumann = d @ lap_n + adv_n
+        d = f.diffusivity(spec)
+        matrix = scale_rows(d, lap_m) + adv_m
+        neumann = scale_rows(d, lap_n) + adv_n
     elif spec.kind is ModelKind.EXPANDED_FLUX:
         thr_m, thr_n, thr_notes = f.third
         notes = notes + thr_notes
-        k1, k2 = (sp.diags(k) for k in f.expansion)
-        matrix = spec.d0 * (lap_m + k1 @ lap_m + k2 @ thr_m) + adv_m
-        neumann = spec.d0 * (lap_n + k1 @ lap_n + k2 @ thr_n) + adv_n
+        k1, k2 = f.expansion
+        matrix = spec.d0 * (lap_m + scale_rows(k1, lap_m) + scale_rows(k2, thr_m)) + adv_m
+        neumann = spec.d0 * (lap_n + scale_rows(k1, lap_n) + scale_rows(k2, thr_n)) + adv_n
     else:  # Fick-Jacobs, and the temporal model with its own mass factor
         matrix = spec.d0 * lap_m + adv_m
         neumann = spec.d0 * lap_n + adv_n
-    return SpatialOperator(matrix.tocsr(), neumann.tocsr(), boundary_ids, mass, notes)
+    return SpatialOperator(matrix, neumann, boundary_ids, mass, notes)
 
 
 # ----------------------------------------------------------------------
@@ -453,7 +436,7 @@ class LateralFluxField:
         return out
 
 
-def lateral_operator(mesh: NetworkMesh, profile, spec: ModelSpec) -> sp.csr_matrix:
+def lateral_operator(mesh: NetworkMesh, profile, spec: ModelSpec) -> CSR:
     """Linear map from nodal lateral flux values J to the source vector.
 
     Every model keeps the leading wall-exchange term (2/R) J.  The
@@ -467,17 +450,17 @@ def lateral_operator(mesh: NetworkMesh, profile, spec: ModelSpec) -> sp.csr_matr
     """
     f = fields(mesh, profile)
     radii, slopes, dx = f.radii, f.slopes, f.spacings
-    lead = sp.diags(2.0 / radii)
+    n, leaves = mesh.n_nodes, mesh.leaf_indices()
+    lead = _csr(np.arange(n), np.arange(n), 2.0 / radii, (n, n))
     if spec.kind is not ModelKind.EXPANDED_FLUX:
-        return lead.tocsr()
+        return lead
 
     s_full = f.slope
-    s_bound = s_full[mesh.leaf_indices()]
+    s_bound = _csr(np.arange(len(leaves)), leaves, 1.0, (len(leaves), n)) @ s_full
     lap_m, lap_n = f.laplacian
     thr_m, thr_n, _ = f.third
     j2 = lap_m + lap_n @ s_bound
     j3 = thr_m + thr_n @ s_bound
-    correction = sp.diags(dx * dx / (12.0 * radii)) @ (
-        sp.diags(2.0 * slopes / radii) @ s_full + j2 + j3 / 3.0
-    )
-    return (lead + correction).tocsr()
+    correction = scale_rows(dx * dx / (12.0 * radii),
+                            scale_rows(2.0 * slopes / radii, s_full) + j2 + (1.0 / 3.0) * j3)
+    return lead + correction

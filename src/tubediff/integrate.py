@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-import scipy.sparse as sp
 
 from .discretize import (
     LateralFluxField,
@@ -27,6 +26,7 @@ from .discretize import (
 )
 from .models import ModelSpec
 from .network import NetworkMesh
+from .sparse import CSR, matvec_into
 from .stability import StabilityReport, check_model
 
 
@@ -37,12 +37,13 @@ class SimulationError(RuntimeError):
 class StabilityError(SimulationError):
     """The requested step fails the stability screen."""
 
-    def __init__(self, report: StabilityReport):
+    def __init__(self, report: StabilityReport, model: str):
         super().__init__(
-            f"dt={report.dt:g} exceeds the stable limit dt_max={report.dt_max:g} "
+            f"{model}: dt={report.dt:g} exceeds the stable limit dt_max={report.dt_max:g} "
             f"(binding node {report.binding_node}); pass force=True to march anyway"
         )
         self.report = report
+        self.model = model
 
 
 @dataclass(frozen=True)
@@ -182,13 +183,11 @@ def step(
 CHUNK_VALUES = 2**15
 
 
-def _stack(blocks, diagonal: bool) -> sp.csr_matrix:
+def _stack(blocks, diagonal: bool) -> CSR:
     """CSR blocks one below the other, each row in its stored order.
 
     With ``diagonal`` each block also takes its own columns (a block
     diagonal); without, all blocks share the columns of the first.
-    ``sp.block_diag`` would sort the rows, and so change the order in
-    which a row of an unsorted block is summed.
     """
     nnz = np.cumsum([0] + [b.nnz for b in blocks])
     cols = np.cumsum([0] + [b.shape[1] for b in blocks]) if diagonal else [0] * len(blocks)
@@ -196,7 +195,7 @@ def _stack(blocks, diagonal: bool) -> sp.csr_matrix:
     indices = np.concatenate([b.indices + off for b, off in zip(blocks, cols)])
     data = np.concatenate([b.data for b in blocks])
     shape = (sum(b.shape[0] for b in blocks), cols[-1] if diagonal else blocks[0].shape[1])
-    return sp.csr_matrix((data, indices, indptr), shape=shape)
+    return CSR(indptr, indices, data, shape)
 
 
 def _schedule(lateral: LateralFluxField, mesh: NetworkMesh, copies: int, t: float):
@@ -259,7 +258,7 @@ def run_models(
     for spec in specs:
         report = check_model(mesh, profile, spec, dt)
         if not report.passed and not force:
-            raise StabilityError(report)
+            raise StabilityError(report, spec.kind.value)
         reports.append(report)
 
     if boundary is not None:
@@ -273,12 +272,12 @@ def run_models(
         raise ValueError(f"initial state must have {n} entries")
 
     ops = [assemble_model(mesh, profile, spec) for spec in specs]
-    matrix = _stack([op.matrix for op in ops], diagonal=True)
+    matvec = matvec_into(_stack([op.matrix for op in ops], diagonal=True))
     neumann = _stack([op.neumann for op in ops], diagonal=False)
     mass = np.concatenate([op.mass_diag for op in ops])
     if lateral is not None:
-        lat = _stack([lateral_operator(mesh, profile, spec) for spec in specs],
-                     diagonal=True)
+        lat_matvec = matvec_into(_stack(
+            [lateral_operator(mesh, profile, spec) for spec in specs], diagonal=True))
         where = policy.where(mesh, copies) if policy is not None else None
         base, next_edge = _schedule(lateral, mesh, copies, 0.0)
     c = np.tile(c0, copies)
@@ -313,11 +312,11 @@ def run_models(
                     j = wall_flux(k)
                 if k == k0 and k in snap_set:
                     record(k)
-                rhs = matrix @ c
+                rhs = matvec(c)
                 if b is not None:
                     rhs += b[k - k0]
                 if lateral is not None:
-                    rhs += lat @ j
+                    rhs += lat_matvec(j)
                 rhs /= mass
                 rhs *= dt
                 c += rhs

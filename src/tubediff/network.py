@@ -16,6 +16,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .sparse import row_slots
+
 # One two-edge walk origin -> first -> second; node fields are storage indices.
 WALK_DTYPE = np.dtype([("origin", np.intp), ("first", np.intp), ("second", np.intp),
                        ("dx1", float), ("dx2", float)])
@@ -45,14 +47,6 @@ class Edge:
     a: int
     b: int
     length: float
-
-
-def _row_slots(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Positions of every entry of the given CSR rows, row after row."""
-    starts = indptr[rows]
-    counts = indptr[rows + 1] - starts
-    ends = np.cumsum(counts)
-    return np.repeat(starts - ends + counts, counts) + np.arange(counts.sum())
 
 
 def _as_node(spec) -> Node:
@@ -181,7 +175,7 @@ class NetworkMesh:
         # Every two-edge walk origin -> first -> second with second != origin,
         # ordered by origin, then first id, then second id.
         e1 = np.repeat(np.arange(len(self.nbr)), self.degree[self.nbr])
-        e2 = _row_slots(self.indptr, self.nbr)
+        e2 = row_slots(self.indptr, self.nbr)
         keep = self.nbr[e2] != self.origin[e1]
         e1, e2 = e1[keep], e2[keep]
         self.walks = np.empty(len(e1), dtype=WALK_DTYPE)

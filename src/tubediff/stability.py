@@ -26,11 +26,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .discretize import Fields, fields
 from .models import ModelKind, ModelSpec
 from .network import NetworkMesh
+from .sparse import CSR, scale_rows
 
 # float slack so a bound sitting exactly at 1 still passes
 TOLERANCE = 1e-12
@@ -68,6 +68,10 @@ class StabilityReport:
         for w in self.warnings:
             lines.append(f"warning: {w}")
         return "\n".join(lines)
+
+
+def _abs_row_sums(m: CSR) -> np.ndarray:
+    return np.bincount(m.rows, weights=np.abs(m.data), minlength=m.shape[0])
 
 
 def _screened_coefficients(f: Fields, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -162,8 +166,8 @@ def check_model(
 
     if spec.kind is ModelKind.EXPANDED_FLUX:
         k1, k2 = f.expansion
-        lap_rows = abs(sp.diags(1.0 + k1) @ f.laplacian[0]).sum(axis=1).A1
-        thr_rows = abs(sp.diags(k2) @ f.third[0]).sum(axis=1).A1
+        lap_rows = _abs_row_sums(scale_rows(1.0 + k1, f.laplacian[0]))
+        thr_rows = _abs_row_sums(scale_rows(k2, f.third[0]))
         warnings += [f"expansion-dominates-diffusion node={mesh.node_ids[i]}"
                      for i in np.flatnonzero(thr_rows > lap_rows)]
 

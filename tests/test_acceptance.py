@@ -24,6 +24,7 @@ import math
 
 import numpy as np
 
+from tests.sparse_oracle import dense
 from tests.test_network import chain_mesh
 from tubediff.discretize import (
     FluxWindow,
@@ -98,7 +99,7 @@ def test_02_uniform_cable_stencils_reduce_to_the_classics():
     h = 0.25
     mesh = chain_mesh([1.0] * 7, h=h)
     lap = laplacian_parts(mesh)[0]
-    row = lap.getrow(3).toarray().ravel()
+    row = dense(lap)[3]
     rows, _, weights, _, _, _ = wind_stencils(mesh, np.ones(7), np.ones(7))
     interior = weights[rows == 3]
     clauses = [

@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 import yaml
 
 from tubediff import cli, discretize, integrate
@@ -23,6 +22,7 @@ from tubediff.discretize import (
     wind_stencils,
 )
 from tubediff.models import ModelKind, ModelSpec
+from tests.sparse_oracle import dense
 from tubediff.network import (
     ConeRadius,
     MeshError,
@@ -117,7 +117,7 @@ class TestLaplacian:
         h = 0.25
         mesh = chain_mesh([1.0] * 5, h=h)
         mat, _ = laplacian_parts(mesh)
-        row = mat.getrow(2).toarray().ravel()
+        row = dense(mat)[2]
         expected = np.zeros(5)
         expected[1], expected[2], expected[3] = 1.0 / h**2, -2.0 / h**2, 1.0 / h**2
         assert np.array_equal(row, expected)
@@ -140,18 +140,18 @@ class TestLaplacian:
         edges = [(i, i + 1) for i in range(3)]
         mesh = NetworkMesh(nodes, edges, root=0)
         mat, _ = laplacian_parts(mesh)
-        scale = max(abs(mat).max(), 1.0)
+        scale = max(np.abs(mat.data).max(), 1.0)
         assert np.max(np.abs(mat @ np.ones(4))) <= 1e-12 * scale
 
     def test_leaf_rows_use_mirrored_ghost(self):
         h = 0.5
         mesh = chain_mesh([1.0] * 4, h=h)
         mat, neu = laplacian_parts(mesh)
-        first = mat.getrow(0).toarray().ravel()
+        first = dense(mat)[0]
         assert first[0] == -2.0 / h**2 and first[1] == 2.0 / h**2
         # root leaf gets -2/dx, the far leaf +2/dx
-        assert neu[0, 0] == -2.0 / h
-        assert neu[3, 1] == 2.0 / h
+        assert dense(neu)[0, 0] == -2.0 / h
+        assert dense(neu)[3, 1] == 2.0 / h
 
 
 class TestSlopeMatrix:
@@ -169,7 +169,7 @@ class TestAdvection:
         # radii 1..5 on unit spacing: slope 1, wind blows from the away side
         mesh = chain_mesh([1.0, 2.0, 3.0, 4.0, 5.0])
         mat, _, notes = advection_parts(mesh, TabulatedRadius(), FJ)
-        row = mat.getrow(1).toarray().ravel()
+        row = dense(mat)[1]
         # (2 D / R1) * dR/ds = 1, times (-3, 4, -1)/(2h)
         assert np.array_equal(row[1:4], np.array([-1.5, 2.0, -0.5]))
 
@@ -181,7 +181,7 @@ class TestAdvection:
     def test_decreasing_radius_uses_toward_side(self):
         mesh = chain_mesh([5.0, 4.0, 3.0, 2.0, 1.0])
         mat, _, _ = advection_parts(mesh, TabulatedRadius(), FJ)
-        row = mat.getrow(2).toarray().ravel()
+        row = dense(mat)[2]
         assert row[3] == row[4] == 0.0  # nothing downwind
         # directional product: (2/R)(dR/ds)(dc/ds) with both slopes along
         # the toward-root walk; on c = x this must give (2/3)(-1)(+1)
@@ -192,7 +192,7 @@ class TestAdvection:
         mesh = chain_mesh([1.0, 2.0, 3.0, 4.0, 5.0])
         mat, _, notes = advection_parts(mesh, TabulatedRadius(), FJ)
         assert any("first-order-upwind node=3" in n for n in notes)
-        row = mat.getrow(3).toarray().ravel()
+        row = dense(mat)[3]
         # coef = (2/R3) dR = 0.5 over the single downwind edge
         assert np.array_equal(row[3:5], np.array([-0.5, 0.5]))
 
@@ -222,9 +222,9 @@ class TestAdvection:
         mesh = chain_mesh([1.0, 2.0, 3.0, 4.0, 5.0])
         _, neu, _ = advection_parts(mesh, TabulatedRadius(), FJ)
         # far leaf: (2/R) dR/dx = (2/5) * 1
-        assert neu[4, 1] == pytest.approx(0.4, rel=1e-14)
+        assert dense(neu)[4, 1] == pytest.approx(0.4, rel=1e-14)
         # root leaf: (2/1) * 1
-        assert neu[0, 0] == pytest.approx(2.0, rel=1e-14)
+        assert dense(neu)[0, 0] == pytest.approx(2.0, rel=1e-14)
 
     def test_rows_annihilate_constants_bit_exact(self):
         # powers-of-two radii keep every scaled weight exactly representable,
@@ -236,7 +236,7 @@ class TestAdvection:
     def test_rows_annihilate_constants_to_rounding(self):
         mesh = chain_mesh([1.0, 2.0, 3.0, 4.0, 5.0], h=0.5)
         mat, _, _ = advection_parts(mesh, TabulatedRadius(), FJ)
-        scale = abs(mat).max()
+        scale = np.abs(mat.data).max()
         assert np.max(np.abs(mat @ np.ones(5))) <= 1e-15 * scale
 
 
@@ -274,7 +274,7 @@ class TestAssembleModel:
         spec = ModelSpec(ModelKind.SIMPLE_DIFFUSION, d0=2.0)
         op = assemble_model(mesh, TabulatedRadius(), spec)
         lap, _ = laplacian_parts(mesh)
-        assert np.array_equal(op.matrix.toarray(), (2.0 * lap).toarray())
+        assert np.array_equal(dense(op.matrix), dense(2.0 * lap))
         assert np.array_equal(op.mass_diag, np.ones(5))
 
     def test_zwanzig_scales_every_fick_jacobs_row_by_two_thirds(self):
@@ -282,11 +282,11 @@ class TestAssembleModel:
         mesh = chain_mesh([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])  # unit slope everywhere
         fj = assemble_model(mesh, profile, FJ)
         zw = assemble_model(mesh, profile, ModelSpec(ModelKind.ZWANZIG))
-        assert zw.matrix.toarray() == pytest.approx(
-            (2.0 / 3.0) * fj.matrix.toarray(), rel=1e-14
+        assert dense(zw.matrix) == pytest.approx(
+            (2.0 / 3.0) * dense(fj.matrix), rel=1e-14
         )
-        assert zw.neumann.toarray() == pytest.approx(
-            (2.0 / 3.0) * fj.neumann.toarray(), rel=1e-14
+        assert dense(zw.neumann) == pytest.approx(
+            (2.0 / 3.0) * dense(fj.neumann), rel=1e-14
         )
 
     def test_kalinay_temporal_mass_and_channel_restriction(self):
@@ -294,7 +294,7 @@ class TestAssembleModel:
         spec = ModelSpec(ModelKind.KALINAY_TEMPORAL)
         op = assemble_model(mesh, TabulatedRadius(), spec)
         fj = assemble_model(mesh, TabulatedRadius(), FJ)
-        assert np.array_equal(op.matrix.toarray(), fj.matrix.toarray())
+        assert np.array_equal(dense(op.matrix), dense(fj.matrix))
         assert op.mass_diag == pytest.approx(np.full(5, 1.0235987755982988), rel=1e-12)
         with pytest.raises(MeshError, match="unbranched"):
             assemble_model(y_mesh(), TabulatedRadius(), spec)
@@ -315,14 +315,14 @@ class TestAssembleModel:
         ones = np.ones(5)
         for kind in ModelKind:
             op = assemble_model(mesh, TabulatedRadius(), ModelSpec(kind))
-            scale = abs(op.matrix).max()
+            scale = np.abs(op.matrix.data).max()
             assert np.max(np.abs(op.matrix @ ones)) <= 1e-14 * scale, kind
 
     def test_constants_steady_on_ragged_branched_mesh(self):
         mesh = y_mesh(radii=(1.2, 0.7, 0.31, 0.9, 1.05, 0.4))
         ones = np.ones(mesh.n_nodes)
         op = assemble_model(mesh, TabulatedRadius(), EF)
-        scale = max(abs(op.matrix).max(), 1.0)
+        scale = max(np.abs(op.matrix.data).max(), 1.0)
         assert np.max(np.abs(op.matrix @ ones)) <= 1e-12 * scale
 
     def test_expanded_flux_tends_to_fick_jacobs(self):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tests.sparse_oracle import dense
 from tubediff.discretize import slope_matrix
 from tubediff.network import (
     ConeRadius,
@@ -233,13 +234,13 @@ class TestRadiusDerivative:
 
     def test_tabulated_central_difference(self):
         mesh = chain_mesh([1.0, 1.1, 1.2])
-        row = slope_matrix(mesh).toarray()[1]
+        row = dense(slope_matrix(mesh))[1]
         assert np.array_equal(row, [-0.5, 0.0, 0.5])  # central, no own weight
         assert row @ mesh.radii == pytest.approx(0.1, rel=1e-12)
 
     def test_central_at_leaf_falls_back_one_sided(self):
         mesh = chain_mesh([1.0, 1.1, 1.2])
-        row = slope_matrix(mesh).toarray()[0]
+        row = dense(slope_matrix(mesh))[0]
         assert np.array_equal(row, [-1.5, 2.0, -0.5])  # (-3, 4, -1) / 2h
         # radii are linear in x, the two-path stencil is exact
         assert row @ mesh.radii == pytest.approx(0.1, rel=1e-12)
@@ -252,7 +253,7 @@ class TestRadiusDerivative:
 
     def test_non_root_leaf_sign_points_away_from_root(self):
         mesh = chain_mesh([1.0, 1.1, 1.2])
-        row = slope_matrix(mesh).toarray()[2]
+        row = dense(slope_matrix(mesh))[2]
         assert np.array_equal(row, [0.5, -2.0, 1.5])  # toward-root stencil, negated
         assert row @ mesh.radii == pytest.approx(0.1, rel=1e-12)
 
