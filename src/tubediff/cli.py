@@ -368,7 +368,7 @@ def cmd_compare(cfg: dict, out_override: str | None, force: bool) -> int:
     t_end = _positive(section, "t_end")
     specs = [ModelSpec(MODEL_NAMES[name], d0=base.d0, epsilon=base.epsilon)
              for name in names]
-    errors = model_errors(geometry.channel, specs, n=geometry.mesh.n_nodes,
+    errors = model_errors(geometry.channel, specs, mesh=geometry.mesh,
                           dt=dt, t_end=t_end, force=force)
 
     csv_path = out / "errors.csv"

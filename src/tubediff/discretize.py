@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tubediff.network import NetworkMesh, upwind_stencil
-from tubediff.sparse import CSR, build as _csr, scale_rows
+from tubediff.sparse import CSR, build, scale_rows
 from tubediff.models import (
     ModelKind,
     ModelSpec,
@@ -102,12 +102,12 @@ def laplacian_parts(mesh: NetworkMesh) -> tuple[CSR, CSR]:
     _, lengths, _ = mesh.incident_sums()
     w = np.where(mesh.degree[rows] == 1, 2.0 / (dx * dx), (2.0 / lengths)[rows] / dx)
     diag = np.arange(n)
-    matrix = _csr(np.concatenate([rows, diag]), np.concatenate([mesh.nbr, diag]),
-                  np.concatenate([w, -np.bincount(rows, weights=w, minlength=n)]), (n, n))
+    matrix = build(np.concatenate([rows, diag]), np.concatenate([mesh.nbr, diag]),
+                   np.concatenate([w, -np.bincount(rows, weights=w, minlength=n)]), (n, n))
     leaves = mesh.leaf_indices()  # in storage order, as the Neumann slots
     sign = np.where(mesh.parent[leaves] < 0, -1.0, 1.0)
-    neumann = _csr(leaves, np.arange(len(leaves)), sign * 2.0 / dx[mesh.indptr[leaves]],
-                   (n, len(leaves)))
+    neumann = build(leaves, np.arange(len(leaves)), sign * 2.0 / dx[mesh.indptr[leaves]],
+                    (n, len(leaves)))
     return matrix, neumann
 
 
@@ -147,7 +147,7 @@ def slope_matrix(mesh: NetworkMesh) -> CSR:
 
     e = (~central & (n_walks == 0))[rows]  # too small for a two-edge path
     edge_w = (sign / mesh.degree)[rows[e]] / dx[e]
-    return _csr(
+    return build(
         np.concatenate([rows[c], np.repeat(o, 3), np.repeat(rows[e], 2)]),
         np.concatenate([cols[c], path_cols.ravel(),
                         np.stack([cols[e], rows[e]], axis=1).ravel()]),
@@ -219,12 +219,12 @@ def wind_stencils(mesh: NetworkMesh, radii: np.ndarray, slopes: np.ndarray):
 _DERIVED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _per_mesh(mesh: NetworkMesh, build, *args):
-    """``build(mesh, *args)``, computed once per mesh and arguments."""
+def _per_mesh(mesh: NetworkMesh, make, *args):
+    """``make(mesh, *args)``, computed once per mesh and arguments."""
     store = _DERIVED.setdefault(mesh, {})
-    key = (build, *args)
+    key = (make, *args)
     if key not in store:
-        store[key] = build(mesh, *args)
+        store[key] = make(mesh, *args)
     return store[key]
 
 
@@ -329,8 +329,8 @@ def advection_parts(
     vals[:, 0] = -(vals[:, 1] + vals[:, 2])
     leaves = mesh.leaf_indices()
     coef = diff[leaves] * (2.0 / f.radii[leaves]) * f.slopes[leaves]
-    return (_csr(rows[:, None], cols, vals, (n, n)),
-            _csr(leaves, np.arange(len(leaves)), coef, (n, len(leaves))),
+    return (build(rows[:, None], cols, vals, (n, n)),
+            build(leaves, np.arange(len(leaves)), coef, (n, len(leaves))),
             f.wind_notes)
 
 
@@ -366,9 +366,9 @@ def third_derivative_parts(
     slot = np.searchsorted(leaves, o)
     neu_w = np.bincount(slot, weights=1.0 / (h * h) / count, minlength=len(leaves))
 
-    matrix = interior_slope @ lap_m + _csr(o[:, None], cols, vals, (n, n))
-    neumann = interior_slope @ lap_n + _csr(leaves, np.arange(len(leaves)), neu_w,
-                                            (n, len(leaves)))
+    matrix = interior_slope @ lap_m + build(o[:, None], cols, vals, (n, n))
+    neumann = interior_slope @ lap_n + build(leaves, np.arange(len(leaves)), neu_w,
+                                             (n, len(leaves)))
     notes = tuple(f"no-third-derivative-closure node={mesh.node_ids[i]}"
                   for i in leaves[n_walks[leaves] == 0])
     return matrix, neumann, notes
@@ -451,12 +451,12 @@ def lateral_operator(mesh: NetworkMesh, profile, spec: ModelSpec) -> CSR:
     f = fields(mesh, profile)
     radii, slopes, dx = f.radii, f.slopes, f.spacings
     n, leaves = mesh.n_nodes, mesh.leaf_indices()
-    lead = _csr(np.arange(n), np.arange(n), 2.0 / radii, (n, n))
+    lead = build(np.arange(n), np.arange(n), 2.0 / radii, (n, n))
     if spec.kind is not ModelKind.EXPANDED_FLUX:
         return lead
 
     s_full = f.slope
-    s_bound = _csr(np.arange(len(leaves)), leaves, 1.0, (len(leaves), n)) @ s_full
+    s_bound = build(np.arange(len(leaves)), leaves, 1.0, (len(leaves), n)) @ s_full
     lap_m, lap_n = f.laplacian
     thr_m, thr_n, _ = f.third
     j2 = lap_m + lap_n @ s_bound

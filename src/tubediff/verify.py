@@ -171,15 +171,14 @@ def _channel_runs(
     channel,
     specs,
     *,
-    n: int,
+    mesh: NetworkMesh,
     dt: float,
     t_end: float,
     n_snapshots: int = 2,
     force: bool = False,
 ) -> list[Trajectory]:
-    """March several models together on one channel grid, fed by the
+    """March several models together on a channel grid, fed by the
     exact end slopes."""
-    mesh = channel.mesh(n)
     return run_models(
         mesh,
         channel.profile(),
@@ -204,8 +203,8 @@ def run_channel(
     force: bool = False,
 ) -> Trajectory:
     """March one model on a channel, fed by the exact end slopes."""
-    return _channel_runs(channel, (spec,), n=n, dt=dt, t_end=t_end,
-                        n_snapshots=n_snapshots, force=force)[0]
+    return _channel_runs(channel, (spec,), mesh=channel.mesh(n), dt=dt, t_end=t_end,
+                         n_snapshots=n_snapshots, force=force)[0]
 
 
 def final_error(traj: Trajectory, channel) -> float:
@@ -216,10 +215,11 @@ def final_error(traj: Trajectory, channel) -> float:
 
 
 def model_errors(
-    channel, specs, *, n: int, dt: float, t_end: float, force: bool = False
+    channel, specs, *, mesh: NetworkMesh, dt: float, t_end: float, force: bool = False
 ) -> dict[str, float]:
-    """Final-time error of several models on one channel and grid."""
-    trajs = _channel_runs(channel, specs, n=n, dt=dt, t_end=t_end, force=force)
+    """Final-time error of several models on one channel grid (a mesh
+    from ``channel.mesh``)."""
+    trajs = _channel_runs(channel, specs, mesh=mesh, dt=dt, t_end=t_end, force=force)
     return {traj.model: final_error(traj, channel) for traj in trajs}
 
 

@@ -6,14 +6,20 @@ are exercised by the acceptance suite; here the runs are kept short.
 """
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import tubediff
 from tubediff.cli import main
 from tubediff.geometry import constricted_tree
+from tubediff.network import NetworkMesh
 
 CONFIGS = "configs"
 
@@ -222,6 +228,41 @@ class TestCompare:
                  for line in rows[1:]}
         assert set(table) == {"simple-diffusion", "fick-jacobs"}
         assert table["fick-jacobs"] < table["simple-diffusion"]
+
+    def test_refused_step_names_the_model(self, tmp_path, capsys):
+        # on the taper-5 cone at dt = 4e-3 only reguera-rubi fails the screen
+        doc = small_channel(compare={"models": ["zwanzig", "kalinay-percus",
+                                                "reguera-rubi"]})
+        doc["run"]["dt"] = 4.0e-3
+        doc["geometry"].update(taper=5.0, n=160)
+        cfg = write_config(tmp_path, doc)
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path)]) == 1
+        first = capsys.readouterr().err.splitlines()[0]
+        assert first.startswith("error: reguera-rubi: dt=0.004 exceeds the stable limit")
+
+    def test_builds_the_channel_mesh_once(self, tmp_path, monkeypatch):
+        built = []
+        init = NetworkMesh.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(NetworkMesh, "__init__", counting_init)
+        doc = small_channel(compare={"models": ["fick-jacobs", "expanded-flux"]})
+        cfg = write_config(tmp_path, doc)
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert len(built) == 1
+
+
+def test_importing_the_cli_loads_no_scipy():
+    src = Path(tubediff.__file__).resolve().parents[1]
+    code = ("import sys; import tubediff.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestConvergence:

@@ -181,7 +181,7 @@ class TestChannelRuns:
     def test_model_errors_keys_follow_the_specs(self):
         cone = ConeChannel(taper=0.2)
         specs = [FJ, ModelSpec(ModelKind.SIMPLE_DIFFUSION)]
-        table = model_errors(cone, specs, n=21, dt=0.005, t_end=0.2)
+        table = model_errors(cone, specs, mesh=cone.mesh(21), dt=0.005, t_end=0.2)
         assert set(table) == {"fick-jacobs", "simple-diffusion"}
         assert all(v > 0.0 for v in table.values())
 
