@@ -239,8 +239,8 @@ class Fields:
 
     :func:`fields` builds one record per (mesh, profile); assembly, the
     lateral map, the Kalinay mass factors and the stability screen all
-    read it.  ``slopes`` is ``slope @ radii``.  Arrays are read-only and
-    the sparse parts are shared, so treat them as read-only too.
+    read it.  ``slopes`` is ``slope @ radii``.  Arrays and sparse parts
+    are shared and read-only.
     """
 
     profile: object

@@ -43,7 +43,6 @@ class StabilityError(SimulationError):
             f"(binding node {report.binding_node}); pass force=True to march anyway"
         )
         self.report = report
-        self.model = model
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,11 @@
-"""Read-only compressed sparse row (CSR) matrices on plain numpy arrays.
+"""Read-only compressed sparse row (CSR) matrices on numpy arrays.
 
-Storage follows Saad, *Iterative Methods for Sparse Linear Systems*
-(2nd ed., 2003, sec. 3.4): row ``i`` holds the entries
-``indptr[i]:indptr[i+1]`` of ``indices`` (columns) and ``data``.  Every
-matrix made by :func:`build` or a product has its rows sorted by column,
-with no duplicates and no exact zeros.
-
-Products with vectors use the padded ELLPACK layout of the same section,
-stored slot-major: ``(K, n_rows)`` columns and values, each row padded
-to the longest one with its own column and 0.0.  A row is then summed
-slot by slot in stored order, as a CSR product sums it, so both give the
-same bits, and a non-finite value never leaks into another row's block.
+CSR and the padded ELLPACK layout follow Saad, *Iterative Methods for
+Sparse Linear Systems* (2nd ed., 2003, sec. 3.4).  Built matrices keep
+each row sorted by column, with no duplicates and no exact zeros.  A
+product with a vector pads every row to the longest, slot-major, with
+its own column and 0.0, then sums it slot by slot in stored order: the
+order a CSR product sums in, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -31,7 +26,8 @@ def row_slots(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CSR:
-    """A sparse matrix in CSR form, with read-only arrays."""
+    """A sparse matrix: row ``i`` holds ``indices``/``data`` over
+    ``indptr[i]:indptr[i+1]``.  The arrays are made read-only."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -53,19 +49,24 @@ class CSR:
 
     @cached_property
     def padded(self) -> tuple[np.ndarray, np.ndarray]:
-        """Slot-major ELLPACK columns and values, each (K, n_rows)."""
-        n_rows, n_cols = self.shape
+        """Slot-major padded columns and values, each (longest row, n_rows)."""
         slot = np.arange(self.nnz) - self.indptr[self.rows]
-        cols = np.tile(np.minimum(np.arange(n_rows), n_cols - 1), (slot.max(initial=-1) + 1, 1))
+        own = np.minimum(np.arange(self.shape[0]), self.shape[1] - 1)
+        cols = np.tile(own, (slot.max(initial=-1) + 1, 1))
         vals = np.zeros(cols.shape)
         cols[slot, self.rows] = self.indices
         vals[slot, self.rows] = self.data
         return cols, vals
 
     def __matmul__(self, other):
-        """Product with a CSR matrix, a vector, or a matrix of columns."""
+        """Product with a CSR matrix (each entry spread over the matching
+        row of ``other``, then one build), a vector or columns of vectors."""
         if isinstance(other, CSR):
-            return product(self, other)
+            counts = np.diff(other.indptr)[self.indices]
+            slots = row_slots(other.indptr, self.indices)
+            return build(np.repeat(self.rows, counts), other.indices[slots],
+                         np.repeat(self.data, counts) * other.data[slots],
+                         (self.shape[0], other.shape[1]))
         x = np.asarray(other, dtype=float)
         cols, vals = self.padded
         terms = np.take(x, cols, axis=0)
@@ -77,28 +78,24 @@ class CSR:
                      np.concatenate([self.indices, other.indices]),
                      np.concatenate([self.data, other.data]), self.shape)
 
-    def __mul__(self, scalar: float) -> CSR:
+    def __rmul__(self, scalar: float) -> CSR:
         return CSR(self.indptr, self.indices, self.data * scalar, self.shape)
-
-    __rmul__ = __mul__
 
 
 def build(rows, cols, vals, shape) -> CSR:
-    """CSR matrix from (broadcast) triplets in one pass.
+    """CSR matrix from (broadcast) triplets.
 
-    Duplicates are summed in the order given, so listing a row's terms
-    in stencil order fixes its rounding; entries that are, or sum to,
-    exactly zero are left out.
+    Duplicates are summed in the order given (a stable sort, then a
+    bincount, which adds one by one), so listing a row's terms in stencil
+    order fixes its rounding; entries that are or sum to 0.0 are left out.
     """
     rows, cols, vals = (a.ravel() for a in np.broadcast_arrays(rows, cols, vals))
     key = rows.astype(np.int64) * shape[1] + cols
     order = np.argsort(key, kind="stable")
     key = key[order]
     first = np.concatenate([[True], key[1:] != key[:-1]])[: len(key)]
-    # bincount adds its weights one by one, in input order
     sums = np.bincount(np.cumsum(first) - 1, weights=vals[order])
-    keep = sums != 0.0
-    key, sums = key[first][keep], sums[keep]
+    key, sums = key[first][sums != 0.0], sums[sums != 0.0]
     counts = np.bincount(key // shape[1], minlength=shape[0])
     return CSR(np.concatenate([[0], np.cumsum(counts)]), key % shape[1], sums, shape)
 
@@ -108,18 +105,9 @@ def scale_rows(d: np.ndarray, m: CSR) -> CSR:
     return CSR(m.indptr, m.indices, m.data * d[m.rows], m.shape)
 
 
-def product(a: CSR, b: CSR) -> CSR:
-    """``a @ b``: every entry of ``a`` spread over the matching row of
-    ``b``, then one build, so each entry sums in the order of ``a``'s row."""
-    counts = np.diff(b.indptr)[a.indices]
-    slots = row_slots(b.indptr, a.indices)
-    return build(np.repeat(a.rows, counts), b.indices[slots],
-                 np.repeat(a.data, counts) * b.data[slots], (a.shape[0], b.shape[1]))
-
-
 def matvec_into(m: CSR):
-    """``x -> m @ x`` for vectors, on buffers allocated once: each call
-    overwrites the array the previous one returned."""
+    """``x -> m @ x`` for vectors on buffers allocated once; each call
+    overwrites the array the previous call returned."""
     cols, vals = m.padded
     terms, out = np.empty(cols.shape), np.empty(m.shape[0])
 

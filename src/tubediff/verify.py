@@ -217,8 +217,7 @@ def final_error(traj: Trajectory, channel) -> float:
 def model_errors(
     channel, specs, *, mesh: NetworkMesh, dt: float, t_end: float, force: bool = False
 ) -> dict[str, float]:
-    """Final-time error of several models on one channel grid (a mesh
-    from ``channel.mesh``)."""
+    """Final-time error of several models on a grid from ``channel.mesh``."""
     trajs = _channel_runs(channel, specs, mesh=mesh, dt=dt, t_end=t_end, force=force)
     return {traj.model: final_error(traj, channel) for traj in trajs}
 

@@ -8,7 +8,7 @@ done in scipy, within ``COMPOSE_RTOL`` of each row's absolute sum.
 
 import numpy as np
 import scipy.sparse as sp
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.sparse_oracle import dense, to_scipy
@@ -21,6 +21,8 @@ from tubediff.sparse import build, matvec_into
 
 COMPOSE_RTOL = 1e-15
 PROFILE = TabulatedRadius()
+# each tree example assembles every model on up to 120 nodes
+TREE_PROPERTY = settings(PROPERTY, max_examples=50)
 
 
 def applicable_models(mesh):
@@ -104,7 +106,7 @@ def test_build_matches_scipy_coo_summation(n_rows, n_cols, data):
                for a, b in zip(ours.indptr[:-1], ours.indptr[1:]))
 
 
-@PROPERTY
+@TREE_PROPERTY
 @given(trees(max_nodes=120), st.integers(0, 2**32 - 1))
 def test_products_with_vectors_equal_scipy_bit_for_bit(mesh, seed):
     rng = np.random.default_rng(seed)
@@ -120,7 +122,7 @@ def test_products_with_vectors_equal_scipy_bit_for_bit(mesh, seed):
     assert np.array_equal(neumann @ g.T, to_scipy(neumann) @ g.T)
 
 
-@PROPERTY
+@TREE_PROPERTY
 @given(trees(max_nodes=120), st.floats(0.25, 4.0))
 def test_composed_operators_agree_with_scipy(mesh, d0):
     for spec in applicable_models(mesh):
