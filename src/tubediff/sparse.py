@@ -93,11 +93,12 @@ def build(rows, cols, vals, shape) -> CSR:
     key = rows.astype(np.int64) * shape[1] + cols
     order = np.argsort(key, kind="stable")
     key = key[order]
-    first = np.concatenate([[True], key[1:] != key[:-1]])[: len(key)]
-    sums = np.bincount(np.cumsum(first) - 1, weights=vals[order])
-    key, sums = key[first][sums != 0.0], sums[sums != 0.0]
-    counts = np.bincount(key // shape[1], minlength=shape[0])
-    return CSR(np.concatenate([[0], np.cumsum(counts)]), key % shape[1], sums, shape)
+    starts = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]])[: len(key)])
+    group = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(key))))
+    sums = np.bincount(group, weights=vals[order], minlength=len(starts))
+    first = order[starts][sums != 0.0]  # each kept entry's first triplet
+    counts = np.bincount(rows[first], minlength=shape[0])
+    return CSR(np.concatenate([[0], np.cumsum(counts)]), cols[first], sums[sums != 0.0], shape)
 
 
 def scale_rows(d: np.ndarray, m: CSR) -> CSR:
