@@ -69,7 +69,7 @@ class CSR:
                          (self.shape[0], other.shape[1]))
         x = np.asarray(other, dtype=float)
         cols, vals = self.padded
-        terms = np.take(x, cols, axis=0)
+        terms = x[cols]
         terms *= vals.reshape(vals.shape + (1,) * (x.ndim - 1))
         return np.add.reduce(terms, axis=0)
 
@@ -107,14 +107,14 @@ def scale_rows(d: np.ndarray, m: CSR) -> CSR:
 
 
 def matvec_into(m: CSR):
-    """``x -> m @ x`` for vectors on buffers allocated once; each call
-    overwrites the array the previous call returned."""
+    """``x -> m @ x`` for vectors, into one output array allocated once:
+    each call overwrites the array the previous call returned."""
     cols, vals = m.padded
-    terms, out = np.empty(cols.shape), np.empty(m.shape[0])
+    out = np.empty(m.shape[0])
 
     def apply(x: np.ndarray) -> np.ndarray:
-        np.take(x, cols, out=terms, mode="clip")
-        np.multiply(terms, vals, out=terms)
+        terms = x[cols]  # faster than np.take into a kept buffer
+        terms *= vals
         return np.add.reduce(terms, axis=0, out=out)
 
     return apply
