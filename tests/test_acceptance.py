@@ -161,11 +161,10 @@ def test_03_cable_step_limit_formula_and_empirical_behavior():
 
 
 def test_04_cone_model_ranking_and_error_bands():
+    cones = {taper: ConeChannel(taper=taper) for taper in (0.2, 1.0, 5.0)}
     errors = {
-        taper: model_errors(
-            cone, SIX, mesh=cone.mesh(160), dt=2.0e-4, t_end=10.0
-        )
-        for taper, cone in ((t, ConeChannel(taper=t)) for t in (0.2, 1.0, 5.0))
+        taper: model_errors(cone, SIX, mesh=cone.mesh(160), dt=2.0e-4, t_end=10.0)
+        for taper, cone in cones.items()
     }
     clauses = []
     for taper, e in errors.items():
@@ -200,11 +199,10 @@ def test_04_cone_model_ranking_and_error_bands():
 
 
 def test_05_sinusoid_model_ranking_and_error_bands():
+    channels = {w: SinusoidChannel(wavenumber=w) for w in (0.05, 0.1, 0.5)}
     errors = {
-        w: model_errors(
-            channel, SIX, mesh=channel.mesh(160), dt=2.0e-4, t_end=20.0
-        )
-        for w, channel in ((w, SinusoidChannel(wavenumber=w)) for w in (0.05, 0.1, 0.5))
+        w: model_errors(channel, SIX, mesh=channel.mesh(160), dt=2.0e-4, t_end=20.0)
+        for w, channel in channels.items()
     }
     clauses = []
     for w, e in errors.items():
