@@ -4,8 +4,9 @@ CSR and the padded ELLPACK layout follow Saad, *Iterative Methods for
 Sparse Linear Systems* (2nd ed., 2003, sec. 3.4).  Built matrices keep
 each row sorted by column, with no duplicates and no exact zeros.  A
 product with a vector pads every row to the longest, slot-major, with
-its own column and 0.0, then sums it slot by slot in stored order: the
-order a CSR product sums in, so both give the same bits.
+its own column (or the last one) and 0.0, then sums it slot by slot in
+stored order: the order a CSR product sums in, so both give the same
+bits.
 """
 
 from __future__ import annotations
