@@ -382,7 +382,7 @@ def third_derivative_parts(
 def assemble_model(mesh: NetworkMesh, profile, spec: ModelSpec) -> SpatialOperator:
     """Assemble the full spatial operator for one model variant."""
     f = fields(mesh, profile)
-    boundary_ids = tuple(mesh.node_ids[i] for i in mesh.leaf_indices())
+    boundary_ids = tuple(mesh.node_ids[mesh.leaf_indices()].tolist())
     lap_m, lap_n = f.laplacian
     mass = f.mass(spec)
 

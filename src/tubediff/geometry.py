@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .network import NetworkMesh, refine
+from .network import NetworkMesh, c_exp, refine
 
 SPACING = 0.2
 STICK_NODES = 16
@@ -62,22 +62,22 @@ _FLARE_ONSET = 0.4
 _FLARE_BLEND = 0.2
 
 
-def _softplus(t: float) -> float:
-    return float(np.logaddexp(0.0, t))
+def _softplus(t):
+    return np.logaddexp(0.0, t)
 
 
-def stick_radius(x: float) -> float:
+def stick_radius(x):
     """Bulb decaying exponentially into a thin neck along the stick."""
-    return _NECK_FLOOR + _BULB_AMPLITUDE * math.exp(-_BULB_RATE * x)
+    return _NECK_FLOOR + _BULB_AMPLITUDE * c_exp(-_BULB_RATE * x)
 
 
-def arm_radius(s: float) -> float:
+def arm_radius(s):
     """Flare from the neck toward the exit (s measured from the branch)."""
     amplitude = _ARM_CEILING - stick_radius(STICK_LENGTH)
-    return _ARM_CEILING - amplitude * math.exp(-_ARM_RATE * s)
+    return _ARM_CEILING - amplitude * c_exp(-_ARM_RATE * s)
 
 
-def throat_radius(x: float) -> float:
+def throat_radius(x):
     """Gentle taper with a smooth interior constriction along the stick.
 
     The log-slope idles at a small rate, rises to idle + extra inside
@@ -89,53 +89,40 @@ def throat_radius(x: float) -> float:
         _softplus((x - _THROAT_START) / w) - _softplus(-_THROAT_START / w)
         - _softplus((x - _THROAT_END) / w) + _softplus(-_THROAT_END / w)
     )
-    return _THROAT_BASE * math.exp(-integral)
+    return _THROAT_BASE * c_exp(-integral)
 
 
-def throat_arm_radius(s: float) -> float:
+def throat_arm_radius(s):
     """Gentle flare leaving the constricted stick (s from the branch)."""
     a = _FLARE_GAIN * (
         _softplus((s - _FLARE_ONSET) / _FLARE_BLEND)
         - _softplus(-_FLARE_ONSET / _FLARE_BLEND)
     )
-    return throat_radius(STICK_LENGTH) * math.exp(a)
+    return throat_radius(STICK_LENGTH) * c_exp(a)
 
 
 def _build_tree(stick_profile, arm_profile, levels: int) -> NetworkMesh:
-    nodes = []
-    edges = []
-
-    for i in range(STICK_NODES):
-        x = SPACING * i
-        nodes.append((i, (x, 0.0, 0.0), stick_profile(x)))
-        if i:
-            edges.append((i - 1, i, SPACING))
-
-    branch = STICK_NODES - 1
-    x_branch = SPACING * branch
-    half = math.sqrt(3.0) / 2.0
-    for arm, (ux, uy) in enumerate([(half, 0.5), (half, -0.5)]):
-        base = STICK_NODES + arm * ARM_NODES
-        for k in range(1, ARM_NODES + 1):
-            s = SPACING * k
-            node_id = base + k - 1
-            nodes.append(
-                (node_id, (x_branch + ux * s, uy * s, 0.0), arm_profile(s))
-            )
-            edges.append((branch if k == 1 else node_id - 1, node_id, SPACING))
-
-    mesh = NetworkMesh(nodes, edges, root=0)
+    x = SPACING * np.arange(STICK_NODES)
+    s = SPACING * np.arange(1, ARM_NODES + 1)
+    arm_x = x[-1] + math.sqrt(3.0) / 2.0 * s  # two arms at +-30 degrees
+    positions = np.zeros((STICK_NODES + 2 * ARM_NODES, 3))
+    positions[:, 0] = np.concatenate([x, arm_x, arm_x])
+    positions[STICK_NODES:, 1] = np.concatenate([0.5 * s, -0.5 * s])
+    radii = np.concatenate([stick_profile(x), arm_profile(s), arm_profile(s)])
+    ids = np.arange(len(positions))
+    parents = ids[1:] - 1
+    parents[[STICK_NODES - 1, STICK_NODES - 1 + ARM_NODES]] = STICK_NODES - 1  # arm bases
+    mesh = NetworkMesh(ids, positions, radii, np.stack([parents, ids[1:]], axis=1),
+                       np.full(len(parents), SPACING), root=0)
     if levels == 0:
         return mesh
     topo = refine(mesh, levels)
     arcs = topo.arc_lengths()
-    resampled = [
-        (node.id, node.position,
-         stick_profile(arcs[i]) if arcs[i] <= STICK_LENGTH
-         else arm_profile(arcs[i] - STICK_LENGTH))
-        for i, node in enumerate(topo.nodes)
-    ]
-    return NetworkMesh(resampled, topo.edges, topo.root)
+    on_stick = arcs <= STICK_LENGTH
+    radii = np.empty(topo.n_nodes)
+    radii[on_stick] = stick_profile(arcs[on_stick])
+    radii[~on_stick] = arm_profile(arcs[~on_stick] - STICK_LENGTH)
+    return topo.with_radii(radii)
 
 
 def ball_on_stick(levels: int = 0) -> NetworkMesh:

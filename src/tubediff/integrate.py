@@ -66,7 +66,7 @@ class BoundaryData:
         return out
 
     def validate(self, mesh: NetworkMesh) -> None:
-        leaves = {int(mesh.node_ids[i]) for i in mesh.leaf_indices()}
+        leaves = set(mesh.node_ids[mesh.leaf_indices()].tolist())
         unknown = set(self.slopes) - leaves
         if unknown:
             raise ValueError(f"boundary data names non-leaf nodes: {sorted(unknown)}")
@@ -97,7 +97,7 @@ class ConstraintPolicy:
         of the mesh: an index array, or every position."""
         if self.node_ids is None:
             return slice(None)
-        idx = np.unique(mesh.indices(self.node_ids))
+        idx = _distinct(mesh.indices(self.node_ids))
         return (idx + mesh.n_nodes * np.arange(copies)[:, None]).ravel()
 
     def adjust(self, mesh: NetworkMesh, c: np.ndarray, base: np.ndarray) -> np.ndarray:
@@ -141,12 +141,12 @@ class Trajectory:
         if self.fluxes is not None:
             cols += ",J"
         lines = [cols]
-        arc = self.mesh.arc_lengths()
+        ids, arc = self.mesh.node_ids.tolist(), self.mesh.arc_lengths()
         for k, t in enumerate(self.times):
             big_g = self.tube_contents(k)
             for i in range(self.mesh.n_nodes):
                 row = (
-                    f"{float(t)!r},{self.mesh.node_ids[i]},{float(arc[i])!r},"
+                    f"{float(t)!r},{ids[i]},{float(arc[i])!r},"
                     f"{float(self.states[k, i])!r},{float(big_g[i])!r}"
                 )
                 if self.fluxes is not None:
@@ -202,6 +202,13 @@ def _schedule(lateral: LateralFluxField, mesh: NetworkMesh, copies: int, t: floa
     next window edge, the first time after ``t`` it can change."""
     edges = [e for w in lateral.windows for e in (w.t_start, w.t_end) if e > t]
     return np.tile(lateral.values(mesh, t), copies), min(edges, default=math.inf)
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of ``a`` (``np.unique`` without its
+    ``numpy.ma`` import)."""
+    a = np.sort(a)
+    return a[np.concatenate([[True], a[1:] != a[:-1]])[: len(a)]]
 
 
 def _chunks(snap_steps: np.ndarray, length: int):
@@ -273,6 +280,10 @@ def run_models(
     ops = [assemble_model(mesh, profile, spec) for spec in specs]
     matvec = matvec_into(_stack([op.matrix for op in ops], diagonal=True))
     neumann = _stack([op.neumann for op in ops], diagonal=False)
+    # only the rows of leaves hold entries; the product runs over those
+    live = np.flatnonzero(np.diff(neumann.indptr))
+    neumann_live = CSR(np.concatenate([[0], neumann.indptr[live + 1]]), neumann.indices,
+                       neumann.data, (len(live), neumann.shape[1]))
     mass = np.concatenate([op.mass_diag for op in ops])
     if lateral is not None:
         lat_matvec = matvec_into(_stack(
@@ -282,7 +293,7 @@ def run_models(
     c = np.tile(c0, copies)
     j = None
 
-    snap_steps = np.unique(np.round(np.linspace(0, n_steps, n_snapshots)).astype(int))
+    snap_steps = _distinct(np.round(np.linspace(0, n_steps, n_snapshots)).astype(int))
     snap_set = set(snap_steps.tolist())
     times, states, fluxes = [], [], []
 
@@ -305,7 +316,8 @@ def run_models(
             b = None
             if boundary is not None:
                 g = boundary.series(ops[0].boundary_nodes, np.arange(k0, k1) * dt)
-                b = np.ascontiguousarray((neumann @ g.T).T)
+                b = np.zeros((k1 - k0, neumann.shape[0]))
+                b[:, live] = (neumann_live @ g.T).T
             for k in range(k0, k1):
                 if lateral is not None:
                     j = wall_flux(k)

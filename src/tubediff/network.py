@@ -9,10 +9,10 @@ geometry (refinement) return new meshes.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -35,109 +35,96 @@ class GeometryParseError(MeshError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Node:
-    id: int
-    position: tuple[float, float, float]
-    radius: float
+# the C library's exp, element by element: numpy's vectorized exp differs
+# from it in the last bit for some inputs on some CPUs, and a closed form
+# must not depend on whether it is taken at one point or at many
+c_exp = np.vectorize(math.exp, otypes=[float])
 
 
-@dataclass(frozen=True)
-class Edge:
-    a: int
-    b: int
-    length: float
+def _raise_first(checks) -> None:
+    """Raise for the earliest item that fails a check.
+
+    ``checks`` pairs a failure mask over the items with a function of an
+    item's position that words the failure; an item failing several
+    checks reports the first, as a check-by-check loop over items would.
+    """
+    hits = [(np.flatnonzero(mask), message) for mask, message in checks]
+    first = min((h[0] for h, _ in hits if len(h)), default=None)
+    for h, message in hits:
+        if len(h) and h[0] == first:
+            raise MeshError(message(first))
 
 
-def _as_node(spec) -> Node:
-    if isinstance(spec, Node):
-        return spec
-    nid, pos, radius = spec
-    x, y, z = (float(v) for v in pos)
-    return Node(int(nid), (x, y, z), float(radius))
+def _radius_check(ids: np.ndarray, radii: np.ndarray):
+    return ~(radii > 0.0), lambda i: f"node {ids[i]}: radius must be positive, got {radii[i]}"
 
 
 class NetworkMesh:
-    """Connected tree of tubular segments.
+    """Connected tree of tubular segments, held in read-only arrays.
 
-    Parameters
-    ----------
-    nodes : iterable of Node or (id, (x, y, z), radius)
-    edges : iterable of Edge, (a, b) or (a, b, length)
-        Edges without an explicit length get the Euclidean distance
-        between their endpoints.
-    root : int
-        Id of the designated root node.
+    Node ``i`` has id ``node_ids[i]``, position ``positions[i]`` and
+    radius ``radii[i]``.  Edge ``k`` joins the node ids ``edges[k]`` with
+    length ``lengths[k]`` (NaN: the Euclidean distance of its ends) and
+    is kept as storage indices, ``ends[k]``.  ``root`` is the root's id.
 
-    Adjacency is held as read-only arrays over storage indices: directed
-    edge ``k`` runs from ``origin[k]`` to ``nbr[k]`` with length
-    ``nbr_dx[k]``, and node ``i``'s edges fill ``indptr[i]:indptr[i+1]``,
-    sorted by neighbour id.  ``parent`` (-1 at the root) orients the tree,
-    ``degree`` counts incident edges and ``walks`` lists every two-edge
-    walk (see ``WALK_DTYPE``) in the same order.
+    Adjacency is held over storage indices: directed edge ``k`` runs
+    from ``origin[k]`` to ``nbr[k]`` with length ``nbr_dx[k]``, and node
+    ``i``'s edges fill ``indptr[i]:indptr[i+1]``, sorted by neighbour id.
+    ``parent`` (-1 at the root) orients the tree, ``degree`` counts
+    incident edges and ``walks`` lists every two-edge walk (see
+    ``WALK_DTYPE``) in the same order.
     """
 
-    def __init__(self, nodes: Iterable, edges: Iterable, root: int):
-        self.nodes: tuple[Node, ...] = tuple(_as_node(n) for n in nodes)
-        if not self.nodes:
+    def __init__(self, node_ids, positions, radii, edges, lengths, root: int):
+        ids = np.array(node_ids, dtype=np.intp).reshape(-1)
+        n = len(ids)
+        if not n:
             raise MeshError("mesh needs at least one node")
-        self._index: dict[int, int] = {}
-        for i, node in enumerate(self.nodes):
-            if node.id in self._index:
-                raise MeshError(f"duplicate node id {node.id}")
-            if not node.radius > 0.0:
-                raise MeshError(f"node {node.id}: radius must be positive, got {node.radius}")
-            self._index[node.id] = i
+        positions = np.array(positions, dtype=float).reshape(n, 3)
+        radii = np.array(radii, dtype=float).reshape(n)
+        pairs = np.array(edges, dtype=np.intp).reshape(-1, 2)
+        lengths = np.array(lengths, dtype=float).reshape(len(pairs))
 
-        resolved = []
-        seen_pairs = set()
-        for spec in edges:
-            if isinstance(spec, Edge):
-                a, b, length = spec.a, spec.b, spec.length
-            elif len(spec) == 2:
-                a, b = spec
-                length = None
-            else:
-                a, b, length = spec
-            a, b = int(a), int(b)
-            for nid in (a, b):
-                if nid not in self._index:
-                    raise MeshError(f"edge ({a}, {b}) references unknown node {nid}")
-            if a == b:
-                raise MeshError(f"edge ({a}, {b}) is a self-loop")
-            pair = (min(a, b), max(a, b))
-            if pair in seen_pairs:
-                raise MeshError(f"duplicate edge between {a} and {b} creates a cycle")
-            seen_pairs.add(pair)
-            if length is None:
-                pa = np.asarray(self.nodes[self._index[a]].position)
-                pb = np.asarray(self.nodes[self._index[b]].position)
-                length = float(np.linalg.norm(pb - pa))
-            length = float(length)
-            if not length > 0.0:
-                raise MeshError(f"edge ({a}, {b}): length must be positive, got {length}")
-            resolved.append(Edge(a, b, length))
-        self.edges: tuple[Edge, ...] = tuple(resolved)
+        # ids sorted once: duplicates sit side by side, lookups bisect
+        self._order = np.argsort(ids, kind="stable")
+        self._sorted = ids[self._order]
+        repeat = np.zeros(n, dtype=bool)
+        repeat[self._order[1:][self._sorted[1:] == self._sorted[:-1]]] = True
+        _raise_first([(repeat, lambda i: f"duplicate node id {ids[i]}"),
+                      _radius_check(ids, radii)])
+
+        slot = np.minimum(np.searchsorted(self._sorted, pairs), n - 1)
+        known = self._sorted[slot] == pairs
+        ends = self._order[slot]
+        a, b = pairs[:, 0], pairs[:, 1]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        by_pair = np.lexsort((hi, lo))  # stable: a repeat follows its first
+        repeat = np.zeros(len(pairs), dtype=bool)
+        repeat[by_pair[1:]] = (np.diff(lo[by_pair]) == 0) & (np.diff(hi[by_pair]) == 0)
+        missing = np.isnan(lengths)
+        if missing.any():
+            d = positions[ends[missing, 1]] - positions[ends[missing, 0]]
+            lengths[missing] = [np.linalg.norm(v) for v in d]  # a batched norm rounds apart
+        _raise_first([
+            (~known[:, 0], lambda k: f"edge ({a[k]}, {b[k]}) references unknown node {a[k]}"),
+            (~known[:, 1], lambda k: f"edge ({a[k]}, {b[k]}) references unknown node {b[k]}"),
+            (a == b, lambda k: f"edge ({a[k]}, {b[k]}) is a self-loop"),
+            (repeat, lambda k: f"duplicate edge between {a[k]} and {b[k]} creates a cycle"),
+            (~(lengths > 0.0),
+             lambda k: f"edge ({a[k]}, {b[k]}): length must be positive, got {lengths[k]}"),
+        ])
 
         root = int(root)
-        if root not in self._index:
+        at = np.searchsorted(self._sorted, root)
+        if at == n or self._sorted[at] != root:
             raise MeshError(f"root id {root} is not a node")
         self.root: int = root
-
-        n = len(self.nodes)
-        if len(self.edges) != n - 1:
-            raise MeshError(
-                f"a tree on {n} nodes needs {n - 1} edges, got {len(self.edges)}"
-                " (extra edges close a cycle)"
-            )
+        if len(pairs) != n - 1:
+            raise MeshError(f"a tree on {n} nodes needs {n - 1} edges, got {len(pairs)}"
+                            " (extra edges close a cycle)")
 
         # Directed edges in CSR form: row i holds i's neighbours, sorted by
         # neighbour id so that every stencil enumeration is deterministic.
-        self.node_ids: tuple[int, ...] = tuple(nd.id for nd in self.nodes)
-        ids = np.array(self.node_ids)
-        ends = np.array([(self._index[e.a], self._index[e.b]) for e in self.edges],
-                        dtype=np.intp).reshape(-1, 2)
-        lengths = np.array([e.length for e in self.edges])
         tail = np.concatenate([ends[:, 0], ends[:, 1]])
         head = np.concatenate([ends[:, 1], ends[:, 0]])
         order = np.lexsort((ids[head], tail))
@@ -151,7 +138,7 @@ class NetworkMesh:
         # lists (a numpy walk per BFS level is slower on deep trees and
         # chains).  parent[i] is the toward-root neighbour, -1 at the root.
         starts, nbr, dx = self.indptr.tolist(), self.nbr.tolist(), self.nbr_dx.tolist()
-        iroot = self._index[self.root]
+        iroot = int(self._order[at])
         parent = [-1] * n
         arc = [math.nan] * n
         arc[iroot] = 0.0
@@ -167,7 +154,7 @@ class NetworkMesh:
                     arc[j] = arc[i] + dx[k]
                     queue.append(j)
         if len(queue) < n:
-            missing = [nd.id for nd, seen in zip(self.nodes, visited) if not seen]
+            missing = ids[~np.array(visited)].tolist()
             raise MeshError(f"mesh is disconnected; unreachable nodes: {missing}")
         self.parent = np.array(parent, dtype=np.intp)
         self._arc = np.array(arc)
@@ -185,11 +172,20 @@ class NetworkMesh:
         self.walks["dx1"] = self.nbr_dx[e1]
         self.walks["dx2"] = self.nbr_dx[e2]
 
-        self.radii: np.ndarray = np.array([nd.radius for nd in self.nodes])
-        self.positions: np.ndarray = np.array([nd.position for nd in self.nodes])
-        for a in (self.radii, self.positions, self.degree, self.indptr, self.origin,
-                  self.nbr, self.nbr_dx, self.parent, self.walks):
-            a.flags.writeable = False
+        self.node_ids, self.positions, self.radii = ids, positions, radii
+        self.ends, self.lengths = ends, lengths
+        for arr in (ids, positions, radii, ends, lengths, self.degree, self.indptr,
+                    self.origin, self.nbr, self.nbr_dx, self.parent, self.walks):
+            arr.flags.writeable = False
+
+    def with_radii(self, radii) -> NetworkMesh:
+        """The same tree with other (positive) node radii."""
+        radii = np.array(radii, dtype=float).reshape(self.n_nodes)
+        _raise_first([_radius_check(self.node_ids, radii)])
+        radii.flags.writeable = False
+        out = copy.copy(self)
+        out.radii = radii
+        return out
 
     # ------------------------------------------------------------------
     # basic queries (by storage index unless the name says id)
@@ -197,17 +193,19 @@ class NetworkMesh:
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.node_ids)
 
     def index(self, node_id: int) -> int:
-        try:
-            return self._index[node_id]
-        except KeyError:
-            raise MeshError(f"no node with id {node_id}") from None
+        return int(self.indices([node_id])[0])
 
     def indices(self, node_ids) -> np.ndarray:
         """Storage indices of ``node_ids``, in the order given."""
-        return np.array([self.index(node_id) for node_id in node_ids], dtype=np.intp)
+        want = np.asarray(node_ids)
+        slot = np.minimum(np.searchsorted(self._sorted, want), self.n_nodes - 1)
+        unknown = np.flatnonzero(self._sorted[slot] != want)
+        if len(unknown):
+            raise MeshError(f"no node with id {want[unknown[0]]}")
+        return self._order[slot]
 
     def parent_index(self, i: int) -> int:
         """Toward-root neighbor index, or -1 at the root."""
@@ -222,7 +220,8 @@ class NetworkMesh:
         return np.flatnonzero(self.degree == 1)
 
     def total_length(self) -> float:
-        return float(sum(e.length for e in self.edges))
+        # summed in edge order (np.sum pairs terms and rounds differently)
+        return float(sum(self.lengths.tolist()))
 
     def incident_sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per node: incident edge count, summed lengths, summed reciprocals."""
@@ -232,10 +231,8 @@ class NetworkMesh:
         return self.degree, lengths, inverses
 
     def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"NetworkMesh(n_nodes={self.n_nodes}, n_edges={len(self.edges)}, "
-            f"root={self.root})"
-        )
+        return (f"NetworkMesh(n_nodes={self.n_nodes}, n_edges={len(self.lengths)}, "
+                f"root={self.root})")
 
 
 # ----------------------------------------------------------------------
@@ -307,8 +304,11 @@ def load_mesh(text: str) -> NetworkMesh:
         edge <idA> <idB> [length]
         root <id>
     """
-    nodes: list[tuple] = []
-    edges: list[tuple] = []
+    ids: list[int] = []
+    positions: list[list[float]] = []
+    radii: list[float] = []
+    edges: list[tuple[int, int]] = []
+    lengths: list[float] = []
     root: int | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -320,14 +320,17 @@ def load_mesh(text: str) -> NetworkMesh:
             if kind == "node":
                 if len(args) != 5:
                     raise ValueError("expected: node <id> <x> <y> <z> <radius>")
-                nodes.append((int(args[0]), tuple(float(v) for v in args[1:4]), float(args[4])))
+                ids.append(int(args[0]))
+                positions.append([float(v) for v in args[1:4]])
+                radii.append(float(args[4]))
             elif kind == "edge":
-                if len(args) == 2:
-                    edges.append((int(args[0]), int(args[1])))
-                elif len(args) == 3:
-                    edges.append((int(args[0]), int(args[1]), float(args[2])))
-                else:
+                if len(args) not in (2, 3):
                     raise ValueError("expected: edge <idA> <idB> [length]")
+                length = float(args[2]) if len(args) == 3 else math.nan
+                if len(args) == 3 and math.isnan(length):
+                    raise ValueError("edge length must be positive, got nan")
+                edges.append((int(args[0]), int(args[1])))
+                lengths.append(length)
             elif kind == "root":
                 if len(args) != 1:
                     raise ValueError("expected: root <id>")
@@ -338,17 +341,15 @@ def load_mesh(text: str) -> NetworkMesh:
             raise GeometryParseError(lineno, str(exc)) from None
     if root is None:
         raise GeometryParseError(0, "missing 'root' statement")
-    return NetworkMesh(nodes, edges, root)
+    return NetworkMesh(ids, positions, radii, edges, lengths, root)
 
 
 def format_mesh(mesh: NetworkMesh) -> str:
     """Serialize a mesh so that load_mesh(format_mesh(m)) reproduces it bit for bit."""
-    lines = []
-    for nd in mesh.nodes:
-        x, y, z = nd.position
-        lines.append(f"node {nd.id} {x!r} {y!r} {z!r} {nd.radius!r}")
-    for e in mesh.edges:
-        lines.append(f"edge {e.a} {e.b} {e.length!r}")
+    lines = [f"node {i} {x!r} {y!r} {z!r} {r!r}" for i, (x, y, z), r in zip(
+        mesh.node_ids.tolist(), mesh.positions.tolist(), mesh.radii.tolist())]
+    lines += [f"edge {a} {b} {length!r}" for (a, b), length in zip(
+        mesh.node_ids[mesh.ends].tolist(), mesh.lengths.tolist())]
     lines.append(f"root {mesh.root}")
     return "\n".join(lines) + "\n"
 
@@ -375,43 +376,44 @@ def interval_mesh(x0: float, x1: float, n: int, profile) -> NetworkMesh:
     if n < 2:
         raise MeshError("interval mesh needs at least two nodes")
     xs = np.linspace(float(x0), float(x1), int(n))
-    nodes = []
-    for i, x in enumerate(xs):
-        r = profile.radius(float(x)) if getattr(profile, "analytic", False) else 1.0
-        if not r > 0.0:
-            raise MeshError(f"profile radius is nonpositive at x={x}")
-        nodes.append((i, (float(x), 0.0, 0.0), float(r)))
-    edges = [(i, i + 1, float(xs[i + 1] - xs[i])) for i in range(int(n) - 1)]
-    return NetworkMesh(nodes, edges, root=0)
+    radii = np.ones(len(xs))
+    if getattr(profile, "analytic", False):
+        radii[:] = [profile.radius(x) for x in xs.tolist()]
+        bad = np.flatnonzero(~(radii > 0.0))
+        if len(bad):
+            raise MeshError(f"profile radius is nonpositive at x={xs[bad[0]]}")
+    positions = np.zeros((len(xs), 3))
+    positions[:, 0] = xs
+    ids = np.arange(len(xs))
+    return NetworkMesh(ids, positions, radii, np.stack([ids[:-1], ids[1:]], axis=1),
+                       np.diff(xs), root=0)
 
 
 def refine(mesh: NetworkMesh, levels: int = 1) -> NetworkMesh:
     """Bisect every edge ``levels`` times.
 
-    Each pass keeps all existing nodes (ids included), inserts one midpoint
-    node per edge with linearly interpolated radius and position, and halves
-    edge lengths exactly.  ``levels == 0`` returns the mesh unchanged.
+    Each pass keeps all existing nodes (ids included) and appends one
+    midpoint node per edge, in edge order and with fresh ids counting up
+    from the largest, at the mean position and radius of the edge's ends;
+    edge ``(a, b)`` becomes ``(a, mid), (mid, b)``, each of exactly half
+    the length.  The passes run on arrays and the result is built once.
+    ``levels == 0`` returns the mesh unchanged.
     """
     if levels < 0:
         raise MeshError(f"levels must be >= 0, got {levels}")
-    current = mesh
+    if levels == 0:
+        return mesh
+    ids, positions, radii = mesh.node_ids, mesh.positions, mesh.radii
+    ends, lengths = mesh.ends, mesh.lengths
     for _ in range(levels):
-        next_id = max(nd.id for nd in current.nodes) + 1
-        nodes = list(current.nodes)
-        edges: list[tuple] = []
-        for e in current.edges:
-            ia, ib = current.index(e.a), current.index(e.b)
-            pa = np.asarray(current.nodes[ia].position)
-            pb = np.asarray(current.nodes[ib].position)
-            mid_pos = tuple(float(v) for v in (0.5 * (pa + pb)))
-            mid_rad = 0.5 * (current.nodes[ia].radius + current.nodes[ib].radius)
-            nodes.append(Node(next_id, mid_pos, mid_rad))
-            half = e.length / 2.0
-            edges.append((e.a, next_id, half))
-            edges.append((next_id, e.b, half))
-            next_id += 1
-        current = NetworkMesh(nodes, edges, current.root)
-    return current
+        a, b = ends[:, 0], ends[:, 1]
+        mid = len(ids) + np.arange(len(ends))
+        ids = np.concatenate([ids, ids.max() + 1 + np.arange(len(ends))])
+        positions = np.concatenate([positions, 0.5 * (positions[a] + positions[b])])
+        radii = np.concatenate([radii, 0.5 * (radii[a] + radii[b])])
+        ends = np.stack([a, mid, mid, b], axis=1).reshape(-1, 2)
+        lengths = np.repeat(lengths / 2.0, 2)
+    return NetworkMesh(ids, positions, radii, ids[ends], lengths, mesh.root)
 
 
 # ----------------------------------------------------------------------

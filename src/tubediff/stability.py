@@ -136,7 +136,7 @@ def check_advection(
         binding_node=int(mesh.node_ids[worst]),
         alpha_beta=0.0,
         advection_rho=float(np.abs(rho_pi).max()),
-        node_pass=dict(zip(mesh.node_ids, node_pass.tolist())),
+        node_pass=dict(zip(mesh.node_ids.tolist(), node_pass.tolist())),
         warnings=tuple(warnings),
     )
 
@@ -179,6 +179,6 @@ def check_model(
         binding_node=int(mesh.node_ids[worst]),
         alpha_beta=float(ab.max()),
         advection_rho=rho_max,
-        node_pass=dict(zip(mesh.node_ids, node_pass.tolist())),
+        node_pass=dict(zip(mesh.node_ids.tolist(), node_pass.tolist())),
         warnings=tuple(warnings),
     )

@@ -23,12 +23,7 @@ import numpy as np
 from .integrate import BoundaryData, Trajectory, run, run_models
 from .models import ModelKind, ModelSpec
 from .network import (ConeRadius, NetworkMesh, SinusoidRadius, TabulatedRadius,
-                      interval_mesh, refine)
-
-# the C library's exp, element by element: numpy's vectorized exp differs
-# from it in the last bit for some inputs on some CPUs, and a sinusoid
-# slope must not depend on whether it is taken at one time or at many
-_exp = np.vectorize(math.exp, otypes=[float])
+                      c_exp, interval_mesh, refine)
 
 # exact values this small (relative to the largest) are excluded from
 # relative-error averages
@@ -113,7 +108,7 @@ class SinusoidChannel:
         return self.sigma * self.sigma + self.d0 * t
 
     def _gain(self, t):
-        return _exp(self.d0 * self.wavenumber * self.wavenumber * t)
+        return c_exp(self.d0 * self.wavenumber * self.wavenumber * t)
 
     def tube_contents(self, x, t: float):
         x = np.asarray(x)
@@ -293,12 +288,8 @@ def common_node_error(traj: Trajectory, reference: Trajectory) -> float:
     exists in the reference; values are compared id by id at the final
     snapshot.
     """
-    ref_mesh = reference.mesh
-    numeric = traj.final
-    exact = np.array(
-        [reference.final[ref_mesh.index(node_id)] for node_id in traj.mesh.node_ids]
-    )
-    return l1_error(numeric, exact)
+    exact = reference.final[reference.mesh.indices(traj.mesh.node_ids)]
+    return l1_error(traj.final, exact)
 
 
 def tree_convergence(

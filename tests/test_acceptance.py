@@ -273,7 +273,7 @@ def test_07_balanced_feed_fills_the_bulb_only_for_radius_aware_models():
             dt=2.5e-4, t_end=t_end, initial=1.0, boundary=boundary,
             n_snapshots=101,
         )
-        bulb = traj.mesh.node_ids.index(bulb_node_id())
+        bulb = traj.mesh.index(bulb_node_id())
         window = traj.times >= 0.8 * t_end - 1e-9
         traces[name] = traj.states[window, bulb]
     flat = traces["simple-diffusion"]

@@ -191,10 +191,10 @@ class TestSimulate:
         ledger = yaml.safe_load((tmp_path / "manifest.yaml").read_text())["tube_contents"]
 
         mesh = constricted_tree(1)
-        weight = dict.fromkeys(mesh.node_ids, 0.0)
-        for edge in mesh.edges:
-            weight[edge.a] += 0.5 * edge.length
-            weight[edge.b] += 0.5 * edge.length
+        weight = dict.fromkeys(mesh.node_ids.tolist(), 0.0)
+        for (a, b), length in zip(mesh.node_ids[mesh.ends].tolist(), mesh.lengths.tolist()):
+            weight[a] += 0.5 * length
+            weight[b] += 0.5 * length
         rows = [line.split(",") for line in
                 (tmp_path / "trajectory.csv").read_text().splitlines()[1:]]
         first, last = rows[0][0], rows[-1][0]
@@ -263,6 +263,25 @@ def test_importing_the_cli_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_a_policy_run_loads_no_numpy_ma(tmp_path):
+    # numpy.ma costs a CLI process 13-19 ms and 1.2 MB to import
+    doc = {
+        "run": {"model": "fick-jacobs", "dt": 1.0e-3, "t_end": 0.01, "snapshots": 3},
+        "geometry": {"kind": "ball-on-stick"},
+        "lateral": [{"nodes": [5, 6], "strength": 1.0}],
+        "policy": {"nodes": [6, 5, 6]},
+    }
+    cfg = write_config(tmp_path, doc)
+    src = Path(tubediff.__file__).resolve().parents[1]
+    code = ("import sys; from tubediff.cli import main; "
+            f"code = main(['simulate', '--config', {cfg!r}, '--out', {str(tmp_path)!r}]); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 class TestConvergence:

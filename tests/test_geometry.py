@@ -107,7 +107,7 @@ class TestShippedFiles:
     def test_geom_file_matches_builder(self, name, builder):
         disk = read_mesh(GEOMETRIES / f"{name}.geom")
         built = builder()
-        assert disk.node_ids == built.node_ids
+        assert np.array_equal(disk.node_ids, built.node_ids)
         assert np.array_equal(disk.radii, built.radii)
         assert np.array_equal(disk.positions, built.positions)
         assert disk.root == built.root

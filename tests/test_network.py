@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from tests.mesh_reference import mesh_from
 from tests.sparse_oracle import dense
 from tubediff.discretize import slope_matrix
 from tubediff.network import (
     ConeRadius,
     GeometryParseError,
     MeshError,
-    NetworkMesh,
     SinusoidRadius,
     TabulatedRadius,
     format_mesh,
@@ -33,7 +33,7 @@ root 0
 def chain_mesh(radii, h=1.0):
     nodes = [(i, (i * h, 0.0, 0.0), r) for i, r in enumerate(radii)]
     edges = [(i, i + 1, h) for i in range(len(radii) - 1)]
-    return NetworkMesh(nodes, edges, root=0)
+    return mesh_from(nodes, edges, root=0)
 
 
 def y_mesh(radii=(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)):
@@ -47,7 +47,7 @@ def y_mesh(radii=(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)):
         (5, (3.0, -1.0, 0.0), radii[5]),
     ]
     edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (2, 5, 1.0)]
-    return NetworkMesh(nodes, edges, root=0)
+    return mesh_from(nodes, edges, root=0)
 
 
 def walks_from(mesh, node_id, side):
@@ -63,14 +63,14 @@ class TestLoading:
     def test_two_node_document(self):
         mesh = load_mesh(TWO_NODE_DOC)
         assert mesh.n_nodes == 2
-        assert len(mesh.edges) == 1
-        assert mesh.edges[0].length == 1.0
+        assert len(mesh.lengths) == 1
+        assert mesh.lengths[0] == 1.0
         assert mesh.root == 0
 
     def test_explicit_edge_length_overrides_euclidean(self):
         doc = TWO_NODE_DOC.replace("edge 0 1", "edge 0 1 2.5")
         mesh = load_mesh(doc)
-        assert mesh.edges[0].length == 2.5
+        assert mesh.lengths[0] == 2.5
 
     def test_duplicate_edge_is_a_cycle_error(self):
         doc = TWO_NODE_DOC + "edge 1 0\n"
@@ -101,6 +101,21 @@ root 0
             load_mesh(doc)
         assert err.value.line == 2
 
+    def test_nan_edge_length_names_the_line(self):
+        doc = TWO_NODE_DOC.replace("edge 0 1", "edge 0 1 nan")
+        with pytest.raises(GeometryParseError, match="length") as err:
+            load_mesh(doc)
+        assert err.value.line == 4
+
+    def test_earliest_faulty_edge_is_reported(self):
+        nodes = [(i, (float(i), 0.0, 0.0), 1.0) for i in range(3)]
+        with pytest.raises(MeshError, match=r"edge \(1, 1\) is a self-loop"):
+            mesh_from(nodes, [(0, 1), (1, 1), (0, 7)], root=0)
+
+    def test_unknown_id_lookup_is_a_mesh_error(self):
+        with pytest.raises(MeshError, match="no node with id 9"):
+            y_mesh().indices([2, 9])
+
     def test_missing_root_rejected(self):
         doc = "node 0 0 0 0 1.0\nnode 1 1 0 0 1.0\nedge 0 1\n"
         with pytest.raises(GeometryParseError):
@@ -110,11 +125,27 @@ root 0
         mesh = y_mesh(radii=(1.2, 0.7, 0.31, 0.9, 1.05, 0.4))
         text = format_mesh(mesh)
         again = load_mesh(text)
-        assert again.node_ids == mesh.node_ids
+        assert np.array_equal(again.node_ids, mesh.node_ids)
         assert np.array_equal(again.radii, mesh.radii)
         assert np.array_equal(again.positions, mesh.positions)
-        assert again.edges == mesh.edges
+        assert np.array_equal(again.ends, mesh.ends)
+        assert np.array_equal(again.lengths, mesh.lengths)
         assert format_mesh(again) == text
+
+
+class TestWithRadii:
+    def test_swaps_radii_and_keeps_the_tree(self):
+        mesh = y_mesh()
+        other = mesh.with_radii(np.arange(1.0, 7.0))
+        assert np.array_equal(other.radii, np.arange(1.0, 7.0))
+        assert np.array_equal(mesh.radii, np.ones(6))
+        for name in ("node_ids", "positions", "ends", "lengths", "parent", "walks"):
+            assert getattr(other, name) is getattr(mesh, name), name
+        assert not other.radii.flags.writeable
+
+    def test_nonpositive_radius_rejected(self):
+        with pytest.raises(MeshError, match="node 3: radius must be positive"):
+            y_mesh().with_radii([1.0, 1.0, 1.0, 0.0, 1.0, 1.0])
 
 
 class TestRefine:
@@ -122,7 +153,7 @@ class TestRefine:
         mesh = load_mesh(TWO_NODE_DOC)
         fine = refine(mesh, 1)
         assert fine.n_nodes == 3
-        assert sorted(e.length for e in fine.edges) == [0.5, 0.5]
+        assert sorted(fine.lengths.tolist()) == [0.5, 0.5]
         # original ids survive, the midpoint picks up a fresh id
         assert set(mesh.node_ids) <= set(fine.node_ids)
 
@@ -147,7 +178,7 @@ class TestRefine:
 
     def test_refined_mesh_is_still_a_tree(self):
         fine = refine(y_mesh(), 2)
-        assert len(fine.edges) == fine.n_nodes - 1
+        assert len(fine.lengths) == fine.n_nodes - 1
 
     def test_midpoint_radius_is_linear_interpolant(self):
         mesh = chain_mesh([1.0, 2.0])

@@ -7,9 +7,10 @@ import pytest
 
 from tubediff.geometry import constricted_tree
 from tubediff.models import ModelKind, ModelSpec
-from tubediff.network import ConeRadius, NetworkMesh, TabulatedRadius, interval_mesh
+from tubediff.network import ConeRadius, TabulatedRadius, interval_mesh
 from tubediff.stability import StabilityReport, check_advection, check_model
 
+from tests.mesh_reference import mesh_from
 from tests.test_network import chain_mesh
 
 FJ = ModelSpec(ModelKind.FICK_JACOBS)
@@ -34,7 +35,7 @@ def symmetric_y_mesh():
         (5, (3.0, -2.0, 0.0), 4.0),
     ]
     edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (1, 4, 1.0), (4, 5, 1.0)]
-    return NetworkMesh(nodes, edges, root=0)
+    return mesh_from(nodes, edges, root=0)
 
 
 class TestDiffusionBound:
@@ -69,7 +70,7 @@ class TestDiffusionBound:
             (2, (0.75, 0.0, 0.0), 1.0),
         ]
         edges = [(0, 1, 0.5), (1, 2, 0.25)]
-        mesh = NetworkMesh(nodes, edges, root=0)
+        mesh = mesh_from(nodes, edges, root=0)
         report = diffusive_screen(mesh, dt=0.001)
         assert report.dt_max == pytest.approx(0.03125, rel=1e-12)
         assert report.binding_node == 2
@@ -163,7 +164,7 @@ class TestModelScreen:
         rs = [1.0, 2.0, 2.02, 3.02, 4.02]
         nodes = [(i, (x, 0.0, 0.0), r) for i, (x, r) in enumerate(zip(xs, rs))]
         edges = [(i, i + 1, xs[i + 1] - xs[i]) for i in range(4)]
-        mesh = NetworkMesh(nodes, edges, root=0)
+        mesh = mesh_from(nodes, edges, root=0)
         report = check_model(mesh, TabulatedRadius(), EF, dt=1e-5)
         assert any(
             w == "expansion-dominates-diffusion node=0" for w in report.warnings
