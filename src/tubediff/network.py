@@ -93,9 +93,7 @@ class NetworkMesh:
         _raise_first([(repeat, lambda i: f"duplicate node id {ids[i]}"),
                       _radius_check(ids, radii)])
 
-        slot = np.minimum(np.searchsorted(self._sorted, pairs), n - 1)
-        known = self._sorted[slot] == pairs
-        ends = self._order[slot]
+        ends, known = self._lookup(pairs)
         a, b = pairs[:, 0], pairs[:, 1]
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         by_pair = np.lexsort((hi, lo))  # stable: a repeat follows its first
@@ -115,8 +113,8 @@ class NetworkMesh:
         ])
 
         root = int(root)
-        at = np.searchsorted(self._sorted, root)
-        if at == n or self._sorted[at] != root:
+        iroot, is_node = self._lookup(root)
+        if not is_node:
             raise MeshError(f"root id {root} is not a node")
         self.root: int = root
         if len(pairs) != n - 1:
@@ -138,7 +136,7 @@ class NetworkMesh:
         # lists (a numpy walk per BFS level is slower on deep trees and
         # chains).  parent[i] is the toward-root neighbour, -1 at the root.
         starts, nbr, dx = self.indptr.tolist(), self.nbr.tolist(), self.nbr_dx.tolist()
-        iroot = int(self._order[at])
+        iroot = int(iroot)
         parent = [-1] * n
         arc = [math.nan] * n
         arc[iroot] = 0.0
@@ -200,12 +198,16 @@ class NetworkMesh:
 
     def indices(self, node_ids) -> np.ndarray:
         """Storage indices of ``node_ids``, in the order given."""
+        found, known = self._lookup(node_ids)
+        if not known.all():
+            raise MeshError(f"no node with id {np.asarray(node_ids)[~known][0]}")
+        return found
+
+    def _lookup(self, node_ids) -> tuple[np.ndarray, np.ndarray]:
+        """Storage index of each id (any node's if unknown), and whether it is known."""
         want = np.asarray(node_ids)
-        slot = np.minimum(np.searchsorted(self._sorted, want), self.n_nodes - 1)
-        unknown = np.flatnonzero(self._sorted[slot] != want)
-        if len(unknown):
-            raise MeshError(f"no node with id {want[unknown[0]]}")
-        return self._order[slot]
+        slot = np.minimum(np.searchsorted(self._sorted, want), len(self._sorted) - 1)
+        return self._order[slot], self._sorted[slot] == want
 
     def parent_index(self, i: int) -> int:
         """Toward-root neighbor index, or -1 at the root."""
