@@ -76,13 +76,16 @@ class NetworkMesh:
     """
 
     def __init__(self, node_ids, positions, radii, edges, lengths, root: int):
-        ids = np.array(node_ids, dtype=np.intp).reshape(-1)
+        try:
+            ids = np.array(node_ids, dtype=np.intp).reshape(-1)
+            pairs = np.array(edges, dtype=np.intp).reshape(-1, 2)
+        except OverflowError:
+            raise MeshError("node ids must fit in 64 bits") from None
         n = len(ids)
         if not n:
             raise MeshError("mesh needs at least one node")
         positions = np.array(positions, dtype=float).reshape(n, 3)
         radii = np.array(radii, dtype=float).reshape(n)
-        pairs = np.array(edges, dtype=np.intp).reshape(-1, 2)
         lengths = np.array(lengths, dtype=float).reshape(len(pairs))
 
         # ids sorted once: duplicates sit side by side, lookups bisect

@@ -112,6 +112,13 @@ root 0
         with pytest.raises(MeshError, match=r"edge \(1, 1\) is a self-loop"):
             mesh_from(nodes, [(0, 1), (1, 1), (0, 7)], root=0)
 
+    def test_id_beyond_64_bits_is_a_mesh_error(self):
+        huge = 2**64
+        doc = TWO_NODE_DOC.replace("node 1 ", f"node {huge} ")
+        doc = doc.replace("edge 0 1", f"edge 0 {huge}")
+        with pytest.raises(MeshError, match="64 bits"):
+            load_mesh(doc)
+
     def test_unknown_id_lookup_is_a_mesh_error(self):
         with pytest.raises(MeshError, match="no node with id 9"):
             y_mesh().indices([2, 9])
