@@ -74,7 +74,6 @@ class Geometry:
     mesh: object
     profile: object
     channel: object | None
-    fingerprint: str
 
 
 def _section(cfg: dict, name: str, required: bool = True) -> dict:
@@ -183,10 +182,10 @@ def build_geometry(cfg: dict, model: ModelSpec) -> Geometry:
         levels = _read(section, "levels", int, 0, "a whole number")
         if levels:
             mesh = refine(mesh, levels)
-        return Geometry(mesh, TabulatedRadius(), None, _fingerprint(mesh))
+        return Geometry(mesh, TabulatedRadius(), None)
     elif kind in TREE_BUILDERS:
         mesh = TREE_BUILDERS[kind](_read(section, "levels", int, 0, "a whole number"))
-        return Geometry(mesh, TabulatedRadius(), None, _fingerprint(mesh))
+        return Geometry(mesh, TabulatedRadius(), None)
     else:
         known = "cone, sinusoid, file, " + ", ".join(sorted(TREE_BUILDERS))
         raise ConfigError(f"unknown geometry kind {kind!r}; choose one of: {known}")
@@ -197,10 +196,11 @@ def build_geometry(cfg: dict, model: ModelSpec) -> Geometry:
     if n < 3:
         raise ConfigError(f"'n' must be at least 3, got {n}")
     mesh = channel.mesh(n)
-    return Geometry(mesh, channel.profile(), channel, _fingerprint(mesh))
+    return Geometry(mesh, channel.profile(), channel)
 
 
 def _fingerprint(mesh) -> str:
+    """SHA-256 of the mesh text; only ``simulate`` records it."""
     return hashlib.sha256(format_mesh(mesh).encode()).hexdigest()
 
 
@@ -327,7 +327,7 @@ def cmd_simulate(cfg: dict, out_override: str | None, force: bool) -> int:
         "config": cfg,
         "model": model.kind.value,
         "dt_max": float(report.dt_max) if report is not None else None,
-        "geometry_sha256": geometry.fingerprint,
+        "geometry_sha256": _fingerprint(geometry.mesh),
         "nodes": geometry.mesh.n_nodes,
         "steps": int(round(t_end / dt)),
         "step_time_s": traj.step_time_s,
@@ -410,7 +410,7 @@ def cmd_convergence(cfg: dict, out_override: str | None, force: bool) -> int:
             meshes = refinement_ladder(geometry.mesh, levels + 1)
 
         def initial(mesh):
-            bundle = Geometry(mesh, geometry.profile, None, "")
+            bundle = Geometry(mesh, geometry.profile, None)
             return build_initial(cfg, bundle)
 
         result = tree_convergence(

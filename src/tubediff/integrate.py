@@ -101,14 +101,21 @@ class ConstraintPolicy:
         return (idx + mesh.n_nodes * np.arange(copies)[:, None]).ravel()
 
     def adjust(self, mesh: NetworkMesh, c: np.ndarray, base: np.ndarray) -> np.ndarray:
-        return self.clamp(c, base, self.where(mesh))
+        where = self.where(mesh)
+        return self.flux(base, *self.masks(c, where), where)
 
-    def clamp(self, c: np.ndarray, base: np.ndarray, where) -> np.ndarray:
-        """``base`` with the thresholds applied at the positions ``where``."""
+    def masks(self, c: np.ndarray, where) -> tuple[np.ndarray, np.ndarray]:
+        """Which of the positions ``where`` lie above ``c_hi`` and which below ``c_lo``."""
+        level = c[where]
+        return level > self.c_hi, level < self.c_lo
+
+    def flux(self, base: np.ndarray, high: np.ndarray, low: np.ndarray, where) -> np.ndarray:
+        """``base`` with the thresholds applied at the positions ``where``,
+        given their ``masks``."""
         out = base.copy()
-        sub, level = out[where], c[where]
-        sub[level > self.c_hi] = -self.outflow_strength
-        sub[level < self.c_lo] = 0.0
+        sub = out[where]
+        sub[high] = -self.outflow_strength
+        sub[low] = 0.0
         out[where] = sub
         return out
 
@@ -136,24 +143,20 @@ class Trajectory:
         return math.pi * self.radii**2 * self.states[k]
 
     def to_csv(self, path) -> None:
-        """One row per snapshot and node; floats keep full precision."""
-        cols = "t,node_id,x_arc,c,G"
-        if self.fluxes is not None:
-            cols += ",J"
-        lines = [cols]
-        ids, arc = self.mesh.node_ids.tolist(), self.mesh.arc_lengths()
-        for k, t in enumerate(self.times):
-            big_g = self.tube_contents(k)
-            for i in range(self.mesh.n_nodes):
-                row = (
-                    f"{float(t)!r},{ids[i]},{float(arc[i])!r},"
-                    f"{float(self.states[k, i])!r},{float(big_g[i])!r}"
-                )
-                if self.fluxes is not None:
-                    row += f",{float(self.fluxes[k, i])!r}"
-                lines.append(row)
+        """One row per snapshot and node, written a snapshot at a time;
+        floats keep full precision."""
+        heads = [f"{i},{x!r}" for i, x in zip(self.mesh.node_ids.tolist(),
+                                               self.mesh.arc_lengths().tolist())]
+        big_g = math.pi * self.radii**2 * self.states
         with open(path, "w") as f:
-            f.write("\n".join(lines) + "\n")
+            f.write("t,node_id,x_arc,c,G" + (",J\n" if self.fluxes is not None else "\n"))
+            for k, t in enumerate(self.times.tolist()):
+                rows = zip(heads, self.states[k].tolist(), big_g[k].tolist())
+                if self.fluxes is None:
+                    f.write("".join(f"{t!r},{h},{c!r},{g!r}\n" for h, c, g in rows))
+                else:
+                    f.write("".join(f"{t!r},{h},{c!r},{g!r},{j!r}\n"
+                                    for (h, c, g), j in zip(rows, self.fluxes[k].tolist())))
 
 
 def trapezoid_weights(mesh: NetworkMesh) -> np.ndarray:
@@ -176,9 +179,9 @@ def step(
     return out
 
 
-# one precomputed Neumann block holds at most this many doubles (256 KB);
-# 1 MB blocks were no faster and added 1.3 MB to the peak RSS of a
-# seven-model compare on 160 nodes
+# one precomputed Neumann block, and the table of lateral sources, hold at
+# most this many doubles (256 KB); 1 MB blocks were no faster and added
+# 1.3 MB to the peak RSS of a seven-model compare on 160 nodes
 CHUNK_VALUES = 2**15
 
 
@@ -244,8 +247,9 @@ def run_models(
     system, so each forward-Euler step is one matrix-vector product for
     all of them.  The end slopes are evaluated for a chunk of steps at a
     time (chunks end at every snapshot), and the state is checked for
-    finiteness at the end of every chunk.  Every model's states equal,
-    bit for bit, those of a one-step-at-a-time march.
+    finiteness at the end of every chunk.  The lateral source is computed
+    once per schedule window and threshold pattern.  Every model's states
+    equal, bit for bit, those of a one-step-at-a-time march.
     """
     specs = tuple(specs)
     if not specs:
@@ -292,23 +296,38 @@ def run_models(
         base, next_edge = _schedule(lateral, mesh, copies, 0.0)
     c = np.tile(c0, copies)
     j = None
+    table: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
     snap_steps = _distinct(np.round(np.linspace(0, n_steps, n_snapshots)).astype(int))
     snap_set = set(snap_steps.tolist())
     times, states, fluxes = [], [], []
 
-    def wall_flux(k: int) -> np.ndarray:
+    def wall_flux(k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Wall flux and lateral source at step k, looked up by the threshold
+        masks in a table of the current window's fluxes."""
         nonlocal base, next_edge
         t = k * dt
         if t >= next_edge:
             base, next_edge = _schedule(lateral, mesh, copies, t)
-        return base if policy is None else policy.clamp(c, base, where)
+            table.clear()
+        high = low = None
+        key = b""
+        if policy is not None:
+            high, low = policy.masks(c, where)
+            key = high.tobytes() + low.tobytes()
+        hit = table.get(key)
+        if hit is None:
+            if (len(table) + 1) * 2 * c.size > CHUNK_VALUES:
+                table.clear()
+            flux = base if policy is None else policy.flux(base, high, low, where)
+            hit = table[key] = (flux, lat_matvec(flux).copy())
+        return hit
 
     def record(k: int) -> None:
         times.append(k * dt)
         states.append(c.copy())
         if lateral is not None:
-            fluxes.append(j.copy())
+            fluxes.append(j)
 
     start = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -320,14 +339,14 @@ def run_models(
                 b[:, live] = (neumann_live @ g.T).T
             for k in range(k0, k1):
                 if lateral is not None:
-                    j = wall_flux(k)
+                    j, source = wall_flux(k)
                 if k == k0 and k in snap_set:
                     record(k)
                 rhs = matvec(c)
                 if b is not None:
                     rhs += b[k - k0]
                 if lateral is not None:
-                    rhs += lat_matvec(j)
+                    rhs += source
                 rhs /= mass
                 rhs *= dt
                 c += rhs
@@ -339,7 +358,7 @@ def run_models(
                     "reduce dt or check data"
                 )
         if lateral is not None:
-            j = wall_flux(n_steps)
+            j = wall_flux(n_steps)[0]
         record(n_steps)
     march_s = time.perf_counter() - start
 

@@ -56,7 +56,8 @@ def _raise_first(checks) -> None:
 
 
 def _radius_check(ids: np.ndarray, radii: np.ndarray):
-    return ~(radii > 0.0), lambda i: f"node {ids[i]}: radius must be positive, got {radii[i]}"
+    return (~((radii > 0.0) & (radii < math.inf)),
+            lambda i: f"node {ids[i]}: radius must be positive and finite, got {radii[i]}")
 
 
 class NetworkMesh:
@@ -94,7 +95,10 @@ class NetworkMesh:
         repeat = np.zeros(n, dtype=bool)
         repeat[self._order[1:][self._sorted[1:] == self._sorted[:-1]]] = True
         _raise_first([(repeat, lambda i: f"duplicate node id {ids[i]}"),
-                      _radius_check(ids, radii)])
+                      _radius_check(ids, radii),
+                      (~np.isfinite(positions).all(axis=1),
+                       lambda i: f"node {ids[i]}: position must be finite, "
+                                 f"got {positions[i].tolist()}")])
 
         ends, known = self._lookup(pairs)
         a, b = pairs[:, 0], pairs[:, 1]
@@ -104,15 +108,17 @@ class NetworkMesh:
         repeat[by_pair[1:]] = (np.diff(lo[by_pair]) == 0) & (np.diff(hi[by_pair]) == 0)
         missing = np.isnan(lengths)
         if missing.any():
-            d = positions[ends[missing, 1]] - positions[ends[missing, 0]]
+            with np.errstate(over="ignore"):  # an infinite length is refused below
+                d = positions[ends[missing, 1]] - positions[ends[missing, 0]]
             lengths[missing] = [np.linalg.norm(v) for v in d]  # a batched norm rounds apart
         _raise_first([
             (~known[:, 0], lambda k: f"edge ({a[k]}, {b[k]}) references unknown node {a[k]}"),
             (~known[:, 1], lambda k: f"edge ({a[k]}, {b[k]}) references unknown node {b[k]}"),
             (a == b, lambda k: f"edge ({a[k]}, {b[k]}) is a self-loop"),
             (repeat, lambda k: f"duplicate edge between {a[k]} and {b[k]} creates a cycle"),
-            (~(lengths > 0.0),
-             lambda k: f"edge ({a[k]}, {b[k]}): length must be positive, got {lengths[k]}"),
+            (~((lengths > 0.0) & (lengths < math.inf)),
+             lambda k: f"edge ({a[k]}, {b[k]}): length must be positive and finite, "
+                       f"got {lengths[k]}"),
         ])
 
         root = int(root)
@@ -384,9 +390,10 @@ def interval_mesh(x0: float, x1: float, n: int, profile) -> NetworkMesh:
     radii = np.ones(len(xs))
     if getattr(profile, "analytic", False):
         radii[:] = [profile.radius(x) for x in xs.tolist()]
-        bad = np.flatnonzero(~(radii > 0.0))
+        bad = np.flatnonzero(~((radii > 0.0) & (radii < math.inf)))
         if len(bad):
-            raise MeshError(f"profile radius is nonpositive at x={xs[bad[0]]}")
+            raise MeshError(f"profile radius is not positive and finite at x={xs[bad[0]]}"
+                            f" (got {radii[bad[0]]})")
     positions = np.zeros((len(xs), 3))
     positions[:, 0] = xs
     ids = np.arange(len(xs))

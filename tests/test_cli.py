@@ -5,6 +5,7 @@ console output, and the CSV artifacts.  Heavyweight experiment configs
 are exercised by the acceptance suite; here the runs are kept short.
 """
 
+import hashlib
 import math
 import os
 import re
@@ -18,8 +19,8 @@ import yaml
 
 import tubediff
 from tubediff.cli import main
-from tubediff.geometry import constricted_tree
-from tubediff.network import NetworkMesh
+from tubediff.geometry import ball_on_stick, constricted_tree
+from tubediff.network import NetworkMesh, format_mesh
 
 CONFIGS = "configs"
 
@@ -113,6 +114,24 @@ class TestConfigErrors:
         assert len(lines) == 1 and f"'{key}'" in lines[0], lines
 
 
+    @pytest.mark.parametrize("edit, words", [
+        (("edge 1 2 1.0", "edge 1 2 inf"), "edge (1, 2): length must be positive and finite"),
+        (("node 2 2.0 0.0 0.0 1.0", "node 2 2.0 0.0 0.0 inf"),
+         "node 2: radius must be positive and finite"),
+    ])
+    def test_non_finite_geometry_is_one_error_line(self, tmp_path, capsys, edit, words):
+        chain = ("node 0 0.0 0.0 0.0 1.0\nnode 1 1.0 0.0 0.0 1.0\nnode 2 2.0 0.0 0.0 1.0\n"
+                 "edge 0 1 1.0\nedge 1 2 1.0\nroot 0\n")
+        (tmp_path / "chain.geom").write_text(chain.replace(*edit))
+        doc = small_channel(geometry={"kind": "file", "path": str(tmp_path / "chain.geom")})
+        doc["run"].update(dt=0.1, t_end=1.0)
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and words in line
+        assert not (tmp_path / "trajectory.csv").exists()
+
+
 class TestStabilityCheck:
     def test_cable_at_the_limit_passes_on_the_boundary(self, capsys):
         code = main(["stability-check", "--config",
@@ -129,6 +148,12 @@ class TestStabilityCheck:
         assert code == 1
         assert "FAIL" in out
         assert "binding node" in out
+
+    def test_formats_no_mesh_text(self, monkeypatch, capsys):
+        # only simulate records the geometry's fingerprint
+        monkeypatch.setattr("tubediff.cli.format_mesh", None)
+        assert main(["stability-check", "--config",
+                     f"{CONFIGS}/ball_on_stick_regulated.yaml"]) == 0
 
     def test_steep_cone_reports_finite_dt_max(self, capsys):
         code = main(["stability-check", "--config",
@@ -151,7 +176,8 @@ class TestSimulate:
         assert manifest["steps"] == 12000
         assert manifest["dt_max"] > 5.0e-4
         assert manifest["step_time_s"] > 0.0
-        assert re.fullmatch(r"[0-9a-f]{64}", manifest["geometry_sha256"])
+        mesh = ball_on_stick(1)
+        assert manifest["geometry_sha256"] == hashlib.sha256(format_mesh(mesh).encode()).hexdigest()
 
     def test_reruns_are_byte_identical(self, tmp_path):
         for sub in ("a", "b"):

@@ -22,10 +22,12 @@ from tubediff.integrate import (
     step,
     trapezoid_weights,
 )
+from tubediff.sparse import matvec_into
 from tubediff.models import ModelKind, ModelSpec
 from tubediff.network import ConeRadius, TabulatedRadius, interval_mesh
 from tubediff.verify import ConeChannel, SinusoidChannel, exact_boundary
 
+from tests.csv_reference import reference_csv
 from tests.test_network import chain_mesh, y_mesh
 
 SIMPLE = ModelSpec(ModelKind.SIMPLE_DIFFUSION)
@@ -130,6 +132,54 @@ class TestBatchedMarch:
         assert_matches_reference(trajs, specs, mesh, TabulatedRadius(), **kwargs)
         # the band policy really acted
         assert (trajs[1].fluxes == -2.0).any() and (trajs[1].fluxes == 0.0).any()
+
+    @pytest.mark.parametrize("entries", [None, 3])
+    def test_chattering_policy_reuses_lateral_products(self, monkeypatch, entries):
+        mesh = ball_on_stick(1)
+        if entries is not None:  # a table of `entries` patterns, so it is cleared often
+            monkeypatch.setattr(integrate, "CHUNK_VALUES", entries * 2 * 2 * mesh.n_nodes)
+        calls = []
+
+        def counting_matvec_into(m):
+            apply, k = matvec_into(m), len(calls)
+            calls.append(0)
+
+            def counted(x):
+                calls[k] += 1
+                return apply(x)
+            return counted
+
+        patterns, masks = [], ConstraintPolicy.masks
+
+        def recorded_masks(policy, c, where):
+            high, low = masks(policy, c, where)
+            t = calls[0] * dt  # the stacked product runs once per step, after this
+            patterns.append((int(t >= 0.3) + int(t >= 0.5), high.tobytes() + low.tobytes()))
+            return high, low
+
+        monkeypatch.setattr(integrate, "matvec_into", counting_matvec_into)
+        monkeypatch.setattr(ConstraintPolicy, "masks", recorded_masks)
+        field = LateralFluxField((
+            FluxWindow((11, 12, 13), 3.0, t_start=0.0, t_end=0.3),
+            FluxWindow((23, 31, 23), -2.0, t_start=0.5),
+        ))
+        specs, n_steps, dt = (FJ, EF), 2000, 5.0e-4
+        kwargs = dict(dt=dt, t_end=n_steps * dt, initial=5.0, lateral=field,
+                      policy=ConstraintPolicy(node_ids=(23, 12, 11, 23, 31, 2),
+                                              c_hi=5.02, c_lo=4.98),
+                      n_snapshots=7)
+        trajs = run_models(mesh, TabulatedRadius(), specs, **kwargs)
+        monkeypatch.undo()
+        assert_matches_reference(trajs, specs, mesh, TabulatedRadius(), **kwargs)
+        # the stacked matrix every step, then the lateral map a few times
+        assert len(calls) == 2 and calls[0] == n_steps
+        # patterns are keyed by window: the windows switch at t = 0.3 and 0.5
+        flips = sum(a != b for a, b in zip(patterns, patterns[1:]))
+        assert flips > n_steps / 4  # the policy chatters ...
+        if entries is None:  # ... yet each (window, pattern) costs one product
+            assert calls[1] == len(set(patterns)) < n_steps / 10
+        else:
+            assert len(set(patterns)) < calls[1] < flips  # cleared, and still reused
 
     def test_chunks_that_split_snapshot_intervals(self, monkeypatch):
         channel = ConeChannel(taper=1.0)
@@ -401,6 +451,19 @@ class TestCsvOutput:
         path = tmp_path / "out.csv"
         traj.to_csv(path)
         assert path.read_text().startswith("t,node_id,x_arc,c,G,J\n")
+
+    @pytest.mark.parametrize("lateral", [False, True])
+    def test_bytes_equal_the_reference_writer(self, tmp_path, lateral):
+        mesh = ball_on_stick(1)
+        field = LateralFluxField((FluxWindow((11, 12), 3.0, t_end=0.01),)) if lateral else None
+        x = mesh.arc_lengths()
+        traj = run(mesh, TabulatedRadius(), EF, dt=5.0e-4, t_end=0.02,
+                   initial=5.0 + np.sin(x), lateral=field,
+                   policy=ConstraintPolicy(c_hi=5.5, c_lo=4.5) if lateral else None,
+                   n_snapshots=5)
+        path = tmp_path / "out.csv"
+        traj.to_csv(path)
+        assert path.read_bytes() == reference_csv(traj).encode()
 
     def test_identical_runs_write_identical_bytes(self, tmp_path):
         mesh = y_mesh()

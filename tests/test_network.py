@@ -112,6 +112,22 @@ root 0
         with pytest.raises(MeshError, match=r"edge \(1, 1\) is a self-loop"):
             mesh_from(nodes, [(0, 1), (1, 1), (0, 7)], root=0)
 
+    @pytest.mark.parametrize("old, new, words", [
+        ("edge 0 1", "edge 0 1 inf", r"edge \(0, 1\): length must be positive and finite, got inf"),
+        ("node 1 1.0 0.0 0.0 1.0", "node 1 1.0 0.0 0.0 inf",
+         "node 1: radius must be positive and finite, got inf"),
+        ("node 1 1.0 0.0 0.0 1.0", "node 1 1.0 nan 0.0 1.0", "node 1: position must be finite"),
+        ("node 1 1.0 0.0 0.0 1.0", "node 1 -inf 0.0 0.0 1.0", "node 1: position must be finite"),
+        # finite ends whose distance overflows: the filled-in length is checked too
+        ("0.0 0.0 0.0 1.0\nnode 1 1.0", "-1e308 0.0 0.0 1.0\nnode 1 1e308",
+         r"edge \(0, 1\): length must be positive and finite, got inf"),
+    ])
+    def test_non_finite_geometry_names_the_node_or_edge(self, old, new, words):
+        doc = TWO_NODE_DOC.replace(old, new)
+        assert doc != TWO_NODE_DOC
+        with pytest.raises(MeshError, match=words):
+            load_mesh(doc)
+
     def test_id_beyond_64_bits_is_a_mesh_error(self):
         huge = 2**64
         doc = TWO_NODE_DOC.replace("node 1 ", f"node {huge} ")
@@ -153,6 +169,8 @@ class TestWithRadii:
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(MeshError, match="node 3: radius must be positive"):
             y_mesh().with_radii([1.0, 1.0, 1.0, 0.0, 1.0, 1.0])
+        with pytest.raises(MeshError, match="node 4: radius must be positive and finite"):
+            y_mesh().with_radii([1.0, 1.0, 1.0, 1.0, math.inf, 1.0])
 
 
 class TestRefine:
@@ -318,3 +336,8 @@ class TestIntervalMesh:
     def test_sinusoid_domain_must_keep_radius_positive(self):
         with pytest.raises(MeshError):
             interval_mesh(0.0, 10.0, 20, SinusoidRadius(0.5))  # sin crosses zero
+
+    def test_infinite_profile_radius_is_refused(self):
+        # 1 + 1e308 * x overflows at the last node only
+        with pytest.raises(MeshError, match=r"not positive and finite at x=2.0 \(got inf\)"):
+            interval_mesh(0.0, 2.0, 5, ConeRadius(1e308))

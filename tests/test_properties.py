@@ -163,9 +163,9 @@ def broken_specs(draw):
     elif fault == "self-loop":
         edges[k] = (a, a, length)
     elif fault == "radius":
-        nodes[i] = nodes[i][:2] + (draw(st.sampled_from([0.0, -0.0, -1.5])),)
+        nodes[i] = nodes[i][:2] + (draw(st.sampled_from([0.0, -0.0, -1.5, np.inf])),)
     elif fault == "length":
-        edges[k] = (a, b, draw(st.sampled_from([0.0, -0.0, -0.5])))
+        edges[k] = (a, b, draw(st.sampled_from([0.0, -0.0, -0.5, np.inf])))
     elif fault == "disconnected":
         # close a cycle over a two-edge walk; the edge count stays right
         walks = mesh_from(nodes, edges, root).walks
