@@ -113,7 +113,6 @@ class TestConfigErrors:
         lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
         assert len(lines) == 1 and f"'{key}'" in lines[0], lines
 
-
     @pytest.mark.parametrize("edit, words", [
         (("edge 1 2 1.0", "edge 1 2 inf"), "edge (1, 2): length must be positive and finite"),
         (("node 2 2.0 0.0 0.0 1.0", "node 2 2.0 0.0 0.0 inf"),
@@ -176,8 +175,8 @@ class TestSimulate:
         assert manifest["steps"] == 12000
         assert manifest["dt_max"] > 5.0e-4
         assert manifest["step_time_s"] > 0.0
-        mesh = ball_on_stick(1)
-        assert manifest["geometry_sha256"] == hashlib.sha256(format_mesh(mesh).encode()).hexdigest()
+        text = format_mesh(ball_on_stick(1))
+        assert manifest["geometry_sha256"] == hashlib.sha256(text.encode()).hexdigest()
 
     def test_reruns_are_byte_identical(self, tmp_path):
         for sub in ("a", "b"):

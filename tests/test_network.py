@@ -113,7 +113,8 @@ root 0
             mesh_from(nodes, [(0, 1), (1, 1), (0, 7)], root=0)
 
     @pytest.mark.parametrize("old, new, words", [
-        ("edge 0 1", "edge 0 1 inf", r"edge \(0, 1\): length must be positive and finite, got inf"),
+        ("edge 0 1", "edge 0 1 inf",
+         r"edge \(0, 1\): length must be positive and finite, got inf"),
         ("node 1 1.0 0.0 0.0 1.0", "node 1 1.0 0.0 0.0 inf",
          "node 1: radius must be positive and finite, got inf"),
         ("node 1 1.0 0.0 0.0 1.0", "node 1 1.0 nan 0.0 1.0", "node 1: position must be finite"),
