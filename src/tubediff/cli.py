@@ -44,7 +44,7 @@ from .integrate import (
     run,
     trapezoid_weights,
 )
-from .models import MODEL_NAMES, ModelSpec
+from .models import ModelSpec
 from .network import MeshError, TabulatedRadius, format_mesh, read_mesh, refine
 from .stability import check_model
 from .verify import (
@@ -52,6 +52,7 @@ from .verify import (
     SinusoidChannel,
     channel_convergence,
     exact_boundary,
+    fitted_slope,
     model_errors,
     refinement_ladder,
     tree_convergence,
@@ -87,7 +88,14 @@ def _section(cfg: dict, name: str, required: bool = True) -> dict:
     return value
 
 
-def _read(section: dict, key: str, convert=float, default=None, what="a number"):
+def _finite(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{number} is not finite")
+    return number
+
+
+def _read(section: dict, key: str, convert=_finite, default=None, what="a finite number"):
     """``convert`` applied to ``section[key]`` (``default`` when absent);
     a value it cannot take becomes a ConfigError naming the key."""
     value = section.get(key, default)
@@ -135,12 +143,8 @@ def build_model(cfg: dict) -> ModelSpec:
         entry = {"name": entry}
     if not isinstance(entry, dict):
         raise ConfigError(f"'model' must be a name or a mapping, got {entry!r}")
-    name = entry.get("name")
-    if name not in MODEL_NAMES:
-        known = ", ".join(sorted(MODEL_NAMES))
-        raise ConfigError(f"unknown model {name!r}; choose one of: {known}")
-    return ModelSpec(
-        MODEL_NAMES[name],
+    return ModelSpec.from_name(
+        entry.get("name"),
         d0=_read(entry, "d0", default=1.0),
         epsilon=_read(entry, "epsilon", default=1.0),
     )
@@ -149,6 +153,9 @@ def build_model(cfg: dict) -> ModelSpec:
 def build_geometry(cfg: dict, model: ModelSpec) -> Geometry:
     section = _section(cfg, "geometry")
     kind = section.get("kind")
+    known = ("cone", "sinusoid", "file", *sorted(TREE_BUILDERS))
+    if not (isinstance(kind, str) and kind in known):
+        raise ConfigError(f"unknown geometry kind {kind!r}; choose one of: {', '.join(known)}")
     if kind == "cone":
         channel = ConeChannel(
             taper=_read(section, "taper", default=0.0),
@@ -183,12 +190,9 @@ def build_geometry(cfg: dict, model: ModelSpec) -> Geometry:
         if levels:
             mesh = refine(mesh, levels)
         return Geometry(mesh, TabulatedRadius(), None)
-    elif kind in TREE_BUILDERS:
+    else:
         mesh = TREE_BUILDERS[kind](_read(section, "levels", int, 0, "a whole number"))
         return Geometry(mesh, TabulatedRadius(), None)
-    else:
-        known = "cone, sinusoid, file, " + ", ".join(sorted(TREE_BUILDERS))
-        raise ConfigError(f"unknown geometry kind {kind!r}; choose one of: {known}")
 
     if section.get("n") is None:
         raise ConfigError(f"{kind} geometry needs 'n'")
@@ -240,8 +244,8 @@ def build_boundary(cfg: dict, geometry: Geometry) -> BoundaryData | None:
         if not isinstance(entries, dict) or not entries:
             raise ConfigError("boundary kind 'slopes' needs a 'slopes' mapping")
         return BoundaryData(_read(section, "slopes",
-                                  lambda m: {int(k): float(v) for k, v in m.items()},
-                                  what="a mapping of leaf ids to numbers"))
+                                  lambda m: {int(k): _finite(v) for k, v in m.items()},
+                                  what="a mapping of leaf ids to finite numbers"))
     raise ConfigError(f"unknown boundary kind {kind!r}; "
                       "choose one of: closed, exact, slopes")
 
@@ -260,7 +264,7 @@ def build_lateral(cfg: dict) -> LateralFluxField | None:
             _read(entry, "nodes", _ints, what="a list of node ids"),
             _read(entry, "strength"),
             t_start=_read(entry, "from", default=0.0),
-            t_end=_read(entry, "until", default=np.inf),
+            t_end=_read(entry, "until", float, np.inf, "a number"),
         ))
     return LateralFluxField(tuple(windows))
 
@@ -313,7 +317,7 @@ def cmd_simulate(cfg: dict, out_override: str | None, force: bool) -> int:
         lateral=lateral, policy=policy, n_snapshots=snapshots, force=force,
     )
     report = traj.stability
-    if force and report is not None and not report.passed:
+    if force and not report.passed:
         print(f"warning: dt={dt:g} exceeds the stable limit "
               f"dt_max={report.dt_max:g}; marching anyway (--force)",
               file=sys.stderr)
@@ -326,14 +330,14 @@ def cmd_simulate(cfg: dict, out_override: str | None, force: bool) -> int:
         "written": datetime.now(timezone.utc).isoformat(),
         "config": cfg,
         "model": model.kind.value,
-        "dt_max": float(report.dt_max) if report is not None else None,
+        "dt_max": float(report.dt_max),
         "geometry_sha256": _fingerprint(geometry.mesh),
         "nodes": geometry.mesh.n_nodes,
         "steps": int(round(t_end / dt)),
         "step_time_s": traj.step_time_s,
         "tube_contents": _contents_ledger(traj),
         "notes": list(traj.notes),
-        "warnings": list(report.warnings) if report is not None else [],
+        "warnings": list(report.warnings),
     }
     with open(out / "manifest.yaml", "w") as fh:
         yaml.safe_dump(manifest, fh, sort_keys=False)
@@ -360,14 +364,14 @@ def cmd_compare(cfg: dict, out_override: str | None, force: bool) -> int:
     names = _section(cfg, "compare").get("models")
     if not isinstance(names, list) or not names:
         raise ConfigError("'compare' section needs a nonempty 'models' list")
-    unknown = [n for n in names if n not in MODEL_NAMES]
-    if unknown:
-        raise ConfigError(f"unknown models in 'compare': {', '.join(map(str, unknown))}")
+    try:
+        specs = [ModelSpec.from_name(name, d0=base.d0, epsilon=base.epsilon)
+                 for name in names]
+    except ValueError as exc:
+        raise ConfigError(f"'compare' section: {exc}") from None
 
     dt = _positive(section, "dt")
     t_end = _positive(section, "t_end")
-    specs = [ModelSpec(MODEL_NAMES[name], d0=base.d0, epsilon=base.epsilon)
-             for name in names]
     errors = model_errors(geometry.channel, specs, mesh=geometry.mesh,
                           dt=dt, t_end=t_end, force=force)
 
@@ -422,13 +426,10 @@ def cmd_convergence(cfg: dict, out_override: str | None, force: bool) -> int:
         fh.write("level,N,dx,l1,slope\n")
         for k, (n, dx, err) in enumerate(zip(result.ns, result.spacings,
                                              result.errors)):
-            if k == 0:
-                slope = ""
-            else:
-                pair = np.polyfit(
-                    np.log([result.spacings[k - 1], dx]),
-                    np.log([result.errors[k - 1], err]), 1)[0]
-                slope = repr(float(pair))
+            slope = ""
+            if k > 0:
+                pair = slice(k - 1, k + 1)
+                slope = repr(fitted_slope(result.spacings[pair], result.errors[pair]))
             fh.write(f"{k},{n},{dx!r},{err!r},{slope}\n")
     print(f"wrote {csv_path}  (fitted slope {result.slope:.3f})")
     return 0

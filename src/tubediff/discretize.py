@@ -25,14 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tubediff.network import NetworkMesh, upwind_stencil
+from tubediff.network import MeshError, NetworkMesh, upwind_stencil
 from tubediff.sparse import CSR, build, scale_rows
 from tubediff.models import (
     ModelKind,
     ModelSpec,
     diffusion_coefficient,
     effj_mass_factor,
-    kalinay_mass_factors,
+    kalinay_g,
 )
 
 
@@ -74,12 +74,6 @@ class SpatialOperator:
         if source is not None:
             rhs = rhs + source
         return rhs / self.mass_diag
-
-
-def local_spacings(mesh: NetworkMesh) -> np.ndarray:
-    """Node-local grid spacing: arithmetic mean of incident edge lengths."""
-    degree, lengths, _ = mesh.incident_sums()
-    return lengths / degree
 
 
 # ----------------------------------------------------------------------
@@ -167,7 +161,7 @@ def wind_stencils(mesh: NetworkMesh, radii: np.ndarray, slopes: np.ndarray):
     side offers no two-edge path the stencil degrades to a first-order
     single-edge difference and the degradation is reported in the notes.
 
-    Returns ``(rows, cols, weights, radius_slope, first_order, notes)``:
+    Returns ``(rows, cols, weights, radius_slope, notes)``:
     one stencil per entry of ``rows``, ordered by row.  ``cols`` (m x 3)
     walks outward from the row's node and ``weights`` (m x 3) are the
     matching derivative weights (a first-order stencil pads its third
@@ -197,7 +191,6 @@ def wind_stencils(mesh: NetworkMesh, radii: np.ndarray, slopes: np.ndarray):
     cols = np.concatenate([np.stack([o, i1, i2], axis=1), np.stack([i, j, i], axis=1)])
     weights = np.concatenate([np.stack([a0, a1, a2], axis=1),
                               np.stack([-1.0 / dx, 1.0 / dx, np.zeros_like(dx)], axis=1)])
-    first_order = np.repeat([False, True], [len(o), len(i)])
     radius_slope = np.concatenate([path_slope, edge_slope])
 
     sideless = np.bincount(i, minlength=n) == 0
@@ -205,8 +198,7 @@ def wind_stencils(mesh: NetworkMesh, radii: np.ndarray, slopes: np.ndarray):
         f"{'no-upwind-side' if sideless[k] else 'first-order-upwind'} node={mesh.node_ids[k]}"
         for k in np.flatnonzero(fallback)
     )
-    return (stencil_rows[order], cols[order], weights[order], radius_slope[order],
-            first_order[order], notes)
+    return stencil_rows[order], cols[order], weights[order], radius_slope[order], notes
 
 
 # ----------------------------------------------------------------------
@@ -238,12 +230,10 @@ class Fields:
     """Stencils and coefficient fields of one mesh and radius profile.
 
     :func:`fields` builds one record per (mesh, profile); assembly, the
-    lateral map, the Kalinay mass factors and the stability screen all
-    read it.  ``slopes`` is ``slope @ radii``.  Arrays and sparse parts
-    are shared and read-only.
+    lateral map and the stability screen all read it.  ``slopes`` is
+    ``slope @ radii``.  Arrays and sparse parts are shared and read-only.
     """
 
-    profile: object
     radii: np.ndarray
     slopes: np.ndarray
     spacings: np.ndarray       # mean incident edge length
@@ -251,7 +241,7 @@ class Fields:
     inverse_sums: np.ndarray   # sum of their reciprocals
     slope: CSR
     laplacian: tuple[CSR, CSR]
-    wind: tuple[np.ndarray, ...]  # rows, cols, weights, radius_slope, first_order
+    wind: tuple[np.ndarray, ...]  # rows, cols, weights, radius_slope
     wind_notes: tuple[str, ...]
     mesh_ref: weakref.ref      # weak, so the record never keeps its mesh alive
 
@@ -272,13 +262,24 @@ class Fields:
 
     def wind_coefficients(self, diff: np.ndarray) -> np.ndarray:
         """Per-stencil factor D (2/R) dR/ds on the upwind weights."""
-        rows, _, _, radius_slope, _ = self.wind
+        rows, _, _, radius_slope = self.wind
         return diff[rows] * (2.0 / self.radii[rows]) * radius_slope
 
     def mass(self, spec: ModelSpec) -> np.ndarray:
-        """Per-node factor on the time derivative of a model."""
+        """Per-node factor on the time derivative of a model.
+
+        The temporal model's factor is 1 + g'(x): g is evaluated at every
+        node from the central radius slope, then differentiated with the
+        same slope matrix.  g depends on the absolute axial coordinate, so
+        node x positions must carry it, which restricts that model to
+        unbranched channels.
+        """
         if spec.kind is ModelKind.KALINAY_TEMPORAL:
-            return kalinay_mass_factors(self.mesh_ref(), self.profile, spec.epsilon)
+            mesh = self.mesh_ref()
+            if mesh.degree.max() > 2:
+                raise MeshError("the temporally corrected model is only defined "
+                                "on unbranched channels")
+            return 1.0 + self.slope @ kalinay_g(mesh.positions[:, 0], self.slopes, spec.epsilon)
         if spec.kind is ModelKind.EXPANDED_FLUX:
             return effj_mass_factor(self.spacings, self.radii, self.slopes)
         return np.ones(len(self.radii))
@@ -288,13 +289,12 @@ def _build_fields(mesh: NetworkMesh, profile) -> Fields:
     radii = _read_only(profile.radii(mesh))
     slope = _per_mesh(mesh, slope_matrix)
     slopes = _read_only(slope @ radii)
-    _, lengths, inverses = mesh.incident_sums()
+    degree, lengths, inverses = mesh.incident_sums()
     *wind, notes = wind_stencils(mesh, radii, slopes)
     return Fields(
-        profile=profile,
         radii=radii,
         slopes=slopes,
-        spacings=_read_only(local_spacings(mesh)),
+        spacings=_read_only(lengths / degree),
         edge_sums=_read_only(lengths),
         inverse_sums=_read_only(inverses),
         slope=slope,
@@ -322,7 +322,7 @@ def advection_parts(
     n = mesh.n_nodes
     f = fields(mesh, profile)
     diff = f.diffusivity(spec)
-    rows, cols, weights, _, _ = f.wind
+    rows, cols, weights, _ = f.wind
     vals = f.wind_coefficients(diff)[:, None] * weights
     # pin the origin weight to minus the rest so the scaled row still
     # annihilates constants after rounding

@@ -100,10 +100,6 @@ class ConstraintPolicy:
         idx = _distinct(mesh.indices(self.node_ids))
         return (idx + mesh.n_nodes * np.arange(copies)[:, None]).ravel()
 
-    def adjust(self, mesh: NetworkMesh, c: np.ndarray, base: np.ndarray) -> np.ndarray:
-        where = self.where(mesh)
-        return self.flux(base, *self.masks(c, where), where)
-
     def masks(self, c: np.ndarray, where) -> tuple[np.ndarray, np.ndarray]:
         """Which of the positions ``where`` lie above ``c_hi`` and which below ``c_lo``."""
         level = c[where]

@@ -22,8 +22,6 @@ from enum import Enum
 
 import numpy as np
 
-from tubediff.network import MeshError, NetworkMesh
-
 
 class ModelKind(Enum):
     SIMPLE_DIFFUSION = "simple-diffusion"
@@ -58,12 +56,10 @@ class ModelSpec:
 
     @classmethod
     def from_name(cls, name: str, d0: float = 1.0, epsilon: float = 1.0) -> "ModelSpec":
-        try:
-            kind = MODEL_NAMES[name]
-        except KeyError:
+        if not (isinstance(name, str) and name in MODEL_NAMES):
             known = ", ".join(sorted(MODEL_NAMES))
-            raise ValueError(f"unknown model {name!r}; choose one of: {known}") from None
-        return cls(kind, d0=d0, epsilon=epsilon)
+            raise ValueError(f"unknown model {name!r}; choose one of: {known}")
+        return cls(MODEL_NAMES[name], d0=d0, epsilon=epsilon)
 
 
 def _arctan_over(u: np.ndarray) -> np.ndarray:
@@ -108,27 +104,6 @@ def kalinay_g(x, slope, epsilon: float = 1.0):
                        at / np.where(small, 1.0, u) + (u / 3.0) * at - 1.0)
     g = 0.5 * np.asarray(x, dtype=float) * bracket
     return g if g.ndim else float(g)
-
-
-def require_channel(mesh: NetworkMesh, what: str) -> None:
-    """Reject branched meshes for features defined along a single axis."""
-    if mesh.degree.max() > 2:
-        raise MeshError(f"{what} is only defined on unbranched channels")
-
-
-def kalinay_mass_factors(mesh: NetworkMesh, profile, epsilon: float = 1.0) -> np.ndarray:
-    """Per-node time-derivative factors 1 + g'(x) for the temporal model.
-
-    g is evaluated at every node from the centrally differenced radius
-    slope, then differentiated with the same slope matrix.  The weight
-    depends on the absolute axial coordinate, so node x positions must
-    carry it; that also restricts the model to unbranched channels.
-    """
-    from tubediff.discretize import fields  # discretize imports this module
-
-    require_channel(mesh, "the temporally corrected model")
-    f = fields(mesh, profile)
-    return 1.0 + f.slope @ kalinay_g(mesh.positions[:, 0], f.slopes, epsilon)
 
 
 def effj_mass_factor(dx, radius, slope):

@@ -55,6 +55,19 @@ def _raise_first(checks) -> None:
             raise MeshError(message(first))
 
 
+def _distance(v: np.ndarray) -> float:
+    """Euclidean length of ``v``, one vector at a time (a batched norm
+    rounds apart).  Where the squares overflow or underflow, the length
+    is taken again with ``v`` scaled by its largest magnitude."""
+    with np.errstate(over="ignore"):
+        length = np.linalg.norm(v)
+        if not 0.0 < length < math.inf:
+            s = np.abs(v).max()
+            if 0.0 < s < math.inf:
+                length = s * np.linalg.norm(v / s)
+    return float(length)
+
+
 def _radius_check(ids: np.ndarray, radii: np.ndarray):
     return (~((radii > 0.0) & (radii < math.inf)),
             lambda i: f"node {ids[i]}: radius must be positive and finite, got {radii[i]}")
@@ -110,7 +123,7 @@ class NetworkMesh:
         if missing.any():
             with np.errstate(over="ignore"):  # an infinite length is refused below
                 d = positions[ends[missing, 1]] - positions[ends[missing, 0]]
-            lengths[missing] = [np.linalg.norm(v) for v in d]  # a batched norm rounds apart
+            lengths[missing] = [_distance(v) for v in d]
         _raise_first([
             (~known[:, 0], lambda k: f"edge ({a[k]}, {b[k]}) references unknown node {a[k]}"),
             (~known[:, 1], lambda k: f"edge ({a[k]}, {b[k]}) references unknown node {b[k]}"),
@@ -217,10 +230,6 @@ class NetworkMesh:
         want = np.asarray(node_ids)
         slot = np.minimum(np.searchsorted(self._sorted, want), len(self._sorted) - 1)
         return self._order[slot], self._sorted[slot] == want
-
-    def parent_index(self, i: int) -> int:
-        """Toward-root neighbor index, or -1 at the root."""
-        return int(self.parent[i])
 
     def arc_lengths(self) -> np.ndarray:
         """Path distance of every node from the root."""

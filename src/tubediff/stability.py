@@ -16,14 +16,14 @@ and a node passes when |rho(pi)| <= 1.  Models that carry a mass
 factor m(x) on the time derivative are screened with the effective
 step dt / m(x).
 
-Both bounds also yield the largest admissible step; reports keep the
-per-node outcomes so a failing mesh pinpoints its binding node.
+Both bounds also yield the largest admissible step; reports name the
+binding node and the nodes that fail.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,12 +48,8 @@ class StabilityReport:
     binding_node: int
     alpha_beta: float
     advection_rho: float
-    node_pass: dict[int, bool] = field(default_factory=dict)
+    failing_nodes: list[int]
     warnings: tuple[str, ...] = ()
-
-    @property
-    def failing_nodes(self) -> list[int]:
-        return [i for i, ok in self.node_pass.items() if not ok]
 
     def as_table(self) -> str:
         head = (
@@ -74,27 +70,17 @@ def _abs_row_sums(m: CSR) -> np.ndarray:
     return np.bincount(m.rows, weights=np.abs(m.data), minlength=m.shape[0])
 
 
-def _screened_coefficients(f: Fields, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node diffusivity and mass factor the screens bound with."""
-    diff = f.diffusivity(spec)
-    if spec.kind is ModelKind.EXPANDED_FLUX:
-        # the grid-scaled term raises the effective second-derivative
-        # coefficient, so screen with it included
-        diff = diff * (1.0 + f.expansion[0])
-    return diff, f.mass(spec)
-
-
 def _advection_screen(mesh, f: Fields, diff, mass, dt):
     """Per-node pi-mode data: (rho(pi), dt bound, pass flags, warnings)."""
     n = mesh.n_nodes
-    rows, _, weights, _, _ = f.wind
+    rows, _, weights, _ = f.wind
     coef = f.wind_coefficients(diff)
     q = np.bincount(rows, weights=coef * (weights[:, 0] - weights[:, 1] + weights[:, 2]),
                     minlength=n)
     rho_pi = 1.0 + dt * q / mass
     with np.errstate(divide="ignore"):
         dt_max = np.where(q < 0.0, 2.0 * mass / -q, np.where(q > 0.0, 0.0, math.inf))
-    node_pass = np.abs(rho_pi) <= 1.0 + TOLERANCE
+    passes = np.abs(rho_pi) <= 1.0 + TOLERANCE
     warnings = list(f.wind_notes)
     warnings += [f"downwind-amplification node={mesh.node_ids[i]}"
                  for i in np.flatnonzero(q > 0.0)]
@@ -109,36 +95,14 @@ def _advection_screen(mesh, f: Fields, diff, mass, dt):
         re = 1.0 + scale * (c0 + c1 * math.cos(xi) + c2 * math.cos(2.0 * xi))
         im = scale * (c1 * math.sin(xi) + c2 * math.sin(2.0 * xi))
         peak = np.maximum(peak, np.hypot(re, im))
-    growing = np.flatnonzero((peak > 1.0 + TOLERANCE) & node_pass)
+    growing = np.flatnonzero((peak > 1.0 + TOLERANCE) & passes)
     if growing.size:
         worst = growing[np.argmax(peak[growing])]
         warnings.append(
             f"mode-growth at {growing.size} node(s) "
             f"(worst node={mesh.node_ids[worst]}, max|rho|-1={peak[worst] - 1.0:.3g})"
         )
-    return rho_pi, dt_max, node_pass, warnings
-
-
-def check_advection(
-    mesh: NetworkMesh, profile, spec: ModelSpec, dt: float
-) -> StabilityReport:
-    """Pi-mode amplification bound for the upwind advection rows alone."""
-    if dt <= 0.0:
-        raise ValueError("time step must be positive")
-    f = fields(mesh, profile)
-    diff, mass = _screened_coefficients(f, spec)
-    rho_pi, dt_max, node_pass, warnings = _advection_screen(mesh, f, diff, mass, dt)
-    worst = int(np.argmin(dt_max))
-    return StabilityReport(
-        dt=dt,
-        dt_max=float(dt_max[worst]),
-        passed=bool(node_pass.all()),
-        binding_node=int(mesh.node_ids[worst]),
-        alpha_beta=0.0,
-        advection_rho=float(np.abs(rho_pi).max()),
-        node_pass=dict(zip(mesh.node_ids.tolist(), node_pass.tolist())),
-        warnings=tuple(warnings),
-    )
+    return rho_pi, dt_max, passes, warnings
 
 
 def check_model(
@@ -148,12 +112,17 @@ def check_model(
     if dt <= 0.0:
         raise ValueError("time step must be positive")
     f = fields(mesh, profile)
-    diff, mass = _screened_coefficients(f, spec)
+    diff = f.diffusivity(spec)
+    if spec.kind is ModelKind.EXPANDED_FLUX:
+        # the grid-scaled term raises the effective second-derivative
+        # coefficient, so screen with it included
+        diff = diff * (1.0 + f.expansion[0])
+    mass = f.mass(spec)
     rate = 2.0 * diff * f.inverse_sums / f.edge_sums
     ab = dt * rate / mass
     dt_max = mass / rate
 
-    node_pass = ab <= 1.0 + TOLERANCE
+    passes = ab <= 1.0 + TOLERANCE
     warnings: list[str] = []
     rho_max = 1.0
 
@@ -161,7 +130,7 @@ def check_model(
         rho_pi, adv_dt, adv_pass, adv_warn = _advection_screen(mesh, f, diff, mass, dt)
         warnings.extend(adv_warn)
         rho_max = float(np.abs(rho_pi).max())
-        node_pass &= adv_pass
+        passes &= adv_pass
         dt_max = np.minimum(dt_max, adv_dt)
 
     if spec.kind is ModelKind.EXPANDED_FLUX:
@@ -175,10 +144,10 @@ def check_model(
     return StabilityReport(
         dt=dt,
         dt_max=float(dt_max[worst]),
-        passed=bool(node_pass.all()),
+        passed=bool(passes.all()),
         binding_node=int(mesh.node_ids[worst]),
         alpha_beta=float(ab.max()),
         advection_rho=rho_max,
-        node_pass=dict(zip(mesh.node_ids.tolist(), node_pass.tolist())),
+        failing_nodes=mesh.node_ids[~passes].tolist(),
         warnings=tuple(warnings),
     )

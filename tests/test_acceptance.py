@@ -100,7 +100,7 @@ def test_02_uniform_cable_stencils_reduce_to_the_classics():
     mesh = chain_mesh([1.0] * 7, h=h)
     lap = laplacian_parts(mesh)[0]
     row = dense(lap)[3]
-    rows, _, weights, _, _, _ = wind_stencils(mesh, np.ones(7), np.ones(7))
+    rows, _, weights, _, _ = wind_stencils(mesh, np.ones(7), np.ones(7))
     interior = weights[rows == 3]
     clauses = [
         (

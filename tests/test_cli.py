@@ -40,6 +40,16 @@ def small_channel(**overrides):
     return doc
 
 
+def regulated_tree():
+    """A short ball-on-stick run with one lateral window and a band policy."""
+    return {
+        "run": {"model": "fick-jacobs", "dt": 1.0e-4, "t_end": 1.0e-3},
+        "geometry": {"kind": "ball-on-stick"},
+        "lateral": [{"nodes": [11, 12, 13], "strength": 3.0, "from": 0.0, "until": 3.0}],
+        "policy": {"nodes": "all", "c_hi": 6.0, "c_lo": 4.0},
+    }
+
+
 class TestConfigErrors:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.yaml")]) == 2
@@ -112,6 +122,40 @@ class TestConfigErrors:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
         lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
         assert len(lines) == 1 and f"'{key}'" in lines[0], lines
+
+    @pytest.mark.parametrize("command,key,edit", [
+        ("simulate", "model", lambda doc: doc["run"].update(model={"name": [1]})),
+        ("simulate", "kind", lambda doc: doc["geometry"].update(kind=["cone"])),
+        ("compare", "compare", lambda doc: doc.update(compare={"models": [["x"]]})),
+    ])
+    def test_non_string_name_is_one_error_line(self, tmp_path, capsys, command, key, edit):
+        doc = small_channel()
+        edit(doc)
+        cfg = write_config(tmp_path, doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+        assert len(lines) == 1 and key in lines[0], lines
+
+    @pytest.mark.parametrize("key,edit", [
+        ("c_hi", lambda doc: doc["policy"].update(c_hi=math.nan)),
+        ("from", lambda doc: doc["lateral"][0].update({"from": math.nan})),
+        ("strength", lambda doc: doc["lateral"][0].update(strength=math.inf)),
+        ("slopes", lambda doc: doc.update(boundary={"kind": "slopes", "slopes": {0: math.nan}})),
+    ])
+    def test_non_finite_number_is_one_error_line(self, tmp_path, capsys, key, edit):
+        doc = regulated_tree()
+        edit(doc)
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+        assert len(lines) == 1 and f"'{key}'" in lines[0], lines
+
+    def test_a_window_may_stay_open_for_good(self, tmp_path, capsys):
+        doc = regulated_tree()
+        doc["lateral"][0]["until"] = math.inf
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert "error:" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit, words", [
         (("edge 1 2 1.0", "edge 1 2 inf"), "edge (1, 2): length must be positive and finite"),

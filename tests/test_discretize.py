@@ -17,7 +17,6 @@ from tubediff.discretize import (
     fields,
     laplacian_parts,
     lateral_operator,
-    local_spacings,
     slope_matrix,
     third_derivative_parts,
     wind_stencils,
@@ -67,7 +66,7 @@ def scalar_adjacency(mesh):
 
 def side_neighbors(mesh, adj, i, side):
     """Neighbours of node i ``toward`` the root or ``away`` from it."""
-    p = mesh.parent_index(i)
+    p = mesh.parent[i]
     return [(j, dx) for j, dx in adj[i] if (j == p) == (side == TOWARD)]
 
 
@@ -76,6 +75,12 @@ def two_paths(mesh, adj, i, side):
     return [(j, k, dx1, dx2)
             for j, dx1 in side_neighbors(mesh, adj, i, side)
             for k, dx2 in adj[j] if k != i]
+
+
+def loop_spacings(mesh):
+    """Mean incident edge length of every node, one node at a time."""
+    return np.array([sum(dx for _, dx in pairs) / len(pairs)
+                     for pairs in scalar_adjacency(mesh)])
 
 
 def loop_slopes(values, mesh):
@@ -208,7 +213,7 @@ class TestAdvection:
         ]
         edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (1, 4, 1.0), (4, 5, 1.0)]
         mesh = mesh_from(nodes, edges, root=0)
-        rows, _, _, _, first_order, notes = wind_stencils(
+        rows, _, weights, _, notes = wind_stencils(
             mesh, mesh.radii, slope_matrix(mesh) @ mesh.radii
         )
         at_branch = rows == mesh.index(1)
@@ -216,7 +221,8 @@ class TestAdvection:
         # the mid-arm nodes sit one step from a tip, so their wind side
         # only offers a single edge and they drop to first order
         assert notes == ("first-order-upwind node=2", "first-order-upwind node=4")
-        assert [mesh.node_ids[i] for i in rows[first_order]] == [2, 4]
+        # a first-order stencil pads its third weight with a zero
+        assert [mesh.node_ids[i] for i in rows[weights[:, 2] == 0.0]] == [2, 4]
 
     def test_leaf_slope_moves_to_neumann_coupling(self):
         mesh = chain_mesh([1.0, 2.0, 3.0, 4.0, 5.0])
@@ -302,7 +308,7 @@ class TestAssembleModel:
     def test_expanded_flux_mass_factors(self):
         mesh = chain_mesh([1.0, 2.0, 3.0, 4.0, 5.0], h=0.5)
         op = assemble_model(mesh, TabulatedRadius(), EF)
-        dx = local_spacings(mesh)
+        dx = loop_spacings(mesh)
         slopes = loop_slopes(mesh.radii, mesh)
         expected = 1.0 + dx**2 * slopes**2 / (12.0 * mesh.radii**2)
         assert op.mass_diag == pytest.approx(expected, rel=1e-14)
@@ -420,7 +426,7 @@ class TestSharedFields:
         assert fields(mesh, TabulatedRadius()) is f
         assert fields(y_mesh(), TabulatedRadius()) is not f
         assert np.array_equal(f.slopes, slope_matrix(mesh) @ mesh.radii)
-        assert np.array_equal(f.spacings, local_spacings(mesh))
+        assert np.array_equal(f.spacings, loop_spacings(mesh))
         for a in (f.radii, f.slopes, f.spacings, f.edge_sums, f.inverse_sums):
             assert not a.flags.writeable
 

@@ -1,17 +1,19 @@
 """Coefficient functions for the model variants."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from tubediff.discretize import fields
 from tubediff.models import (
     ModelKind,
     ModelSpec,
     diffusion_coefficient,
     effj_mass_factor,
     kalinay_g,
-    kalinay_mass_factors,
 )
 from tubediff.network import MeshError, SinusoidRadius, TabulatedRadius, interval_mesh
 from tests.test_network import chain_mesh, y_mesh
@@ -20,6 +22,28 @@ ZW = ModelSpec(ModelKind.ZWANZIG)
 RR = ModelSpec(ModelKind.REGUERA_RUBI)
 KP = ModelSpec(ModelKind.KALINAY_PERCUS)
 FJ = ModelSpec(ModelKind.FICK_JACOBS)
+KT = ModelSpec(ModelKind.KALINAY_TEMPORAL)
+
+
+def temporal_mass(mesh, profile):
+    """The temporal model's per-node factors 1 + g'(x), as assembly reads them."""
+    return fields(mesh, profile).mass(KT)
+
+
+def test_models_import_no_other_package_module():
+    # the package __init__ re-exports mesh names, so load the module under
+    # a bare package record that skips it
+    code = (
+        "import importlib.util, sys, types\n"
+        "pkg = types.ModuleType('tubediff')\n"
+        "pkg.__path__ = importlib.util.find_spec('tubediff').submodule_search_locations\n"
+        "sys.modules['tubediff'] = pkg\n"
+        "import tubediff.models\n"
+        "print(sorted(m for m in sys.modules if m.startswith('tubediff')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "['tubediff', 'tubediff.models']"
 
 
 class TestSpec:
@@ -39,6 +63,8 @@ class TestSpec:
     def test_from_name_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown model"):
             ModelSpec.from_name("osmosis")
+        with pytest.raises(ValueError, match="unknown model"):
+            ModelSpec.from_name(["fick-jacobs"])  # unhashable
 
 
 class TestDiffusionCoefficient:
@@ -111,26 +137,26 @@ class TestKalinayMassFactors:
 
     def test_cone_factor_is_constant_and_matches_hand_value(self):
         mesh = chain_mesh([1.0, 2.0, 3.0, 4.0, 5.0])  # radius 1 + x
-        factors = kalinay_mass_factors(mesh, TabulatedRadius(), epsilon=1.0)
+        factors = temporal_mass(mesh, TabulatedRadius())
         assert factors == pytest.approx(
             np.full(5, self.CONE_UNIT_SLOPE_FACTOR), rel=1e-12
         )
 
     def test_flat_tube_gives_unity(self):
         mesh = chain_mesh([1.0] * 5)
-        factors = kalinay_mass_factors(mesh, TabulatedRadius())
+        factors = temporal_mass(mesh, TabulatedRadius())
         assert factors == pytest.approx(np.ones(5), abs=1e-15)
 
     def test_branched_mesh_rejected(self):
         with pytest.raises(MeshError, match="unbranched"):
-            kalinay_mass_factors(y_mesh(), TabulatedRadius())
+            temporal_mass(y_mesh(), TabulatedRadius())
 
     def test_against_independent_finite_differences(self):
         """Cross-check the stencil route against dense numpy differentiation."""
         profile = SinusoidRadius(0.5)
         n = 401
         mesh = interval_mesh(1.0, 5.0, n, profile)
-        ours = kalinay_mass_factors(mesh, profile)
+        ours = temporal_mass(mesh, profile)
 
         xs = mesh.positions[:, 0]
         g = np.array([kalinay_g(x, profile.slope(x)) for x in xs])

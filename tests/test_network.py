@@ -1,6 +1,7 @@
 """Mesh loading, refinement, orientation, and derivative stencils."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,16 @@ root 0
         with pytest.raises(MeshError, match=words):
             load_mesh(doc)
 
+    @pytest.mark.parametrize("x", ["1e200", "1e-200"])
+    def test_missing_length_of_an_extreme_distance(self, x):
+        # the squares of these distances overflow or underflow a double
+        doc = TWO_NODE_DOC.replace("node 1 1.0 0.0 0.0 1.0", f"node 1 {x} 0.0 0.0 1.0")
+        assert doc != TWO_NODE_DOC
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mesh = load_mesh(doc)
+        assert mesh.lengths[0] == float(x)
+
     def test_id_beyond_64_bits_is_a_mesh_error(self):
         huge = 2**64
         doc = TWO_NODE_DOC.replace("node 1 ", f"node {huge} ")
@@ -216,7 +227,7 @@ class TestRefine:
 class TestOrientation:
     def test_cable_parents(self):
         mesh = chain_mesh([1.0, 1.0, 1.0])
-        parents = [mesh.parent_index(mesh.index(node_id)) for node_id in (0, 1, 2)]
+        parents = [mesh.parent[mesh.index(node_id)] for node_id in (0, 1, 2)]
         assert parents == [-1, mesh.index(0), mesh.index(1)]
 
     def test_branch_sides(self):

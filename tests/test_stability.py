@@ -8,7 +8,7 @@ import pytest
 from tubediff.geometry import constricted_tree
 from tubediff.models import ModelKind, ModelSpec
 from tubediff.network import ConeRadius, TabulatedRadius, interval_mesh
-from tubediff.stability import StabilityReport, check_advection, check_model
+from tubediff.stability import StabilityReport, check_model
 
 from tests.mesh_reference import mesh_from
 from tests.test_network import chain_mesh
@@ -84,39 +84,41 @@ class TestDiffusionBound:
 
 
 class TestAdvectionBound:
-    def test_cable_bound_and_binding_node(self):
-        # radii 1..5, h=1: node 1 has w = 2*1/2 = 1, q = -4w/h
-        mesh = chain_mesh([1.0, 2.0, 3.0, 4.0, 5.0], h=1.0)
-        report = check_advection(mesh, TabulatedRadius(), FJ, dt=0.1)
-        assert report.dt_max == pytest.approx(0.5, rel=1e-12)
+    # On the symmetric Y the branch node sums two wind-side paths, which
+    # halves its advective step to 0.25, below every diffusive bound (0.5):
+    # the advective bound binds the combined screen there.
+
+    def test_branch_bound_and_binding_node(self):
+        # node 1: R = 2, dR = 1, so coef = 1 and q = 2 * (a0 - a1 + a2) = -8
+        report = check_model(symmetric_y_mesh(), TabulatedRadius(), FJ, dt=0.1)
+        assert report.dt_max == pytest.approx(0.25, rel=1e-12)
         assert report.binding_node == 1
 
     def test_pass_at_bound_fail_past_it(self):
-        mesh = chain_mesh([1.0, 2.0, 3.0, 4.0, 5.0], h=1.0)
-        assert check_advection(mesh, TabulatedRadius(), FJ, dt=0.5).passed
-        report = check_advection(mesh, TabulatedRadius(), FJ, dt=0.51)
+        mesh = symmetric_y_mesh()
+        assert check_model(mesh, TabulatedRadius(), FJ, dt=0.25).passed
+        report = check_model(mesh, TabulatedRadius(), FJ, dt=0.26)
         assert not report.passed
         assert report.failing_nodes == [1]
-        assert report.advection_rho == pytest.approx(1.04, rel=1e-12)
+        assert report.advection_rho == pytest.approx(1.08, rel=1e-12)
 
     def test_two_symmetric_paths_halve_the_step(self):
         y = symmetric_y_mesh()
         chain = chain_mesh([1.0, 2.0, 3.0, 4.0], h=1.0)
-        dt_y = check_advection(y, TabulatedRadius(), FJ, dt=0.01).dt_max
-        dt_c = check_advection(chain, TabulatedRadius(), FJ, dt=0.01).dt_max
+        dt_y = check_model(y, TabulatedRadius(), FJ, dt=0.01).dt_max
+        dt_c = check_model(chain, TabulatedRadius(), FJ, dt=0.01).dt_max
         assert dt_c / dt_y == pytest.approx(2.0, rel=1e-12)
         assert dt_y == pytest.approx(0.25, rel=1e-12)
 
     def test_first_order_fallback_note_is_carried(self):
-        mesh = chain_mesh([1.0, 2.0, 3.0, 4.0, 5.0], h=1.0)
-        report = check_advection(mesh, TabulatedRadius(), FJ, dt=0.1)
-        assert "first-order-upwind node=3" in report.warnings
+        report = check_model(symmetric_y_mesh(), TabulatedRadius(), FJ, dt=0.25)
+        assert "first-order-upwind node=2" in report.warnings
+        assert "first-order-upwind node=4" in report.warnings
 
     def test_intermediate_mode_growth_is_warned_not_failed(self):
         # second-order upwinding amplifies some interior modes slightly;
         # the pi-mode bound still passes
-        mesh = chain_mesh([1.0, 2.0, 3.0, 4.0, 5.0], h=1.0)
-        report = check_advection(mesh, TabulatedRadius(), FJ, dt=0.1)
+        report = check_model(symmetric_y_mesh(), TabulatedRadius(), FJ, dt=0.25)
         assert report.passed
         assert any(w.startswith("mode-growth") for w in report.warnings)
 
