@@ -1,11 +1,8 @@
 """Reduced-order diffusion in tubes and branched tubular networks."""
 
 from tubediff.network import (
-    ConeRadius,
     MeshError,
     NetworkMesh,
-    SinusoidRadius,
-    TabulatedRadius,
     interval_mesh,
     load_mesh,
     read_mesh,

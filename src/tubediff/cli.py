@@ -45,7 +45,7 @@ from .integrate import (
     trapezoid_weights,
 )
 from .models import ModelSpec
-from .network import MeshError, TabulatedRadius, format_mesh, read_mesh, refine
+from .network import MeshError, format_mesh, read_mesh, refine
 from .stability import check_model
 from .verify import (
     ConeChannel,
@@ -70,10 +70,9 @@ class ConfigError(Exception):
 
 @dataclass
 class Geometry:
-    """Resolved geometry: mesh plus profile, and the channel if analytic."""
+    """Resolved geometry: the mesh, and the channel if analytic."""
 
     mesh: object
-    profile: object
     channel: object | None
 
 
@@ -189,18 +188,17 @@ def build_geometry(cfg: dict, model: ModelSpec) -> Geometry:
         levels = _read(section, "levels", int, 0, "a whole number")
         if levels:
             mesh = refine(mesh, levels)
-        return Geometry(mesh, TabulatedRadius(), None)
+        return Geometry(mesh, None)
     else:
         mesh = TREE_BUILDERS[kind](_read(section, "levels", int, 0, "a whole number"))
-        return Geometry(mesh, TabulatedRadius(), None)
+        return Geometry(mesh, None)
 
     if section.get("n") is None:
         raise ConfigError(f"{kind} geometry needs 'n'")
     n = _read(section, "n", int, what="a whole number")
     if n < 3:
         raise ConfigError(f"'n' must be at least 3, got {n}")
-    mesh = channel.mesh(n)
-    return Geometry(mesh, channel.profile(), channel)
+    return Geometry(channel.mesh(n), channel)
 
 
 def _fingerprint(mesh) -> str:
@@ -312,7 +310,7 @@ def cmd_simulate(cfg: dict, out_override: str | None, force: bool) -> int:
     policy = build_policy(cfg)
 
     traj = run(
-        geometry.mesh, geometry.profile, model,
+        geometry.mesh, model,
         dt=dt, t_end=t_end, initial=initial, boundary=boundary,
         lateral=lateral, policy=policy, n_snapshots=snapshots, force=force,
     )
@@ -414,8 +412,7 @@ def cmd_convergence(cfg: dict, out_override: str | None, force: bool) -> int:
             meshes = refinement_ladder(geometry.mesh, levels + 1)
 
         def initial(mesh):
-            bundle = Geometry(mesh, geometry.profile, None)
-            return build_initial(cfg, bundle)
+            return build_initial(cfg, Geometry(mesh, None))
 
         result = tree_convergence(
             meshes, model, dt=dt, t_end=t_end, initial=initial, force=force,
@@ -440,7 +437,7 @@ def cmd_stability_check(cfg: dict, out_override: str | None, force: bool) -> int
     model = build_model(cfg)
     geometry = build_geometry(cfg, model)
     dt = _positive(section, "dt")
-    report = check_model(geometry.mesh, geometry.profile, model, dt)
+    report = check_model(geometry.mesh, model, dt)
     print(report.as_table())
     return 0 if report.passed else 1
 

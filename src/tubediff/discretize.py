@@ -14,8 +14,11 @@ leaves.  All stencils work on arbitrary trees with nonuniform spacing:
 * third derivative: a central difference of the nodal second-derivative
   field, with dedicated one-sided closures at the leaves.
 
-Matrix/vector layouts use mesh storage indices throughout; leaf slots in
-the ``neumann`` coupling follow storage order as well.
+The radius R and its slope come from the mesh's node radii alone, and
+every stencil and coefficient field is built once per mesh (see
+:class:`Fields`).  Matrix/vector layouts use mesh storage indices
+throughout; leaf slots in the ``neumann`` coupling follow storage order
+as well.
 """
 
 from __future__ import annotations
@@ -227,11 +230,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Fields:
-    """Stencils and coefficient fields of one mesh and radius profile.
+    """Stencils and coefficient fields of one mesh.
 
-    :func:`fields` builds one record per (mesh, profile); assembly, the
-    lateral map and the stability screen all read it.  ``slopes`` is
-    ``slope @ radii``.  Arrays and sparse parts are shared and read-only.
+    :func:`fields` builds one record per mesh; assembly, the lateral map
+    and the stability screen all read it.  ``radii`` is the mesh's own
+    array and ``slopes`` is ``slope @ radii``.  Arrays and sparse parts
+    are shared and read-only.
     """
 
     radii: np.ndarray
@@ -285,8 +289,8 @@ class Fields:
         return np.ones(len(self.radii))
 
 
-def _build_fields(mesh: NetworkMesh, profile) -> Fields:
-    radii = _read_only(profile.radii(mesh))
+def _build_fields(mesh: NetworkMesh) -> Fields:
+    radii = mesh.radii
     slope = _per_mesh(mesh, slope_matrix)
     slopes = _read_only(slope @ radii)
     degree, lengths, inverses = mesh.incident_sums()
@@ -305,14 +309,12 @@ def _build_fields(mesh: NetworkMesh, profile) -> Fields:
     )
 
 
-def fields(mesh: NetworkMesh, profile) -> Fields:
-    """The shared :class:`Fields` of a mesh and a (hashable) profile."""
-    return _per_mesh(mesh, _build_fields, profile)
+def fields(mesh: NetworkMesh) -> Fields:
+    """The shared :class:`Fields` of a mesh."""
+    return _per_mesh(mesh, _build_fields)
 
 
-def advection_parts(
-    mesh: NetworkMesh, profile, spec: ModelSpec
-) -> tuple[CSR, CSR, tuple[str, ...]]:
+def advection_parts(mesh: NetworkMesh, spec: ModelSpec) -> tuple[CSR, CSR, tuple[str, ...]]:
     """Rows for the radial advection term D(x) (2/R) (dR/dx) dc/dx.
 
     Interior nodes use the two-path upwind machinery; multiple wind-side
@@ -320,7 +322,7 @@ def advection_parts(
     the Neumann data, so the whole term moves into the boundary coupling.
     """
     n = mesh.n_nodes
-    f = fields(mesh, profile)
+    f = fields(mesh)
     diff = f.diffusivity(spec)
     rows, cols, weights, _ = f.wind
     vals = f.wind_coefficients(diff)[:, None] * weights
@@ -379,9 +381,9 @@ def third_derivative_parts(
 # ----------------------------------------------------------------------
 
 
-def assemble_model(mesh: NetworkMesh, profile, spec: ModelSpec) -> SpatialOperator:
+def assemble_model(mesh: NetworkMesh, spec: ModelSpec) -> SpatialOperator:
     """Assemble the full spatial operator for one model variant."""
-    f = fields(mesh, profile)
+    f = fields(mesh)
     boundary_ids = tuple(mesh.node_ids[mesh.leaf_indices()].tolist())
     lap_m, lap_n = f.laplacian
     mass = f.mass(spec)
@@ -389,7 +391,7 @@ def assemble_model(mesh: NetworkMesh, profile, spec: ModelSpec) -> SpatialOperat
     if spec.kind is ModelKind.SIMPLE_DIFFUSION:
         return SpatialOperator(spec.d0 * lap_m, spec.d0 * lap_n, boundary_ids, mass)
 
-    adv_m, adv_n, notes = advection_parts(mesh, profile, spec)
+    adv_m, adv_n, notes = advection_parts(mesh, spec)
 
     if spec.kind in (ModelKind.ZWANZIG, ModelKind.REGUERA_RUBI, ModelKind.KALINAY_PERCUS):
         d = f.diffusivity(spec)
@@ -436,7 +438,7 @@ class LateralFluxField:
         return out
 
 
-def lateral_operator(mesh: NetworkMesh, profile, spec: ModelSpec) -> CSR:
+def lateral_operator(mesh: NetworkMesh, spec: ModelSpec) -> CSR:
     """Linear map from nodal lateral flux values J to the source vector.
 
     Every model keeps the leading wall-exchange term (2/R) J.  The
@@ -448,7 +450,7 @@ def lateral_operator(mesh: NetworkMesh, profile, spec: ModelSpec) -> CSR:
     closures reuse one-sided slope estimates of J itself in place of
     external end-slope data.
     """
-    f = fields(mesh, profile)
+    f = fields(mesh)
     radii, slopes, dx = f.radii, f.slopes, f.spacings
     n, leaves = mesh.n_nodes, mesh.leaf_indices()
     lead = build(np.arange(n), np.arange(n), 2.0 / radii, (n, n))

@@ -122,7 +122,6 @@ class Trajectory:
 
     mesh: NetworkMesh
     model: str
-    radii: np.ndarray
     times: np.ndarray
     states: np.ndarray                    # (n_snapshots, n_nodes)
     fluxes: np.ndarray | None = None      # effective wall flux, same shape
@@ -136,14 +135,14 @@ class Trajectory:
 
     def tube_contents(self, k: int = -1) -> np.ndarray:
         """Cross-section-integrated concentration pi R^2 c at snapshot k."""
-        return math.pi * self.radii**2 * self.states[k]
+        return math.pi * self.mesh.radii**2 * self.states[k]
 
     def to_csv(self, path) -> None:
         """One row per snapshot and node, written a snapshot at a time;
         floats keep full precision."""
         heads = [f"{i},{x!r}" for i, x in zip(self.mesh.node_ids.tolist(),
                                                self.mesh.arc_lengths().tolist())]
-        big_g = math.pi * self.radii**2 * self.states
+        big_g = math.pi * self.mesh.radii**2 * self.states
         with open(path, "w") as f:
             f.write("t,node_id,x_arc,c,G" + (",J\n" if self.fluxes is not None else "\n"))
             for k, t in enumerate(self.times.tolist()):
@@ -219,7 +218,6 @@ def _chunks(snap_steps: np.ndarray, length: int):
 
 def run_models(
     mesh: NetworkMesh,
-    profile,
     specs,
     *,
     dt: float,
@@ -262,7 +260,7 @@ def run_models(
 
     reports = []
     for spec in specs:
-        report = check_model(mesh, profile, spec, dt)
+        report = check_model(mesh, spec, dt)
         if not report.passed and not force:
             raise StabilityError(report, spec.kind.value)
         reports.append(report)
@@ -277,7 +275,7 @@ def run_models(
     if c0.shape != (n,):
         raise ValueError(f"initial state must have {n} entries")
 
-    ops = [assemble_model(mesh, profile, spec) for spec in specs]
+    ops = [assemble_model(mesh, spec) for spec in specs]
     matvec = matvec_into(_stack([op.matrix for op in ops], diagonal=True))
     neumann = _stack([op.neumann for op in ops], diagonal=False)
     # only the rows of leaves hold entries; the product runs over those
@@ -287,7 +285,7 @@ def run_models(
     mass = np.concatenate([op.mass_diag for op in ops])
     if lateral is not None:
         lat_matvec = matvec_into(_stack(
-            [lateral_operator(mesh, profile, spec) for spec in specs], diagonal=True))
+            [lateral_operator(mesh, spec) for spec in specs], diagonal=True))
         where = policy.where(mesh, copies) if policy is not None else None
         base, next_edge = _schedule(lateral, mesh, copies, 0.0)
     c = np.tile(c0, copies)
@@ -364,7 +362,6 @@ def run_models(
         Trajectory(
             mesh=mesh,
             model=spec.kind.value,
-            radii=profile.radii(mesh),
             times=np.array(times),
             states=states[:, i].copy(),
             fluxes=fluxes[:, i].copy() if fluxes is not None else None,
@@ -378,7 +375,6 @@ def run_models(
 
 def run(
     mesh: NetworkMesh,
-    profile,
     spec: ModelSpec,
     *,
     dt: float,
@@ -393,7 +389,7 @@ def run(
     """March one model from t=0 to t_end recording evenly spaced snapshots
     (``run_models`` with a single model)."""
     return run_models(
-        mesh, profile, (spec,), dt=dt, t_end=t_end, initial=initial,
+        mesh, (spec,), dt=dt, t_end=t_end, initial=initial,
         boundary=boundary, lateral=lateral, policy=policy,
         n_snapshots=n_snapshots, force=force,
     )[0]

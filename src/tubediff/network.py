@@ -3,15 +3,17 @@
 A network is a connected, cycle-free graph embedded in 3D.  One node is
 designated the root; "toward-root" and "away-from-root" give every other
 node a well-defined left/right sense that the difference stencils rely on.
+Each node carries the tube radius there; the mesh is the one source of
+radii for every stencil, coefficient field and artifact, so a tube with
+a closed-form profile is sampled into its mesh once, when it is built.
 Meshes are treated as immutable once constructed: operations that change
-geometry (refinement) return new meshes.
+geometry (refinement, new radii) return new meshes.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -96,8 +98,8 @@ class NetworkMesh:
         except OverflowError:
             raise MeshError("node ids must fit in 64 bits") from None
         n = len(ids)
-        if not n:
-            raise MeshError("mesh needs at least one node")
+        if n < 2:
+            raise MeshError(f"mesh needs at least two nodes, got {n}")
         positions = np.array(positions, dtype=float).reshape(n, 3)
         radii = np.array(radii, dtype=float).reshape(n)
         lengths = np.array(lengths, dtype=float).reshape(len(pairs))
@@ -256,61 +258,6 @@ class NetworkMesh:
 
 
 # ----------------------------------------------------------------------
-# radius profiles
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TabulatedRadius:
-    """Radii read straight off the mesh nodes.  No closed form available."""
-
-    analytic = False
-
-    def radii(self, mesh: NetworkMesh) -> np.ndarray:
-        return mesh.radii.copy()
-
-
-@dataclass(frozen=True)
-class ConeRadius:
-    """Linearly expanding tube, R(x) = 1 + taper * x."""
-
-    taper: float
-    analytic = True
-
-    def radius(self, x: float) -> float:
-        return 1.0 + self.taper * x
-
-    def slope(self, x: float) -> float:
-        return self.taper
-
-    def radii(self, mesh: NetworkMesh) -> np.ndarray:
-        r = 1.0 + self.taper * mesh.positions[:, 0]
-        if np.any(r <= 0.0):
-            raise MeshError("cone profile gives nonpositive radius on this mesh")
-        return r
-
-
-@dataclass(frozen=True)
-class SinusoidRadius:
-    """Periodically constricted tube, R(x) = sin(wavenumber * x)."""
-
-    wavenumber: float
-    analytic = True
-
-    def radius(self, x: float) -> float:
-        return math.sin(self.wavenumber * x)
-
-    def slope(self, x: float) -> float:
-        return self.wavenumber * math.cos(self.wavenumber * x)
-
-    def radii(self, mesh: NetworkMesh) -> np.ndarray:
-        r = np.sin(self.wavenumber * mesh.positions[:, 0])
-        if np.any(r <= 0.0):
-            raise MeshError("sinusoid profile gives nonpositive radius on this mesh")
-        return r
-
-
-# ----------------------------------------------------------------------
 # geometry documents
 # ----------------------------------------------------------------------
 
@@ -387,26 +334,16 @@ def write_mesh(mesh: NetworkMesh, path) -> None:
 # ----------------------------------------------------------------------
 
 
-def interval_mesh(x0: float, x1: float, n: int, profile) -> NetworkMesh:
-    """Uniform chain of ``n`` nodes on [x0, x1], rooted at the x0 end.
-
-    Radii are sampled from an analytic profile, or taken as 1 when the
-    profile is tabulated (callers then override per node).
-    """
+def interval_mesh(x0: float, x1: float, n: int, radius) -> NetworkMesh:
+    """Uniform chain of ``n`` nodes on [x0, x1], rooted at the x0 end,
+    with radii ``radius(x)`` of the array of node x positions."""
     if n < 2:
         raise MeshError("interval mesh needs at least two nodes")
     xs = np.linspace(float(x0), float(x1), int(n))
-    radii = np.ones(len(xs))
-    if getattr(profile, "analytic", False):
-        radii[:] = [profile.radius(x) for x in xs.tolist()]
-        bad = np.flatnonzero(~((radii > 0.0) & (radii < math.inf)))
-        if len(bad):
-            raise MeshError(f"profile radius is not positive and finite at x={xs[bad[0]]}"
-                            f" (got {radii[bad[0]]})")
     positions = np.zeros((len(xs), 3))
     positions[:, 0] = xs
     ids = np.arange(len(xs))
-    return NetworkMesh(ids, positions, radii, np.stack([ids[:-1], ids[1:]], axis=1),
+    return NetworkMesh(ids, positions, radius(xs), np.stack([ids[:-1], ids[1:]], axis=1),
                        np.diff(xs), root=0)
 
 

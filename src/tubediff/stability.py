@@ -14,7 +14,7 @@ the mode multiplier is
 
 and a node passes when |rho(pi)| <= 1.  Models that carry a mass
 factor m(x) on the time derivative are screened with the effective
-step dt / m(x).
+step dt / m(x); a node where m(x) <= 0 admits no step at all.
 
 Both bounds also yield the largest admissible step; reports name the
 binding node and the nodes that fail.
@@ -105,13 +105,15 @@ def _advection_screen(mesh, f: Fields, diff, mass, dt):
     return rho_pi, dt_max, passes, warnings
 
 
-def check_model(
-    mesh: NetworkMesh, profile, spec: ModelSpec, dt: float
-) -> StabilityReport:
-    """Combined screen: diffusive bound and advection bound per node."""
+def check_model(mesh: NetworkMesh, spec: ModelSpec, dt: float) -> StabilityReport:
+    """Combined screen: diffusive bound and advection bound per node.
+
+    A node whose mass factor is not positive fails with ``dt_max`` 0:
+    its time derivative has the wrong sign or none, so no step is stable.
+    """
     if dt <= 0.0:
         raise ValueError("time step must be positive")
-    f = fields(mesh, profile)
+    f = fields(mesh)
     diff = f.diffusivity(spec)
     if spec.kind is ModelKind.EXPANDED_FLUX:
         # the grid-scaled term raises the effective second-derivative
@@ -122,8 +124,10 @@ def check_model(
     ab = dt * rate / mass
     dt_max = mass / rate
 
-    passes = ab <= 1.0 + TOLERANCE
-    warnings: list[str] = []
+    reversed_time = mass <= 0.0
+    passes = (ab <= 1.0 + TOLERANCE) & ~reversed_time
+    warnings = [f"nonpositive-mass-factor node={mesh.node_ids[i]}"
+                for i in np.flatnonzero(reversed_time)]
     rho_max = 1.0
 
     if spec.kind is not ModelKind.SIMPLE_DIFFUSION:
@@ -140,6 +144,7 @@ def check_model(
         warnings += [f"expansion-dominates-diffusion node={mesh.node_ids[i]}"
                      for i in np.flatnonzero(thr_rows > lap_rows)]
 
+    dt_max = np.where(reversed_time, 0.0, dt_max)
     worst = int(np.argmin(dt_max))
     return StabilityReport(
         dt=dt,

@@ -8,9 +8,11 @@ flow of the area-weighted field.  In a sinusoidal tube the same holds
 after an exponential gain in time that offsets the curvature of the
 radius profile.
 
-Both families expose the tube-integrated field G, the concentration
-c = G / (pi R^2), its spatial slope (for end conditions), and its time
-derivative (for residual checks), all as closed forms.
+Both families expose the radius R(x), the tube-integrated field G, the
+concentration c = G / (pi R^2), its spatial slope (for end conditions),
+and its time derivative (for residual checks), all as closed forms.
+A channel's mesh samples R(x) at its nodes once; the solver reads the
+radii from the mesh alone.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ import numpy as np
 
 from .integrate import BoundaryData, Trajectory, run, run_models
 from .models import ModelKind, ModelSpec
-from .network import (ConeRadius, NetworkMesh, SinusoidRadius, TabulatedRadius,
-                      c_exp, interval_mesh, refine)
+from .network import NetworkMesh, c_exp, interval_mesh, refine
 
 # exact values this small (relative to the largest) are excluded from
 # relative-error averages
@@ -47,30 +48,28 @@ class ConeChannel:
     x1: float = 10.0
     d0: float = 1.0
 
-    def profile(self) -> ConeRadius:
-        return ConeRadius(self.taper)
+    def radius(self, x):
+        return 1.0 + self.taper * np.asarray(x)
 
     def mesh(self, n: int) -> NetworkMesh:
-        return interval_mesh(self.x0, self.x1, n, self.profile())
+        return interval_mesh(self.x0, self.x1, n, self.radius)
 
     def spread(self, t: float) -> float:
         return self.sigma * self.sigma + self.d0 * t
 
     def tube_contents(self, x, t: float):
-        return (1.0 + self.taper * np.asarray(x)) * _gaussian(
-            np.asarray(x), self.spread(t), self.sigma, self.center
-        )
+        x = np.asarray(x)
+        return self.radius(x) * _gaussian(x, self.spread(t), self.sigma, self.center)
 
     def concentration(self, x, t: float):
-        x = np.asarray(x)
-        radius = 1.0 + self.taper * x
+        radius = self.radius(x)
         return self.tube_contents(x, t) / (math.pi * radius * radius)
 
     def slope(self, x, t: float):
         """d(concentration)/dx, exact."""
         x = np.asarray(x)
         s = self.spread(t)
-        log_slope = -(x - self.center) / (2.0 * s) - self.taper / (1.0 + self.taper * x)
+        log_slope = -(x - self.center) / (2.0 * s) - self.taper / self.radius(x)
         return self.concentration(x, t) * log_slope
 
     def time_derivative(self, x, t: float):
@@ -98,11 +97,11 @@ class SinusoidChannel:
     def x1(self) -> float:
         return math.pi / self.wavenumber - self.margin
 
-    def profile(self) -> SinusoidRadius:
-        return SinusoidRadius(self.wavenumber)
+    def radius(self, x):
+        return np.sin(self.wavenumber * np.asarray(x))
 
     def mesh(self, n: int) -> NetworkMesh:
-        return interval_mesh(self.x0, self.x1, n, self.profile())
+        return interval_mesh(self.x0, self.x1, n, self.radius)
 
     def spread(self, t: float) -> float:
         return self.sigma * self.sigma + self.d0 * t
@@ -114,13 +113,12 @@ class SinusoidChannel:
         x = np.asarray(x)
         return (
             self._gain(t)
-            * np.sin(self.wavenumber * x)
+            * self.radius(x)
             * _gaussian(x, self.spread(t), self.sigma, self.center)
         )
 
     def concentration(self, x, t: float):
-        x = np.asarray(x)
-        radius = np.sin(self.wavenumber * x)
+        radius = self.radius(x)
         return self.tube_contents(x, t) / (math.pi * radius * radius)
 
     def slope(self, x, t: float):
@@ -176,7 +174,6 @@ def _channel_runs(
     exact end slopes."""
     return run_models(
         mesh,
-        channel.profile(),
         specs,
         dt=dt,
         t_end=t_end,
@@ -318,7 +315,7 @@ def tree_convergence(
     if reference_spec is None:
         reference_spec = ModelSpec(ModelKind.EXPANDED_FLUX)
     reference = run(
-        meshes[-1], TabulatedRadius(), reference_spec, dt=dt, t_end=t_end,
+        meshes[-1], reference_spec, dt=dt, t_end=t_end,
         initial=initial(meshes[-1]), n_snapshots=2, force=force,
     )
     ns = []
@@ -326,7 +323,7 @@ def tree_convergence(
     errors = []
     for mesh in meshes[:-1]:
         traj = run(
-            mesh, TabulatedRadius(), spec, dt=dt, t_end=t_end,
+            mesh, spec, dt=dt, t_end=t_end,
             initial=initial(mesh), n_snapshots=2, force=force,
         )
         edges = mesh.n_nodes - 1

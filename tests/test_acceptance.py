@@ -42,7 +42,6 @@ from tubediff.models import (
     ModelSpec,
     diffusion_coefficient,
 )
-from tubediff.network import TabulatedRadius
 from tubediff.stability import check_model
 from tubediff.verify import (
     ConeChannel,
@@ -126,13 +125,13 @@ def test_03_cable_step_limit_formula_and_empirical_behavior():
         h = 10.0 / (n - 1)
         expected = h * h / (2.0 * d0)
         spec = ModelSpec(ModelKind.FICK_JACOBS, d0=d0)
-        report = check_model(mesh, channel.profile(), spec, dt=expected)
+        report = check_model(mesh, spec, dt=expected)
         clauses.append((
             f"n={n} d0={d0}: dt_max {report.dt_max!r} vs h^2/2D {expected!r}",
             abs(report.dt_max - expected) <= 1e-12 * expected,
         ))
 
-        op = assemble_model(mesh, channel.profile(), spec)
+        op = assemble_model(mesh, spec)
         alternating = (-1.0) ** np.arange(n)
 
         c = alternating.copy()
@@ -263,13 +262,12 @@ def test_06_cone_convergence_slopes_and_coarse_grid_excess():
 
 def test_07_balanced_feed_fills_the_bulb_only_for_radius_aware_models():
     mesh = ball_on_stick(1)
-    profile = TabulatedRadius()
     boundary = BoundaryData({0: -0.5, 23: -0.25, 31: -0.25})
     t_end = 20.0
     traces = {}
     for name in ("simple-diffusion", "fick-jacobs", "expanded-flux"):
         traj = run(
-            mesh, profile, ModelSpec(MODEL_NAMES[name]),
+            mesh, ModelSpec(MODEL_NAMES[name]),
             dt=2.5e-4, t_end=t_end, initial=1.0, boundary=boundary,
             n_snapshots=101,
         )
@@ -340,8 +338,8 @@ def test_09_operator_actions_close_at_second_order():
         mesh = channel.mesh(n)
         x = mesh.positions[:, 0]
         phi = 2.0 + np.cos(np.pi * x / 5.0)
-        ef_op = assemble_model(mesh, channel.profile(), EF)
-        fj_op = assemble_model(mesh, channel.profile(), FJ)
+        ef_op = assemble_model(mesh, EF)
+        fj_op = assemble_model(mesh, FJ)
         gaps.append(float(np.max(np.abs(ef_op.apply(phi) - fj_op.apply(phi)))))
         spacings.append(10.0 / (n - 1))
     slope = fitted_slope(spacings, gaps)
@@ -359,7 +357,7 @@ def test_10_lateral_flux_policy_enforces_the_concentration_band():
     ))
     policy = ConstraintPolicy(c_hi=6.0, c_lo=4.0, outflow_strength=2.0)
     traj = run(
-        mesh, TabulatedRadius(), ModelSpec(MODEL_NAMES["expanded-flux"]),
+        mesh, ModelSpec(MODEL_NAMES["expanded-flux"]),
         dt=5.0e-4, t_end=6.0, initial=5.0, lateral=lateral, policy=policy,
         n_snapshots=25,
     )

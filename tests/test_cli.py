@@ -175,6 +175,16 @@ class TestConfigErrors:
         assert not (tmp_path / "trajectory.csv").exists()
 
 
+    @pytest.mark.parametrize("command", ["simulate", "stability-check"])
+    def test_one_node_geometry_is_one_error_line(self, tmp_path, capsys, command):
+        (tmp_path / "dot.geom").write_text("node 0 0 0 0 1.0\nroot 0\n")
+        doc = small_channel(geometry={"kind": "file", "path": str(tmp_path / "dot.geom")})
+        cfg = write_config(tmp_path, doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "at least two nodes" in line
+
+
 class TestStabilityCheck:
     def test_cable_at_the_limit_passes_on_the_boundary(self, capsys):
         code = main(["stability-check", "--config",
@@ -191,6 +201,21 @@ class TestStabilityCheck:
         assert code == 1
         assert "FAIL" in out
         assert "binding node" in out
+
+    @pytest.mark.parametrize("command", ["simulate", "stability-check"])
+    def test_negative_mass_factor_is_refused(self, tmp_path, capsys, command):
+        (tmp_path / "chain.geom").write_text(
+            "node 0 0 0 0 0.35\nnode 1 1 0 0 0.79\nnode 2 2 0 0 2.42\n"
+            "edge 0 1 1.185\nedge 1 2 0.234\nroot 0\n")
+        doc = small_channel(geometry={"kind": "file", "path": str(tmp_path / "chain.geom")})
+        doc["run"].update(model="kalinay-temporal", t_end=0.01)
+        cfg = write_config(tmp_path, doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        text = captured.out + captured.err
+        assert "dt_max=0 " in text and "FAIL" in text
+        assert "warning: nonpositive-mass-factor node=0" in text
+        assert not (tmp_path / "trajectory.csv").exists()
 
     def test_formats_no_mesh_text(self, monkeypatch, capsys):
         # only simulate records the geometry's fingerprint

@@ -24,9 +24,7 @@ from tubediff.discretize import (
 from tubediff.models import ModelKind, ModelSpec
 from tests.sparse_oracle import dense
 from tubediff.network import (
-    ConeRadius,
     MeshError,
-    TabulatedRadius,
     interval_mesh,
     upwind_stencil,
 )
@@ -173,19 +171,19 @@ class TestAdvection:
     def test_uniform_cable_forward_stencil(self):
         # radii 1..5 on unit spacing: slope 1, wind blows from the away side
         mesh = chain_mesh([1.0, 2.0, 3.0, 4.0, 5.0])
-        mat, _, notes = advection_parts(mesh, TabulatedRadius(), FJ)
+        mat, _, notes = advection_parts(mesh, FJ)
         row = dense(mat)[1]
         # (2 D / R1) * dR/ds = 1, times (-3, 4, -1)/(2h)
         assert np.array_equal(row[1:4], np.array([-1.5, 2.0, -0.5]))
 
     def test_flat_radius_gives_empty_rows(self):
         mesh = chain_mesh([2.0] * 5)
-        mat, neu, notes = advection_parts(mesh, TabulatedRadius(), FJ)
+        mat, neu, notes = advection_parts(mesh, FJ)
         assert mat.nnz == 0 and neu.nnz == 0 and notes == ()
 
     def test_decreasing_radius_uses_toward_side(self):
         mesh = chain_mesh([5.0, 4.0, 3.0, 2.0, 1.0])
-        mat, _, _ = advection_parts(mesh, TabulatedRadius(), FJ)
+        mat, _, _ = advection_parts(mesh, FJ)
         row = dense(mat)[2]
         assert row[3] == row[4] == 0.0  # nothing downwind
         # directional product: (2/R)(dR/ds)(dc/ds) with both slopes along
@@ -195,7 +193,7 @@ class TestAdvection:
 
     def test_adjacent_leaf_degrades_to_first_order(self):
         mesh = chain_mesh([1.0, 2.0, 3.0, 4.0, 5.0])
-        mat, _, notes = advection_parts(mesh, TabulatedRadius(), FJ)
+        mat, _, notes = advection_parts(mesh, FJ)
         assert any("first-order-upwind node=3" in n for n in notes)
         row = dense(mat)[3]
         # coef = (2/R3) dR = 0.5 over the single downwind edge
@@ -226,7 +224,7 @@ class TestAdvection:
 
     def test_leaf_slope_moves_to_neumann_coupling(self):
         mesh = chain_mesh([1.0, 2.0, 3.0, 4.0, 5.0])
-        _, neu, _ = advection_parts(mesh, TabulatedRadius(), FJ)
+        _, neu, _ = advection_parts(mesh, FJ)
         # far leaf: (2/R) dR/dx = (2/5) * 1
         assert dense(neu)[4, 1] == pytest.approx(0.4, rel=1e-14)
         # root leaf: (2/1) * 1
@@ -236,12 +234,12 @@ class TestAdvection:
         # powers-of-two radii keep every scaled weight exactly representable,
         # so the row sums cancel in any association order
         mesh = chain_mesh([1.0, 2.0, 4.0, 8.0, 16.0], h=0.5)
-        mat, _, _ = advection_parts(mesh, TabulatedRadius(), FJ)
+        mat, _, _ = advection_parts(mesh, FJ)
         assert np.array_equal(mat @ np.ones(5), np.zeros(5))
 
     def test_rows_annihilate_constants_to_rounding(self):
         mesh = chain_mesh([1.0, 2.0, 3.0, 4.0, 5.0], h=0.5)
-        mat, _, _ = advection_parts(mesh, TabulatedRadius(), FJ)
+        mat, _, _ = advection_parts(mesh, FJ)
         scale = np.abs(mat.data).max()
         assert np.max(np.abs(mat @ np.ones(5))) <= 1e-15 * scale
 
@@ -278,16 +276,15 @@ class TestAssembleModel:
     def test_simple_diffusion_is_scaled_laplacian(self):
         mesh = chain_mesh([1.0, 2.0, 3.0, 2.0, 1.0])
         spec = ModelSpec(ModelKind.SIMPLE_DIFFUSION, d0=2.0)
-        op = assemble_model(mesh, TabulatedRadius(), spec)
+        op = assemble_model(mesh, spec)
         lap, _ = laplacian_parts(mesh)
         assert np.array_equal(dense(op.matrix), dense(2.0 * lap))
         assert np.array_equal(op.mass_diag, np.ones(5))
 
     def test_zwanzig_scales_every_fick_jacobs_row_by_two_thirds(self):
-        profile = TabulatedRadius()
         mesh = chain_mesh([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])  # unit slope everywhere
-        fj = assemble_model(mesh, profile, FJ)
-        zw = assemble_model(mesh, profile, ModelSpec(ModelKind.ZWANZIG))
+        fj = assemble_model(mesh, FJ)
+        zw = assemble_model(mesh, ModelSpec(ModelKind.ZWANZIG))
         assert dense(zw.matrix) == pytest.approx(
             (2.0 / 3.0) * dense(fj.matrix), rel=1e-14
         )
@@ -298,16 +295,16 @@ class TestAssembleModel:
     def test_kalinay_temporal_mass_and_channel_restriction(self):
         mesh = chain_mesh([1.0, 2.0, 3.0, 4.0, 5.0])
         spec = ModelSpec(ModelKind.KALINAY_TEMPORAL)
-        op = assemble_model(mesh, TabulatedRadius(), spec)
-        fj = assemble_model(mesh, TabulatedRadius(), FJ)
+        op = assemble_model(mesh, spec)
+        fj = assemble_model(mesh, FJ)
         assert np.array_equal(dense(op.matrix), dense(fj.matrix))
         assert op.mass_diag == pytest.approx(np.full(5, 1.0235987755982988), rel=1e-12)
         with pytest.raises(MeshError, match="unbranched"):
-            assemble_model(y_mesh(), TabulatedRadius(), spec)
+            assemble_model(y_mesh(), spec)
 
     def test_expanded_flux_mass_factors(self):
         mesh = chain_mesh([1.0, 2.0, 3.0, 4.0, 5.0], h=0.5)
-        op = assemble_model(mesh, TabulatedRadius(), EF)
+        op = assemble_model(mesh, EF)
         dx = loop_spacings(mesh)
         slopes = loop_slopes(mesh.radii, mesh)
         expected = 1.0 + dx**2 * slopes**2 / (12.0 * mesh.radii**2)
@@ -320,29 +317,27 @@ class TestAssembleModel:
         mesh = chain_mesh([1.0, 2.0, 3.0, 4.0, 5.0], h=0.5)
         ones = np.ones(5)
         for kind in ModelKind:
-            op = assemble_model(mesh, TabulatedRadius(), ModelSpec(kind))
+            op = assemble_model(mesh, ModelSpec(kind))
             scale = np.abs(op.matrix.data).max()
             assert np.max(np.abs(op.matrix @ ones)) <= 1e-14 * scale, kind
 
     def test_constants_steady_on_ragged_branched_mesh(self):
         mesh = y_mesh(radii=(1.2, 0.7, 0.31, 0.9, 1.05, 0.4))
         ones = np.ones(mesh.n_nodes)
-        op = assemble_model(mesh, TabulatedRadius(), EF)
+        op = assemble_model(mesh, EF)
         scale = max(np.abs(op.matrix.data).max(), 1.0)
         assert np.max(np.abs(op.matrix @ ones)) <= 1e-12 * scale
 
     def test_expanded_flux_tends_to_fick_jacobs(self):
         """Operator action difference shrinks about fourfold per bisection."""
-        profile = ConeRadius(1.0)
-
         def action_gap(n):
-            mesh = interval_mesh(0.0, 10.0, n, profile)
+            mesh = interval_mesh(0.0, 10.0, n, lambda x: 1.0 + x)
             x = mesh.positions[:, 0]
             c = np.exp(-((x - 4.0) ** 2) / 8.0)
             cp = c * (-(x - 4.0) / 4.0)
             g = {0: cp[0], n - 1: cp[-1]}
-            ef = assemble_model(mesh, profile, EF)
-            fj = assemble_model(mesh, profile, FJ)
+            ef = assemble_model(mesh, EF)
+            fj = assemble_model(mesh, FJ)
             return np.max(np.abs(ef.apply(c, g) - fj.apply(c, g)))
 
         gaps = [action_gap(n) for n in (40, 80, 160)]
@@ -373,7 +368,7 @@ class TestAssembleModel:
 class TestBoundaryAffine:
     def test_accepts_dict_vector_and_none(self):
         mesh = chain_mesh([1.0] * 4, h=0.5)
-        op = assemble_model(mesh, TabulatedRadius(), FJ)
+        op = assemble_model(mesh, FJ)
         assert np.array_equal(op.boundary_affine(None), np.zeros(4))
         via_dict = op.boundary_affine({0: 1.0, 3: -2.0})
         via_vec = op.boundary_affine(np.array([1.0, -2.0]))
@@ -382,7 +377,7 @@ class TestBoundaryAffine:
 
     def test_rejects_wrong_length(self):
         mesh = chain_mesh([1.0] * 4)
-        op = assemble_model(mesh, TabulatedRadius(), FJ)
+        op = assemble_model(mesh, FJ)
         with pytest.raises(ValueError, match="boundary slopes"):
             op.boundary_affine(np.zeros(3))
 
@@ -391,7 +386,7 @@ class TestLateralFlux:
     def test_zero_field_gives_zero_source(self):
         mesh = chain_mesh([1.0] * 5)
         field = LateralFluxField()
-        s = lateral_operator(mesh, TabulatedRadius(), FJ) @ field.values(mesh, 0.0)
+        s = lateral_operator(mesh, FJ) @ field.values(mesh, 0.0)
         assert np.array_equal(s, np.zeros(5))
 
     def test_window_schedule(self):
@@ -403,43 +398,58 @@ class TestLateralFlux:
     def test_leading_term_for_fick_jacobs(self):
         mesh = chain_mesh([2.0] * 5)
         field = LateralFluxField((FluxWindow((0, 1, 2, 3, 4), 3.0),))
-        s = lateral_operator(mesh, TabulatedRadius(), FJ) @ field.values(mesh, 0.0)
+        s = lateral_operator(mesh, FJ) @ field.values(mesh, 0.0)
         assert s == pytest.approx(np.full(5, 3.0), rel=1e-14)  # (2/R) J = J at R=2
 
     def test_expanded_flux_reduces_to_leading_term_for_linear_j(self):
         mesh = chain_mesh([1.0] * 7)
         x = mesh.positions[:, 0]
         j = x.copy()
-        lam = lateral_operator(mesh, TabulatedRadius(), EF)
+        lam = lateral_operator(mesh, EF)
         assert lam @ j == pytest.approx(2.0 * x, abs=1e-12)
 
     def test_expanded_flux_constant_j_constant_radius(self):
         mesh = chain_mesh([2.0] * 6, h=0.5)
-        lam = lateral_operator(mesh, TabulatedRadius(), EF)
+        lam = lateral_operator(mesh, EF)
         assert lam @ np.full(6, 4.0) == pytest.approx(np.full(6, 4.0), abs=1e-12)
 
 
 class TestSharedFields:
-    def test_one_record_per_mesh_and_profile(self):
+    def test_one_record_per_mesh(self):
         mesh = y_mesh(radii=(1.2, 0.7, 0.31, 0.9, 1.05, 0.4))
-        f = fields(mesh, TabulatedRadius())
-        assert fields(mesh, TabulatedRadius()) is f
-        assert fields(y_mesh(), TabulatedRadius()) is not f
+        f = fields(mesh)
+        assert fields(mesh) is f
+        assert fields(y_mesh()) is not f
+        assert f.radii is mesh.radii
         assert np.array_equal(f.slopes, slope_matrix(mesh) @ mesh.radii)
         assert np.array_equal(f.spacings, loop_spacings(mesh))
         for a in (f.radii, f.slopes, f.spacings, f.edge_sums, f.inverse_sums):
             assert not a.flags.writeable
 
     def test_slopes_match_the_loop_reference(self):
-        profile = ConeRadius(0.3)
-        mesh = interval_mesh(0.0, 5.0, 41, profile)
-        f = fields(mesh, profile)
+        mesh = interval_mesh(0.0, 5.0, 41, lambda x: 1.0 + 0.3 * x)
+        f = fields(mesh)
         assert f.slopes == pytest.approx(loop_slopes(f.radii, mesh), rel=1e-13)
+
+    def test_new_radii_get_their_own_record(self):
+        r1, r2 = (1.2, 0.7, 0.31, 0.9, 1.05, 0.4), (0.5, 0.9, 1.4, 1.1, 0.6, 0.8)
+        mesh = y_mesh(radii=r1)
+        before = fields(mesh)
+        original = dense(assemble_model(mesh, EF).matrix)
+        swapped = mesh.with_radii(r2)
+        assert fields(swapped) is not before
+        got, want = assemble_model(swapped, EF), assemble_model(y_mesh(radii=r2), EF)
+        assert np.array_equal(dense(got.matrix), dense(want.matrix))
+        assert np.array_equal(dense(got.neumann), dense(want.neumann))
+        assert np.array_equal(got.mass_diag, want.mass_diag)
+        # the original mesh keeps its record and its operator
+        assert fields(mesh) is before and np.array_equal(before.radii, r1)
+        assert np.array_equal(dense(assemble_model(mesh, EF).matrix), original)
 
     def test_record_is_dropped_with_its_mesh(self):
         gc.collect()  # meshes that earlier tests left to the collector go first
         mesh = chain_mesh([1.0, 2.0, 3.0, 4.0, 5.0])
-        assemble_model(mesh, TabulatedRadius(), EF)
+        assemble_model(mesh, EF)
         assert mesh in discretize._DERIVED
         count = len(discretize._DERIVED)
         gone = weakref.ref(mesh)

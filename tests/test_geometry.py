@@ -21,7 +21,7 @@ from tubediff.geometry import (
     throat_radius,
 )
 from tubediff.models import ModelKind, ModelSpec
-from tubediff.network import TabulatedRadius, read_mesh
+from tubediff.network import read_mesh
 from tubediff.stability import check_model
 
 GEOMETRIES = Path(__file__).resolve().parent.parent / "geometries"
@@ -94,7 +94,7 @@ class TestStabilityScreen:
     def test_every_level_is_certified(self, builder, kind):
         for level in range(4):
             mesh = builder(level)
-            report = check_model(mesh, TabulatedRadius(), ModelSpec(kind), 1e-6)
+            report = check_model(mesh, ModelSpec(kind), 1e-6)
             assert report.passed, f"level {level}: {report.failing_nodes}"
             assert not any("downwind" in w for w in report.warnings)
 

@@ -24,7 +24,7 @@ from tubediff.integrate import (
 )
 from tubediff.sparse import matvec_into
 from tubediff.models import ModelKind, ModelSpec
-from tubediff.network import ConeRadius, TabulatedRadius, interval_mesh
+from tubediff.network import interval_mesh
 from tubediff.verify import ConeChannel, SinusoidChannel, exact_boundary
 
 from tests.csv_reference import reference_csv
@@ -59,13 +59,13 @@ def scalar_policy(mesh, policy, c, base):
     return out
 
 
-def reference_march(mesh, profile, spec, *, dt, t_end, initial, boundary=None,
+def reference_march(mesh, spec, *, dt, t_end, initial, boundary=None,
                     lateral=None, policy=None, n_snapshots=11):
     """One model, one ``step`` at a time, end slopes evaluated per step at
     a scalar time: the reference the batched march must equal bit for bit."""
     n_steps = int(round(t_end / dt))
-    op = assemble_model(mesh, profile, spec)
-    lat = lateral_operator(mesh, profile, spec) if lateral is not None else None
+    op = assemble_model(mesh, spec)
+    lat = lateral_operator(mesh, spec) if lateral is not None else None
     c = np.array(np.broadcast_to(np.asarray(initial, dtype=float), (mesh.n_nodes,)))
     snaps = set(np.round(np.linspace(0, n_steps, n_snapshots)).astype(int).tolist())
     times, states, fluxes = [], [], []
@@ -92,10 +92,10 @@ def reference_march(mesh, profile, spec, *, dt, t_end, initial, boundary=None,
         np.array(fluxes) if lateral is not None else None)
 
 
-def assert_matches_reference(trajs, specs, mesh, profile, **kwargs):
+def assert_matches_reference(trajs, specs, mesh, **kwargs):
     assert [traj.model for traj in trajs] == [spec.kind.value for spec in specs]
     for traj, spec in zip(trajs, specs):
-        times, states, fluxes = reference_march(mesh, profile, spec, **kwargs)
+        times, states, fluxes = reference_march(mesh, spec, **kwargs)
         assert np.array_equal(traj.times, times)
         assert np.array_equal(traj.states, states), spec.kind.value
         if fluxes is None:
@@ -114,8 +114,8 @@ class TestBatchedMarch:
         kwargs = dict(dt=dt, t_end=300 * dt,
                       initial=channel.concentration(mesh.positions[:, 0], 0.0),
                       boundary=exact_boundary(channel, mesh), n_snapshots=4)
-        trajs = run_models(mesh, channel.profile(), ALL_MODELS, **kwargs)
-        assert_matches_reference(trajs, ALL_MODELS, mesh, channel.profile(), **kwargs)
+        trajs = run_models(mesh, ALL_MODELS, **kwargs)
+        assert_matches_reference(trajs, ALL_MODELS, mesh, **kwargs)
 
     @pytest.mark.parametrize("node_ids", [None, (23, 12, 11, 23, 31, 2)])
     def test_lateral_windows_and_policy_equal_the_reference(self, node_ids):
@@ -128,8 +128,8 @@ class TestBatchedMarch:
         kwargs = dict(dt=5.0e-4, t_end=0.1, initial=5.0, lateral=field,
                       policy=ConstraintPolicy(node_ids=node_ids, c_hi=5.05, c_lo=4.95),
                       n_snapshots=7)
-        trajs = run_models(mesh, TabulatedRadius(), specs, **kwargs)
-        assert_matches_reference(trajs, specs, mesh, TabulatedRadius(), **kwargs)
+        trajs = run_models(mesh, specs, **kwargs)
+        assert_matches_reference(trajs, specs, mesh, **kwargs)
         # the band policy really acted
         assert (trajs[1].fluxes == -2.0).any() and (trajs[1].fluxes == 0.0).any()
 
@@ -168,9 +168,9 @@ class TestBatchedMarch:
                       policy=ConstraintPolicy(node_ids=(23, 12, 11, 23, 31, 2),
                                               c_hi=5.02, c_lo=4.98),
                       n_snapshots=7)
-        trajs = run_models(mesh, TabulatedRadius(), specs, **kwargs)
+        trajs = run_models(mesh, specs, **kwargs)
         monkeypatch.undo()
-        assert_matches_reference(trajs, specs, mesh, TabulatedRadius(), **kwargs)
+        assert_matches_reference(trajs, specs, mesh, **kwargs)
         # the stacked matrix every step, then the lateral map a few times
         assert len(calls) == 2 and calls[0] == n_steps
         # patterns are keyed by window: the windows switch at t = 0.3 and 0.5
@@ -190,16 +190,16 @@ class TestBatchedMarch:
         kwargs = dict(dt=1.0e-3, t_end=0.053,
                       initial=channel.concentration(mesh.positions[:, 0], 0.0),
                       boundary=exact_boundary(channel, mesh), n_snapshots=6)
-        trajs = run_models(mesh, channel.profile(), specs, **kwargs)
+        trajs = run_models(mesh, specs, **kwargs)
         assert trajs[0].times == pytest.approx([0.0, 0.011, 0.021, 0.032, 0.042, 0.053])
-        assert_matches_reference(trajs, specs, mesh, channel.profile(), **kwargs)
+        assert_matches_reference(trajs, specs, mesh, **kwargs)
 
     def test_blowup_names_the_model_that_blew_up(self):
         mesh = chain_mesh([1.0] * 5)  # dt_max: 0.5 at d0 = 1, 0.125 at d0 = 4
         x = mesh.positions[:, 0]
         specs = (SIMPLE, ModelSpec(ModelKind.FICK_JACOBS, d0=4.0))
         with pytest.raises(SimulationError, match="fick-jacobs") as info:
-            run_models(mesh, TabulatedRadius(), specs, dt=0.3, t_end=900.0,
+            run_models(mesh, specs, dt=0.3, t_end=900.0,
                        initial=np.sin(np.pi * x / 4.0), force=True)
         assert "simple-diffusion" not in str(info.value)
 
@@ -207,13 +207,13 @@ class TestBatchedMarch:
         mesh = chain_mesh([1.0] * 5)
         specs = (SIMPLE, ModelSpec(ModelKind.FICK_JACOBS, d0=4.0))
         with pytest.raises(StabilityError):
-            run_models(mesh, TabulatedRadius(), specs, dt=0.3, t_end=0.6, initial=1.0)
+            run_models(mesh, specs, dt=0.3, t_end=0.6, initial=1.0)
 
 
 class TestStep:
     def test_single_update_is_exact(self):
         mesh = chain_mesh([1.0, 1.0, 1.0])
-        op = assemble_model(mesh, TabulatedRadius(), SIMPLE)
+        op = assemble_model(mesh, SIMPLE)
         c = np.array([0.0, 1.0, 0.0])
         out = step(c, op, dt=0.1)
         # leaf rows 2(c_nbr - c_leaf)/h^2, interior (1, -2, 1)/h^2
@@ -221,7 +221,7 @@ class TestStep:
 
     def test_nonfinite_state_raises(self):
         mesh = chain_mesh([1.0, 1.0, 1.0])
-        op = assemble_model(mesh, TabulatedRadius(), SIMPLE)
+        op = assemble_model(mesh, SIMPLE)
         c = np.array([0.0, 1.0, 0.0])
         with pytest.raises(SimulationError):
             step(c, op, dt=1e308)
@@ -245,7 +245,7 @@ class TestConservation:
         rng = np.random.default_rng(7)
         c0 = rng.uniform(0.5, 2.0, mesh.n_nodes)
         traj = run(
-            mesh, TabulatedRadius(), SIMPLE, dt=0.05, t_end=5.0, initial=c0
+            mesh, SIMPLE, dt=0.05, t_end=5.0, initial=c0
         )
         w = trapezoid_weights(mesh)
         masses = traj.states @ w
@@ -256,7 +256,6 @@ class TestConservation:
         mesh = chain_mesh([1.0] * 5)
         traj = run(
             mesh,
-            TabulatedRadius(),
             SIMPLE,
             dt=0.1,
             t_end=2.0,
@@ -274,7 +273,7 @@ class TestRunDriver:
     def test_snapshot_times_span_the_run(self):
         mesh = chain_mesh([1.0] * 5)
         traj = run(
-            mesh, TabulatedRadius(), SIMPLE, dt=0.01, t_end=1.0,
+            mesh, SIMPLE, dt=0.01, t_end=1.0,
             initial=0.0, n_snapshots=5,
         )
         assert traj.times == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
@@ -283,27 +282,26 @@ class TestRunDriver:
     def test_initial_snapshot_is_the_initial_state(self):
         mesh = chain_mesh([1.0] * 5)
         c0 = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
-        traj = run(mesh, TabulatedRadius(), SIMPLE, dt=0.1, t_end=1.0, initial=c0)
+        traj = run(mesh, SIMPLE, dt=0.1, t_end=1.0, initial=c0)
         assert np.array_equal(traj.states[0], c0)
 
     def test_reruns_are_bit_identical(self):
-        cone = ConeRadius(0.2)
-        mesh = interval_mesh(0.0, 10.0, 41, cone)
+        mesh = interval_mesh(0.0, 10.0, 41, lambda x: 1.0 + 0.2 * x)
         x = mesh.positions[:, 0]
         c0 = np.exp(-((x - 5.0) ** 2))
-        a = run(mesh, cone, FJ, dt=0.005, t_end=1.0, initial=c0)
-        b = run(mesh, cone, FJ, dt=0.005, t_end=1.0, initial=c0)
+        a = run(mesh, FJ, dt=0.005, t_end=1.0, initial=c0)
+        b = run(mesh, FJ, dt=0.005, t_end=1.0, initial=c0)
         assert np.array_equal(a.states, b.states)
 
     def test_overlarge_step_is_refused(self):
         mesh = chain_mesh([1.0] * 5)  # dt_max = 0.5
         with pytest.raises(StabilityError):
-            run(mesh, TabulatedRadius(), SIMPLE, dt=0.6, t_end=1.2, initial=1.0)
+            run(mesh, SIMPLE, dt=0.6, t_end=1.2, initial=1.0)
 
     def test_force_overrides_the_gate(self):
         mesh = chain_mesh([1.0] * 5)
         traj = run(
-            mesh, TabulatedRadius(), SIMPLE, dt=0.6, t_end=1.2,
+            mesh, SIMPLE, dt=0.6, t_end=1.2,
             initial=1.0, force=True,
         )
         assert np.isfinite(traj.final).all()
@@ -315,23 +313,23 @@ class TestRunDriver:
             # the pi-mode grows about fivefold per step at this dt, so the
             # march overflows well before t_end
             run(
-                mesh, TabulatedRadius(), SIMPLE, dt=1.5, t_end=900.0,
+                mesh, SIMPLE, dt=1.5, t_end=900.0,
                 initial=np.sin(np.pi * x / 4.0), force=True,
             )
 
     def test_fractional_step_count_is_rejected(self):
         mesh = chain_mesh([1.0] * 5)
         with pytest.raises(ValueError):
-            run(mesh, TabulatedRadius(), SIMPLE, dt=0.3, t_end=1.0, initial=1.0)
+            run(mesh, SIMPLE, dt=0.3, t_end=1.0, initial=1.0)
 
     def test_time_dependent_end_slope_changes_the_answer(self):
         mesh = chain_mesh([1.0] * 5)
         fixed = run(
-            mesh, TabulatedRadius(), SIMPLE, dt=0.1, t_end=1.0, initial=1.0,
+            mesh, SIMPLE, dt=0.1, t_end=1.0, initial=1.0,
             boundary=BoundaryData({4: 0.5}),
         )
         ramped = run(
-            mesh, TabulatedRadius(), SIMPLE, dt=0.1, t_end=1.0, initial=1.0,
+            mesh, SIMPLE, dt=0.1, t_end=1.0, initial=1.0,
             boundary=BoundaryData({4: lambda t: 0.5 * t}),
         )
         assert not np.array_equal(fixed.final, ramped.final)
@@ -340,7 +338,7 @@ class TestRunDriver:
         mesh = chain_mesh([1.0] * 5)
         with pytest.raises(ValueError):
             run(
-                mesh, TabulatedRadius(), SIMPLE, dt=0.1, t_end=1.0,
+                mesh, SIMPLE, dt=0.1, t_end=1.0,
                 initial=1.0, boundary=BoundaryData({2: 1.0}),
             )
 
@@ -403,7 +401,7 @@ class TestLateralFlux:
         mesh = chain_mesh([1.0] * 5)
         field = LateralFluxField((FluxWindow((1, 2), 3.0, t_start=0.0, t_end=0.5),))
         traj = run(
-            mesh, TabulatedRadius(), SIMPLE, dt=0.05, t_end=1.0,
+            mesh, SIMPLE, dt=0.05, t_end=1.0,
             initial=1.0, lateral=field, n_snapshots=3,
         )
         assert traj.fluxes is not None
@@ -418,7 +416,7 @@ class TestLateralFlux:
         policy = ConstraintPolicy(node_ids=(1,), c_hi=6.0, c_lo=4.0,
                                   outflow_strength=2.0)
         traj = run(
-            mesh, TabulatedRadius(), SIMPLE, dt=0.05, t_end=0.1,
+            mesh, SIMPLE, dt=0.05, t_end=0.1,
             initial=7.0, lateral=field, policy=policy, n_snapshots=2,
         )
         assert traj.fluxes[0][mesh.index(1)] == -2.0
@@ -427,7 +425,7 @@ class TestLateralFlux:
         mesh = chain_mesh([1.0] * 5)
         field = LateralFluxField((FluxWindow((2,), 1.0),))
         traj = run(
-            mesh, TabulatedRadius(), SIMPLE, dt=0.05, t_end=1.0,
+            mesh, SIMPLE, dt=0.05, t_end=1.0,
             initial=1.0, lateral=field,
         )
         assert traj.final[2] > 1.0
@@ -435,9 +433,8 @@ class TestLateralFlux:
 
 class TestCsvOutput:
     def test_schema_and_roundtrip(self, tmp_path):
-        cone = ConeRadius(0.5)
-        mesh = interval_mesh(0.0, 2.0, 5, cone)
-        traj = run(mesh, cone, FJ, dt=0.05, t_end=0.5, initial=2.0, n_snapshots=3)
+        mesh = interval_mesh(0.0, 2.0, 5, lambda x: 1.0 + 0.5 * x)
+        traj = run(mesh, FJ, dt=0.05, t_end=0.5, initial=2.0, n_snapshots=3)
         path = tmp_path / "out.csv"
         traj.to_csv(path)
         lines = path.read_text().strip().split("\n")
@@ -446,13 +443,13 @@ class TestCsvOutput:
         t, node_id, x_arc, c, big_g = lines[1].split(",")
         assert float(t) == 0.0 and node_id == "0"
         assert float(c) == traj.states[0, 0]
-        assert float(big_g) == np.pi * cone.radii(mesh)[0] ** 2 * traj.states[0, 0]
+        assert float(big_g) == np.pi * mesh.radii[0] ** 2 * traj.states[0, 0]
 
     def test_flux_column_appears_with_lateral_data(self, tmp_path):
         mesh = chain_mesh([1.0] * 5)
         field = LateralFluxField((FluxWindow((2,), 1.0),))
         traj = run(
-            mesh, TabulatedRadius(), SIMPLE, dt=0.05, t_end=0.5,
+            mesh, SIMPLE, dt=0.05, t_end=0.5,
             initial=1.0, lateral=field,
         )
         path = tmp_path / "out.csv"
@@ -464,7 +461,7 @@ class TestCsvOutput:
         mesh = ball_on_stick(1)
         field = LateralFluxField((FluxWindow((11, 12), 3.0, t_end=0.01),)) if lateral else None
         x = mesh.arc_lengths()
-        traj = run(mesh, TabulatedRadius(), EF, dt=5.0e-4, t_end=0.02,
+        traj = run(mesh, EF, dt=5.0e-4, t_end=0.02,
                    initial=5.0 + np.sin(x), lateral=field,
                    policy=ConstraintPolicy(c_hi=5.5, c_lo=4.5) if lateral else None,
                    n_snapshots=5)
@@ -477,7 +474,7 @@ class TestCsvOutput:
         out = []
         for name in ("a.csv", "b.csv"):
             traj = run(
-                mesh, TabulatedRadius(), SIMPLE, dt=0.05, t_end=1.0, initial=2.0
+                mesh, SIMPLE, dt=0.05, t_end=1.0, initial=2.0
             )
             p = tmp_path / name
             traj.to_csv(p)

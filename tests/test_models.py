@@ -15,7 +15,7 @@ from tubediff.models import (
     effj_mass_factor,
     kalinay_g,
 )
-from tubediff.network import MeshError, SinusoidRadius, TabulatedRadius, interval_mesh
+from tubediff.network import MeshError, interval_mesh
 from tests.test_network import chain_mesh, y_mesh
 
 ZW = ModelSpec(ModelKind.ZWANZIG)
@@ -25,9 +25,9 @@ FJ = ModelSpec(ModelKind.FICK_JACOBS)
 KT = ModelSpec(ModelKind.KALINAY_TEMPORAL)
 
 
-def temporal_mass(mesh, profile):
+def temporal_mass(mesh):
     """The temporal model's per-node factors 1 + g'(x), as assembly reads them."""
-    return fields(mesh, profile).mass(KT)
+    return fields(mesh).mass(KT)
 
 
 def test_models_import_no_other_package_module():
@@ -137,29 +137,28 @@ class TestKalinayMassFactors:
 
     def test_cone_factor_is_constant_and_matches_hand_value(self):
         mesh = chain_mesh([1.0, 2.0, 3.0, 4.0, 5.0])  # radius 1 + x
-        factors = temporal_mass(mesh, TabulatedRadius())
+        factors = temporal_mass(mesh)
         assert factors == pytest.approx(
             np.full(5, self.CONE_UNIT_SLOPE_FACTOR), rel=1e-12
         )
 
     def test_flat_tube_gives_unity(self):
         mesh = chain_mesh([1.0] * 5)
-        factors = temporal_mass(mesh, TabulatedRadius())
+        factors = temporal_mass(mesh)
         assert factors == pytest.approx(np.ones(5), abs=1e-15)
 
     def test_branched_mesh_rejected(self):
         with pytest.raises(MeshError, match="unbranched"):
-            temporal_mass(y_mesh(), TabulatedRadius())
+            temporal_mass(y_mesh())
 
     def test_against_independent_finite_differences(self):
         """Cross-check the stencil route against dense numpy differentiation."""
-        profile = SinusoidRadius(0.5)
         n = 401
-        mesh = interval_mesh(1.0, 5.0, n, profile)
-        ours = temporal_mass(mesh, profile)
+        mesh = interval_mesh(1.0, 5.0, n, lambda x: np.sin(0.5 * x))
+        ours = temporal_mass(mesh)
 
         xs = mesh.positions[:, 0]
-        g = np.array([kalinay_g(x, profile.slope(x)) for x in xs])
+        g = np.array([kalinay_g(x, 0.5 * math.cos(0.5 * x)) for x in xs])
         reference = 1.0 + np.gradient(g, xs, edge_order=2)
         assert ours == pytest.approx(reference, abs=5e-5)
 

@@ -10,11 +10,8 @@ from tests.mesh_reference import mesh_from
 from tests.sparse_oracle import dense
 from tubediff.discretize import slope_matrix
 from tubediff.network import (
-    ConeRadius,
     GeometryParseError,
     MeshError,
-    SinusoidRadius,
-    TabulatedRadius,
     format_mesh,
     interval_mesh,
     load_mesh,
@@ -67,6 +64,10 @@ class TestLoading:
         assert len(mesh.lengths) == 1
         assert mesh.lengths[0] == 1.0
         assert mesh.root == 0
+
+    def test_one_node_document_rejected(self):
+        with pytest.raises(MeshError, match="at least two nodes, got 1"):
+            load_mesh("node 0 0 0 0 1.0\nroot 0\n")
 
     def test_explicit_edge_length_overrides_euclidean(self):
         doc = TWO_NODE_DOC.replace("edge 0 1", "edge 0 1 2.5")
@@ -289,16 +290,20 @@ class TestUpwindStencil:
 
 
 class TestRadiusDerivative:
-    """Radius slopes: the analytic profiles and the rows of slope_matrix."""
+    """Radius slopes: the rows of slope_matrix against analytic slopes."""
 
     def test_cone_analytic_slope(self):
-        mesh = interval_mesh(0.0, 10.0, 11, ConeRadius(0.2))
-        assert ConeRadius(0.2).slope(mesh.positions[mesh.index(5), 0]) == 0.2
+        mesh = interval_mesh(0.0, 10.0, 11, lambda x: 1.0 + 0.2 * x)
+        slopes = slope_matrix(mesh) @ mesh.radii
+        assert slopes[mesh.index(5)] == pytest.approx(0.2, rel=1e-12)  # the taper
 
     def test_sinusoid_analytic_slope(self):
-        mesh = interval_mesh(1.0, 5.0, 9, SinusoidRadius(0.5))
-        x = mesh.positions[mesh.index(0), 0]
-        assert SinusoidRadius(0.5).slope(x) == pytest.approx(0.5 * math.cos(0.5), rel=1e-15)
+        mesh = interval_mesh(1.0, 5.0, 401, lambda x: np.sin(0.5 * x))
+        x = mesh.positions[:, 0]
+        assert np.array_equal(mesh.radii, np.sin(0.5 * x))
+        slopes = slope_matrix(mesh) @ mesh.radii
+        # second order: h = 0.01 leaves a relative error of about h^2 w^2 / 6
+        assert slopes[1:-1] == pytest.approx(0.5 * np.cos(0.5 * x[1:-1]), rel=1e-5)
 
     def test_tabulated_central_difference(self):
         mesh = chain_mesh([1.0, 1.1, 1.2])
@@ -314,9 +319,8 @@ class TestRadiusDerivative:
         assert row @ mesh.radii == pytest.approx(0.1, rel=1e-12)
 
     def test_central_matches_analytic_on_linear_radii(self):
-        profile = ConeRadius(0.7)
-        mesh = interval_mesh(0.0, 4.0, 17, profile)
-        slopes = slope_matrix(mesh) @ TabulatedRadius().radii(mesh)
+        mesh = interval_mesh(0.0, 4.0, 17, lambda x: 1.0 + 0.7 * x)
+        slopes = slope_matrix(mesh) @ mesh.radii
         assert slopes == pytest.approx(np.full(17, 0.7), rel=1e-12)
 
     def test_non_root_leaf_sign_points_away_from_root(self):
@@ -333,23 +337,19 @@ class TestRadiusDerivative:
         # walking toward the root the radius shrinks
         assert np.dot(weights, mesh.radii[walk]) == pytest.approx(-0.1, rel=1e-12)
 
-    def test_tabulated_has_no_analytic_mode(self):
-        assert not TabulatedRadius.analytic
-        assert not hasattr(TabulatedRadius(), "slope")
-
 
 class TestIntervalMesh:
     def test_counts_and_root(self):
-        mesh = interval_mesh(0.0, 10.0, 160, ConeRadius(1.0))
+        mesh = interval_mesh(0.0, 10.0, 160, lambda x: 1.0 + x)
         assert mesh.n_nodes == 160
         assert mesh.root == 0
         assert mesh.arc_lengths()[-1] == pytest.approx(10.0, rel=1e-14)
 
     def test_sinusoid_domain_must_keep_radius_positive(self):
         with pytest.raises(MeshError):
-            interval_mesh(0.0, 10.0, 20, SinusoidRadius(0.5))  # sin crosses zero
+            interval_mesh(0.0, 10.0, 20, lambda x: np.sin(0.5 * x))  # sin crosses zero
 
     def test_infinite_profile_radius_is_refused(self):
-        # 1 + 1e308 * x overflows at the last node only
-        with pytest.raises(MeshError, match=r"not positive and finite at x=2.0 \(got inf\)"):
-            interval_mesh(0.0, 2.0, 5, ConeRadius(1e308))
+        # infinite at the last node only
+        with pytest.raises(MeshError, match="node 4: radius must be positive and finite, got inf"):
+            interval_mesh(0.0, 2.0, 5, lambda x: np.where(x < 2.0, 1.0, math.inf))

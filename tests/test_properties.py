@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from tubediff.cli import main
 from tubediff.discretize import assemble_model, slope_matrix
 from tubediff.models import ModelKind, ModelSpec
-from tubediff.network import MeshError, TabulatedRadius, format_mesh, load_mesh, refine
+from tubediff.network import MeshError, format_mesh, load_mesh, refine
 from tests.mesh_reference import loop_orientation, loop_refine, mesh_from, spec_of
 from tests.sparse_oracle import dense
 from tests.test_discretize import loop_slopes
@@ -66,7 +66,7 @@ def test_every_assembled_row_annihilates_constants(mesh):
     for kind in ModelKind:
         if kind is ModelKind.KALINAY_TEMPORAL and mesh.degree.max() > 2:
             continue  # defined on unbranched channels only
-        matrix = assemble_model(mesh, TabulatedRadius(), ModelSpec(kind)).matrix
+        matrix = assemble_model(mesh, ModelSpec(kind)).matrix
         row_abs = np.abs(dense(matrix)).sum(axis=1)
         assert np.all(np.abs(matrix @ np.ones(mesh.n_nodes)) <= 1e-12 * row_abs), kind
 

@@ -16,11 +16,9 @@ from tests.test_properties import PROPERTY, trees
 from tubediff.discretize import advection_parts, assemble_model, fields, lateral_operator
 from tubediff.integrate import _stack
 from tubediff.models import ModelKind, ModelSpec
-from tubediff.network import TabulatedRadius
 from tubediff.sparse import build, matvec_into
 
 COMPOSE_RTOL = 1e-15
-PROFILE = TabulatedRadius()
 # each tree example assembles every model on up to 120 nodes
 TREE_PROPERTY = settings(PROPERTY, max_examples=50)
 
@@ -33,11 +31,11 @@ def applicable_models(mesh):
 
 def scipy_assembly(mesh, spec):
     """``assemble_model``'s composition of the stencil parts, in scipy."""
-    f = fields(mesh, PROFILE)
+    f = fields(mesh)
     lap_m, lap_n = (to_scipy(m) for m in f.laplacian)
     if spec.kind is ModelKind.SIMPLE_DIFFUSION:
         return spec.d0 * lap_m, spec.d0 * lap_n
-    adv_m, adv_n = (to_scipy(m) for m in advection_parts(mesh, PROFILE, spec)[:2])
+    adv_m, adv_n = (to_scipy(m) for m in advection_parts(mesh, spec)[:2])
     if spec.kind in (ModelKind.ZWANZIG, ModelKind.REGUERA_RUBI, ModelKind.KALINAY_PERCUS):
         d = sp.diags(f.diffusivity(spec))
         return d @ lap_m + adv_m, d @ lap_n + adv_n
@@ -51,7 +49,7 @@ def scipy_assembly(mesh, spec):
 
 def scipy_lateral(mesh):
     """The expanded-flux ``lateral_operator``, composed in scipy."""
-    f = fields(mesh, PROFILE)
+    f = fields(mesh)
     s_full = to_scipy(f.slope)
     s_bound = s_full[mesh.leaf_indices()]
     lap_m, lap_n = (to_scipy(m) for m in f.laplacian)
@@ -110,10 +108,10 @@ def test_build_matches_scipy_coo_summation(n_rows, n_cols, data):
 @given(trees(max_nodes=120), st.integers(0, 2**32 - 1))
 def test_products_with_vectors_equal_scipy_bit_for_bit(mesh, seed):
     rng = np.random.default_rng(seed)
-    ops = [assemble_model(mesh, PROFILE, spec) for spec in applicable_models(mesh)]
+    ops = [assemble_model(mesh, spec) for spec in applicable_models(mesh)]
     matrix = _stack([op.matrix for op in ops], diagonal=True)
     neumann = _stack([op.neumann for op in ops], diagonal=False)
-    lateral = lateral_operator(mesh, PROFILE, ModelSpec(ModelKind.EXPANDED_FLUX))
+    lateral = lateral_operator(mesh, ModelSpec(ModelKind.EXPANDED_FLUX))
     for m in [op.matrix for op in ops] + [matrix, lateral]:
         x = rng.uniform(-2.0, 2.0, m.shape[1])
         assert np.array_equal(m @ x, to_scipy(m) @ x)
@@ -127,11 +125,11 @@ def test_products_with_vectors_equal_scipy_bit_for_bit(mesh, seed):
 def test_composed_operators_agree_with_scipy(mesh, d0):
     for spec in applicable_models(mesh):
         spec = ModelSpec(spec.kind, d0=d0)
-        op = assemble_model(mesh, PROFILE, spec)
+        op = assemble_model(mesh, spec)
         matrix, neumann = scipy_assembly(mesh, spec)
         assert_close(op.matrix, matrix)
         assert_close(op.neumann, neumann)
-    assert_close(lateral_operator(mesh, PROFILE, ModelSpec(ModelKind.EXPANDED_FLUX)),
+    assert_close(lateral_operator(mesh, ModelSpec(ModelKind.EXPANDED_FLUX)),
                  scipy_lateral(mesh))
-    assert_close(lateral_operator(mesh, PROFILE, ModelSpec(ModelKind.FICK_JACOBS)),
-                 sp.diags(2.0 / fields(mesh, PROFILE).radii))
+    assert_close(lateral_operator(mesh, ModelSpec(ModelKind.FICK_JACOBS)),
+                 sp.diags(2.0 / fields(mesh).radii))

@@ -8,7 +8,7 @@ import pytest
 from tubediff.discretize import assemble_model
 from tubediff.integrate import Trajectory
 from tubediff.models import ModelKind, ModelSpec
-from tubediff.network import TabulatedRadius, format_mesh, refine
+from tubediff.network import format_mesh, refine
 from tubediff.verify import (
     ConeChannel,
     ConvergenceResult,
@@ -81,7 +81,7 @@ class TestSinusoidChannel:
         assert chan.x0 == 1.0
         assert chan.x1 == pytest.approx(2.0 * math.pi - 1.0, rel=1e-15)
         mesh = chan.mesh(41)
-        assert chan.profile().radii(mesh).min() > 0.0
+        assert mesh.radii.min() > 0.0
 
     def test_initial_contents_sample(self):
         chan = SinusoidChannel(wavenumber=0.5)
@@ -123,7 +123,7 @@ class TestExactnessUnderDiscretization:
                 int(mesh.node_ids[i]): float(channel.slope(x[i], t))
                 for i in mesh.leaf_indices()
             }
-            op = assemble_model(mesh, channel.profile(), FJ)
+            op = assemble_model(mesh, FJ)
             rhs = op.apply(c, ends)
             exact = channel.time_derivative(x, t)
             return np.max(np.abs(rhs[2:-2] - exact[2:-2]))
@@ -259,7 +259,6 @@ class TestBranchedComparison:
             return Trajectory(
                 mesh=mesh,
                 model="fick-jacobs",
-                radii=TabulatedRadius().radii(mesh),
                 times=np.array([0.0]),
                 states=np.array([values]),
             )
