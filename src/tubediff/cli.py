@@ -14,8 +14,8 @@ Four subcommands share one YAML configuration format:
     run a refinement ladder (node-count list for channels, bisection
     levels for trees) and write ``convergence.csv``.
 ``stability-check``
-    evaluate the step-size screens for the configured run and print
-    the per-node verdict table; exits nonzero when the step is refused.
+    evaluate the stability screen for the configured run and print
+    its verdict table; exits nonzero when the step is refused.
 
 Exit codes: 0 success, 1 numerical failure (unstable step or
 non-finite state), 2 configuration or I/O failure.
@@ -276,13 +276,10 @@ def build_policy(cfg: dict) -> ConstraintPolicy | None:
     node_ids = None
     if section.get("nodes", "all") != "all":
         node_ids = _read(section, "nodes", _ints, what="'all' or a list of node ids")
+    levels = {key: _read(section, key)
+              for key in ("c_hi", "c_lo", "outflow_strength") if key in section}
     try:
-        return ConstraintPolicy(
-            node_ids=node_ids,
-            c_hi=_read(section, "c_hi", default=6.0),
-            c_lo=_read(section, "c_lo", default=4.0),
-            outflow_strength=_read(section, "outflow_strength", default=2.0),
-        )
+        return ConstraintPolicy(node_ids=node_ids, **levels)
     except ValueError as exc:
         raise ConfigError(f"policy: {exc}") from exc
 

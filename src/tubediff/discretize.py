@@ -49,10 +49,6 @@ class SpatialOperator:
     mass_diag: np.ndarray
     notes: tuple[str, ...] = ()
 
-    @property
-    def n_nodes(self) -> int:
-        return self.matrix.shape[0]
-
     def boundary_affine(self, values) -> np.ndarray:
         """Neumann contribution vector for given leaf end slopes.
 
@@ -96,7 +92,7 @@ def laplacian_parts(mesh: NetworkMesh) -> tuple[CSR, CSR]:
     """
     n = mesh.n_nodes
     rows, dx = mesh.origin, mesh.nbr_dx
-    _, lengths, _ = mesh.incident_sums()
+    lengths = mesh.incident_lengths()
     w = np.where(mesh.degree[rows] == 1, 2.0 / (dx * dx), (2.0 / lengths)[rows] / dx)
     diag = np.arange(n)
     matrix = build(np.concatenate([rows, diag]), np.concatenate([mesh.nbr, diag]),
@@ -241,12 +237,14 @@ class Fields:
     radii: np.ndarray
     slopes: np.ndarray
     spacings: np.ndarray       # mean incident edge length
-    edge_sums: np.ndarray      # sum of incident edge lengths
-    inverse_sums: np.ndarray   # sum of their reciprocals
     slope: CSR
     laplacian: tuple[CSR, CSR]
     wind: tuple[np.ndarray, ...]  # rows, cols, weights, radius_slope
     wind_notes: tuple[str, ...]
+    # nodes whose upwind stencils amplify the alternating mode: where the
+    # sum of dR/ds (w0 - w1 + w2) is positive.  Every model scales a node's
+    # stencils by the same positive D (2/R), so the mask holds for all.
+    downwind: np.ndarray
     mesh_ref: weakref.ref      # weak, so the record never keeps its mesh alive
 
     @property
@@ -263,11 +261,6 @@ class Fields:
     def diffusivity(self, spec: ModelSpec) -> np.ndarray:
         """Per-node diffusion coefficient D(x) of a model."""
         return diffusion_coefficient(spec, self.slopes)
-
-    def wind_coefficients(self, diff: np.ndarray) -> np.ndarray:
-        """Per-stencil factor D (2/R) dR/ds on the upwind weights."""
-        rows, _, _, radius_slope = self.wind
-        return diff[rows] * (2.0 / self.radii[rows]) * radius_slope
 
     def mass(self, spec: ModelSpec) -> np.ndarray:
         """Per-node factor on the time derivative of a model.
@@ -293,18 +286,19 @@ def _build_fields(mesh: NetworkMesh) -> Fields:
     radii = mesh.radii
     slope = _per_mesh(mesh, slope_matrix)
     slopes = _read_only(slope @ radii)
-    degree, lengths, inverses = mesh.incident_sums()
     *wind, notes = wind_stencils(mesh, radii, slopes)
+    rows, _, w, radius_slope = wind
+    pi_mode = np.bincount(rows, weights=radius_slope * (w[:, 0] - w[:, 1] + w[:, 2]),
+                          minlength=mesh.n_nodes)
     return Fields(
         radii=radii,
         slopes=slopes,
-        spacings=_read_only(lengths / degree),
-        edge_sums=_read_only(lengths),
-        inverse_sums=_read_only(inverses),
+        spacings=_read_only(mesh.incident_lengths() / mesh.degree),
         slope=slope,
         laplacian=_per_mesh(mesh, laplacian_parts),
         wind=tuple(_read_only(a) for a in wind),
         wind_notes=notes,
+        downwind=_read_only(pi_mode > 0.0),
         mesh_ref=weakref.ref(mesh),
     )
 
@@ -324,8 +318,8 @@ def advection_parts(mesh: NetworkMesh, spec: ModelSpec) -> tuple[CSR, CSR, tuple
     n = mesh.n_nodes
     f = fields(mesh)
     diff = f.diffusivity(spec)
-    rows, cols, weights, _ = f.wind
-    vals = f.wind_coefficients(diff)[:, None] * weights
+    rows, cols, weights, radius_slope = f.wind
+    vals = (diff[rows] * (2.0 / f.radii[rows]) * radius_slope)[:, None] * weights
     # pin the origin weight to minus the rest so the scaled row still
     # annihilates constants after rounding
     vals[:, 0] = -(vals[:, 1] + vals[:, 2])
@@ -382,11 +376,16 @@ def third_derivative_parts(
 
 
 def assemble_model(mesh: NetworkMesh, spec: ModelSpec) -> SpatialOperator:
-    """Assemble the full spatial operator for one model variant."""
+    """The full spatial operator of one model variant, assembled once per
+    mesh and model; the stability screen and the march share it."""
+    return _per_mesh(mesh, _assemble, spec)
+
+
+def _assemble(mesh: NetworkMesh, spec: ModelSpec) -> SpatialOperator:
     f = fields(mesh)
     boundary_ids = tuple(mesh.node_ids[mesh.leaf_indices()].tolist())
     lap_m, lap_n = f.laplacian
-    mass = f.mass(spec)
+    mass = _read_only(f.mass(spec))
 
     if spec.kind is ModelKind.SIMPLE_DIFFUSION:
         return SpatialOperator(spec.d0 * lap_m, spec.d0 * lap_n, boundary_ids, mass)

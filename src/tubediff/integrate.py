@@ -156,7 +156,7 @@ class Trajectory:
 
 def trapezoid_weights(mesh: NetworkMesh) -> np.ndarray:
     """Nodal quadrature weights: half the incident edge lengths."""
-    return 0.5 * mesh.incident_sums()[1]
+    return 0.5 * mesh.incident_lengths()
 
 
 def step(

@@ -245,12 +245,9 @@ class NetworkMesh:
         # summed in edge order (np.sum pairs terms and rounds differently)
         return float(sum(self.lengths.tolist()))
 
-    def incident_sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per node: incident edge count, summed lengths, summed reciprocals."""
-        n = self.n_nodes
-        lengths = np.bincount(self.origin, weights=self.nbr_dx, minlength=n)
-        inverses = np.bincount(self.origin, weights=1.0 / self.nbr_dx, minlength=n)
-        return self.degree, lengths, inverses
+    def incident_lengths(self) -> np.ndarray:
+        """Per node: the summed lengths of its incident edges."""
+        return np.bincount(self.origin, weights=self.nbr_dx, minlength=self.n_nodes)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"NetworkMesh(n_nodes={self.n_nodes}, n_edges={len(self.lengths)}, "

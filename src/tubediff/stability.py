@@ -1,41 +1,34 @@
-"""Explicit-Euler stability screening for the spatial operators.
+"""Explicit-Euler stability screening of the assembled spatial operators.
 
-Two per-node criteria are applied.  The diffusive bound keeps the
-update's own-node coefficient non-negative:
+The screen reads the operator the march steps, ``mass_diag * dc/dt =
+matrix @ c + ...``, and bounds each row of B = M^-1 A by its absolute
+sum (the Gershgorin row bound):
 
-    alpha * beta <= 1,   alpha = 2 D dt / sum(dx_j),   beta = sum(1/dx_j)
+    dt_max_i = 2 m_i / sum_j |a_ij|
 
-with the sums running over the edges incident to the node.  The
-advection bound tracks the most oscillatory grid mode through the
-upwind stencils: with A_k = dt * coef * w_k for stencil weights w_k,
-the mode multiplier is
+The smallest of these keeps dt * rho(B) <= 2 for every step it passes,
+and on a uniform cable it is exactly h**2 / 2D.  A row dominated by an
+advective or third-derivative term lowers its own bound.
 
-    rho(pi) = 1 + A_0 - A_1 + A_2        (sign alternating with k)
-
-and a node passes when |rho(pi)| <= 1.  Models that carry a mass
-factor m(x) on the time derivative are screened with the effective
-step dt / m(x); a node where m(x) <= 0 admits no step at all.
-
-Both bounds also yield the largest admissible step; reports name the
-binding node and the nodes that fail.
+Two conditions admit no step at all and fail their nodes with
+``dt_max`` 0: a mass factor m(x) <= 0, whose time derivative has the
+wrong sign or none, and a downwind upwind stencil (see
+:attr:`Fields.downwind`) under a model with the advection term.
+Reports name the binding node and the nodes that fail.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import Fields, fields
+from .discretize import assemble_model, fields
 from .models import ModelKind, ModelSpec
 from .network import NetworkMesh
-from .sparse import CSR, scale_rows
 
-# float slack so a bound sitting exactly at 1 still passes
+# float slack so a step sitting exactly at its bound still passes
 TOLERANCE = 1e-12
-
-_XI_SAMPLES = 65
 
 
 @dataclass
@@ -46,17 +39,12 @@ class StabilityReport:
     dt_max: float
     passed: bool
     binding_node: int
-    alpha_beta: float
-    advection_rho: float
     failing_nodes: list[int]
     warnings: tuple[str, ...] = ()
 
     def as_table(self) -> str:
-        head = (
-            f"dt={self.dt:.6g}  dt_max={self.dt_max:.6g}  "
-            f"alpha*beta={self.alpha_beta:.6g}  |rho(pi)|={self.advection_rho:.6g}  "
-            f"{'PASS' if self.passed else 'FAIL'}"
-        )
+        head = (f"dt={self.dt:.6g}  dt_max={self.dt_max:.6g}  "
+                f"{'PASS' if self.passed else 'FAIL'}")
         lines = [head, f"binding node: {self.binding_node}"]
         bad = self.failing_nodes
         if bad:
@@ -66,93 +54,34 @@ class StabilityReport:
         return "\n".join(lines)
 
 
-def _abs_row_sums(m: CSR) -> np.ndarray:
-    return np.bincount(m.rows, weights=np.abs(m.data), minlength=m.shape[0])
-
-
-def _advection_screen(mesh, f: Fields, diff, mass, dt):
-    """Per-node pi-mode data: (rho(pi), dt bound, pass flags, warnings)."""
-    n = mesh.n_nodes
-    rows, _, weights, _ = f.wind
-    coef = f.wind_coefficients(diff)
-    q = np.bincount(rows, weights=coef * (weights[:, 0] - weights[:, 1] + weights[:, 2]),
-                    minlength=n)
-    rho_pi = 1.0 + dt * q / mass
-    with np.errstate(divide="ignore"):
-        dt_max = np.where(q < 0.0, 2.0 * mass / -q, np.where(q > 0.0, 0.0, math.inf))
-    passes = np.abs(rho_pi) <= 1.0 + TOLERANCE
-    warnings = list(f.wind_notes)
-    warnings += [f"downwind-amplification node={mesh.node_ids[i]}"
-                 for i in np.flatnonzero(q > 0.0)]
-
-    # |1 + (dt/m) (C0 + C1 e^{i xi} + C2 e^{2i xi})| over the sampled xi,
-    # with C_k the node's sum of coef * w_k
-    scale = dt / mass
-    c0, c1, c2 = (np.bincount(rows, weights=coef * weights[:, k], minlength=n)
-                  for k in range(3))
-    peak = np.zeros(n)
-    for xi in np.linspace(0.0, math.pi, _XI_SAMPLES):
-        re = 1.0 + scale * (c0 + c1 * math.cos(xi) + c2 * math.cos(2.0 * xi))
-        im = scale * (c1 * math.sin(xi) + c2 * math.sin(2.0 * xi))
-        peak = np.maximum(peak, np.hypot(re, im))
-    growing = np.flatnonzero((peak > 1.0 + TOLERANCE) & passes)
-    if growing.size:
-        worst = growing[np.argmax(peak[growing])]
-        warnings.append(
-            f"mode-growth at {growing.size} node(s) "
-            f"(worst node={mesh.node_ids[worst]}, max|rho|-1={peak[worst] - 1.0:.3g})"
-        )
-    return rho_pi, dt_max, passes, warnings
-
-
 def check_model(mesh: NetworkMesh, spec: ModelSpec, dt: float) -> StabilityReport:
-    """Combined screen: diffusive bound and advection bound per node.
-
-    A node whose mass factor is not positive fails with ``dt_max`` 0:
-    its time derivative has the wrong sign or none, so no step is stable.
-    """
+    """Row bound on the model's assembled operator, per node."""
     if dt <= 0.0:
         raise ValueError("time step must be positive")
-    f = fields(mesh)
-    diff = f.diffusivity(spec)
-    if spec.kind is ModelKind.EXPANDED_FLUX:
-        # the grid-scaled term raises the effective second-derivative
-        # coefficient, so screen with it included
-        diff = diff * (1.0 + f.expansion[0])
-    mass = f.mass(spec)
-    rate = 2.0 * diff * f.inverse_sums / f.edge_sums
-    ab = dt * rate / mass
-    dt_max = mass / rate
+    op = assemble_model(mesh, spec)
+    mass = op.mass_diag
+    row_sums = np.bincount(op.matrix.rows, weights=np.abs(op.matrix.data),
+                           minlength=mesh.n_nodes)
 
     reversed_time = mass <= 0.0
-    passes = (ab <= 1.0 + TOLERANCE) & ~reversed_time
     warnings = [f"nonpositive-mass-factor node={mesh.node_ids[i]}"
                 for i in np.flatnonzero(reversed_time)]
-    rho_max = 1.0
-
+    refused = reversed_time
     if spec.kind is not ModelKind.SIMPLE_DIFFUSION:
-        rho_pi, adv_dt, adv_pass, adv_warn = _advection_screen(mesh, f, diff, mass, dt)
-        warnings.extend(adv_warn)
-        rho_max = float(np.abs(rho_pi).max())
-        passes &= adv_pass
-        dt_max = np.minimum(dt_max, adv_dt)
+        f = fields(mesh)
+        warnings += list(f.wind_notes)
+        warnings += [f"downwind-amplification node={mesh.node_ids[i]}"
+                     for i in np.flatnonzero(f.downwind)]
+        refused = refused | f.downwind
 
-    if spec.kind is ModelKind.EXPANDED_FLUX:
-        k1, k2 = f.expansion
-        lap_rows = _abs_row_sums(scale_rows(1.0 + k1, f.laplacian[0]))
-        thr_rows = _abs_row_sums(scale_rows(k2, f.third[0]))
-        warnings += [f"expansion-dominates-diffusion node={mesh.node_ids[i]}"
-                     for i in np.flatnonzero(thr_rows > lap_rows)]
-
-    dt_max = np.where(reversed_time, 0.0, dt_max)
+    passes = (dt * row_sums <= 2.0 * mass * (1.0 + TOLERANCE)) & ~refused
+    dt_max = np.where(refused, 0.0, 2.0 * mass / row_sums)
     worst = int(np.argmin(dt_max))
     return StabilityReport(
         dt=dt,
         dt_max=float(dt_max[worst]),
         passed=bool(passes.all()),
         binding_node=int(mesh.node_ids[worst]),
-        alpha_beta=float(ab.max()),
-        advection_rho=rho_max,
         failing_nodes=mesh.node_ids[~passes].tolist(),
         warnings=tuple(warnings),
     )

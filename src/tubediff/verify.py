@@ -296,14 +296,13 @@ def tree_convergence(
     dt: float,
     t_end: float,
     initial,
-    reference_spec: ModelSpec | None = None,
     force: bool = False,
 ) -> ConvergenceResult:
     """Errors on nested tree meshes against a finest-grid reference run.
 
     ``meshes`` goes coarse to fine; the last mesh hosts the reference
-    run (grid-corrected model unless ``reference_spec`` overrides) and
-    the remaining meshes are each compared to it id by id.  ``initial``
+    run, always of the grid-corrected (expanded-flux) model, and the
+    remaining meshes are each compared to it id by id.  ``initial``
     is a callable producing the start state for a given mesh, so every
     level samples the same underlying field.  Tree resolution is
     counted in edges, which exactly doubles under bisection; reported
@@ -312,10 +311,8 @@ def tree_convergence(
     meshes = list(meshes)
     if len(meshes) < 2:
         raise ValueError("need at least one coarse mesh plus the reference mesh")
-    if reference_spec is None:
-        reference_spec = ModelSpec(ModelKind.EXPANDED_FLUX)
     reference = run(
-        meshes[-1], reference_spec, dt=dt, t_end=t_end,
+        meshes[-1], ModelSpec(ModelKind.EXPANDED_FLUX), dt=dt, t_end=t_end,
         initial=initial(meshes[-1]), n_snapshots=2, force=force,
     )
     ns = []

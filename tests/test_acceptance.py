@@ -301,8 +301,7 @@ def test_08_branched_convergence_accuracy_and_grid_economy():
         return 0.2 + np.exp(-(((arc - 1.6) / 0.4) ** 2)) / mesh.radii**2
 
     ef = tree_convergence(meshes, EF, dt=4.0e-5, t_end=0.2, initial=bump)
-    fj = tree_convergence(
-        meshes, FJ, dt=4.0e-5, t_end=0.2, initial=bump, reference_spec=EF)
+    fj = tree_convergence(meshes, FJ, dt=4.0e-5, t_end=0.2, initial=bump)
 
     past_coarsest = all(
         ef.errors[k] < fj.errors[k] for k in range(1, len(ef.errors)))

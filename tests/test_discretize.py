@@ -423,7 +423,7 @@ class TestSharedFields:
         assert f.radii is mesh.radii
         assert np.array_equal(f.slopes, slope_matrix(mesh) @ mesh.radii)
         assert np.array_equal(f.spacings, loop_spacings(mesh))
-        for a in (f.radii, f.slopes, f.spacings, f.edge_sums, f.inverse_sums):
+        for a in (f.radii, f.slopes, f.spacings, f.downwind):
             assert not a.flags.writeable
 
     def test_slopes_match_the_loop_reference(self):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import tubediff.discretize as discretize
 import tubediff.integrate as integrate
 from tubediff.discretize import (
     FluxWindow,
@@ -116,6 +117,22 @@ class TestBatchedMarch:
                       boundary=exact_boundary(channel, mesh), n_snapshots=4)
         trajs = run_models(mesh, ALL_MODELS, **kwargs)
         assert_matches_reference(trajs, ALL_MODELS, mesh, **kwargs)
+
+    def test_screen_and_march_share_one_assembly_per_model(self, monkeypatch):
+        assembled = []
+        build = discretize._assemble
+
+        def counted(mesh, spec):
+            assembled.append(spec.kind)
+            return build(mesh, spec)
+
+        monkeypatch.setattr(discretize, "_assemble", counted)
+        channel = ConeChannel(taper=2.0)
+        mesh = channel.mesh(41)
+        run_models(mesh, ALL_MODELS, dt=2.0e-4, t_end=2.0e-3,
+                   initial=channel.concentration(mesh.positions[:, 0], 0.0),
+                   boundary=exact_boundary(channel, mesh))
+        assert assembled == [spec.kind for spec in ALL_MODELS]
 
     @pytest.mark.parametrize("node_ids", [None, (23, 12, 11, 23, 31, 2)])
     def test_lateral_windows_and_policy_equal_the_reference(self, node_ids):

@@ -18,6 +18,7 @@ from tubediff.cli import main
 from tubediff.discretize import assemble_model, slope_matrix
 from tubediff.models import ModelKind, ModelSpec
 from tubediff.network import MeshError, format_mesh, load_mesh, refine
+from tubediff.stability import check_model
 from tests.mesh_reference import loop_orientation, loop_refine, mesh_from, spec_of
 from tests.sparse_oracle import dense
 from tests.test_discretize import loop_slopes
@@ -69,6 +70,25 @@ def test_every_assembled_row_annihilates_constants(mesh):
         matrix = assemble_model(mesh, ModelSpec(kind)).matrix
         row_abs = np.abs(dense(matrix)).sum(axis=1)
         assert np.all(np.abs(matrix @ np.ones(mesh.n_nodes)) <= 1e-12 * row_abs), kind
+
+
+@PROPERTY
+@given(trees(max_nodes=40))
+def test_a_screened_step_keeps_the_spectrum_in_bounds(mesh):
+    # dt_max * rho(M^-1 A) <= 2 on every operator the screen admits; where
+    # the spectrum is real and not growing, the step it admits is stable
+    for kind in ModelKind:
+        if kind is ModelKind.KALINAY_TEMPORAL and mesh.degree.max() > 2:
+            continue
+        spec = ModelSpec(kind)
+        dt_max = check_model(mesh, spec, 1.0).dt_max
+        if dt_max == 0.0:
+            continue  # refused
+        op = assemble_model(mesh, spec)
+        lam = np.linalg.eigvals(dense(op.matrix) / op.mass_diag[:, None])
+        assert dt_max * np.abs(lam).max() <= 2.0 * (1.0 + 1e-12), kind
+        if np.all(lam.imag == 0.0) and np.all(lam.real <= 1e-9 * np.abs(lam).max()):
+            assert np.abs(1.0 + dt_max * lam).max() <= 1.0 + 1e-12, kind
 
 
 @PROPERTY

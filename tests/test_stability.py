@@ -5,10 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tubediff.geometry import constricted_tree
+from tubediff.geometry import ball_on_stick, constricted_tree
+from tubediff.integrate import StabilityError
 from tubediff.models import ModelKind, ModelSpec
 from tubediff.network import interval_mesh
 from tubediff.stability import StabilityReport, check_model
+from tubediff.verify import ConeChannel, run_channel
 
 from tests.mesh_reference import mesh_from
 from tests.test_network import chain_mesh
@@ -49,18 +51,22 @@ class TestDiffusionBound:
         mesh = interval_mesh(0.0, 1.0, 11, np.ones_like)
         report = diffusive_screen(mesh, dt=0.005)
         assert report.passed
-        assert report.alpha_beta == pytest.approx(1.0, rel=1e-12)
+        assert report.failing_nodes == []
 
     def test_fails_just_past_the_bound(self):
+        # every row of a uniform cable sums to 4 / h^2 in absolute value,
+        # so every node shares the bound and fails past it
         mesh = interval_mesh(0.0, 1.0, 11, np.ones_like)
         report = diffusive_screen(mesh, dt=0.00501)
         assert not report.passed
-        assert report.alpha_beta == pytest.approx(1.002, rel=1e-12)
+        assert report.failing_nodes == list(range(11))
 
     def test_alpha_beta_value(self):
+        # the old alpha * beta, the step over the cable's bound, is dt / dt_max
         mesh = interval_mesh(0.0, 1.0, 11, np.ones_like)
         report = diffusive_screen(mesh, dt=0.004)
-        assert report.alpha_beta == pytest.approx(0.8, rel=1e-12)
+        assert report.dt / report.dt_max == pytest.approx(0.8, rel=1e-12)
+        assert report.passed
 
     def test_short_leaf_edge_binds(self):
         # edges 0.5 and 0.25: interior bound 0.75/12, leaf bounds dx^2/2
@@ -84,43 +90,43 @@ class TestDiffusionBound:
 
 
 class TestAdvectionBound:
-    # On the symmetric Y the branch node sums two wind-side paths, which
-    # halves its advective step to 0.25, below every diffusive bound (0.5):
-    # the advective bound binds the combined screen there.
+    # On the symmetric Y the branch node (R = 2, unit edges) has the
+    # second-derivative row (2/3, -2, 2/3, 2/3), absolute sum 4.  Its
+    # central radius slope is 1, so each arm adds the upwind row
+    # (2/R) dR (-3, 4, -1)/2 = (-1.5, 2, -0.5): the full row is
+    # (2/3, -5, 8/3, -1/2, 8/3, -1/2), absolute sum 12, bound 2/12.
 
     def test_branch_bound_and_binding_node(self):
-        # node 1: R = 2, dR = 1, so coef = 1 and q = 2 * (a0 - a1 + a2) = -8
         report = check_model(symmetric_y_mesh(), FJ, dt=0.1)
-        assert report.dt_max == pytest.approx(0.25, rel=1e-12)
+        assert report.dt_max == pytest.approx(1.0 / 6.0, rel=1e-12)
         assert report.binding_node == 1
 
     def test_pass_at_bound_fail_past_it(self):
+        # the next tightest row, node 2, sums to 16/3 (bound 0.375)
         mesh = symmetric_y_mesh()
-        assert check_model(mesh, FJ, dt=0.25).passed
-        report = check_model(mesh, FJ, dt=0.26)
+        assert check_model(mesh, FJ, dt=1.0 / 6.0).passed
+        report = check_model(mesh, FJ, dt=0.17)
         assert not report.passed
         assert report.failing_nodes == [1]
-        assert report.advection_rho == pytest.approx(1.08, rel=1e-12)
 
     def test_two_symmetric_paths_halve_the_step(self):
+        # both meshes give node 1 the diffusive bound 0.5; the second arm
+        # doubles the advective weight of the row (4 on the chain, 8 on
+        # the Y), so it halves the advective part of the step
         y = symmetric_y_mesh()
         chain = chain_mesh([1.0, 2.0, 3.0, 4.0], h=1.0)
         dt_y = check_model(y, FJ, dt=0.01).dt_max
         dt_c = check_model(chain, FJ, dt=0.01).dt_max
-        assert dt_c / dt_y == pytest.approx(2.0, rel=1e-12)
-        assert dt_y == pytest.approx(0.25, rel=1e-12)
+        dt_d = check_model(chain, SIMPLE, dt=0.01).dt_max
+        assert dt_d == pytest.approx(0.5, rel=1e-12)
+        assert 1.0 / dt_y - 1.0 / dt_d == pytest.approx(2.0 * (1.0 / dt_c - 1.0 / dt_d),
+                                                        rel=1e-12)
+        assert (dt_c, dt_y) == pytest.approx((0.25, 1.0 / 6.0), rel=1e-12)
 
     def test_first_order_fallback_note_is_carried(self):
         report = check_model(symmetric_y_mesh(), FJ, dt=0.25)
         assert "first-order-upwind node=2" in report.warnings
         assert "first-order-upwind node=4" in report.warnings
-
-    def test_intermediate_mode_growth_is_warned_not_failed(self):
-        # second-order upwinding amplifies some interior modes slightly;
-        # the pi-mode bound still passes
-        report = check_model(symmetric_y_mesh(), FJ, dt=0.25)
-        assert report.passed
-        assert any(w.startswith("mode-growth") for w in report.warnings)
 
 
 class TestModelScreen:
@@ -129,18 +135,21 @@ class TestModelScreen:
         mesh = chain_mesh([1.0, 2.0, 3.0, 4.0, 5.0], h=0.5)
         combined = check_model(mesh, SIMPLE, dt=0.01)
         assert combined.dt_max == 0.125
-        assert combined.advection_rho == 1.0
         assert combined.warnings == ()
 
     def test_combined_takes_the_tighter_bound(self):
-        # uniform cable: diffusion gives 0.5; advection also 0.5 at node 1
+        # unit spacing, unit radius slope: node 1 (R = 2) adds the upwind
+        # row (-1.5, 2, -0.5) to (1, -2, 1), so the row (1, -3.5, 3, -0.5)
+        # sums to 8 and binds at 0.25, below the diffusive 0.5
         mesh = chain_mesh([1.0, 2.0, 3.0, 4.0, 5.0], h=1.0)
         report = check_model(mesh, FJ, dt=0.1)
-        assert report.dt_max == pytest.approx(0.5, rel=1e-12)
-        # shallower taper: advection relaxes, diffusion still binds at 0.5
+        assert report.dt_max == pytest.approx(0.25, rel=1e-12)
+        assert report.binding_node == 1
+        # shallower taper: at R = 5 the upwind row is 0.4 (-1.5, 2, -0.5),
+        # the row sums to 5.6 and the bound relaxes toward 0.5
         wide = chain_mesh([4.0, 5.0, 6.0, 7.0, 8.0], h=1.0)
         report = check_model(wide, FJ, dt=0.1)
-        assert report.dt_max == pytest.approx(0.5, rel=1e-12)
+        assert report.dt_max == pytest.approx(2.0 / 5.6, rel=1e-12)
 
     def test_mass_factor_scales_the_admissible_step(self):
         # linear cone, slope 1: the temporal-correction mass factor is
@@ -156,25 +165,6 @@ class TestModelScreen:
         zw = check_model(mesh, ModelSpec(ModelKind.ZWANZIG), dt=0.01)
         fj = check_model(mesh, FJ, dt=0.01)
         assert zw.dt_max > fj.dt_max
-
-    def test_expansion_dominance_warning_on_ragged_leaf(self):
-        # long leaf edge, then a very short one: the one-sided closure
-        # spacing is about half the leaf edge and the third-order row
-        # overtakes the diffusive row there
-        xs = [0.0, 1.0, 1.02, 2.02, 3.02]
-        rs = [1.0, 2.0, 2.02, 3.02, 4.02]
-        nodes = [(i, (x, 0.0, 0.0), r) for i, (x, r) in enumerate(zip(xs, rs))]
-        edges = [(i, i + 1, xs[i + 1] - xs[i]) for i in range(4)]
-        mesh = mesh_from(nodes, edges, root=0)
-        report = check_model(mesh, EF, dt=1e-5)
-        assert any(
-            w == "expansion-dominates-diffusion node=0" for w in report.warnings
-        )
-
-    def test_no_dominance_warning_on_smooth_channel(self):
-        mesh = interval_mesh(0.0, 10.0, 41, lambda x: 1.0 + 0.2 * x)
-        report = check_model(mesh, EF, dt=1e-4)
-        assert not any("expansion-dominates" in w for w in report.warnings)
 
     def test_nonpositive_mass_factor_fails_with_zero_step(self):
         # the temporal factor 1 + g' is about (-9.59, 3.16, 15.9) here
@@ -213,3 +203,27 @@ class TestModelScreen:
             tracemalloc.stop()
         assert n == 993
         assert peak < 8 * n * n
+
+
+class TestStepsThePerNodeScreenPassed:
+    # The per-node screen this one replaced bounded diffusion and
+    # advection apart and passed these steps; the rows that carry both
+    # refuse them.
+
+    @pytest.mark.parametrize("builder", [ball_on_stick, constricted_tree])
+    @pytest.mark.parametrize("kind,old_dt_max", [
+        (ModelKind.FICK_JACOBS, {"ball_on_stick": 5.0e-3, "constricted_tree": 5.0e-3}),
+        (ModelKind.EXPANDED_FLUX, {"ball_on_stick": 4.861981966144715e-3,
+                                   "constricted_tree": 4.9809271234380285e-3}),
+    ])
+    def test_shipped_trees_refuse_nine_tenths_of_the_old_limit(self, builder, kind,
+                                                               old_dt_max):
+        mesh = builder(1)
+        report = check_model(mesh, ModelSpec(kind), 0.9 * old_dt_max[builder.__name__])
+        assert not report.passed
+        assert report.failing_nodes
+
+    def test_steep_cone_step_that_blew_up_is_refused(self):
+        # marched anyway, this run ends with an error of about 2e99
+        with pytest.raises(StabilityError, match="fick-jacobs: dt=0.0016 exceeds"):
+            run_channel(ConeChannel(taper=5.0), FJ, n=160, dt=1.6e-3, t_end=10.0)
