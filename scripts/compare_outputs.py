@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run every shipped config under two checkouts and compare the artifacts.
 
-    python3 scripts/compare_outputs.py DIR_A DIR_B [--work WORK]
+    python3 scripts/compare_outputs.py DIR_A DIR_B [--work WORK] [--rtol R]
 
 DIR_A and DIR_B are checkouts of this repository, for example the
 working tree and a ``git worktree`` (or ``git archive``) of its parent.
@@ -17,6 +17,10 @@ and gives the largest relative difference per numeric column.  Of
 timing (``step_time_s``) is compared.  Exit codes and console output
 (with the output directory masked) are compared too.  The exit status
 is 0 when everything matches byte for byte, 1 otherwise.
+
+With ``--rtol R`` a numeric CSV cell or manifest value may also differ
+by at most R relative (lines marked ``~``); exit codes and console
+output must still match exactly, and so must every non-numeric value.
 """
 
 from __future__ import annotations
@@ -73,13 +77,36 @@ def column_differences(path_a: Path, path_b: Path) -> dict[str, float] | str:
     return worst
 
 
+def value_difference(a, b) -> float:
+    """Largest relative difference between two manifest values, inf where
+    they differ in anything but numbers."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            return float("inf")
+        return max((value_difference(a[k], b[k]) for k in a), default=0.0)
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return float("inf")
+        return max((value_difference(x, y) for x, y in zip(a, b)), default=0.0)
+    numbers = (int, float)
+    if isinstance(a, numbers) and isinstance(b, numbers) and not isinstance(a, bool) \
+            and not isinstance(b, bool):
+        scale = max(abs(a), abs(b))
+        return abs(a - b) / scale if scale > 0.0 else 0.0
+    return 0.0 if a == b else float("inf")
+
+
 def manifest_results(path: Path) -> dict:
     doc = yaml.safe_load(path.read_text())
     return {k: v for k, v in doc.items() if k not in VARYING_MANIFEST_KEYS}
 
 
-def compare_run(out_a: Path, out_b: Path) -> list[str]:
-    """Report lines for one pair of output directories; '!' marks a difference."""
+def compare_run(out_a: Path, out_b: Path, rtol: float | None = None) -> list[str]:
+    """Report lines for one pair of output directories; '!' marks a
+    difference, '~' a numeric one within ``rtol``."""
+    def mark(worst: float) -> str:
+        return "~" if rtol is not None and worst <= rtol else "!"
+
     lines = []
     names = sorted({p.name for p in out_a.glob("*")} | {p.name for p in out_b.glob("*")})
     for name in names:
@@ -89,15 +116,20 @@ def compare_run(out_a: Path, out_b: Path) -> list[str]:
         elif name == "manifest.yaml":
             ra, rb = manifest_results(a), manifest_results(b)
             keys = sorted(k for k in set(ra) | set(rb) if ra.get(k) != rb.get(k))
-            lines.append(f"! {name}: differs in {', '.join(keys)}" if keys
-                         else f"  {name}: results equal")
+            worst = {k: value_difference(ra.get(k), rb.get(k)) for k in keys}
+            lines.append(f"{mark(max(worst.values()))} {name}: differs in "
+                         + ", ".join(f"{k} {rel:.2e}" for k, rel in worst.items())
+                         if keys else f"  {name}: results equal")
         elif a.read_bytes() == b.read_bytes():
             lines.append(f"  {name}: bytes identical")
         elif name.endswith(".csv"):
             worst = column_differences(a, b)
-            detail = worst if isinstance(worst, str) else ", ".join(
-                f"{col} {rel:.2e}" for col, rel in worst.items() if rel > 0.0)
-            lines.append(f"! {name}: bytes differ; largest relative difference: {detail}")
+            if isinstance(worst, str):
+                lines.append(f"! {name}: bytes differ; {worst}")
+            else:
+                detail = ", ".join(f"{col} {rel:.2e}" for col, rel in worst.items() if rel > 0.0)
+                lines.append(f"{mark(max(worst.values()))} {name}: bytes differ; "
+                             f"largest relative difference: {detail}")
         else:
             lines.append(f"! {name}: bytes differ")
     return lines
@@ -109,6 +141,9 @@ def main(argv=None) -> int:
     parser.add_argument("dir_b", type=Path)
     parser.add_argument("--work", type=Path, default=None,
                         help="where the outputs go (default: a temporary directory)")
+    parser.add_argument("--rtol", type=float, default=None,
+                        help="accept numeric CSV and manifest values within this "
+                             "relative difference")
     args = parser.parse_args(argv)
     checkouts = {"a": args.dir_a.resolve(), "b": args.dir_b.resolve()}
     work = args.work or Path(tempfile.mkdtemp(prefix="compare_outputs-"))
@@ -126,13 +161,15 @@ def main(argv=None) -> int:
             (rc_a, text_a), out_a = results["a"]
             (rc_b, text_b), out_b = results["b"]
             print(f"{config.name} [{command}] exit {rc_a}/{rc_b}")
-            lines = compare_run(out_a, out_b)
+            lines = compare_run(out_a, out_b, args.rtol)
             if rc_a != rc_b or text_a != text_b:
                 lines.append("! exit code or console output differs")
             for line in lines:
                 print(line)
             same = same and not any(line.startswith("!") for line in lines)
-    print("all artifacts identical" if same else "differences found")
+    print(("all artifacts identical" if args.rtol is None
+           else f"all artifacts identical or within rtol {args.rtol:g}")
+          if same else "differences found")
     return 0 if same else 1
 
 

@@ -24,7 +24,7 @@ as well.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +48,15 @@ class SpatialOperator:
     boundary_nodes: tuple[int, ...]
     mass_diag: np.ndarray
     notes: tuple[str, ...] = ()
+    _increments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def increment(self, dt: float) -> CSR:
+        """dt M^-1 A: the forward-Euler step matrix I + dt M^-1 A without
+        its identity, made once per step size."""
+        if dt not in self._increments:
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._increments[dt] = scale_rows(dt / self.mass_diag, self.matrix)
+        return self._increments[dt]
 
     def boundary_affine(self, values) -> np.ndarray:
         """Neumann contribution vector for given leaf end slopes.

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -26,7 +27,7 @@ from .discretize import (
 )
 from .models import ModelSpec
 from .network import NetworkMesh
-from .sparse import CSR, matvec_into
+from .sparse import CSR
 from .stability import StabilityReport, check_model
 
 
@@ -100,19 +101,23 @@ class ConstraintPolicy:
         idx = _distinct(mesh.indices(self.node_ids))
         return (idx + mesh.n_nodes * np.arange(copies)[:, None]).ravel()
 
-    def masks(self, c: np.ndarray, where) -> tuple[np.ndarray, np.ndarray]:
-        """Which of the positions ``where`` lie above ``c_hi`` and which below ``c_lo``."""
-        level = c[where]
-        return level > self.c_hi, level < self.c_lo
+    @cached_property
+    def limits(self) -> np.ndarray:
+        """The lowest and the highest level (rows) of each band (columns)."""
+        return np.array([[-np.inf, self.c_lo, np.nextafter(self.c_hi, np.inf)],
+                         [np.nextafter(self.c_lo, -np.inf), self.c_hi, np.inf]])
 
-    def flux(self, base: np.ndarray, high: np.ndarray, low: np.ndarray, where) -> np.ndarray:
+    def bands(self, c: np.ndarray, where) -> np.ndarray:
+        """The band of the level at each of the positions ``where``: 0 below
+        ``c_lo``, 1 from ``c_lo`` to ``c_hi``, 2 above ``c_hi`` (or NaN)."""
+        return self.limits[0, 1:].searchsorted(c[where], "right")
+
+    def flux(self, base: np.ndarray, band: np.ndarray, where) -> np.ndarray:
         """``base`` with the thresholds applied at the positions ``where``,
-        given their ``masks``."""
+        given their ``bands``."""
         out = base.copy()
-        sub = out[where]
-        sub[high] = -self.outflow_strength
-        sub[low] = 0.0
-        out[where] = sub
+        fixed = np.array([0.0, 0.0, -self.outflow_strength])[band]
+        out[where] = np.where(band == 1, base[where], fixed)
         return out
 
 
@@ -166,18 +171,24 @@ def step(
     neumann_values=None,
     source: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One forward-Euler update; raises on non-finite results."""
+    """One forward-Euler update, ``(dt M^-1 A c + c) + (dt/m) N g + (dt/m)
+    source`` summed in that order as ``run_models`` does; raises on non-finite results."""
+    scale = dt / op.mass_diag
     with np.errstate(over="ignore", invalid="ignore"):
-        out = c + dt * op.apply(c, neumann_values, source)
+        out = op.increment(dt) @ c
+        out += c
+        out += scale * op.boundary_affine(neumann_values)
+        if source is not None:
+            out += scale * source
     if not np.isfinite(out).all():
         raise SimulationError("state became non-finite; reduce dt or check data")
     return out
 
 
-# one precomputed Neumann block, and the table of lateral sources, hold at
-# most this many doubles (256 KB); 1 MB blocks were no faster and added
-# 1.3 MB to the peak RSS of a seven-model compare on 160 nodes
-CHUNK_VALUES = 2**15
+# a chunk of steps (one end-slope call, one finite check), a block's states and
+# the table of lateral sources each span at most this many doubles (256 KB); 1 MB
+# chunks were no faster and added 1.3 MB to a 160-node seven-model compare's RSS
+CHUNK_VALUES, BLOCK_STEPS = 2**15, 32
 
 
 def _stack(blocks, diagonal: bool) -> CSR:
@@ -195,11 +206,16 @@ def _stack(blocks, diagonal: bool) -> CSR:
     return CSR(indptr, indices, data, shape)
 
 
-def _schedule(lateral: LateralFluxField, mesh: NetworkMesh, copies: int, t: float):
-    """Scheduled wall flux at ``t`` for ``copies`` stacked states, and the
-    next window edge, the first time after ``t`` it can change."""
-    edges = [e for w in lateral.windows for e in (w.t_start, w.t_end) if e > t]
-    return np.tile(lateral.values(mesh, t), copies), min(edges, default=math.inf)
+def _schedule(lateral: LateralFluxField, mesh: NetworkMesh, copies: int, k: int, dt: float):
+    """Scheduled wall flux at step ``k`` for ``copies`` stacked states, and the
+    first step with ``k * dt`` at or past the next window edge (``ceil(edge / dt)``
+    can be a step late), where it can change."""
+    edge = min((e for w in lateral.windows for e in (w.t_start, w.t_end) if e > k * dt),
+               default=math.inf)
+    edge_step = max(int(edge / dt) - 1, k) if edge < math.inf else edge
+    while edge_step * dt < edge:
+        edge_step += 1
+    return np.tile(lateral.values(mesh, k * dt), copies), edge_step
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:
@@ -209,7 +225,7 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     return a[np.concatenate([[True], a[1:] != a[:-1]])[: len(a)]]
 
 
-def _chunks(snap_steps: np.ndarray, length: int):
+def _chunks(snap_steps: list[int], length: int):
     """Step ranges [k0, k1) of at most ``length`` steps, ending at every snapshot."""
     for a, z in zip(snap_steps[:-1], snap_steps[1:]):
         for k0 in range(a, z, length):
@@ -237,13 +253,13 @@ def run_models(
     ``n_snapshots`` counts the initial and the final state, so it must be
     at least 2.
 
-    The models' operators are stacked block by block into one sparse
-    system, so each forward-Euler step is one matrix-vector product for
-    all of them.  The end slopes are evaluated for a chunk of steps at a
-    time (chunks end at every snapshot), and the state is checked for
-    finiteness at the end of every chunk.  The lateral source is computed
-    once per schedule window and threshold pattern.  Every model's states
-    equal, bit for bit, those of a one-step-at-a-time march.
+    The models' step matrices I + dt M^-1 A are stacked, so a step is one
+    product plus the end-slope and lateral terms scaled by dt/m.  End
+    slopes are evaluated, and finiteness checked, a chunk of steps at a
+    time (chunks end at every snapshot).  The lateral source is computed
+    once per window and threshold pattern; the pattern is checked once per
+    block of steps, marching again from the first state that left it.
+    The states equal, bit for bit, those of ``step``.
     """
     specs = tuple(specs)
     if not specs:
@@ -276,46 +292,51 @@ def run_models(
         raise ValueError(f"initial state must have {n} entries")
 
     ops = [assemble_model(mesh, spec) for spec in specs]
-    matvec = matvec_into(_stack([op.matrix for op in ops], diagonal=True))
+    # I + dt M^-1 A padded, its identity a last slot: c + (the summed increment)
+    cols, vals = _stack([op.increment(dt) for op in ops], diagonal=True).padded
+    cols = np.vstack([cols, np.arange(len(cols[0]))])
+    vals = np.vstack([vals, np.ones(len(cols[0]))])
+    scale = dt / np.concatenate([op.mass_diag for op in ops])
     neumann = _stack([op.neumann for op in ops], diagonal=False)
     # only the rows of leaves hold entries; the product runs over those
     live = np.flatnonzero(np.diff(neumann.indptr))
     neumann_live = CSR(np.concatenate([[0], neumann.indptr[live + 1]]), neumann.indices,
                        neumann.data, (len(live), neumann.shape[1]))
-    mass = np.concatenate([op.mass_diag for op in ops])
+    edge_step, policy = math.inf, policy if lateral is not None else None
     if lateral is not None:
-        lat_matvec = matvec_into(_stack(
-            [lateral_operator(mesh, spec) for spec in specs], diagonal=True))
+        lat = _stack([lateral_operator(mesh, spec) for spec in specs], diagonal=True)
         where = policy.where(mesh, copies) if policy is not None else None
-        base, next_edge = _schedule(lateral, mesh, copies, 0.0)
+        base, edge_step = _schedule(lateral, mesh, copies, 0, dt)
     c = np.tile(c0, copies)
-    j = None
-    table: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+    j = source = None
+    table: dict[bytes, tuple] = {}
 
-    snap_steps = _distinct(np.round(np.linspace(0, n_steps, n_snapshots)).astype(int))
-    snap_set = set(snap_steps.tolist())
+    snap_steps = _distinct(np.round(np.linspace(0, n_steps, n_snapshots)).astype(int)).tolist()
+    snap_set = set(snap_steps)
     times, states, fluxes = [], [], []
 
-    def wall_flux(k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Wall flux and lateral source at step k, looked up by the threshold
-        masks in a table of the current window's fluxes."""
-        nonlocal base, next_edge
-        t = k * dt
-        if t >= next_edge:
-            base, next_edge = _schedule(lateral, mesh, copies, t)
+    def wall_flux(k: int):
+        """The threshold bands at step k, as bytes, and their entry in the
+        window's table: wall flux, scaled lateral source and, per position,
+        the lowest and the highest level that keep its band."""
+        nonlocal base, edge_step
+        if k >= edge_step:
+            base, edge_step = _schedule(lateral, mesh, copies, k, dt)
             table.clear()
-        high = low = None
-        key = b""
-        if policy is not None:
-            high, low = policy.masks(c, where)
-            key = high.tobytes() + low.tobytes()
+        band = policy.bands(c, where) if policy is not None else None
+        key = band.tobytes() if policy is not None else b""
         hit = table.get(key)
         if hit is None:
-            if (len(table) + 1) * 2 * c.size > CHUNK_VALUES:
+            flux, limits = base, None
+            if policy is not None:
+                flux = policy.flux(base, band, where)
+                limits = np.array([[-np.inf], [np.inf]]).repeat(c.size, axis=1)
+                limits[:, where] = policy.limits[:, band]
+            hit = (flux, scale * (lat @ flux), limits)
+            if (len(table) + 1) * sum(np.size(a) for a in hit) > CHUNK_VALUES:
                 table.clear()
-            flux = base if policy is None else policy.flux(base, high, low, where)
-            hit = table[key] = (flux, lat_matvec(flux).copy())
-        return hit
+            table[key] = hit
+        return key, hit
 
     def record(k: int) -> None:
         times.append(k * dt)
@@ -323,36 +344,48 @@ def run_models(
         if lateral is not None:
             fluxes.append(j)
 
+    # row r: the state after step r of a block, half as long as its bands have held
+    length = max(1, CHUNK_VALUES // c.size)
+    block = np.empty((min(length, BLOCK_STEPS), c.size))
+    pattern, since = None, 0
     start = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0, k1 in _chunks(snap_steps, max(1, CHUNK_VALUES // c.size)):
-            b = None
+        for k0, k1 in _chunks(snap_steps, length):
             if boundary is not None:
                 g = boundary.series(ops[0].boundary_nodes, np.arange(k0, k1) * dt)
-                b = np.zeros((k1 - k0, neumann.shape[0]))
-                b[:, live] = (neumann_live @ g.T).T
-            for k in range(k0, k1):
+                ends = (neumann_live @ g.T).T * scale[live]
+            k = k0
+            while k < k1:
                 if lateral is not None:
-                    j, source = wall_flux(k)
+                    key, (j, source, limits) = wall_flux(k)
+                    pattern, since = (pattern, since) if key == pattern else (key, k)
                 if k == k0 and k in snap_set:
                     record(k)
-                rhs = matvec(c)
-                if b is not None:
-                    rhs += b[k - k0]
-                if lateral is not None:
-                    rhs += source
-                rhs /= mass
-                rhs *= dt
-                c += rhs
+                end = min(k1, edge_step, k + max(1, (k - since) // 2), k + len(block))
+                for r in range(end - k):
+                    terms = c.take(cols)
+                    terms *= vals
+                    c = np.add.reduce(terms, axis=0, out=block[r])
+                    if boundary is not None:
+                        c[live] += ends[k - k0 + r]
+                    if source is not None:
+                        c += source
+                if policy is not None and end - k > 1:  # back to the first state out of band
+                    outside = (block[:end - k - 1] < limits[0]) | (block[:end - k - 1] > limits[1])
+                    first = int(outside.argmax())
+                    if outside.flat[first]:
+                        end = k + first // c.size + 1
+                        c = block[end - k - 1]
+                k = end
             if not np.isfinite(c).all():
-                bad = [spec.kind.value for spec, block in zip(specs, c.reshape(copies, n))
-                       if not np.isfinite(block).all()]
+                bad = [spec.kind.value for spec, part in zip(specs, c.reshape(copies, n))
+                       if not np.isfinite(part).all()]
                 raise SimulationError(
                     f"state of {', '.join(bad)} became non-finite by t={k1 * dt:g}; "
                     "reduce dt or check data"
                 )
         if lateral is not None:
-            j = wall_flux(n_steps)[0]
+            j = wall_flux(n_steps)[1][0]
         record(n_steps)
     march_s = time.perf_counter() - start
 

@@ -106,16 +106,3 @@ def scale_rows(d: np.ndarray, m: CSR) -> CSR:
     """``diag(d) @ m``."""
     return CSR(m.indptr, m.indices, m.data * d[m.rows], m.shape)
 
-
-def matvec_into(m: CSR):
-    """``x -> m @ x`` for vectors, into one output array allocated once:
-    each call overwrites the array the previous call returned."""
-    cols, vals = m.padded
-    out = np.empty(m.shape[0])
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        terms = x[cols]  # faster than np.take into a kept buffer
-        terms *= vals
-        return np.add.reduce(terms, axis=0, out=out)
-
-    return apply

@@ -23,7 +23,7 @@ from tubediff.integrate import (
     step,
     trapezoid_weights,
 )
-from tubediff.sparse import matvec_into
+from tubediff.sparse import CSR
 from tubediff.models import ModelKind, ModelSpec
 from tubediff.network import interval_mesh
 from tubediff.verify import ConeChannel, SinusoidChannel, exact_boundary
@@ -61,9 +61,11 @@ def scalar_policy(mesh, policy, c, base):
 
 
 def reference_march(mesh, spec, *, dt, t_end, initial, boundary=None,
-                    lateral=None, policy=None, n_snapshots=11):
+                    lateral=None, policy=None, n_snapshots=11, visit=None):
     """One model, one ``step`` at a time, end slopes evaluated per step at
-    a scalar time: the reference the batched march must equal bit for bit."""
+    a scalar time: the reference the batched march must equal bit for bit.
+    ``visit(k, c)``, if given, sees the state at every step k, the last
+    included."""
     n_steps = int(round(t_end / dt))
     op = assemble_model(mesh, spec)
     lat = lateral_operator(mesh, spec) if lateral is not None else None
@@ -71,6 +73,8 @@ def reference_march(mesh, spec, *, dt, t_end, initial, boundary=None,
     snaps = set(np.round(np.linspace(0, n_steps, n_snapshots)).astype(int).tolist())
     times, states, fluxes = [], [], []
     for k in range(n_steps + 1):
+        if visit is not None:
+            visit(k, c)
         t = k * dt
         j = source = None
         if lateral is not None:
@@ -154,49 +158,42 @@ class TestBatchedMarch:
     def test_chattering_policy_reuses_lateral_products(self, monkeypatch, entries):
         mesh = ball_on_stick(1)
         if entries is not None:  # a table of `entries` patterns, so it is cleared often
-            monkeypatch.setattr(integrate, "CHUNK_VALUES", entries * 2 * 2 * mesh.n_nodes)
-        calls = []
+            monkeypatch.setattr(integrate, "CHUNK_VALUES", entries * 4 * 2 * mesh.n_nodes)
+        lateral_products, product = [], CSR.__matmul__
 
-        def counting_matvec_into(m):
-            apply, k = matvec_into(m), len(calls)
-            calls.append(0)
+        def counted(m, x):
+            if m.shape == (2 * mesh.n_nodes, 2 * mesh.n_nodes):  # the stacked lateral map
+                lateral_products.append(1)
+            return product(m, x)
 
-            def counted(x):
-                calls[k] += 1
-                return apply(x)
-            return counted
-
-        patterns, masks = [], ConstraintPolicy.masks
-
-        def recorded_masks(policy, c, where):
-            high, low = masks(policy, c, where)
-            t = calls[0] * dt  # the stacked product runs once per step, after this
-            patterns.append((int(t >= 0.3) + int(t >= 0.5), high.tobytes() + low.tobytes()))
-            return high, low
-
-        monkeypatch.setattr(integrate, "matvec_into", counting_matvec_into)
-        monkeypatch.setattr(ConstraintPolicy, "masks", recorded_masks)
+        monkeypatch.setattr(CSR, "__matmul__", counted)
         field = LateralFluxField((
             FluxWindow((11, 12, 13), 3.0, t_start=0.0, t_end=0.3),
             FluxWindow((23, 31, 23), -2.0, t_start=0.5),
         ))
+        policy = ConstraintPolicy(node_ids=(23, 12, 11, 23, 31, 2), c_hi=5.02, c_lo=4.98)
         specs, n_steps, dt = (FJ, EF), 2000, 5.0e-4
         kwargs = dict(dt=dt, t_end=n_steps * dt, initial=5.0, lateral=field,
-                      policy=ConstraintPolicy(node_ids=(23, 12, 11, 23, 31, 2),
-                                              c_hi=5.02, c_lo=4.98),
-                      n_snapshots=7)
+                      policy=policy, n_snapshots=7)
         trajs = run_models(mesh, specs, **kwargs)
         monkeypatch.undo()
         assert_matches_reference(trajs, specs, mesh, **kwargs)
-        # the stacked matrix every step, then the lateral map a few times
-        assert len(calls) == 2 and calls[0] == n_steps
-        # patterns are keyed by window: the windows switch at t = 0.3 and 0.5
+        # the (window, threshold pattern) of the stacked state at every step,
+        # from the reference: the windows switch at t = 0.3 and 0.5
+        where, per_model = policy.where(mesh), []
+        for spec in specs:
+            seen = []
+            reference_march(mesh, spec, **kwargs, visit=lambda k, c: seen.append(
+                policy.bands(c, where).tobytes()))
+            per_model.append(seen)
+        patterns = [(int(k * dt >= 0.3) + int(k * dt >= 0.5), b"".join(models))
+                    for k, models in enumerate(zip(*per_model))]
         flips = sum(a != b for a, b in zip(patterns, patterns[1:]))
         assert flips > n_steps / 4  # the policy chatters ...
         if entries is None:  # ... yet each (window, pattern) costs one product
-            assert calls[1] == len(set(patterns)) < n_steps / 10
+            assert len(lateral_products) == len(set(patterns)) < n_steps / 10
         else:
-            assert len(set(patterns)) < calls[1] < flips  # cleared, and still reused
+            assert len(set(patterns)) < len(lateral_products) < flips  # cleared, and still reused
 
     def test_chunks_that_split_snapshot_intervals(self, monkeypatch):
         channel = ConeChannel(taper=1.0)
@@ -219,6 +216,33 @@ class TestBatchedMarch:
             run_models(mesh, specs, dt=0.3, t_end=900.0,
                        initial=np.sin(np.pi * x / 4.0), force=True)
         assert "simple-diffusion" not in str(info.value)
+
+    def test_blowup_inside_a_policy_block_names_the_model(self):
+        mesh = chain_mesh([1.0] * 5)
+        x = mesh.positions[:, 0]
+        specs = (SIMPLE, ModelSpec(ModelKind.FICK_JACOBS, d0=4.0))
+        field = LateralFluxField((FluxWindow((2,), 0.5),))
+        # a wide band: the growing state keeps its bands for blocks of up to
+        # 21 steps, and overflows inside such blocks
+        with pytest.raises(SimulationError, match="fick-jacobs") as info:
+            run_models(mesh, specs, dt=0.3, t_end=900.0, initial=1.0 + np.sin(np.pi * x / 4.0),
+                       lateral=field, policy=ConstraintPolicy(c_hi=1e6, c_lo=-1e6), force=True)
+        assert "simple-diffusion" not in str(info.value)
+
+    def test_window_edges_switch_on_the_step_the_reference_does(self):
+        # the first step with k * dt >= edge: 3 * 0.1 and 6 * 0.1 round above
+        # 0.3 and 0.6, so ceil(edge / dt) would switch them a step late
+        mesh = chain_mesh([1.0, 1.2, 1.5, 1.2, 1.0])
+        field = LateralFluxField((
+            FluxWindow((1, 2), 1.0, t_start=0.3, t_end=0.7),
+            FluxWindow((3,), -0.5, t_start=3 * 0.1, t_end=6 * 0.1),
+        ))
+        specs = (SIMPLE, FJ)
+        for policy in (None, ConstraintPolicy(c_hi=1.3, c_lo=0.9)):
+            kwargs = dict(dt=0.1, t_end=1.0, initial=1.0, lateral=field, policy=policy,
+                          n_snapshots=3)
+            trajs = run_models(mesh, specs, **kwargs)
+            assert_matches_reference(trajs, specs, mesh, **kwargs)
 
     def test_every_model_is_screened_before_marching(self):
         mesh = chain_mesh([1.0] * 5)
@@ -364,7 +388,7 @@ def governed_flux(policy, mesh, c, base):
     """The wall flux the march applies: ``base`` with the thresholds at
     the governed nodes of one state."""
     where = policy.where(mesh)
-    return policy.flux(base, *policy.masks(c, where), where)
+    return policy.flux(base, policy.bands(c, where), where)
 
 
 class TestConstraintPolicy:
