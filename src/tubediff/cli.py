@@ -27,6 +27,7 @@ import argparse
 import hashlib
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -41,6 +42,7 @@ from .integrate import (
     ConstraintPolicy,
     SimulationError,
     StabilityError,
+    StabilityWarning,
     run,
     trapezoid_weights,
 )
@@ -312,10 +314,6 @@ def cmd_simulate(cfg: dict, out_override: str | None, force: bool) -> int:
         lateral=lateral, policy=policy, n_snapshots=snapshots, force=force,
     )
     report = traj.stability
-    if force and not report.passed:
-        print(f"warning: dt={dt:g} exceeds the stable limit "
-              f"dt_max={report.dt_max:g}; marching anyway (--force)",
-              file=sys.stderr)
 
     csv_path = out / "trajectory.csv"
     traj.to_csv(csv_path)
@@ -470,7 +468,11 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         cfg = load_config(args.config)
-        return COMMANDS[args.command](cfg, args.out, args.force)
+        with warnings.catch_warnings():  # one line per model forced past its screen
+            warnings.simplefilter("always", StabilityWarning)
+            warnings.showwarning = lambda message, *_: print(
+                f"warning: {message} (--force)", file=sys.stderr)
+            return COMMANDS[args.command](cfg, args.out, args.force)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

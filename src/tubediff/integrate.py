@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import time
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping
@@ -44,6 +45,10 @@ class StabilityError(SimulationError):
             f"(binding node {report.binding_node}); pass force=True to march anyway"
         )
         self.report = report
+
+
+class StabilityWarning(UserWarning):
+    """A step that fails the stability screen is marched anyway (``force``)."""
 
 
 @dataclass(frozen=True)
@@ -185,10 +190,11 @@ def step(
     return out
 
 
-# a chunk of steps (one end-slope call, one finite check), a block's states and
-# the table of lateral sources each span at most this many doubles (256 KB); 1 MB
-# chunks were no faster and added 1.3 MB to a 160-node seven-model compare's RSS
-CHUNK_VALUES, BLOCK_STEPS = 2**15, 32
+# a chunk's end slopes and Neumann terms, a block's states and the table of lateral
+# sources each span at most this many doubles (256 KB).  Below BAND_ROWS stacked
+# rows a step gathers: the band's strided product and separate identity add cost
+# more (1.5 us a step at 41 rows on a 2-core Xeon VM; even near 400 rows)
+CHUNK_VALUES, BLOCK_STEPS, BAND_ROWS = 2**15, 32, 400
 
 
 def _stack(blocks, diagonal: bool) -> CSR:
@@ -254,7 +260,8 @@ def run_models(
     at least 2.
 
     The models' step matrices I + dt M^-1 A are stacked, so a step is one
-    product plus the end-slope and lateral terms scaled by dt/m.  End
+    product (read through a band window when the stack is a large enough
+    chain) plus the end-slope and lateral terms scaled by dt/m.  End
     slopes are evaluated, and finiteness checked, a chunk of steps at a
     time (chunks end at every snapshot).  The lateral source is computed
     once per window and threshold pattern; the pattern is checked once per
@@ -277,8 +284,11 @@ def run_models(
     reports = []
     for spec in specs:
         report = check_model(mesh, spec, dt)
-        if not report.passed and not force:
-            raise StabilityError(report, spec.kind.value)
+        if not report.passed:
+            if not force:
+                raise StabilityError(report, spec.kind.value)
+            warnings.warn(f"{spec.kind.value}: dt={dt:g} exceeds the stable limit "
+                          f"dt_max={report.dt_max:g}; marching anyway", StabilityWarning)
         reports.append(report)
 
     if boundary is not None:
@@ -292,22 +302,35 @@ def run_models(
         raise ValueError(f"initial state must have {n} entries")
 
     ops = [assemble_model(mesh, spec) for spec in specs]
-    # I + dt M^-1 A padded, its identity a last slot: c + (the summed increment)
-    cols, vals = _stack([op.increment(dt) for op in ops], diagonal=True).padded
-    cols = np.vstack([cols, np.arange(len(cols[0]))])
-    vals = np.vstack([vals, np.ones(len(cols[0]))])
+    increment = _stack([op.increment(dt) for op in ops], diagonal=True)
+    # a state is a row of models, each its n entries and then hi - lo zeros
+    # that the band reads for columns outside the model (none when padded)
+    band = increment.band if copies * n >= BAND_ROWS else None
+    lo, margin = (band[0], len(band[1]) - 1) if band else (0, 0)
+    width, size = n + margin, copies * (n + margin)
+    place = (np.arange(n) - lo + width * np.arange(copies)[:, None]).ravel()
+    if band is None:  # I + dt M^-1 A padded, its identity a last slot
+        cols, vals = increment.padded
+        cols = np.vstack([cols, np.arange(len(cols[0]))])
+        vals = np.vstack([vals, np.ones(len(cols[0]))])
+    else:  # dt M^-1 A for the row's positions -lo ... size - hi - 1, 0.0 off the models
+        cols, vals = None, np.zeros((margin + 1, size))
+        vals[:, place] = band[1]
+        vals = vals[:, -lo:size - margin - lo]
+    del increment, band  # free the stacked copy: the march reads cols and vals
     scale = dt / np.concatenate([op.mass_diag for op in ops])
     neumann = _stack([op.neumann for op in ops], diagonal=False)
     # only the rows of leaves hold entries; the product runs over those
     live = np.flatnonzero(np.diff(neumann.indptr))
     neumann_live = CSR(np.concatenate([[0], neumann.indptr[live + 1]]), neumann.indices,
                        neumann.data, (len(live), neumann.shape[1]))
+    live_at = place[live]
     edge_step, policy = math.inf, policy if lateral is not None else None
     if lateral is not None:
         lat = _stack([lateral_operator(mesh, spec) for spec in specs], diagonal=True)
         where = policy.where(mesh, copies) if policy is not None else None
+        held = place[where] if policy is not None else None
         base, edge_step = _schedule(lateral, mesh, copies, 0, dt)
-    c = np.tile(c0, copies)
     j = source = None
     table: dict[bytes, tuple] = {}
 
@@ -323,7 +346,7 @@ def run_models(
         if k >= edge_step:
             base, edge_step = _schedule(lateral, mesh, copies, k, dt)
             table.clear()
-        band = policy.bands(c, where) if policy is not None else None
+        band = policy.bands(c, held) if policy is not None else None
         key = band.tobytes() if policy is not None else b""
         hit = table.get(key)
         if hit is None:
@@ -331,8 +354,9 @@ def run_models(
             if policy is not None:
                 flux = policy.flux(base, band, where)
                 limits = np.array([[-np.inf], [np.inf]]).repeat(c.size, axis=1)
-                limits[:, where] = policy.limits[:, band]
-            hit = (flux, scale * (lat @ flux), limits)
+                limits[:, held] = policy.limits[:, band]
+            hit = (flux, np.zeros(size), limits)
+            hit[1][place] = scale * (lat @ flux)
             if (len(table) + 1) * sum(np.size(a) for a in hit) > CHUNK_VALUES:
                 table.clear()
             table[key] = hit
@@ -344,9 +368,24 @@ def run_models(
         if lateral is not None:
             fluxes.append(j)
 
-    # row r: the state after step r of a block, half as long as its bands have held
-    length = max(1, CHUNK_VALUES // c.size)
-    block = np.empty((min(length, BLOCK_STEPS), c.size))
+    # per step, a chunk (one end-slope call, one finite check) holds the end slopes and
+    # the Neumann terms padded, summed and scaled; without end data, it counts a state
+    length = max(1, CHUNK_VALUES // (size if boundary is None else len(ops[0].boundary_nodes)
+                                     + (len(neumann_live.padded[0]) + 2) * len(live)))
+    # rows[r]: the state after step r of a block, half as long as its bands have
+    # held; only a policy looks back over a block, so without one two rows take turns
+    block = np.zeros((min(length, BLOCK_STEPS) + 1 if policy is not None else 2, size))
+    rows = [block[r % len(block)] for r in range(min(length, BLOCK_STEPS) + 1)]
+    # windows[r][s, p] is rows[r][p + s]; a step sums windows[r - 1] * vals into sums[r]
+    # (rows[r] from -lo on), then zeroes gaps[r], the margins between its models
+    if cols is None:
+        windows = [np.lib.stride_tricks.sliding_window_view(row, vals.shape[1]) for row in rows]
+        sums = [row[-lo:size - margin - lo] for row in rows]
+        gaps = [row[n - lo:size - width + n - lo].reshape(copies - 1, width)[:, :margin]
+                for row in rows]
+        terms = np.empty(vals.shape)
+    c = rows[0]
+    c[place] = np.tile(c0, copies)
     pattern, since = None, 0
     start = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -361,24 +400,31 @@ def run_models(
                     pattern, since = (pattern, since) if key == pattern else (key, k)
                 if k == k0 and k in snap_set:
                     record(k)
-                end = min(k1, edge_step, k + max(1, (k - since) // 2), k + len(block))
-                for r in range(end - k):
-                    terms = c.take(cols)
-                    terms *= vals
-                    c = np.add.reduce(terms, axis=0, out=block[r])
+                end = min(k1, edge_step, k + max(1, (k - since) // 2), k + len(rows) - 1)
+                rows[0][:] = c
+                for r in range(1, end - k + 1):
+                    if cols is not None:
+                        terms = rows[r - 1].take(cols)
+                        terms *= vals
+                        np.add.reduce(terms, axis=0, out=rows[r])
+                    else:  # c + (the summed increment), then the margins zeroed again
+                        np.multiply(windows[r - 1], vals, out=terms)
+                        np.add.reduce(terms, axis=0, out=sums[r])
+                        sums[r] += sums[r - 1]
+                        gaps[r].fill(0.0)
                     if boundary is not None:
-                        c[live] += ends[k - k0 + r]
+                        rows[r][live_at] += ends[k - k0 + r - 1]
                     if source is not None:
-                        c += source
+                        rows[r] += source
                 if policy is not None and end - k > 1:  # back to the first state out of band
-                    outside = (block[:end - k - 1] < limits[0]) | (block[:end - k - 1] > limits[1])
+                    outside = (block[1:end - k] < limits[0]) | (block[1:end - k] > limits[1])
                     first = int(outside.argmax())
                     if outside.flat[first]:
                         end = k + first // c.size + 1
-                        c = block[end - k - 1]
+                c = rows[end - k]
                 k = end
             if not np.isfinite(c).all():
-                bad = [spec.kind.value for spec, part in zip(specs, c.reshape(copies, n))
+                bad = [spec.kind.value for spec, part in zip(specs, c.reshape(copies, width))
                        if not np.isfinite(part).all()]
                 raise SimulationError(
                     f"state of {', '.join(bad)} became non-finite by t={k1 * dt:g}; "
@@ -389,7 +435,7 @@ def run_models(
         record(n_steps)
     march_s = time.perf_counter() - start
 
-    states = np.array(states).reshape(len(times), copies, n)
+    states = np.array(states).reshape(len(times), copies, width)[:, :, -lo:n - lo]
     fluxes = np.array(fluxes).reshape(len(times), copies, n) if lateral is not None else None
     return [
         Trajectory(

@@ -1,12 +1,12 @@
 """Read-only compressed sparse row (CSR) matrices on numpy arrays.
 
-CSR and the padded ELLPACK layout follow Saad, *Iterative Methods for
-Sparse Linear Systems* (2nd ed., 2003, sec. 3.4).  Built matrices keep
-each row sorted by column, with no duplicates and no exact zeros.  A
-product with a vector pads every row to the longest, slot-major, with
-its own column (or the last one) and 0.0, then sums it slot by slot in
-stored order: the order a CSR product sums in, so both give the same
-bits.
+CSR, the padded ELLPACK layout and the diagonal (DIA) one of ``band``
+follow Saad, *Iterative Methods for Sparse Linear Systems* (2nd ed.,
+2003, sec. 3.4).  Built matrices keep each row sorted by column, with
+no duplicates and no exact zeros.  A product with a vector pads every
+row to the longest, slot-major, with its own column (or the last one)
+and 0.0, then sums it slot by slot in stored order: the order a CSR
+product sums in, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -58,6 +58,19 @@ class CSR:
         cols[slot, self.rows] = self.indices
         vals[slot, self.rows] = self.data
         return cols, vals
+
+    @cached_property
+    def band(self) -> tuple[int, np.ndarray] | None:
+        """Diagonal (DIA) copy ``(lo, values)``: ``values[s, i]`` is the entry
+        in column ``i + lo + s`` (0.0 where absent), its band spanning the
+        diagonal; None when that band is wider than the longest row."""
+        offsets = self.indices - self.rows
+        lo, hi = offsets.min(initial=0), offsets.max(initial=0)
+        if hi - lo >= np.diff(self.indptr).max(initial=0):
+            return None
+        values = np.zeros((hi - lo + 1, self.shape[0]))
+        values[offsets - lo, self.rows] = self.data
+        return int(lo), values
 
     def __matmul__(self, other):
         """Product with a CSR matrix (each entry spread over the matching

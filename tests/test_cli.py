@@ -335,6 +335,21 @@ class TestCompare:
         first = capsys.readouterr().err.splitlines()[0]
         assert first.startswith("error: reguera-rubi: dt=0.0027 exceeds the stable limit")
 
+    def test_forced_step_warns_once_per_failing_model(self, tmp_path, capsys):
+        # on the taper-5 cone at dt = 2.5e-3 fick-jacobs (dt_max 1.34e-3) and
+        # expanded-flux (1.33e-3) fail the screen, zwanzig (1.81e-2) passes
+        doc = small_channel(compare={"models": ["fick-jacobs", "zwanzig", "expanded-flux"]})
+        doc["run"].update(dt=2.5e-3, t_end=2.5e-2)
+        doc["geometry"].update(taper=5.0, n=160)
+        cfg = write_config(tmp_path, doc)
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path), "--force"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[1] for line in lines] == [" fick-jacobs", " expanded-flux"]
+        assert all(line.startswith("warning: ") and line.endswith("; marching anyway (--force)")
+                   for line in lines)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path), "--force"]) == 0
+        assert capsys.readouterr().err.splitlines() == lines[:1]  # the line simulate prints
+
     def test_builds_the_channel_mesh_once(self, tmp_path, monkeypatch):
         built = []
         init = NetworkMesh.__init__
@@ -396,6 +411,18 @@ class TestConvergence:
         errors = [float(r.split(",")[3]) for r in rows[1:]]
         assert errors[0] > errors[1] > errors[2]
         assert float(rows[2].split(",")[4]) > 1.0
+
+    def test_forced_step_warns_for_each_grid_it_fails_on(self, tmp_path, capsys):
+        # dt = 0.01 passes on 20 and 40 nodes and fails on 80 (dt_max 7.6e-3)
+        doc = small_channel(convergence={"ns": [20, 40, 80]})
+        doc["run"].update(dt=0.01, t_end=0.02)
+        cfg = write_config(tmp_path, doc)
+        assert main(["convergence", "--config", cfg, "--out", str(tmp_path)]) == 1
+        capsys.readouterr()
+        assert main(["convergence", "--config", cfg, "--out", str(tmp_path), "--force"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: fick-jacobs: dt=0.01 exceeds the stable limit dt_max=0.00763452; "
+            "marching anyway (--force)"]
 
     def test_tree_ladder_uses_edge_counts(self, tmp_path):
         doc = {

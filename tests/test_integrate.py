@@ -17,6 +17,7 @@ from tubediff.integrate import (
     ConstraintPolicy,
     SimulationError,
     StabilityError,
+    StabilityWarning,
     Trajectory,
     run,
     run_models,
@@ -198,21 +199,71 @@ class TestBatchedMarch:
     def test_chunks_that_split_snapshot_intervals(self, monkeypatch):
         channel = ConeChannel(taper=1.0)
         mesh = channel.mesh(21)
-        # chunks of 7 steps; 53 steps with snapshots at 0, 11, 21, 32, 42, 53
-        monkeypatch.setattr(integrate, "CHUNK_VALUES", 7 * 2 * mesh.n_nodes)
+        # chunks of 7 steps, each step 2 end slopes and, for each of the 6 leaf
+        # rows (2 of fick-jacobs, 4 of expanded-flux), its Neumann term padded,
+        # summed and scaled; 53 steps with snapshots at 0, 11, 21, 32, 42, 53
+        monkeypatch.setattr(integrate, "CHUNK_VALUES", 7 * (2 + 3 * 6))
+        series, calls = BoundaryData.series, []
+        monkeypatch.setattr(BoundaryData, "series",
+                            lambda self, *a: calls.append(1) or series(self, *a))
         specs = (FJ, EF)
         kwargs = dict(dt=1.0e-3, t_end=0.053,
                       initial=channel.concentration(mesh.positions[:, 0], 0.0),
                       boundary=exact_boundary(channel, mesh), n_snapshots=6)
         trajs = run_models(mesh, specs, **kwargs)
+        assert len(calls) == 10  # two chunks per snapshot interval
+        monkeypatch.undo()
         assert trajs[0].times == pytest.approx([0.0, 0.011, 0.021, 0.032, 0.042, 0.053])
         assert_matches_reference(trajs, specs, mesh, **kwargs)
+
+    def test_band_stack_of_two_widths_equals_the_reference(self):
+        channel = ConeChannel(taper=1.0)
+        mesh = channel.mesh(201)
+        specs = (SIMPLE, EF)
+        bands = [assemble_model(mesh, spec).increment(1e-4).band for spec in specs]
+        assert [(lo, len(values)) for lo, values in bands] == [(-1, 3), (-2, 5)]
+        assert len(specs) * mesh.n_nodes >= integrate.BAND_ROWS  # the march reads the band
+        kwargs = dict(dt=1.0e-4, t_end=0.03,
+                      initial=channel.concentration(mesh.positions[:, 0], 0.0),
+                      boundary=exact_boundary(channel, mesh), n_snapshots=4)
+        trajs = run_models(mesh, specs, **kwargs)
+        assert_matches_reference(trajs, specs, mesh, **kwargs)
+
+    def test_band_march_with_a_chattering_policy_equals_the_reference(self):
+        # from about step 1300 on the policy flips every few steps, and some
+        # 36 blocks are cut and marched again from the first state out of band
+        mesh = interval_mesh(0.0, 10.0, 201, lambda x: 1.0 + 0.1 * x)
+        field = LateralFluxField((
+            FluxWindow((50, 51, 52), 3.0, t_start=0.0, t_end=0.6),
+            FluxWindow((150,), -2.0, t_start=0.3),
+        ))
+        specs = (FJ, EF)
+        assert len(specs) * mesh.n_nodes >= integrate.BAND_ROWS
+        kwargs = dict(dt=5.0e-4, t_end=1.0, initial=5.0, lateral=field, n_snapshots=5,
+                      policy=ConstraintPolicy(node_ids=(51, 100, 150, 50),
+                                              c_hi=5.005, c_lo=4.995))
+        trajs = run_models(mesh, specs, **kwargs)
+        assert_matches_reference(trajs, specs, mesh, **kwargs)
+        assert (trajs[1].fluxes == -2.0).any() and (trajs[1].fluxes == 0.0).any()
 
     def test_blowup_names_the_model_that_blew_up(self):
         mesh = chain_mesh([1.0] * 5)  # dt_max: 0.5 at d0 = 1, 0.125 at d0 = 4
         x = mesh.positions[:, 0]
         specs = (SIMPLE, ModelSpec(ModelKind.FICK_JACOBS, d0=4.0))
-        with pytest.raises(SimulationError, match="fick-jacobs") as info:
+        with pytest.raises(SimulationError, match="fick-jacobs") as info, \
+                pytest.warns(StabilityWarning, match="fick-jacobs: dt=0.3 exceeds"):
+            run_models(mesh, specs, dt=0.3, t_end=900.0,
+                       initial=np.sin(np.pi * x / 4.0), force=True)
+        assert "simple-diffusion" not in str(info.value)
+
+    def test_band_blowup_stays_in_its_model(self):
+        # the zeros between the models keep the overflow out of its neighbour
+        mesh = chain_mesh([1.0] * 201)
+        x = mesh.positions[:, 0]
+        specs = (SIMPLE, ModelSpec(ModelKind.FICK_JACOBS, d0=4.0), SIMPLE)
+        assert len(specs) * mesh.n_nodes >= integrate.BAND_ROWS
+        with pytest.raises(SimulationError, match="fick-jacobs") as info, \
+                pytest.warns(StabilityWarning):
             run_models(mesh, specs, dt=0.3, t_end=900.0,
                        initial=np.sin(np.pi * x / 4.0), force=True)
         assert "simple-diffusion" not in str(info.value)
@@ -224,7 +275,8 @@ class TestBatchedMarch:
         field = LateralFluxField((FluxWindow((2,), 0.5),))
         # a wide band: the growing state keeps its bands for blocks of up to
         # 21 steps, and overflows inside such blocks
-        with pytest.raises(SimulationError, match="fick-jacobs") as info:
+        with pytest.raises(SimulationError, match="fick-jacobs") as info, \
+                pytest.warns(StabilityWarning):
             run_models(mesh, specs, dt=0.3, t_end=900.0, initial=1.0 + np.sin(np.pi * x / 4.0),
                        lateral=field, policy=ConstraintPolicy(c_hi=1e6, c_lo=-1e6), force=True)
         assert "simple-diffusion" not in str(info.value)
@@ -341,16 +393,17 @@ class TestRunDriver:
 
     def test_force_overrides_the_gate(self):
         mesh = chain_mesh([1.0] * 5)
-        traj = run(
-            mesh, SIMPLE, dt=0.6, t_end=1.2,
-            initial=1.0, force=True,
-        )
+        with pytest.warns(StabilityWarning, match=r"dt=0.6 exceeds the stable limit dt_max=0.5"):
+            traj = run(
+                mesh, SIMPLE, dt=0.6, t_end=1.2,
+                initial=1.0, force=True,
+            )
         assert np.isfinite(traj.final).all()
 
     def test_forced_blowup_raises_mid_march(self):
         mesh = chain_mesh([1.0] * 5)
         x = mesh.positions[:, 0]
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError), pytest.warns(StabilityWarning):
             # the pi-mode grows about fivefold per step at this dt, so the
             # march overflows well before t_end
             run(

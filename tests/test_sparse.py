@@ -7,6 +7,7 @@ done in scipy, within ``COMPOSE_RTOL`` of each row's absolute sum.
 """
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,9 +15,10 @@ from hypothesis import strategies as st
 from tests.sparse_oracle import dense, to_scipy
 from tests.test_properties import PROPERTY, trees
 from tubediff.discretize import advection_parts, assemble_model, fields, lateral_operator
+from tubediff.geometry import ball_on_stick, constricted_tree
 from tubediff.integrate import _stack
 from tubediff.models import ModelKind, ModelSpec
-from tubediff.sparse import build
+from tubediff.sparse import CSR, build
 
 COMPOSE_RTOL = 1e-15
 # each tree example assembles every model on up to 120 nodes
@@ -117,6 +119,49 @@ def test_products_with_vectors_equal_scipy_bit_for_bit(mesh, seed):
         assert np.array_equal(m @ x, to_scipy(m) @ x)
     g = rng.uniform(-1.0, 1.0, (7, neumann.shape[1]))
     assert np.array_equal(neumann @ g.T, to_scipy(neumann) @ g.T)
+
+
+def band_product(m: CSR, x: np.ndarray) -> np.ndarray:
+    """``m @ x`` read from ``m.band`` through a strided window of ``x``
+    between zeros, slot by slot, as the march steps a band."""
+    lo, values = m.band
+    padded = np.concatenate([np.zeros(-lo), x, np.zeros(len(values) + lo)])
+    window = np.lib.stride_tricks.sliding_window_view(padded, m.shape[0])
+    return np.add.reduce(window[:len(values)] * values, axis=0)
+
+
+@PROPERTY
+@given(st.integers(1, 5), st.integers(0, 4), st.integers(5, 30), st.data())
+def test_band_product_equals_the_padded_product(width, left, n, data):
+    # the band spans offsets -left ... width - 1 - left; one row fills it, the
+    # others hold 1 ... width entries of it, leading and trailing slots empty
+    left = min(left, width - 1)
+    full = data.draw(st.integers(left, n - width + left))
+    values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e16, -3.0e-7]) | st.floats(-5.0, 5.0)
+    rows, cols = [], []
+    for i in range(n):
+        offsets = [o for o in range(-left, width - left) if 0 <= i + o < n]
+        if i != full:
+            offsets = sorted(data.draw(st.sets(st.sampled_from(offsets), min_size=1)))
+        rows += [i] * len(offsets)
+        cols += [i + o for o in offsets]
+    m = CSR(np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))]), np.array(cols),
+            np.array(data.draw(st.lists(values, min_size=len(cols), max_size=len(cols)))),
+            (n, n))
+    x = np.array(data.draw(st.lists(st.sampled_from([0.0, 2.0, -1.5]) | st.floats(-5.0, 5.0),
+                                    min_size=n, max_size=n))) + 0.0
+    ours = band_product(m, x)
+    assert m.band[0] == -left and len(m.band[1]) == width
+    # equal bits once the state is added, as every step does; the bare sums can
+    # differ only in the sign of a zero (a -0.0 row sum next to an empty slot)
+    assert np.array_equal(ours, m @ x)
+    assert (ours + x).tobytes() == (m @ x + x).tobytes()
+
+
+@pytest.mark.parametrize("mesh", [ball_on_stick(3), constricted_tree(3)], ids=["ball", "tree"])
+def test_a_tree_operator_has_no_band(mesh):
+    for spec in (ModelSpec(ModelKind.FICK_JACOBS), ModelSpec(ModelKind.EXPANDED_FLUX)):
+        assert assemble_model(mesh, spec).increment(1e-4).band is None
 
 
 @TREE_PROPERTY
