@@ -148,12 +148,13 @@ def test_band_product_equals_the_padded_product(width, left, n, data):
     m = CSR(np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))]), np.array(cols),
             np.array(data.draw(st.lists(values, min_size=len(cols), max_size=len(cols)))),
             (n, n))
+    # + 0.0 makes a drawn -0.0 a 0.0: only a state holding -0.0 could tell them apart
     x = np.array(data.draw(st.lists(st.sampled_from([0.0, 2.0, -1.5]) | st.floats(-5.0, 5.0),
                                     min_size=n, max_size=n))) + 0.0
     ours = band_product(m, x)
     assert m.band[0] == -left and len(m.band[1]) == width
     # equal bits once the state is added, as every step does; the bare sums can
-    # differ only in the sign of a zero (a -0.0 row sum next to an empty slot)
+    # differ in the sign of a zero (a -0.0 row sum next to an empty slot)
     assert np.array_equal(ours, m @ x)
     assert (ours + x).tobytes() == (m @ x + x).tobytes()
 
