@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run every shipped config under two checkouts and compare the artifacts.
 
-    python3 scripts/compare_outputs.py DIR_A DIR_B [--work WORK] [--rtol R]
+    python3 scripts/compare_outputs.py DIR_A DIR_B [--work WORK] [--rtol R] [--grid]
 
 DIR_A and DIR_B are checkouts of this repository, for example the
 working tree and a ``git worktree`` (or ``git archive``) of its parent.
@@ -21,12 +21,19 @@ is 0 when everything matches byte for byte, 1 otherwise.
 With ``--rtol R`` a numeric CSV cell or manifest value may also differ
 by at most R relative (lines marked ``~``); exit codes and console
 output must still match exactly, and so must every non-numeric value.
+
+With ``--grid`` the report also covers every channel a ``channel-march``
+benchmark seed can draw (``channel_grid()`` of DIR_A's
+``perfbench/workloads.py``): each seven-model ``compare`` config is
+written once into ``WORK/grid`` and run under both checkouts, and its
+``errors.csv`` must match byte for byte, ``--rtol`` or not.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib.util
 import os
 import subprocess
 import sys
@@ -135,6 +142,42 @@ def compare_run(out_a: Path, out_b: Path, rtol: float | None = None) -> list[str
     return lines
 
 
+def grid_configs(checkout: Path, directory: Path) -> list[Path]:
+    """Write the compare config of every benchmark grid channel, as
+    ``perfbench/workloads.py`` of ``checkout`` builds it."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", checkout / "perfbench" / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for kind, value in workloads.channel_grid():
+        path = directory / f"{kind}_{value!r}.yaml"
+        path.write_text(workloads.dump(workloads.channel_config(kind, value)[0]))
+        paths.append(path)
+    return paths
+
+
+def compare_command(checkouts: dict, work: Path, label: str, command: str,
+                    configs: dict, rtol: float | None) -> bool:
+    """Run ``command`` on each checkout's config, print the report, and
+    say whether everything matched."""
+    results = {}
+    for side, checkout in checkouts.items():
+        out = work / side / f"{label}-{command}"
+        out.mkdir(parents=True, exist_ok=True)
+        results[side] = (run_cli(checkout, command, configs[side], out), out)
+    (rc_a, text_a), out_a = results["a"]
+    (rc_b, text_b), out_b = results["b"]
+    print(f"{label} [{command}] exit {rc_a}/{rc_b}")
+    lines = compare_run(out_a, out_b, rtol)
+    if rc_a != rc_b or text_a != text_b:
+        lines.append("! exit code or console output differs")
+    for line in lines:
+        print(line)
+    return not any(line.startswith("!") for line in lines)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("dir_a", type=Path)
@@ -144,6 +187,8 @@ def main(argv=None) -> int:
     parser.add_argument("--rtol", type=float, default=None,
                         help="accept numeric CSV and manifest values within this "
                              "relative difference")
+    parser.add_argument("--grid", action="store_true",
+                        help="also compare the errors.csv of every benchmark grid channel")
     args = parser.parse_args(argv)
     checkouts = {"a": args.dir_a.resolve(), "b": args.dir_b.resolve()}
     work = args.work or Path(tempfile.mkdtemp(prefix="compare_outputs-"))
@@ -152,21 +197,14 @@ def main(argv=None) -> int:
     same = True
     for config in sorted((checkouts["a"] / "configs").glob("*.yaml")):
         for command in commands(config):
-            results = {}
-            for side, checkout in checkouts.items():
-                out = work / side / f"{config.stem}-{command}"
-                out.mkdir(parents=True, exist_ok=True)
-                results[side] = (run_cli(checkout, command, checkout / "configs" / config.name,
-                                         out), out)
-            (rc_a, text_a), out_a = results["a"]
-            (rc_b, text_b), out_b = results["b"]
-            print(f"{config.name} [{command}] exit {rc_a}/{rc_b}")
-            lines = compare_run(out_a, out_b, args.rtol)
-            if rc_a != rc_b or text_a != text_b:
-                lines.append("! exit code or console output differs")
-            for line in lines:
-                print(line)
-            same = same and not any(line.startswith("!") for line in lines)
+            paths = {side: checkout / "configs" / config.name
+                     for side, checkout in checkouts.items()}
+            same &= compare_command(checkouts, work, config.stem, command, paths,
+                                    args.rtol)
+    if args.grid:
+        for config in grid_configs(checkouts["a"], work / "grid"):
+            same &= compare_command(checkouts, work, config.stem, "compare",
+                                    {"a": config, "b": config}, None)
     print(("all artifacts identical" if args.rtol is None
            else f"all artifacts identical or within rtol {args.rtol:g}")
           if same else "differences found")

@@ -24,11 +24,10 @@ non-finite state), 2 configuration or I/O failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -50,8 +49,7 @@ from .models import ModelSpec
 from .network import MeshError, format_mesh, read_mesh, refine
 from .stability import check_model
 from .verify import (
-    ConeChannel,
-    SinusoidChannel,
+    CHANNELS,
     channel_convergence,
     exact_boundary,
     fitted_slope,
@@ -154,29 +152,10 @@ def build_model(cfg: dict) -> ModelSpec:
 def build_geometry(cfg: dict, model: ModelSpec) -> Geometry:
     section = _section(cfg, "geometry")
     kind = section.get("kind")
-    known = ("cone", "sinusoid", "file", *sorted(TREE_BUILDERS))
+    known = (*CHANNELS, "file", *sorted(TREE_BUILDERS))
     if not (isinstance(kind, str) and kind in known):
         raise ConfigError(f"unknown geometry kind {kind!r}; choose one of: {', '.join(known)}")
-    if kind == "cone":
-        channel = ConeChannel(
-            taper=_read(section, "taper", default=0.0),
-            sigma=_read(section, "sigma", default=4.0),
-            center=_read(section, "center", default=0.0),
-            x0=_read(section, "x0", default=0.0),
-            x1=_read(section, "x1", default=10.0),
-            d0=model.d0,
-        )
-    elif kind == "sinusoid":
-        if "wavenumber" not in section:
-            raise ConfigError("sinusoid geometry needs 'wavenumber'")
-        channel = SinusoidChannel(
-            wavenumber=_read(section, "wavenumber"),
-            sigma=_read(section, "sigma", default=2.0),
-            center=_read(section, "center", default=1.0),
-            margin=_read(section, "margin", default=1.0),
-            d0=model.d0,
-        )
-    elif kind == "file":
+    if kind == "file":
         path = section.get("path")
         if path is None:
             raise ConfigError("file geometry needs 'path'")
@@ -191,10 +170,19 @@ def build_geometry(cfg: dict, model: ModelSpec) -> Geometry:
         if levels:
             mesh = refine(mesh, levels)
         return Geometry(mesh, None)
-    else:
+    if kind in TREE_BUILDERS:
         mesh = TREE_BUILDERS[kind](_read(section, "levels", int, 0, "a whole number"))
         return Geometry(mesh, None)
 
+    # a channel's keys are its class fields; one without a default is required
+    values = {}
+    for field in fields(CHANNELS[kind]):
+        if field.name == "d0":
+            continue
+        if field.default is MISSING and field.name not in section:
+            raise ConfigError(f"{kind} geometry needs '{field.name}'")
+        values[field.name] = _read(section, field.name, default=field.default)
+    channel = CHANNELS[kind](**values, d0=model.d0)
     if section.get("n") is None:
         raise ConfigError(f"{kind} geometry needs 'n'")
     n = _read(section, "n", int, what="a whole number")
@@ -204,7 +192,9 @@ def build_geometry(cfg: dict, model: ModelSpec) -> Geometry:
 
 
 def _fingerprint(mesh) -> str:
-    """SHA-256 of the mesh text; only ``simulate`` records it."""
+    """SHA-256 of the mesh text; only ``simulate`` records it and loads hashlib."""
+    import hashlib
+
     return hashlib.sha256(format_mesh(mesh).encode()).hexdigest()
 
 

@@ -8,9 +8,11 @@ flow of the area-weighted field.  In a sinusoidal tube the same holds
 after an exponential gain in time that offsets the curvature of the
 radius profile.
 
-Both families expose the radius R(x), the tube-integrated field G, the
-concentration c = G / (pi R^2), its spatial slope (for end conditions),
-and its time derivative (for residual checks), all as closed forms.
+One base gives the tube-integrated field G = gain(t) R(x) K(x, t), K the
+heat kernel, the concentration c = G / (pi R^2), its spatial slope (for
+end conditions) and its time derivative (for residual checks) as closed
+forms; a kind supplies its fields, R(x), the term R'/R of the log-slope
+and, where the profile curves, the gain and the rate it adds to c_t/(d0 c).
 A channel's mesh samples R(x) at its nodes once; the solver reads the
 radii from the mesh alone.
 """
@@ -37,19 +39,13 @@ def _gaussian(x, spread, sigma, center):
     return amp / np.sqrt(spread) * np.exp(-((x - center) ** 2) / (4.0 * spread))
 
 
-@dataclass(frozen=True)
-class ConeChannel:
-    """Linearly tapered tube R = 1 + taper * x with a Gaussian transient."""
+class _Channel:
+    """Closed forms shared by the exact channels (see the module docstring)."""
 
-    taper: float
-    sigma: float = 4.0
-    center: float = 0.0
-    x0: float = 0.0
-    x1: float = 10.0
-    d0: float = 1.0
+    growth = 0.0
 
-    def radius(self, x):
-        return 1.0 + self.taper * np.asarray(x)
+    def _gain(self, t):
+        return 1.0
 
     def mesh(self, n: int) -> NetworkMesh:
         return interval_mesh(self.x0, self.x1, n, self.radius)
@@ -59,7 +55,8 @@ class ConeChannel:
 
     def tube_contents(self, x, t: float):
         x = np.asarray(x)
-        return self.radius(x) * _gaussian(x, self.spread(t), self.sigma, self.center)
+        return (self._gain(t) * self.radius(x)
+                * _gaussian(x, self.spread(t), self.sigma, self.center))
 
     def concentration(self, x, t: float):
         radius = self.radius(x)
@@ -69,18 +66,36 @@ class ConeChannel:
         """d(concentration)/dx, exact."""
         x = np.asarray(x)
         s = self.spread(t)
-        log_slope = -(x - self.center) / (2.0 * s) - self.taper / self.radius(x)
+        log_slope = -(x - self.center) / (2.0 * s) - self._radius_term(x)
         return self.concentration(x, t) * log_slope
 
     def time_derivative(self, x, t: float):
         x = np.asarray(x)
         s = self.spread(t)
-        shape = (x - self.center) ** 2 / (4.0 * s * s) - 1.0 / (2.0 * s)
+        shape = (x - self.center) ** 2 / (4.0 * s * s) - 1.0 / (2.0 * s) + self.growth
         return self.d0 * self.concentration(x, t) * shape
 
 
 @dataclass(frozen=True)
-class SinusoidChannel:
+class ConeChannel(_Channel):
+    """Linearly tapered tube R = 1 + taper * x with a Gaussian transient."""
+
+    taper: float = 0.0
+    sigma: float = 4.0
+    center: float = 0.0
+    x0: float = 0.0
+    x1: float = 10.0
+    d0: float = 1.0
+
+    def radius(self, x):
+        return 1.0 + self.taper * np.asarray(x)
+
+    def _radius_term(self, x):
+        return self.taper / self.radius(x)
+
+
+@dataclass(frozen=True)
+class SinusoidChannel(_Channel):
     """Tube R = sin(wavenumber * x) on a margin inside one positive arch."""
 
     wavenumber: float
@@ -97,43 +112,22 @@ class SinusoidChannel:
     def x1(self) -> float:
         return math.pi / self.wavenumber - self.margin
 
+    @property
+    def growth(self) -> float:
+        return self.wavenumber * self.wavenumber
+
     def radius(self, x):
         return np.sin(self.wavenumber * np.asarray(x))
 
-    def mesh(self, n: int) -> NetworkMesh:
-        return interval_mesh(self.x0, self.x1, n, self.radius)
-
-    def spread(self, t: float) -> float:
-        return self.sigma * self.sigma + self.d0 * t
+    def _radius_term(self, x):
+        return self.wavenumber / np.tan(self.wavenumber * x)
 
     def _gain(self, t):
         return c_exp(self.d0 * self.wavenumber * self.wavenumber * t)
 
-    def tube_contents(self, x, t: float):
-        x = np.asarray(x)
-        return (
-            self._gain(t)
-            * self.radius(x)
-            * _gaussian(x, self.spread(t), self.sigma, self.center)
-        )
 
-    def concentration(self, x, t: float):
-        radius = self.radius(x)
-        return self.tube_contents(x, t) / (math.pi * radius * radius)
-
-    def slope(self, x, t: float):
-        x = np.asarray(x)
-        s = self.spread(t)
-        w = self.wavenumber
-        log_slope = -(x - self.center) / (2.0 * s) - w / np.tan(w * x)
-        return self.concentration(x, t) * log_slope
-
-    def time_derivative(self, x, t: float):
-        x = np.asarray(x)
-        s = self.spread(t)
-        w = self.wavenumber
-        shape = (x - self.center) ** 2 / (4.0 * s * s) - 1.0 / (2.0 * s) + w * w
-        return self.d0 * self.concentration(x, t) * shape
+# the exact channel kinds by their geometry ``kind`` name
+CHANNELS = {"cone": ConeChannel, "sinusoid": SinusoidChannel}
 
 
 def l1_error(numeric: np.ndarray, exact: np.ndarray) -> float:

@@ -18,10 +18,12 @@ import pytest
 import yaml
 
 import tubediff
-from tubediff.cli import build_policy, main
+from tubediff.cli import build_geometry, build_policy, main
 from tubediff.geometry import ball_on_stick, constricted_tree
 from tubediff.integrate import ConstraintPolicy
+from tubediff.models import ModelSpec
 from tubediff.network import NetworkMesh, format_mesh
+from tubediff.verify import ConeChannel, SinusoidChannel
 
 CONFIGS = "configs"
 
@@ -82,7 +84,25 @@ class TestConfigErrors:
         doc["geometry"]["kind"] = "torus"
         cfg = write_config(tmp_path, doc)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "torus" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: unknown geometry kind 'torus'; choose one of: "
+            "cone, sinusoid, file, ball-on-stick, constricted-tree\n")
+
+    @pytest.mark.parametrize("geometry,message", [
+        ({"kind": "sinusoid", "n": 40}, "sinusoid geometry needs 'wavenumber'"),
+        ({"kind": "sinusoid", "wavenumber": None, "n": 40},
+         "'wavenumber' must be a finite number, got None"),
+        ({"kind": "cone", "taper": 0.2}, "cone geometry needs 'n'"),
+        ({"kind": "cone", "sigma": "wide", "n": 40},
+         "'sigma' must be a finite number, got 'wide'"),
+        ({"kind": "cone", "x1": float("inf"), "n": 40},
+         "'x1' must be a finite number, got inf"),
+        ({"kind": "sinusoid", "wavenumber": 0.5, "n": 2}, "'n' must be at least 3, got 2"),
+    ])
+    def test_channel_geometry_error_is_one_line(self, tmp_path, capsys, geometry, message):
+        cfg = write_config(tmp_path, small_channel(geometry=geometry))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_convergence_needs_three_grids(self, tmp_path, capsys):
         doc = small_channel(convergence={"ns": [40]})
@@ -366,13 +386,24 @@ class TestCompare:
 
 
 def test_importing_the_cli_loads_no_scipy():
+    # nor OpenSSL: only simulate's geometry hash imports hashlib
     src = Path(tubediff.__file__).resolve().parents[1]
-    code = ("import sys; import tubediff.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    code = ("import sys; import tubediff.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy') or m == '_hashlib'))")
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("geometry,channel", [
+    ({"kind": "cone", "n": 5}, ConeChannel(d0=2.0)),
+    ({"kind": "sinusoid", "wavenumber": 0.5, "margin": 0.5, "n": 5},
+     SinusoidChannel(wavenumber=0.5, margin=0.5, d0=2.0)),
+])
+def test_a_channel_takes_its_class_defaults_and_the_model_d0(geometry, channel):
+    model = ModelSpec.from_name("fick-jacobs", d0=2.0)
+    assert build_geometry({"geometry": geometry}, model).channel == channel
 
 
 def test_an_absent_policy_key_keeps_the_policy_default():

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tubediff.discretize import assemble_model
 from tubediff.geometry import ball_on_stick, constricted_tree
 from tubediff.integrate import StabilityError
 from tubediff.models import ModelKind, ModelSpec
@@ -13,6 +14,7 @@ from tubediff.stability import StabilityReport, check_model
 from tubediff.verify import ConeChannel, run_channel
 
 from tests.mesh_reference import mesh_from
+from tests.sparse_oracle import dense
 from tests.test_network import chain_mesh
 
 FJ = ModelSpec(ModelKind.FICK_JACOBS)
@@ -227,3 +229,35 @@ class TestStepsThePerNodeScreenPassed:
         # marched anyway, this run ends with an error of about 2e99
         with pytest.raises(StabilityError, match="fick-jacobs: dt=0.0016 exceeds"):
             run_channel(ConeChannel(taper=5.0), FJ, n=160, dt=1.6e-3, t_end=10.0)
+
+
+class TestGrowingChain:
+    # x = (0, 1, 1.02, 2.02, 3.02), R = (1, 2, 2.02, 3.02, 4.02): the
+    # expanded-flux leaf row at x = 3.02 has a positive diagonal (its
+    # third-derivative closure outweighs the Laplacian) and B = M^-1 A an
+    # eigenvalue +0.0959, so every step grows; the row bound gives
+    # dt_max 6.72e-3 all the same.  ROADMAP item 1: the screen bounds
+    # |lambda| but does not certify Re(lambda) <= 0.
+
+    @staticmethod
+    def chain():
+        xs = (0.0, 1.0, 1.02, 2.02, 3.02)
+        nodes = [(i, (x, 0.0, 0.0), r)
+                 for i, (x, r) in enumerate(zip(xs, (1.0, 2.0, 2.02, 3.02, 4.02)))]
+        edges = [(i, i + 1, xs[i + 1] - xs[i]) for i in range(len(xs) - 1)]
+        return mesh_from(nodes, edges, root=0)
+
+    @pytest.mark.xfail(strict=True, reason="the screen passes a growing operator "
+                                           "(ROADMAP item 1)")
+    def test_expanded_flux_step_is_refused(self):
+        mesh = self.chain()
+        report = check_model(mesh, EF, 1.0)
+        assert not check_model(mesh, EF, report.dt_max / 2).passed
+
+    def test_fick_jacobs_on_the_same_chain_is_admitted(self):
+        mesh = self.chain()
+        op = assemble_model(mesh, FJ)
+        eigenvalues = np.linalg.eigvals(dense(op.matrix) / op.mass_diag[:, None])
+        assert eigenvalues.real.max() < 1e-12 * np.abs(eigenvalues).max()
+        report = check_model(mesh, FJ, 1.0)
+        assert check_model(mesh, FJ, report.dt_max / 2).passed

@@ -104,6 +104,53 @@ class TestSinusoidChannel:
         assert chan.time_derivative(x, t) == pytest.approx(fd_t, rel=1e-6)
 
 
+class TestClosedFormBits:
+    # float.hex of (concentration, slope, tube_contents, time_derivative)
+    # at x0 + 0.3, the midpoint and x1 - 0.3, at t = 0 then t = 0.7, as the
+    # per-kind closed forms gave them before the kinds shared one base;
+    # any reassociation of the shared expressions changes a bit here
+    PINNED = {
+        "cone": [
+            ("0x1.3c496a1d68cb3p-4", "-0x1.ec8681ac90d8fp-5",
+             "0x1.a3d08ec9e1b86p-2", "-0x1.3b65b022ed381p-9"),
+            ("0x1.73792820f28fep-7", "-0x1.dfd1d3d5394f2p-9",
+             "0x1.483946171ca9ap+0", "-0x1.450a031cd43dep-14"),
+            ("0x1.1b1660fb1f1cfp-9", "-0x1.c1121092ab2a3p-11",
+             "0x1.8dbd2630f4b54p-1", "0x1.12a39749631abp-13"),
+            ("0x1.359af509eb770p-4", "-0x1.e1e0abb9f2e7cp-5",
+             "0x1.9af23a850ebbap-2", "-0x1.27d41b03b915cp-9"),
+            ("0x1.719b678a0925dp-7", "-0x1.d3b9edd1effbdp-9",
+             "0x1.46932510b8a52p+0", "-0x1.643c27e868351p-14"),
+            ("0x1.26b40afb738e7p-9", "-0x1.c484f69a54f23p-11",
+             "0x1.9e0f287ca81ffp-1", "0x1.008652343c6afp-13"),
+        ],
+        "sinusoid": [
+            ("0x1.7cc1e3dd3bcb4p-2", "-0x1.242a9730f73a7p-2",
+             "0x1.59ccff7a01297p-3", "-0x1.99506e8dd37a9p-7"),
+            ("0x1.7b6db00c8307fp-5", "-0x1.91d04726f2ac5p-6",
+             "0x1.2a009eb2d8756p-3", "0x1.74663d3baa5c8p-7"),
+            ("0x1.793a0ca9098dcp-8", "-0x1.b8195be9e0d8cp-10",
+             "0x1.5698231fb14b5p-9", "0x1.7c6aa53bbb4e7p-8"),
+            ("0x1.766a5c87769e5p-2", "-0x1.1d357986856c6p-2",
+             "0x1.540a85ba62dddp-3", "-0x1.702bd7cc8f493p-8"),
+            ("0x1.b890e19c40f6ep-5", "-0x1.8d12147dc27e5p-6",
+             "0x1.5a0509e34c767p-3", "0x1.48ff90656b1d4p-7"),
+            ("0x1.590d9e02fdfb0p-7", "-0x1.81293cd4e08e8p-10",
+             "0x1.395fe04a2098ap-8", "0x1.fe44270f93c50p-8"),
+        ],
+    }
+
+    @pytest.mark.parametrize("kind,channel", [("cone", ConeChannel(taper=1.0)),
+                                              ("sinusoid", SinusoidChannel(wavenumber=0.3))])
+    def test_closed_forms_keep_every_bit(self, kind, channel):
+        xs = (channel.x0 + 0.3, 0.5 * (channel.x0 + channel.x1), channel.x1 - 0.3)
+        got = [tuple(float(f(x, t)).hex() for f in (channel.concentration, channel.slope,
+                                                    channel.tube_contents,
+                                                    channel.time_derivative))
+               for t in (0.0, 0.7) for x in xs]
+        assert got == self.PINNED[kind]
+
+
 class TestExactnessUnderDiscretization:
     """The classical model's operator applied to the exact field must
     reproduce the exact time derivative to second order in h."""
