@@ -58,31 +58,6 @@ class SpatialOperator:
                 self._increments[dt] = scale_rows(dt / self.mass_diag, self.matrix)
         return self._increments[dt]
 
-    def boundary_affine(self, values) -> np.ndarray:
-        """Neumann contribution vector for given leaf end slopes.
-
-        ``values`` may be None (homogeneous), a mapping from leaf node id
-        to slope, or an array in ``boundary_nodes`` order.  Slopes are
-        derivatives of concentration along arc length away from the root.
-        """
-        n_b = len(self.boundary_nodes)
-        if values is None:
-            g = np.zeros(n_b)
-        elif isinstance(values, dict):
-            g = np.array([float(values.get(b, 0.0)) for b in self.boundary_nodes])
-        else:
-            g = np.asarray(values, dtype=float)
-            if g.shape != (n_b,):
-                raise ValueError(f"expected {n_b} boundary slopes, got shape {g.shape}")
-        return self.neumann @ g
-
-    def apply(self, c: np.ndarray, neumann_values=None, source: np.ndarray | None = None) -> np.ndarray:
-        """Evaluate dc/dt for a state vector."""
-        rhs = self.matrix @ c + self.boundary_affine(neumann_values)
-        if source is not None:
-            rhs = rhs + source
-        return rhs / self.mass_diag
-
 
 # ----------------------------------------------------------------------
 # component stencils

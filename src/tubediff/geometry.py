@@ -134,19 +134,3 @@ def constricted_tree(levels: int = 0) -> NetworkMesh:
     """The interior-constriction tree, bisected ``levels`` times."""
     return _build_tree(throat_radius, throat_arm_radius, levels)
 
-
-def bulb_node_id() -> int:
-    """The fat end of the stick (also the root)."""
-    return 0
-
-
-def branch_node_id() -> int:
-    return STICK_NODES - 1
-
-
-def exit_node_ids() -> tuple[int, int]:
-    """The two arm tips."""
-    return (
-        STICK_NODES + ARM_NODES - 1,
-        STICK_NODES + 2 * ARM_NODES - 1,
-    )

@@ -16,7 +16,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -155,12 +155,12 @@ class Trajectory:
         big_g = math.pi * self.mesh.radii**2 * self.states
         with open(path, "w") as f:
             f.write("t,node_id,x_arc,c,G" + (",J\n" if self.fluxes is not None else "\n"))
-            for k, t in enumerate(self.times.tolist()):
+            for k, t in enumerate(map(repr, self.times.tolist())):
                 rows = zip(heads, self.states[k].tolist(), big_g[k].tolist())
                 if self.fluxes is None:
-                    f.write("".join(f"{t!r},{h},{c!r},{g!r}\n" for h, c, g in rows))
+                    f.write("".join(f"{t},{h},{c!r},{g!r}\n" for h, c, g in rows))
                 else:
-                    f.write("".join(f"{t!r},{h},{c!r},{g!r},{j!r}\n"
+                    f.write("".join(f"{t},{h},{c!r},{g!r},{j!r}\n"
                                     for (h, c, g), j in zip(rows, self.fluxes[k].tolist())))
 
 
@@ -169,20 +169,20 @@ def trapezoid_weights(mesh: NetworkMesh) -> np.ndarray:
     return 0.5 * mesh.incident_lengths()
 
 
-def step(
-    c: np.ndarray,
-    op: SpatialOperator,
-    dt: float,
-    neumann_values=None,
-    source: np.ndarray | None = None,
-) -> np.ndarray:
+def step(c: np.ndarray, op: SpatialOperator, dt: float, neumann_values=None,
+         source: np.ndarray | None = None) -> np.ndarray:
     """One forward-Euler update, ``(dt M^-1 A c + c) + (dt/m) N g + (dt/m)
-    source`` summed in that order as ``run_models`` does; raises on non-finite results."""
+    source`` summed in that order as ``run_models`` does, with the end slopes
+    g in ``op.boundary_nodes`` order (None: all zero); raises on non-finite results."""
+    n_b = len(op.boundary_nodes)
+    g = np.zeros(n_b) if neumann_values is None else np.asarray(neumann_values, dtype=float)
+    if g.shape != (n_b,):
+        raise ValueError(f"expected {n_b} boundary slopes, got shape {g.shape}")
     scale = dt / op.mass_diag
     with np.errstate(over="ignore", invalid="ignore"):
         out = op.increment(dt) @ c
         out += c
-        out += scale * op.boundary_affine(neumann_values)
+        out += scale * (op.neumann @ g)
         if source is not None:
             out += scale * source
     if not np.isfinite(out).all():
@@ -238,103 +238,78 @@ def _chunks(snap_steps: list[int], length: int):
             yield k0, min(k0 + length, z)
 
 
-def run_models(
-    mesh: NetworkMesh,
-    specs,
-    *,
-    dt: float,
-    t_end: float,
-    initial,
-    boundary: BoundaryData | None = None,
-    lateral: LateralFluxField | None = None,
-    policy: ConstraintPolicy | None = None,
-    n_snapshots: int = 11,
-    force: bool = False,
-) -> list[Trajectory]:
-    """March several models on one mesh from t=0 to t_end, as one system.
+class _Plan(NamedTuple):
+    """The models' stacked step, built once per run, and its row format: the
+    models one after another, each its n entries (at ``place``) and then
+    ``margin`` zeros that the band reads for columns outside the model."""
 
-    ``initial`` is a node-ordered array or a scalar fill value, shared by
-    every model.  Every model passes the stability screen before any
-    marching, or the first to fail it is refused unless ``force`` is set.
-    ``n_snapshots`` counts the initial and the final state, so it must be
-    at least 2.
+    mesh: NetworkMesh
+    names: tuple[str, ...]
+    dt: float
+    lo: int                   # the lowest band offset (0 when padded)
+    margin: int
+    place: np.ndarray
+    cols: np.ndarray | None   # I + dt M^-1 A padded, its identity a last slot ...
+    vals: np.ndarray          # ... or dt M^-1 A for positions -lo ... size - hi - 1
+    scale: np.ndarray         # dt/m, model after model
+    boundary_nodes: tuple[int, ...]
+    neumann: CSR              # the Neumann terms of the rows in live ...
+    live: np.ndarray          # ... the stacked rows of leaves, the only ones with entries
+    lat: CSR | None           # the models' lateral maps, stacked
 
-    The models' step matrices I + dt M^-1 A are stacked, so a step is one
-    product (read through a band window when the stack is a large enough
-    chain) plus the end-slope and lateral terms scaled by dt/m.  End
-    slopes are evaluated, and finiteness checked, a chunk of steps at a
-    time (chunks end at every snapshot).  The lateral source is computed
-    once per window and threshold pattern; the pattern is checked once per
-    block of steps, marching again from the first state that left it.
-    The states equal, bit for bit, those of ``step``.
-    """
-    specs = tuple(specs)
-    if not specs:
-        raise ValueError("need at least one model")
-    if t_end <= 0.0:
-        raise ValueError("t_end must be positive")
-    if n_snapshots < 2:
-        raise ValueError(
-            f"n_snapshots={n_snapshots}: need at least 2 (the initial and the final state)"
-        )
-    n_steps = max(1, int(round(t_end / dt)))
-    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
-        raise ValueError(f"t_end={t_end} is not a whole number of steps of dt={dt}")
+    @classmethod
+    def build(cls, mesh: NetworkMesh, specs, ops, dt: float, lateral) -> _Plan:
+        n, copies = mesh.n_nodes, len(specs)
+        lat = (_stack([lateral_operator(mesh, spec) for spec in specs], diagonal=True)
+               if lateral is not None else None)
+        increment = _stack([op.increment(dt) for op in ops], diagonal=True)
+        band = increment.band if copies * n >= BAND_ROWS else None
+        lo, margin = (band[0], len(band[1]) - 1) if band else (0, 0)
+        size = copies * (n + margin)
+        place = (np.arange(n) - lo + (n + margin) * np.arange(copies)[:, None]).ravel()
+        if band is None:
+            cols, vals = increment.padded
+            cols = np.vstack([cols, np.arange(len(cols[0]))])
+            vals = np.vstack([vals, np.ones(len(cols[0]))])
+        else:  # 0.0 off the models
+            cols, vals = None, np.zeros((margin + 1, size))
+            vals[:, place] = band[1]
+            vals = vals[:, -lo:size - margin - lo]
+        neumann = _stack([op.neumann for op in ops], diagonal=False)
+        live = np.flatnonzero(np.diff(neumann.indptr))
+        return cls(mesh, tuple(spec.kind.value for spec in specs), dt, lo, margin, place,
+                   cols, vals, dt / np.concatenate([op.mass_diag for op in ops]),
+                   ops[0].boundary_nodes,
+                   CSR(np.concatenate([[0], neumann.indptr[live + 1]]), neumann.indices,
+                       neumann.data, (len(live), neumann.shape[1])), live, lat)
 
-    reports = []
-    for spec in specs:
-        report = check_model(mesh, spec, dt)
-        if not report.passed:
-            if not force:
-                raise StabilityError(report, spec.kind.value)
-            warnings.warn(f"{spec.kind.value}: dt={dt:g} exceeds the stable limit "
-                          f"dt_max={report.dt_max:g}; marching anyway", StabilityWarning)
-        reports.append(report)
+    def row(self, c0: np.ndarray) -> np.ndarray:
+        """Every model at the state ``c0``, as a row."""
+        out = np.zeros(len(self.names) * (self.mesh.n_nodes + self.margin))
+        out[self.place] = np.tile(c0, len(self.names))
+        return out
 
-    if boundary is not None:
-        boundary.validate(mesh)
+    def unstack(self, rows) -> np.ndarray:
+        """Rows back to (snapshot, model, node)."""
+        n = self.mesh.n_nodes
+        return np.array(rows).reshape(len(rows), len(self.names), -1)[:, :, -self.lo:n - self.lo]
 
-    n, copies = mesh.n_nodes, len(specs)
-    c0 = np.asarray(initial, dtype=float)
-    if c0.ndim == 0:
-        c0 = np.full(n, float(c0))
-    if c0.shape != (n,):
-        raise ValueError(f"initial state must have {n} entries")
 
-    ops = [assemble_model(mesh, spec) for spec in specs]
-    increment = _stack([op.increment(dt) for op in ops], diagonal=True)
-    # a state is a row of models, each its n entries and then hi - lo zeros
-    # that the band reads for columns outside the model (none when padded)
-    band = increment.band if copies * n >= BAND_ROWS else None
-    lo, margin = (band[0], len(band[1]) - 1) if band else (0, 0)
+def _euler(plan: _Plan, c: np.ndarray, snap_steps: list[int], boundary: BoundaryData | None,
+           lateral: LateralFluxField | None, policy: ConstraintPolicy | None):
+    """Forward Euler from the row ``c``: the times, rows and (with ``lateral``)
+    wall fluxes at ``snap_steps``.  End slopes are evaluated, and finiteness
+    checked, once per chunk of steps; the threshold bands once per block."""
+    (mesh, names, dt, lo, margin, place, cols, vals, scale, boundary_nodes, neumann, live,
+     lat) = plan
+    n, copies, live_at = mesh.n_nodes, len(names), place[live]
     width, size = n + margin, copies * (n + margin)
-    place = (np.arange(n) - lo + width * np.arange(copies)[:, None]).ravel()
-    if band is None:  # I + dt M^-1 A padded, its identity a last slot
-        cols, vals = increment.padded
-        cols = np.vstack([cols, np.arange(len(cols[0]))])
-        vals = np.vstack([vals, np.ones(len(cols[0]))])
-    else:  # dt M^-1 A for the row's positions -lo ... size - hi - 1, 0.0 off the models
-        cols, vals = None, np.zeros((margin + 1, size))
-        vals[:, place] = band[1]
-        vals = vals[:, -lo:size - margin - lo]
-    del increment, band  # free the stacked copy: the march reads cols and vals
-    scale = dt / np.concatenate([op.mass_diag for op in ops])
-    neumann = _stack([op.neumann for op in ops], diagonal=False)
-    # only the rows of leaves hold entries; the product runs over those
-    live = np.flatnonzero(np.diff(neumann.indptr))
-    neumann_live = CSR(np.concatenate([[0], neumann.indptr[live + 1]]), neumann.indices,
-                       neumann.data, (len(live), neumann.shape[1]))
-    live_at = place[live]
-    edge_step, policy = math.inf, policy if lateral is not None else None
-    if lateral is not None:
-        lat = _stack([lateral_operator(mesh, spec) for spec in specs], diagonal=True)
-        where = policy.where(mesh, copies) if policy is not None else None
-        held = place[where] if policy is not None else None
-        base, edge_step = _schedule(lateral, mesh, copies, 0, dt)
+    where = policy.where(mesh, copies) if policy is not None else None
+    held = place[where] if policy is not None else None
+    base, edge_step = (_schedule(lateral, mesh, copies, 0, dt) if lateral is not None
+                       else (None, math.inf))
     j = source = None
     table: dict[bytes, tuple] = {}
-
-    snap_steps = _distinct(np.round(np.linspace(0, n_steps, n_snapshots)).astype(int)).tolist()
     snap_set = set(snap_steps)
     times, states, fluxes = [], [], []
 
@@ -370,8 +345,8 @@ def run_models(
 
     # per step, a chunk (one end-slope call, one finite check) holds the end slopes and
     # the Neumann terms padded, summed and scaled; without end data, it counts a state
-    length = max(1, CHUNK_VALUES // (size if boundary is None else len(ops[0].boundary_nodes)
-                                     + (len(neumann_live.padded[0]) + 2) * len(live)))
+    length = max(1, CHUNK_VALUES // (size if boundary is None else len(boundary_nodes)
+                                     + (len(neumann.padded[0]) + 2) * len(live_at)))
     # rows[r]: the state after step r of a block, half as long as its bands have
     # held; only a policy looks back over a block, so without one two rows take turns
     block = np.zeros((min(length, BLOCK_STEPS) + 1 if policy is not None else 2, size))
@@ -384,15 +359,12 @@ def run_models(
         gaps = [row[n - lo:size - width + n - lo].reshape(copies - 1, width)[:, :margin]
                 for row in rows]
         terms = np.empty(vals.shape)
-    c = rows[0]
-    c[place] = np.tile(c0, copies)
     pattern, since = None, 0
-    start = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
         for k0, k1 in _chunks(snap_steps, length):
             if boundary is not None:
-                g = boundary.series(ops[0].boundary_nodes, np.arange(k0, k1) * dt)
-                ends = (neumann_live @ g.T).T * scale[live]
+                g = boundary.series(boundary_nodes, np.arange(k0, k1) * dt)
+                ends = (neumann @ g.T).T * scale[live]
             k = k0
             while k < k1:
                 if lateral is not None:
@@ -424,18 +396,86 @@ def run_models(
                 c = rows[end - k]
                 k = end
             if not np.isfinite(c).all():
-                bad = [spec.kind.value for spec, part in zip(specs, c.reshape(copies, width))
+                bad = [name for name, part in zip(names, plan.unstack([c])[0])
                        if not np.isfinite(part).all()]
                 raise SimulationError(
                     f"state of {', '.join(bad)} became non-finite by t={k1 * dt:g}; "
                     "reduce dt or check data"
                 )
         if lateral is not None:
-            j = wall_flux(n_steps)[1][0]
-        record(n_steps)
-    march_s = time.perf_counter() - start
+            j = wall_flux(snap_steps[-1])[1][0]
+        record(snap_steps[-1])
+    return times, states, fluxes
 
-    states = np.array(states).reshape(len(times), copies, width)[:, :, -lo:n - lo]
+
+def run_models(
+    mesh: NetworkMesh,
+    specs,
+    *,
+    dt: float,
+    t_end: float,
+    initial,
+    boundary: BoundaryData | None = None,
+    lateral: LateralFluxField | None = None,
+    policy: ConstraintPolicy | None = None,
+    n_snapshots: int = 11,
+    force: bool = False,
+) -> list[Trajectory]:
+    """March several models on one mesh from t=0 to t_end, as one system.
+
+    ``initial`` is a node-ordered array or a scalar fill value, shared by
+    every model.  Every model passes the stability screen before any
+    marching, or the first to fail it is refused unless ``force`` is set.
+    ``n_snapshots`` counts the initial and the final state, so it must be
+    at least 2.  A ``policy`` overrides scheduled wall flux, so it needs
+    ``lateral`` windows.
+
+    The models' step matrices I + dt M^-1 A are stacked (:class:`_Plan`)
+    and marched as one (:func:`_euler`); the states equal, bit for bit,
+    those of ``step``.
+    """
+    specs = tuple(specs)
+    if not specs:
+        raise ValueError("need at least one model")
+    if t_end <= 0.0:
+        raise ValueError("t_end must be positive")
+    if n_snapshots < 2:
+        raise ValueError(
+            f"n_snapshots={n_snapshots}: need at least 2 (the initial and the final state)"
+        )
+    if policy is not None and lateral is None:
+        raise ValueError("a policy overrides lateral wall flux, but there is no 'lateral' "
+                         "section; a window of strength 0.0 gives the policy alone")
+    n_steps = max(1, int(round(t_end / dt)))
+    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
+        raise ValueError(f"t_end={t_end} is not a whole number of steps of dt={dt}")
+
+    reports = []
+    for spec in specs:
+        report = check_model(mesh, spec, dt)
+        if not report.passed:
+            if not force:
+                raise StabilityError(report, spec.kind.value)
+            warnings.warn(f"{spec.kind.value}: dt={dt:g} exceeds the stable limit "
+                          f"dt_max={report.dt_max:g}; marching anyway", StabilityWarning)
+        reports.append(report)
+
+    if boundary is not None:
+        boundary.validate(mesh)
+
+    n, copies = mesh.n_nodes, len(specs)
+    c0 = np.asarray(initial, dtype=float)
+    c0 = np.full(n, float(c0)) if c0.ndim == 0 else c0
+    if c0.shape != (n,):
+        raise ValueError(f"initial state must have {n} entries")
+
+    ops = [assemble_model(mesh, spec) for spec in specs]
+    plan = _Plan.build(mesh, specs, ops, dt, lateral)
+    snap_steps = _distinct(np.round(np.linspace(0, n_steps, n_snapshots)).astype(int)).tolist()
+    start = time.perf_counter()
+    times, rows, fluxes = _euler(plan, plan.row(c0), snap_steps, boundary, lateral, policy)
+    march_s = time.perf_counter() - start
+    states = plan.unstack(rows)
     fluxes = np.array(fluxes).reshape(len(times), copies, n) if lateral is not None else None
     return [
         Trajectory(

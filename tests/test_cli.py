@@ -276,6 +276,18 @@ class TestSimulate:
         second = (tmp_path / "b" / "trajectory.csv").read_bytes()
         assert first == second
 
+    def test_a_policy_without_lateral_windows_is_one_error_line(self, tmp_path, capsys):
+        doc = regulated_tree()
+        del doc["lateral"]
+        doc["initial"] = {"kind": "uniform", "value": 8.0}
+        doc["policy"]["outflow_strength"] = 2.0
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'lateral' section" in err and "strength 0.0" in err
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_single_snapshot_is_a_config_error(self, tmp_path, capsys):
         doc = small_channel()
         doc["run"]["snapshots"] = 1

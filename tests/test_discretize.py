@@ -335,10 +335,11 @@ class TestAssembleModel:
             x = mesh.positions[:, 0]
             c = np.exp(-((x - 4.0) ** 2) / 8.0)
             cp = c * (-(x - 4.0) / 4.0)
-            g = {0: cp[0], n - 1: cp[-1]}
+            g = np.array([cp[0], cp[-1]])  # the end slopes at nodes 0 and n - 1
             ef = assemble_model(mesh, EF)
             fj = assemble_model(mesh, FJ)
-            return np.max(np.abs(ef.apply(c, g) - fj.apply(c, g)))
+            return np.max(np.abs((ef.matrix @ c + ef.neumann @ g) / ef.mass_diag
+                                 - (fj.matrix @ c + fj.neumann @ g) / fj.mass_diag))
 
         gaps = [action_gap(n) for n in (40, 80, 160)]
         assert gaps[0] > gaps[1] > gaps[2]
@@ -363,23 +364,6 @@ class TestAssembleModel:
         assert first_order_coef(bigger) / first_order_coef(big) == pytest.approx(0.25, rel=0.02)
         assert expansion_coef(bigger) / expansion_coef(big) == pytest.approx(1.0, rel=0.02)
         assert expansion_coef(bigger) == pytest.approx(3.0, rel=0.01)
-
-
-class TestBoundaryAffine:
-    def test_accepts_dict_vector_and_none(self):
-        mesh = chain_mesh([1.0] * 4, h=0.5)
-        op = assemble_model(mesh, FJ)
-        assert np.array_equal(op.boundary_affine(None), np.zeros(4))
-        via_dict = op.boundary_affine({0: 1.0, 3: -2.0})
-        via_vec = op.boundary_affine(np.array([1.0, -2.0]))
-        assert np.array_equal(via_dict, via_vec)
-        assert via_dict[0] == -2.0 / 0.5 * 1.0
-
-    def test_rejects_wrong_length(self):
-        mesh = chain_mesh([1.0] * 4)
-        op = assemble_model(mesh, FJ)
-        with pytest.raises(ValueError, match="boundary slopes"):
-            op.boundary_affine(np.zeros(3))
 
 
 class TestLateralFlux:

@@ -12,10 +12,7 @@ from tubediff.geometry import (
     STICK_NODES,
     arm_radius,
     ball_on_stick,
-    branch_node_id,
-    bulb_node_id,
     constricted_tree,
-    exit_node_ids,
     stick_radius,
     throat_arm_radius,
     throat_radius,
@@ -64,9 +61,10 @@ class TestTopology:
         assert mesh.n_nodes == STICK_NODES + 2 * ARM_NODES
         assert [mesh.node_ids[i] for i in mesh.leaf_indices()] == [0, 23, 31]
         assert mesh.degree.max() == 3
-        assert mesh.root == bulb_node_id() == 0
-        assert branch_node_id() == 15
-        assert exit_node_ids() == (23, 31)
+        assert mesh.root == 0  # the bulb
+        assert mesh.node_ids[mesh.degree == 3].tolist() == [15]  # the branch
+        tips = [i for i in mesh.node_ids[mesh.leaf_indices()].tolist() if i != mesh.root]
+        assert tips == [23, 31]  # the arm tips
         assert mesh.total_length() == pytest.approx(
             STICK_LENGTH + 2 * SPACING * ARM_NODES)
 

@@ -319,6 +319,23 @@ class TestStep:
         with pytest.raises(SimulationError):
             step(c, op, dt=1e308)
 
+    def test_end_slopes_enter_in_boundary_node_order(self):
+        mesh = chain_mesh([1.0] * 4, h=0.5)
+        op = assemble_model(mesh, FJ)
+        assert op.boundary_nodes == (0, 3)
+        c = np.zeros(4)
+        assert np.array_equal(step(c, op, 0.01), step(c, op, 0.01, [0.0, 0.0]))
+        # the ghost-node rows: -(2/h) g at the root leaf, +(2/h) g at the other
+        out = step(c, op, 0.01, np.array([1.0, -2.0]))
+        assert np.array_equal(out, 0.01 * np.array([-2.0 / 0.5 * 1.0, 0.0, 0.0,
+                                                    2.0 / 0.5 * -2.0]))
+
+    def test_rejects_the_wrong_number_of_end_slopes(self):
+        mesh = chain_mesh([1.0] * 4)
+        op = assemble_model(mesh, FJ)
+        with pytest.raises(ValueError, match="expected 2 boundary slopes"):
+            step(np.zeros(4), op, 0.01, np.zeros(3))
+
 
 class TestQuadrature:
     def test_chain_weights(self):
@@ -466,6 +483,11 @@ class TestConstraintPolicy:
         c = np.array([7.0, 5.0, 3.0, 6.5])
         base = np.array([1.0, 1.0, 1.0, 1.0])
         assert np.array_equal(governed_flux(policy, mesh, c, base), [-2.0, 1.0, 0.0, -2.0])
+
+    def test_a_policy_without_lateral_windows_is_refused(self):
+        with pytest.raises(ValueError, match="'lateral' section.*strength 0.0"):
+            run(ball_on_stick(), FJ, dt=1.0e-4, t_end=1.0e-3, initial=8.0,
+                policy=ConstraintPolicy())
 
     def test_bad_parameters_are_rejected(self):
         with pytest.raises(ValueError):

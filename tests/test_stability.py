@@ -5,9 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tubediff.discretize import assemble_model
+from tubediff.discretize import FluxWindow, LateralFluxField, assemble_model
 from tubediff.geometry import ball_on_stick, constricted_tree
-from tubediff.integrate import StabilityError
+from tubediff.integrate import ConstraintPolicy, StabilityError, run_models
 from tubediff.models import ModelKind, ModelSpec
 from tubediff.network import interval_mesh
 from tubediff.stability import StabilityReport, check_model
@@ -26,6 +26,19 @@ def diffusive_screen(mesh, dt, d0=1.0):
     """The diffusive bound alone: the screen of the radius-blind model."""
     spec = ModelSpec(ModelKind.SIMPLE_DIFFUSION, d0=d0)
     return check_model(mesh, spec, dt)
+
+
+def march_peak(mesh, specs, **kwargs) -> int:
+    """Peak traced allocation of ``run_models`` alone, in bytes: the
+    operators are assembled before tracing starts."""
+    for spec in specs:
+        assemble_model(mesh, spec)
+    tracemalloc.start()
+    try:
+        run_models(mesh, specs, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def symmetric_y_mesh():
@@ -205,6 +218,28 @@ class TestModelScreen:
             tracemalloc.stop()
         assert n == 993
         assert peak < 8 * n * n
+
+    def test_seven_model_band_march_memory_stays_sparse(self):
+        # 7 x 2000 stacked rows, marched through their band; the peak is
+        # 3.9 MB (70 B per stacked non-zero), and one dense model matrix
+        # would take 32 MB
+        channel = ConeChannel(taper=0.2)
+        mesh = channel.mesh(2000)
+        specs = tuple(ModelSpec(kind) for kind in ModelKind)
+        peak = march_peak(mesh, specs, dt=1.0e-5, t_end=4.0e-4, n_snapshots=3,
+                          initial=channel.concentration(mesh.positions[:, 0], 0.0))
+        nnz = sum(assemble_model(mesh, spec).matrix.nnz for spec in specs)
+        assert nnz == 55_967
+        assert peak < 125 * nnz
+
+    def test_padded_march_with_a_policy_memory_stays_sparse(self):
+        # 993 nodes, one lateral window and a policy on every node; the
+        # peak is 0.97 MB, and one dense n x n matrix would take 7.9 MB
+        mesh = constricted_tree(5)
+        peak = march_peak(mesh, (EF,), dt=1.5e-5, t_end=6.0e-4, n_snapshots=3, initial=5.0,
+                          lateral=LateralFluxField((FluxWindow((11, 12, 13), 3.0),)),
+                          policy=ConstraintPolicy(c_hi=5.05, c_lo=4.95))
+        assert peak < 2.2e6
 
 
 class TestStepsThePerNodeScreenPassed:
