@@ -42,7 +42,7 @@ from .integrate import (
     SimulationError,
     StabilityError,
     StabilityWarning,
-    run,
+    run_models,
     trapezoid_weights,
 )
 from .models import ModelSpec
@@ -62,6 +62,9 @@ TREE_BUILDERS = {
     "ball-on-stick": ball_on_stick,
     "constricted-tree": constricted_tree,
 }
+
+# what the commands that need an exact solution ask for
+_CHANNEL_GEOMETRY = f"a {' or '.join(CHANNELS)} geometry"
 
 
 class ConfigError(Exception):
@@ -104,11 +107,18 @@ def _read(section: dict, key: str, convert=_finite, default=None, what="a finite
         raise ConfigError(f"'{key}' must be {what}, got {value!r}") from None
 
 
+def _whole(value) -> int:
+    """An integral number as an int; ``int`` alone would truncate 40.7 to 40."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
+
+
 def _ints(value) -> tuple[int, ...]:
     """Node ids or counts from a YAML list."""
     if isinstance(value, str):
         raise TypeError("a string is not a list")
-    return tuple(int(n) for n in value)
+    return tuple(_whole(n) for n in value)
 
 
 def _positive(section: dict, key: str, kind=float):
@@ -166,12 +176,12 @@ def build_geometry(cfg: dict, model: ModelSpec) -> Geometry:
             mesh = read_mesh(path)
         except MeshError as exc:
             raise ConfigError(f"geometry file {path}: {exc}") from exc
-        levels = _read(section, "levels", int, 0, "a whole number")
+        levels = _read(section, "levels", _whole, 0, "a whole number")
         if levels:
             mesh = refine(mesh, levels)
         return Geometry(mesh, None)
     if kind in TREE_BUILDERS:
-        mesh = TREE_BUILDERS[kind](_read(section, "levels", int, 0, "a whole number"))
+        mesh = TREE_BUILDERS[kind](_read(section, "levels", _whole, 0, "a whole number"))
         return Geometry(mesh, None)
 
     # a channel's keys are its class fields; one without a default is required
@@ -185,7 +195,7 @@ def build_geometry(cfg: dict, model: ModelSpec) -> Geometry:
     channel = CHANNELS[kind](**values, d0=model.d0)
     if section.get("n") is None:
         raise ConfigError(f"{kind} geometry needs 'n'")
-    n = _read(section, "n", int, what="a whole number")
+    n = _read(section, "n", _whole, what="a whole number")
     if n < 3:
         raise ConfigError(f"'n' must be at least 3, got {n}")
     return Geometry(channel.mesh(n), channel)
@@ -205,7 +215,7 @@ def build_initial(cfg: dict, geometry: Geometry):
         return _read(section, "value", default=1.0)
     if kind == "exact":
         if geometry.channel is None:
-            raise ConfigError("initial kind 'exact' needs a cone or sinusoid geometry")
+            raise ConfigError(f"initial kind 'exact' needs {_CHANNEL_GEOMETRY}")
         x = geometry.mesh.positions[:, 0]
         return geometry.channel.concentration(x, 0.0)
     if kind == "arc-bump":
@@ -227,14 +237,14 @@ def build_boundary(cfg: dict, geometry: Geometry) -> BoundaryData | None:
     if kind == "exact":
         channel = geometry.channel
         if channel is None:
-            raise ConfigError("boundary kind 'exact' needs a cone or sinusoid geometry")
+            raise ConfigError(f"boundary kind 'exact' needs {_CHANNEL_GEOMETRY}")
         return exact_boundary(channel, geometry.mesh)
     if kind == "slopes":
         entries = section.get("slopes")
         if not isinstance(entries, dict) or not entries:
             raise ConfigError("boundary kind 'slopes' needs a 'slopes' mapping")
         return BoundaryData(_read(section, "slopes",
-                                  lambda m: {int(k): _finite(v) for k, v in m.items()},
+                                  lambda m: {_whole(k): _finite(v) for k, v in m.items()},
                                   what="a mapping of leaf ids to finite numbers"))
     raise ConfigError(f"unknown boundary kind {kind!r}; "
                       "choose one of: closed, exact, slopes")
@@ -292,17 +302,17 @@ def cmd_simulate(cfg: dict, out_override: str | None, force: bool) -> int:
     geometry = build_geometry(cfg, model)
     dt = _positive(section, "dt")
     t_end = _positive(section, "t_end")
-    snapshots = _read(section, "snapshots", int, 11, "a whole number")
+    snapshots = _read(section, "snapshots", _whole, 11, "a whole number")
     initial = build_initial(cfg, geometry)
     boundary = build_boundary(cfg, geometry)
     lateral = build_lateral(cfg)
     policy = build_policy(cfg)
 
-    traj = run(
-        geometry.mesh, model,
+    traj = run_models(
+        geometry.mesh, (model,),
         dt=dt, t_end=t_end, initial=initial, boundary=boundary,
         lateral=lateral, policy=policy, n_snapshots=snapshots, force=force,
-    )
+    )[0]
     report = traj.stability
 
     csv_path = out / "trajectory.csv"
@@ -343,7 +353,7 @@ def cmd_compare(cfg: dict, out_override: str | None, force: bool) -> int:
     base = build_model(cfg)
     geometry = build_geometry(cfg, base)
     if geometry.channel is None:
-        raise ConfigError("compare needs a cone or sinusoid geometry")
+        raise ConfigError(f"compare needs {_CHANNEL_GEOMETRY}")
     names = _section(cfg, "compare").get("models")
     if not isinstance(names, list) or not names:
         raise ConfigError("'compare' section needs a nonempty 'models' list")
@@ -387,7 +397,7 @@ def cmd_convergence(cfg: dict, out_override: str | None, force: bool) -> int:
             dt=dt, t_end=t_end, force=force,
         )
     else:
-        levels = _read(conv, "levels", int, 0, "a whole number")
+        levels = _read(conv, "levels", _whole, 0, "a whole number")
         if levels < 3:
             raise ConfigError("tree convergence needs 'levels' of at least 3")
         kind = _section(cfg, "geometry")["kind"]

@@ -24,7 +24,7 @@ as well.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,15 +48,6 @@ class SpatialOperator:
     boundary_nodes: tuple[int, ...]
     mass_diag: np.ndarray
     notes: tuple[str, ...] = ()
-    _increments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def increment(self, dt: float) -> CSR:
-        """dt M^-1 A: the forward-Euler step matrix I + dt M^-1 A without
-        its identity, made once per step size."""
-        if dt not in self._increments:
-            with np.errstate(over="ignore", invalid="ignore"):
-                self._increments[dt] = scale_rows(dt / self.mass_diag, self.matrix)
-        return self._increments[dt]
 
 
 # ----------------------------------------------------------------------
@@ -366,30 +357,25 @@ def assemble_model(mesh: NetworkMesh, spec: ModelSpec) -> SpatialOperator:
 
 
 def _assemble(mesh: NetworkMesh, spec: ModelSpec) -> SpatialOperator:
+    """One rule for every model: A = D(x) L + advection, where L is the
+    Laplacian plus, for expanded-flux, its grid-scaled k1 L and k2 L3
+    terms, and the advection rows join for every model but simple
+    diffusion."""
     f = fields(mesh)
-    boundary_ids = tuple(mesh.node_ids[mesh.leaf_indices()].tolist())
     lap_m, lap_n = f.laplacian
-    mass = _read_only(f.mass(spec))
-
-    if spec.kind is ModelKind.SIMPLE_DIFFUSION:
-        return SpatialOperator(spec.d0 * lap_m, spec.d0 * lap_n, boundary_ids, mass)
-
-    adv_m, adv_n, notes = advection_parts(mesh, spec)
-
-    if spec.kind in (ModelKind.ZWANZIG, ModelKind.REGUERA_RUBI, ModelKind.KALINAY_PERCUS):
-        d = f.diffusivity(spec)
-        matrix = scale_rows(d, lap_m) + adv_m
-        neumann = scale_rows(d, lap_n) + adv_n
-    elif spec.kind is ModelKind.EXPANDED_FLUX:
-        thr_m, thr_n, thr_notes = f.third
-        notes = notes + thr_notes
+    notes = ()
+    if spec.kind is ModelKind.EXPANDED_FLUX:
+        thr_m, thr_n, notes = f.third
         k1, k2 = f.expansion
-        matrix = spec.d0 * (lap_m + scale_rows(k1, lap_m) + scale_rows(k2, thr_m)) + adv_m
-        neumann = spec.d0 * (lap_n + scale_rows(k1, lap_n) + scale_rows(k2, thr_n)) + adv_n
-    else:  # Fick-Jacobs, and the temporal model with its own mass factor
-        matrix = spec.d0 * lap_m + adv_m
-        neumann = spec.d0 * lap_n + adv_n
-    return SpatialOperator(matrix, neumann, boundary_ids, mass, notes)
+        lap_m = lap_m + scale_rows(k1, lap_m) + scale_rows(k2, thr_m)
+        lap_n = lap_n + scale_rows(k1, lap_n) + scale_rows(k2, thr_n)
+    d = f.diffusivity(spec)
+    matrix, neumann = scale_rows(d, lap_m), scale_rows(d, lap_n)
+    if spec.kind is not ModelKind.SIMPLE_DIFFUSION:
+        adv_m, adv_n, adv_notes = advection_parts(mesh, spec)
+        matrix, neumann, notes = matrix + adv_m, neumann + adv_n, adv_notes + notes
+    return SpatialOperator(matrix, neumann, tuple(mesh.node_ids[mesh.leaf_indices()].tolist()),
+                           _read_only(f.mass(spec)), notes)
 
 
 # ----------------------------------------------------------------------

@@ -26,9 +26,8 @@ from .discretize import (
     assemble_model,
     lateral_operator,
 )
-from .models import ModelSpec
 from .network import NetworkMesh
-from .sparse import CSR
+from .sparse import CSR, scale_rows
 from .stability import StabilityReport, check_model
 
 
@@ -180,7 +179,7 @@ def step(c: np.ndarray, op: SpatialOperator, dt: float, neumann_values=None,
         raise ValueError(f"expected {n_b} boundary slopes, got shape {g.shape}")
     scale = dt / op.mass_diag
     with np.errstate(over="ignore", invalid="ignore"):
-        out = op.increment(dt) @ c
+        out = scale_rows(scale, op.matrix) @ c
         out += c
         out += scale * (op.neumann @ g)
         if source is not None:
@@ -262,7 +261,9 @@ class _Plan(NamedTuple):
         n, copies = mesh.n_nodes, len(specs)
         lat = (_stack([lateral_operator(mesh, spec) for spec in specs], diagonal=True)
                if lateral is not None else None)
-        increment = _stack([op.increment(dt) for op in ops], diagonal=True)
+        scale = dt / np.concatenate([op.mass_diag for op in ops])
+        with np.errstate(over="ignore", invalid="ignore"):  # dt M^-1 A
+            increment = scale_rows(scale, _stack([op.matrix for op in ops], diagonal=True))
         band = increment.band if copies * n >= BAND_ROWS else None
         lo, margin = (band[0], len(band[1]) - 1) if band else (0, 0)
         size = copies * (n + margin)
@@ -278,8 +279,7 @@ class _Plan(NamedTuple):
         neumann = _stack([op.neumann for op in ops], diagonal=False)
         live = np.flatnonzero(np.diff(neumann.indptr))
         return cls(mesh, tuple(spec.kind.value for spec in specs), dt, lo, margin, place,
-                   cols, vals, dt / np.concatenate([op.mass_diag for op in ops]),
-                   ops[0].boundary_nodes,
+                   cols, vals, scale, ops[0].boundary_nodes,
                    CSR(np.concatenate([[0], neumann.indptr[live + 1]]), neumann.indices,
                        neumann.data, (len(live), neumann.shape[1])), live, lat)
 
@@ -490,25 +490,3 @@ def run_models(
         )
         for i, (spec, op, report) in enumerate(zip(specs, ops, reports))
     ]
-
-
-def run(
-    mesh: NetworkMesh,
-    spec: ModelSpec,
-    *,
-    dt: float,
-    t_end: float,
-    initial,
-    boundary: BoundaryData | None = None,
-    lateral: LateralFluxField | None = None,
-    policy: ConstraintPolicy | None = None,
-    n_snapshots: int = 11,
-    force: bool = False,
-) -> Trajectory:
-    """March one model from t=0 to t_end recording evenly spaced snapshots
-    (``run_models`` with a single model)."""
-    return run_models(
-        mesh, (spec,), dt=dt, t_end=t_end, initial=initial,
-        boundary=boundary, lateral=lateral, policy=policy,
-        n_snapshots=n_snapshots, force=force,
-    )[0]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import BoundaryData, Trajectory, run, run_models
+from .integrate import BoundaryData, Trajectory, run_models
 from .models import ModelKind, ModelSpec
 from .network import NetworkMesh, c_exp, interval_mesh, refine
 
@@ -154,45 +154,6 @@ def exact_boundary(channel, mesh: NetworkMesh) -> BoundaryData:
     })
 
 
-def _channel_runs(
-    channel,
-    specs,
-    *,
-    mesh: NetworkMesh,
-    dt: float,
-    t_end: float,
-    n_snapshots: int = 2,
-    force: bool = False,
-) -> list[Trajectory]:
-    """March several models together on a channel grid, fed by the
-    exact end slopes."""
-    return run_models(
-        mesh,
-        specs,
-        dt=dt,
-        t_end=t_end,
-        initial=channel.concentration(mesh.positions[:, 0], 0.0),
-        boundary=exact_boundary(channel, mesh),
-        n_snapshots=n_snapshots,
-        force=force,
-    )
-
-
-def run_channel(
-    channel,
-    spec: ModelSpec,
-    *,
-    n: int,
-    dt: float,
-    t_end: float,
-    n_snapshots: int = 2,
-    force: bool = False,
-) -> Trajectory:
-    """March one model on a channel, fed by the exact end slopes."""
-    return _channel_runs(channel, (spec,), mesh=channel.mesh(n), dt=dt, t_end=t_end,
-                         n_snapshots=n_snapshots, force=force)[0]
-
-
 def final_error(traj: Trajectory, channel) -> float:
     """Relative L1 deviation from the exact field at the last snapshot."""
     x = traj.mesh.positions[:, 0]
@@ -203,8 +164,11 @@ def final_error(traj: Trajectory, channel) -> float:
 def model_errors(
     channel, specs, *, mesh: NetworkMesh, dt: float, t_end: float, force: bool = False
 ) -> dict[str, float]:
-    """Final-time error of several models on a grid from ``channel.mesh``."""
-    trajs = _channel_runs(channel, specs, mesh=mesh, dt=dt, t_end=t_end, force=force)
+    """Final-time error of several models marched together on a grid from
+    ``channel.mesh``, fed by the exact end slopes."""
+    trajs = run_models(mesh, specs, dt=dt, t_end=t_end,
+                       initial=channel.concentration(mesh.positions[:, 0], 0.0),
+                       boundary=exact_boundary(channel, mesh), n_snapshots=2, force=force)
     return {traj.model: final_error(traj, channel) for traj in trajs}
 
 
@@ -258,8 +222,8 @@ def channel_convergence(
     errors = []
     spacings = []
     for n in ns:
-        traj = run_channel(channel, spec, n=n, dt=dt, t_end=t_end, force=force)
-        errors.append(final_error(traj, channel))
+        errors.append(model_errors(channel, (spec,), mesh=channel.mesh(n), dt=dt, t_end=t_end,
+                                   force=force)[spec.kind.value])
         spacings.append((channel.x1 - channel.x0) / (n - 1))
     return ConvergenceResult(ns, tuple(spacings), tuple(errors))
 
@@ -305,18 +269,18 @@ def tree_convergence(
     meshes = list(meshes)
     if len(meshes) < 2:
         raise ValueError("need at least one coarse mesh plus the reference mesh")
-    reference = run(
-        meshes[-1], ModelSpec(ModelKind.EXPANDED_FLUX), dt=dt, t_end=t_end,
+    reference = run_models(
+        meshes[-1], (ModelSpec(ModelKind.EXPANDED_FLUX),), dt=dt, t_end=t_end,
         initial=initial(meshes[-1]), n_snapshots=2, force=force,
-    )
+    )[0]
     ns = []
     spacings = []
     errors = []
     for mesh in meshes[:-1]:
-        traj = run(
-            mesh, spec, dt=dt, t_end=t_end,
+        traj = run_models(
+            mesh, (spec,), dt=dt, t_end=t_end,
             initial=initial(mesh), n_snapshots=2, force=force,
-        )
+        )[0]
         edges = mesh.n_nodes - 1
         ns.append(edges)
         spacings.append(mesh.total_length() / edges)

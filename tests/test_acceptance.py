@@ -35,7 +35,7 @@ from tubediff.discretize import (
     wind_stencils,
 )
 from tubediff.geometry import ball_on_stick, constricted_tree
-from tubediff.integrate import BoundaryData, ConstraintPolicy, run, step
+from tubediff.integrate import BoundaryData, ConstraintPolicy, run_models, step
 from tubediff.models import (
     MODEL_NAMES,
     ModelKind,
@@ -264,16 +264,17 @@ def test_07_balanced_feed_fills_the_bulb_only_for_radius_aware_models():
     mesh = ball_on_stick(1)
     boundary = BoundaryData({0: -0.5, 23: -0.25, 31: -0.25})
     t_end = 20.0
+    trajs = run_models(
+        mesh, [ModelSpec(MODEL_NAMES[name])
+               for name in ("simple-diffusion", "fick-jacobs", "expanded-flux")],
+        dt=2.5e-4, t_end=t_end, initial=1.0, boundary=boundary,
+        n_snapshots=101,
+    )
     traces = {}
-    for name in ("simple-diffusion", "fick-jacobs", "expanded-flux"):
-        traj = run(
-            mesh, ModelSpec(MODEL_NAMES[name]),
-            dt=2.5e-4, t_end=t_end, initial=1.0, boundary=boundary,
-            n_snapshots=101,
-        )
+    for traj in trajs:
         bulb = traj.mesh.index(traj.mesh.root)
         window = traj.times >= 0.8 * t_end - 1e-9
-        traces[name] = traj.states[window, bulb]
+        traces[traj.model] = traj.states[window, bulb]
     flat = traces["simple-diffusion"]
     change = float((flat.max() - flat.min()) / abs(flat[0]))
     clauses = [
@@ -356,11 +357,11 @@ def test_10_lateral_flux_policy_enforces_the_concentration_band():
         FluxWindow((23, 31), -2.0),
     ))
     policy = ConstraintPolicy(c_hi=6.0, c_lo=4.0, outflow_strength=2.0)
-    traj = run(
-        mesh, ModelSpec(MODEL_NAMES["expanded-flux"]),
+    traj = run_models(
+        mesh, (ModelSpec(MODEL_NAMES["expanded-flux"]),),
         dt=5.0e-4, t_end=6.0, initial=5.0, lateral=lateral, policy=policy,
         n_snapshots=25,
-    )
+    )[0]
     high = traj.states > 6.0
     low = traj.states < 4.0
     high_violations = int(np.sum(high & (traj.fluxes >= 0.0)))

@@ -171,6 +171,40 @@ class TestConfigErrors:
         lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
         assert len(lines) == 1 and f"'{key}'" in lines[0], lines
 
+    @pytest.mark.parametrize("command,key,edit", [
+        ("simulate", "n", lambda doc: doc["geometry"].update(n=40.7)),
+        ("simulate", "levels", lambda doc: doc.update(geometry={"kind": "ball-on-stick",
+                                                                "levels": 1.6})),
+        ("simulate", "levels", lambda doc: doc.update(geometry={"kind": "ball-on-stick",
+                                                                "levels": True})),
+        ("simulate", "snapshots", lambda doc: doc["run"].update(snapshots=3.9)),
+        ("convergence", "ns", lambda doc: doc.update(convergence={"ns": [20, 40.5, 80]})),
+        ("simulate", "nodes", lambda doc: doc.update(
+            lateral=[{"nodes": [3.7, 4.2], "strength": 1.0}])),
+        ("simulate", "nodes", lambda doc: doc.update(
+            lateral=[{"nodes": [3], "strength": 1.0}], policy={"nodes": [3.7, 4.2]})),
+        ("simulate", "slopes", lambda doc: doc.update(
+            boundary={"kind": "slopes", "slopes": {0.5: 0.1}})),
+    ])
+    def test_a_fractional_count_or_id_is_one_error_line(self, tmp_path, capsys, command, key,
+                                                        edit):
+        # int() would truncate each of these and run on a wrong input
+        doc = small_channel()
+        edit(doc)
+        cfg = write_config(tmp_path, doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+        assert len(lines) == 1 and f"'{key}'" in lines[0], lines
+
+    def test_an_integral_float_is_a_whole_number(self, tmp_path):
+        doc = small_channel()
+        doc["geometry"]["n"] = 40.0
+        doc["run"]["snapshots"] = 3.0
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "trajectory.csv").read_text().splitlines()
+        assert len(rows) == 1 + 3 * 40
+
     def test_a_window_may_stay_open_for_good(self, tmp_path, capsys):
         doc = regulated_tree()
         doc["lateral"][0]["until"] = math.inf

@@ -19,7 +19,6 @@ from tubediff.integrate import (
     StabilityError,
     StabilityWarning,
     Trajectory,
-    run,
     run_models,
     step,
     trapezoid_weights,
@@ -220,7 +219,7 @@ class TestBatchedMarch:
         channel = ConeChannel(taper=1.0)
         mesh = channel.mesh(201)
         specs = (SIMPLE, EF)
-        bands = [assemble_model(mesh, spec).increment(1e-4).band for spec in specs]
+        bands = [assemble_model(mesh, spec).matrix.band for spec in specs]
         assert [(lo, len(values)) for lo, values in bands] == [(-1, 3), (-2, 5)]
         assert len(specs) * mesh.n_nodes >= integrate.BAND_ROWS  # the march reads the band
         kwargs = dict(dt=1.0e-4, t_end=0.03,
@@ -354,9 +353,9 @@ class TestConservation:
         mesh = y_mesh()
         rng = np.random.default_rng(7)
         c0 = rng.uniform(0.5, 2.0, mesh.n_nodes)
-        traj = run(
-            mesh, SIMPLE, dt=0.05, t_end=5.0, initial=c0
-        )
+        traj = run_models(
+            mesh, (SIMPLE,), dt=0.05, t_end=5.0, initial=c0
+        )[0]
         w = trapezoid_weights(mesh)
         masses = traj.states @ w
         assert np.max(np.abs(masses - masses[0])) <= 1e-12 * masses[0]
@@ -364,15 +363,15 @@ class TestConservation:
     def test_end_slopes_feed_mass_at_unit_rate(self):
         # D=1: mass rate is g_far - g_root for a straight channel
         mesh = chain_mesh([1.0] * 5)
-        traj = run(
+        traj = run_models(
             mesh,
-            SIMPLE,
+            (SIMPLE,),
             dt=0.1,
             t_end=2.0,
             initial=1.0,
             boundary=BoundaryData({0: -1.0, 4: 0.0}),
             n_snapshots=21,
-        )
+        )[0]
         w = trapezoid_weights(mesh)
         masses = traj.states @ w
         rates = np.diff(masses) / 0.1
@@ -382,39 +381,39 @@ class TestConservation:
 class TestRunDriver:
     def test_snapshot_times_span_the_run(self):
         mesh = chain_mesh([1.0] * 5)
-        traj = run(
-            mesh, SIMPLE, dt=0.01, t_end=1.0,
+        traj = run_models(
+            mesh, (SIMPLE,), dt=0.01, t_end=1.0,
             initial=0.0, n_snapshots=5,
-        )
+        )[0]
         assert traj.times == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
         assert traj.states.shape == (5, 5)
 
     def test_initial_snapshot_is_the_initial_state(self):
         mesh = chain_mesh([1.0] * 5)
         c0 = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
-        traj = run(mesh, SIMPLE, dt=0.1, t_end=1.0, initial=c0)
+        traj = run_models(mesh, (SIMPLE,), dt=0.1, t_end=1.0, initial=c0)[0]
         assert np.array_equal(traj.states[0], c0)
 
     def test_reruns_are_bit_identical(self):
         mesh = interval_mesh(0.0, 10.0, 41, lambda x: 1.0 + 0.2 * x)
         x = mesh.positions[:, 0]
         c0 = np.exp(-((x - 5.0) ** 2))
-        a = run(mesh, FJ, dt=0.005, t_end=1.0, initial=c0)
-        b = run(mesh, FJ, dt=0.005, t_end=1.0, initial=c0)
+        a = run_models(mesh, (FJ,), dt=0.005, t_end=1.0, initial=c0)[0]
+        b = run_models(mesh, (FJ,), dt=0.005, t_end=1.0, initial=c0)[0]
         assert np.array_equal(a.states, b.states)
 
     def test_overlarge_step_is_refused(self):
         mesh = chain_mesh([1.0] * 5)  # dt_max = 0.5
         with pytest.raises(StabilityError):
-            run(mesh, SIMPLE, dt=0.6, t_end=1.2, initial=1.0)
+            run_models(mesh, (SIMPLE,), dt=0.6, t_end=1.2, initial=1.0)
 
     def test_force_overrides_the_gate(self):
         mesh = chain_mesh([1.0] * 5)
         with pytest.warns(StabilityWarning, match=r"dt=0.6 exceeds the stable limit dt_max=0.5"):
-            traj = run(
-                mesh, SIMPLE, dt=0.6, t_end=1.2,
+            traj = run_models(
+                mesh, (SIMPLE,), dt=0.6, t_end=1.2,
                 initial=1.0, force=True,
-            )
+            )[0]
         assert np.isfinite(traj.final).all()
 
     def test_forced_blowup_raises_mid_march(self):
@@ -423,33 +422,33 @@ class TestRunDriver:
         with pytest.raises(SimulationError), pytest.warns(StabilityWarning):
             # the pi-mode grows about fivefold per step at this dt, so the
             # march overflows well before t_end
-            run(
-                mesh, SIMPLE, dt=1.5, t_end=900.0,
+            run_models(
+                mesh, (SIMPLE,), dt=1.5, t_end=900.0,
                 initial=np.sin(np.pi * x / 4.0), force=True,
             )
 
     def test_fractional_step_count_is_rejected(self):
         mesh = chain_mesh([1.0] * 5)
         with pytest.raises(ValueError):
-            run(mesh, SIMPLE, dt=0.3, t_end=1.0, initial=1.0)
+            run_models(mesh, (SIMPLE,), dt=0.3, t_end=1.0, initial=1.0)
 
     def test_time_dependent_end_slope_changes_the_answer(self):
         mesh = chain_mesh([1.0] * 5)
-        fixed = run(
-            mesh, SIMPLE, dt=0.1, t_end=1.0, initial=1.0,
+        fixed = run_models(
+            mesh, (SIMPLE,), dt=0.1, t_end=1.0, initial=1.0,
             boundary=BoundaryData({4: 0.5}),
-        )
-        ramped = run(
-            mesh, SIMPLE, dt=0.1, t_end=1.0, initial=1.0,
+        )[0]
+        ramped = run_models(
+            mesh, (SIMPLE,), dt=0.1, t_end=1.0, initial=1.0,
             boundary=BoundaryData({4: lambda t: 0.5 * t}),
-        )
+        )[0]
         assert not np.array_equal(fixed.final, ramped.final)
 
     def test_boundary_data_on_interior_node_is_rejected(self):
         mesh = chain_mesh([1.0] * 5)
         with pytest.raises(ValueError):
-            run(
-                mesh, SIMPLE, dt=0.1, t_end=1.0,
+            run_models(
+                mesh, (SIMPLE,), dt=0.1, t_end=1.0,
                 initial=1.0, boundary=BoundaryData({2: 1.0}),
             )
 
@@ -486,8 +485,8 @@ class TestConstraintPolicy:
 
     def test_a_policy_without_lateral_windows_is_refused(self):
         with pytest.raises(ValueError, match="'lateral' section.*strength 0.0"):
-            run(ball_on_stick(), FJ, dt=1.0e-4, t_end=1.0e-3, initial=8.0,
-                policy=ConstraintPolicy())
+            run_models(ball_on_stick(), (FJ,), dt=1.0e-4, t_end=1.0e-3, initial=8.0,
+                       policy=ConstraintPolicy())
 
     def test_bad_parameters_are_rejected(self):
         with pytest.raises(ValueError):
@@ -516,10 +515,10 @@ class TestLateralFlux:
     def test_windows_turn_off_in_recorded_fluxes(self):
         mesh = chain_mesh([1.0] * 5)
         field = LateralFluxField((FluxWindow((1, 2), 3.0, t_start=0.0, t_end=0.5),))
-        traj = run(
-            mesh, SIMPLE, dt=0.05, t_end=1.0,
+        traj = run_models(
+            mesh, (SIMPLE,), dt=0.05, t_end=1.0,
             initial=1.0, lateral=field, n_snapshots=3,
-        )
+        )[0]
         assert traj.fluxes is not None
         assert np.array_equal(traj.fluxes[0], [0.0, 3.0, 3.0, 0.0, 0.0])
         # window half-open: off at t = 0.5 and after
@@ -531,26 +530,26 @@ class TestLateralFlux:
         field = LateralFluxField((FluxWindow((1,), 3.0),))
         policy = ConstraintPolicy(node_ids=(1,), c_hi=6.0, c_lo=4.0,
                                   outflow_strength=2.0)
-        traj = run(
-            mesh, SIMPLE, dt=0.05, t_end=0.1,
+        traj = run_models(
+            mesh, (SIMPLE,), dt=0.05, t_end=0.1,
             initial=7.0, lateral=field, policy=policy, n_snapshots=2,
-        )
+        )[0]
         assert traj.fluxes[0][mesh.index(1)] == -2.0
 
     def test_flux_raises_concentration(self):
         mesh = chain_mesh([1.0] * 5)
         field = LateralFluxField((FluxWindow((2,), 1.0),))
-        traj = run(
-            mesh, SIMPLE, dt=0.05, t_end=1.0,
+        traj = run_models(
+            mesh, (SIMPLE,), dt=0.05, t_end=1.0,
             initial=1.0, lateral=field,
-        )
+        )[0]
         assert traj.final[2] > 1.0
 
 
 class TestCsvOutput:
     def test_schema_and_roundtrip(self, tmp_path):
         mesh = interval_mesh(0.0, 2.0, 5, lambda x: 1.0 + 0.5 * x)
-        traj = run(mesh, FJ, dt=0.05, t_end=0.5, initial=2.0, n_snapshots=3)
+        traj = run_models(mesh, (FJ,), dt=0.05, t_end=0.5, initial=2.0, n_snapshots=3)[0]
         path = tmp_path / "out.csv"
         traj.to_csv(path)
         lines = path.read_text().strip().split("\n")
@@ -564,10 +563,10 @@ class TestCsvOutput:
     def test_flux_column_appears_with_lateral_data(self, tmp_path):
         mesh = chain_mesh([1.0] * 5)
         field = LateralFluxField((FluxWindow((2,), 1.0),))
-        traj = run(
-            mesh, SIMPLE, dt=0.05, t_end=0.5,
+        traj = run_models(
+            mesh, (SIMPLE,), dt=0.05, t_end=0.5,
             initial=1.0, lateral=field,
-        )
+        )[0]
         path = tmp_path / "out.csv"
         traj.to_csv(path)
         assert path.read_text().startswith("t,node_id,x_arc,c,G,J\n")
@@ -577,10 +576,10 @@ class TestCsvOutput:
         mesh = ball_on_stick(1)
         field = LateralFluxField((FluxWindow((11, 12), 3.0, t_end=0.01),)) if lateral else None
         x = mesh.arc_lengths()
-        traj = run(mesh, EF, dt=5.0e-4, t_end=0.02,
-                   initial=5.0 + np.sin(x), lateral=field,
-                   policy=ConstraintPolicy(c_hi=5.5, c_lo=4.5) if lateral else None,
-                   n_snapshots=5)
+        traj = run_models(mesh, (EF,), dt=5.0e-4, t_end=0.02,
+                          initial=5.0 + np.sin(x), lateral=field,
+                          policy=ConstraintPolicy(c_hi=5.5, c_lo=4.5) if lateral else None,
+                          n_snapshots=5)[0]
         path = tmp_path / "out.csv"
         traj.to_csv(path)
         assert path.read_bytes() == reference_csv(traj).encode()
@@ -589,9 +588,9 @@ class TestCsvOutput:
         mesh = y_mesh()
         out = []
         for name in ("a.csv", "b.csv"):
-            traj = run(
-                mesh, SIMPLE, dt=0.05, t_end=1.0, initial=2.0
-            )
+            traj = run_models(
+                mesh, (SIMPLE,), dt=0.05, t_end=1.0, initial=2.0
+            )[0]
             p = tmp_path / name
             traj.to_csv(p)
             out.append(p.read_bytes())

@@ -162,7 +162,7 @@ def test_band_product_equals_the_padded_product(width, left, n, data):
 @pytest.mark.parametrize("mesh", [ball_on_stick(3), constricted_tree(3)], ids=["ball", "tree"])
 def test_a_tree_operator_has_no_band(mesh):
     for spec in (ModelSpec(ModelKind.FICK_JACOBS), ModelSpec(ModelKind.EXPANDED_FLUX)):
-        assert assemble_model(mesh, spec).increment(1e-4).band is None
+        assert assemble_model(mesh, spec).matrix.band is None
 
 
 @TREE_PROPERTY

@@ -7,11 +7,12 @@ import pytest
 
 from tubediff.discretize import FluxWindow, LateralFluxField, assemble_model
 from tubediff.geometry import ball_on_stick, constricted_tree
-from tubediff.integrate import ConstraintPolicy, StabilityError, run_models
+from tubediff.integrate import ConstraintPolicy, StabilityError, _Plan, run_models
 from tubediff.models import ModelKind, ModelSpec
 from tubediff.network import interval_mesh
+from tubediff.sparse import CSR
 from tubediff.stability import StabilityReport, check_model
-from tubediff.verify import ConeChannel, run_channel
+from tubediff.verify import ConeChannel, model_errors
 
 from tests.mesh_reference import mesh_from
 from tests.sparse_oracle import dense
@@ -241,6 +242,31 @@ class TestModelScreen:
                           policy=ConstraintPolicy(c_hi=5.05, c_lo=4.95))
         assert peak < 2.2e6
 
+    @pytest.mark.parametrize("case", ["seven-model-cone", "tree-window"])
+    def test_a_plan_keeps_only_its_own_arrays(self, case):
+        # a first plan warms the mesh's caches; one at a new dt then leaves
+        # nothing allocated but its own arrays: a stacked step matrix kept
+        # alive, or a scaled copy of each operator kept per dt, would add to
+        # them (0.79 MB of arrays on the cone, 0.23 MB on the tree)
+        if case == "seven-model-cone":
+            mesh, specs, lateral = (ConeChannel(taper=0.2).mesh(2000),
+                                    tuple(ModelSpec(kind) for kind in ModelKind), None)
+        else:
+            mesh, specs = constricted_tree(5), (EF,)
+            lateral = LateralFluxField((FluxWindow((11, 12, 13), 3.0),))
+        ops = [assemble_model(mesh, spec) for spec in specs]
+        _Plan.build(mesh, specs, ops, 1.0e-5, lateral)
+        tracemalloc.start()
+        try:
+            plan = _Plan.build(mesh, specs, ops, 5.0e-6, lateral)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        parts = [p for p in plan if isinstance(p, (np.ndarray, CSR))]
+        owned = sum(a.nbytes for p in parts
+                    for a in ((p.indptr, p.indices, p.data) if isinstance(p, CSR) else (p,)))
+        assert kept <= 1.1 * owned, f"{kept} bytes kept for {owned} bytes of plan arrays"
+
 
 class TestStepsThePerNodeScreenPassed:
     # The per-node screen this one replaced bounded diffusion and
@@ -262,8 +288,9 @@ class TestStepsThePerNodeScreenPassed:
 
     def test_steep_cone_step_that_blew_up_is_refused(self):
         # marched anyway, this run ends with an error of about 2e99
+        cone = ConeChannel(taper=5.0)
         with pytest.raises(StabilityError, match="fick-jacobs: dt=0.0016 exceeds"):
-            run_channel(ConeChannel(taper=5.0), FJ, n=160, dt=1.6e-3, t_end=10.0)
+            model_errors(cone, (FJ,), mesh=cone.mesh(160), dt=1.6e-3, t_end=10.0)
 
 
 class TestGrowingChain:

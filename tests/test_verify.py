@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tubediff.discretize import assemble_model
-from tubediff.integrate import Trajectory
+from tubediff.integrate import Trajectory, run_models
 from tubediff.models import ModelKind, ModelSpec
 from tubediff.network import format_mesh, refine
 from tubediff.verify import (
@@ -16,12 +16,10 @@ from tubediff.verify import (
     channel_convergence,
     common_node_error,
     exact_boundary,
-    final_error,
     fitted_slope,
     l1_error,
     model_errors,
     refinement_ladder,
-    run_channel,
     tree_convergence,
 )
 
@@ -213,14 +211,14 @@ class TestExactBoundary:
 class TestChannelRuns:
     def test_short_run_tracks_the_exact_solution(self):
         cone = ConeChannel(taper=0.2)
-        traj = run_channel(cone, FJ, n=81, dt=0.002, t_end=0.5)
-        assert final_error(traj, cone) < 2e-4
+        errors = model_errors(cone, (FJ,), mesh=cone.mesh(81), dt=0.002, t_end=0.5)
+        assert errors["fick-jacobs"] < 2e-4
 
     def test_error_falls_with_resolution(self):
         cone = ConeChannel(taper=0.2)
-        coarse = run_channel(cone, FJ, n=21, dt=0.002, t_end=0.5)
-        fine = run_channel(cone, FJ, n=81, dt=0.002, t_end=0.5)
-        assert final_error(fine, cone) < final_error(coarse, cone)
+        coarse, fine = (model_errors(cone, (FJ,), mesh=cone.mesh(n), dt=0.002, t_end=0.5)
+                        for n in (21, 81))
+        assert fine["fick-jacobs"] < coarse["fick-jacobs"]
 
     def test_model_errors_keys_follow_the_specs(self):
         cone = ConeChannel(taper=0.2)
@@ -233,11 +231,12 @@ class TestChannelRuns:
     def test_fewer_than_two_snapshots_are_refused(self, n_snapshots):
         # one snapshot used to hold only the initial state, none crashed
         with pytest.raises(ValueError, match=f"n_snapshots={n_snapshots}"):
-            run_channel(ConeChannel(taper=0.2), FJ, n=21, dt=0.005, t_end=0.2,
-                        n_snapshots=n_snapshots)
+            run_models(ConeChannel(taper=0.2).mesh(21), (FJ,), dt=0.005, t_end=0.2,
+                       initial=1.0, n_snapshots=n_snapshots)
 
     def test_two_snapshots_end_at_t_end(self):
-        traj = run_channel(ConeChannel(taper=0.2), FJ, n=21, dt=0.005, t_end=0.2)
+        traj = run_models(ConeChannel(taper=0.2).mesh(21), (FJ,), dt=0.005, t_end=0.2,
+                          initial=1.0, n_snapshots=2)[0]
         assert list(traj.times) == pytest.approx([0.0, 0.2])
         assert traj.step_time_s > 0.0
 
