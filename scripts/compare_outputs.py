@@ -15,7 +15,9 @@ For every CSV artifact the report says whether the bytes are identical
 and gives the largest relative difference per numeric column.  Of
 ``manifest.yaml`` everything but the timestamp (``written``) and the
 timing (``step_time_s``) is compared.  Exit codes and console output
-(with the output directory masked) are compared too.  The exit status
+(with the output directory masked) are compared too; a manifest key
+that only one checkout writes is named as ``only in a`` or ``only in
+b``.  The exit status
 is 0 when everything matches byte for byte, 1 otherwise.
 
 With ``--rtol R`` a numeric CSV cell or manifest value may also differ
@@ -123,10 +125,14 @@ def compare_run(out_a: Path, out_b: Path, rtol: float | None = None) -> list[str
         elif name == "manifest.yaml":
             ra, rb = manifest_results(a), manifest_results(b)
             keys = sorted(k for k in set(ra) | set(rb) if ra.get(k) != rb.get(k))
-            worst = {k: value_difference(ra.get(k), rb.get(k)) for k in keys}
-            lines.append(f"{mark(max(worst.values()))} {name}: differs in "
-                         + ", ".join(f"{k} {rel:.2e}" for k, rel in worst.items())
-                         if keys else f"  {name}: results equal")
+            only = [f"only in {'a' if k in ra else 'b'}: {k}"
+                    for k in keys if (k in ra) != (k in rb)]
+            worst = {k: value_difference(ra[k], rb[k]) for k in keys if k in ra and k in rb}
+            parts = only + (["differs in " + ", ".join(f"{k} {rel:.2e}"
+                                                       for k, rel in worst.items())]
+                            if worst else [])
+            lines.append(f"{'!' if only else mark(max(worst.values()))} {name}: "
+                         + "; ".join(parts) if keys else f"  {name}: results equal")
         elif a.read_bytes() == b.read_bytes():
             lines.append(f"  {name}: bytes identical")
         elif name.endswith(".csv"):

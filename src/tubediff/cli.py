@@ -329,7 +329,6 @@ def cmd_simulate(cfg: dict, out_override: str | None, force: bool) -> int:
         "steps": int(round(t_end / dt)),
         "step_time_s": traj.step_time_s,
         "tube_contents": _contents_ledger(traj),
-        "notes": list(traj.notes),
         "warnings": list(report.warnings),
     }
     with open(out / "manifest.yaml", "w") as fh:
@@ -470,8 +469,10 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         with warnings.catch_warnings():  # one line per model forced past its screen
             warnings.simplefilter("always", StabilityWarning)
-            warnings.showwarning = lambda message, *_: print(
-                f"warning: {message} (--force)", file=sys.stderr)
+            warnings.showwarning = lambda message, category, *_: print(
+                f"warning: {message}"
+                + (" (--force)" if issubclass(category, StabilityWarning) else ""),
+                file=sys.stderr)
             return COMMANDS[args.command](cfg, args.out, args.force)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ leaves.  All stencils work on arbitrary trees with nonuniform spacing:
 
 The radius R and its slope come from the mesh's node radii alone, and
 every stencil and coefficient field is built once per mesh (see
-:class:`Fields`).  Matrix/vector layouts use mesh storage indices
+:func:`_per_mesh`).  Matrix/vector layouts use mesh storage indices
 throughout; leaf slots in the ``neumann`` coupling follow storage order
 as well.
 """
@@ -47,6 +47,7 @@ class SpatialOperator:
     neumann: CSR
     boundary_nodes: tuple[int, ...]
     mass_diag: np.ndarray
+    downwind: np.ndarray  # nodes no step is stable at (see :func:`upwind`)
     notes: tuple[str, ...] = ()
 
 
@@ -176,7 +177,7 @@ def wind_stencils(mesh: NetworkMesh, radii: np.ndarray, slopes: np.ndarray):
 
 
 # ----------------------------------------------------------------------
-# shared fields
+# per-mesh parts
 # ----------------------------------------------------------------------
 
 # Parts derived from each mesh, built on first request and dropped with
@@ -199,88 +200,27 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
-class Fields:
-    """Stencils and coefficient fields of one mesh.
-
-    :func:`fields` builds one record per mesh; assembly, the lateral map
-    and the stability screen all read it.  ``radii`` is the mesh's own
-    array and ``slopes`` is ``slope @ radii``.  Arrays and sparse parts
-    are shared and read-only.
-    """
-
-    radii: np.ndarray
-    slopes: np.ndarray
-    spacings: np.ndarray       # mean incident edge length
-    slope: CSR
-    laplacian: tuple[CSR, CSR]
-    wind: tuple[np.ndarray, ...]  # rows, cols, weights, radius_slope
-    wind_notes: tuple[str, ...]
-    # nodes whose upwind stencils amplify the alternating mode: where the
-    # sum of dR/ds (w0 - w1 + w2) is positive.  Every model scales a node's
-    # stencils by the same positive D (2/R), so the mask holds for all.
-    downwind: np.ndarray
-    mesh_ref: weakref.ref      # weak, so the record never keeps its mesh alive
-
-    @property
-    def third(self) -> tuple[CSR, CSR, tuple[str, ...]]:
-        """Third-derivative parts, built when first asked for."""
-        return _per_mesh(self.mesh_ref(), third_derivative_parts)
-
-    @property
-    def expansion(self) -> tuple[np.ndarray, np.ndarray]:
-        """Expanded-flux grid factors dx**2 R'**2 / (4 R**2) and dx**2 R' / (4 R)."""
-        dx, radii, slopes = self.spacings, self.radii, self.slopes
-        return dx * dx * slopes * slopes / (4.0 * radii * radii), dx * dx * slopes / (4.0 * radii)
-
-    def diffusivity(self, spec: ModelSpec) -> np.ndarray:
-        """Per-node diffusion coefficient D(x) of a model."""
-        return diffusion_coefficient(spec, self.slopes)
-
-    def mass(self, spec: ModelSpec) -> np.ndarray:
-        """Per-node factor on the time derivative of a model.
-
-        The temporal model's factor is 1 + g'(x): g is evaluated at every
-        node from the central radius slope, then differentiated with the
-        same slope matrix.  g depends on the absolute axial coordinate, so
-        node x positions must carry it, which restricts that model to
-        unbranched channels.
-        """
-        if spec.kind is ModelKind.KALINAY_TEMPORAL:
-            mesh = self.mesh_ref()
-            if mesh.degree.max() > 2:
-                raise MeshError("the temporally corrected model is only defined "
-                                "on unbranched channels")
-            return 1.0 + self.slope @ kalinay_g(mesh.positions[:, 0], self.slopes, spec.epsilon)
-        if spec.kind is ModelKind.EXPANDED_FLUX:
-            return effj_mass_factor(self.spacings, self.radii, self.slopes)
-        return np.ones(len(self.radii))
+def radius_slopes(mesh: NetworkMesh) -> np.ndarray:
+    """Central radius slope dR/ds at every node, ``slope_matrix @ radii``."""
+    return _read_only(_per_mesh(mesh, slope_matrix) @ mesh.radii)
 
 
-def _build_fields(mesh: NetworkMesh) -> Fields:
-    radii = mesh.radii
-    slope = _per_mesh(mesh, slope_matrix)
-    slopes = _read_only(slope @ radii)
-    *wind, notes = wind_stencils(mesh, radii, slopes)
+def spacings(mesh: NetworkMesh) -> np.ndarray:
+    """Mean incident edge length at every node."""
+    return _read_only(mesh.incident_lengths() / mesh.degree)
+
+
+def upwind(mesh: NetworkMesh):
+    """The mesh's wind stencils ``(rows, cols, weights, radius_slope)``,
+    their notes, and the downwind mask: nodes whose upwind stencils
+    amplify the alternating mode, where the sum of dR/ds (w0 - w1 + w2)
+    is positive.  Every model scales a node's stencils by the same
+    positive D (2/R), so the mask holds for all."""
+    *wind, notes = wind_stencils(mesh, mesh.radii, _per_mesh(mesh, radius_slopes))
     rows, _, w, radius_slope = wind
     pi_mode = np.bincount(rows, weights=radius_slope * (w[:, 0] - w[:, 1] + w[:, 2]),
                           minlength=mesh.n_nodes)
-    return Fields(
-        radii=radii,
-        slopes=slopes,
-        spacings=_read_only(mesh.incident_lengths() / mesh.degree),
-        slope=slope,
-        laplacian=_per_mesh(mesh, laplacian_parts),
-        wind=tuple(_read_only(a) for a in wind),
-        wind_notes=notes,
-        downwind=_read_only(pi_mode > 0.0),
-        mesh_ref=weakref.ref(mesh),
-    )
-
-
-def fields(mesh: NetworkMesh) -> Fields:
-    """The shared :class:`Fields` of a mesh."""
-    return _per_mesh(mesh, _build_fields)
+    return tuple(_read_only(a) for a in wind), notes, _read_only(pi_mode > 0.0)
 
 
 def advection_parts(mesh: NetworkMesh, spec: ModelSpec) -> tuple[CSR, CSR, tuple[str, ...]]:
@@ -290,19 +230,18 @@ def advection_parts(mesh: NetworkMesh, spec: ModelSpec) -> tuple[CSR, CSR, tuple
     paths are summed.  At a leaf the concentration slope is known from
     the Neumann data, so the whole term moves into the boundary coupling.
     """
-    n = mesh.n_nodes
-    f = fields(mesh)
-    diff = f.diffusivity(spec)
-    rows, cols, weights, radius_slope = f.wind
-    vals = (diff[rows] * (2.0 / f.radii[rows]) * radius_slope)[:, None] * weights
+    n, radii, slopes = mesh.n_nodes, mesh.radii, _per_mesh(mesh, radius_slopes)
+    diff = diffusion_coefficient(spec, slopes)
+    (rows, cols, weights, radius_slope), notes, _ = _per_mesh(mesh, upwind)
+    vals = (diff[rows] * (2.0 / radii[rows]) * radius_slope)[:, None] * weights
     # pin the origin weight to minus the rest so the scaled row still
     # annihilates constants after rounding
     vals[:, 0] = -(vals[:, 1] + vals[:, 2])
     leaves = mesh.leaf_indices()
-    coef = diff[leaves] * (2.0 / f.radii[leaves]) * f.slopes[leaves]
+    coef = diff[leaves] * (2.0 / radii[leaves]) * slopes[leaves]
     return (build(rows[:, None], cols, vals, (n, n)),
             build(leaves, np.arange(len(leaves)), coef, (n, len(leaves))),
-            f.wind_notes)
+            notes)
 
 
 def third_derivative_parts(
@@ -359,23 +298,35 @@ def assemble_model(mesh: NetworkMesh, spec: ModelSpec) -> SpatialOperator:
 def _assemble(mesh: NetworkMesh, spec: ModelSpec) -> SpatialOperator:
     """One rule for every model: A = D(x) L + advection, where L is the
     Laplacian plus, for expanded-flux, its grid-scaled k1 L and k2 L3
-    terms, and the advection rows join for every model but simple
-    diffusion."""
-    f = fields(mesh)
-    lap_m, lap_n = f.laplacian
-    notes = ()
+    terms, and the advection rows, with their downwind mask, join for
+    every model but simple diffusion.  The time-derivative factor is 1
+    but for expanded-flux (its grid-scaled factor) and the temporal model:
+    1 + g'(x), g from the radius slope, differentiated with the slope
+    matrix.  g reads the absolute axial coordinate, which node x
+    positions carry on unbranched channels only."""
+    n, radii, slopes = mesh.n_nodes, mesh.radii, _per_mesh(mesh, radius_slopes)
+    lap_m, lap_n = _per_mesh(mesh, laplacian_parts)
+    mass, downwind, notes = np.ones(n), np.zeros(n, dtype=bool), ()
     if spec.kind is ModelKind.EXPANDED_FLUX:
-        thr_m, thr_n, notes = f.third
-        k1, k2 = f.expansion
+        thr_m, thr_n, notes = _per_mesh(mesh, third_derivative_parts)
+        dx = _per_mesh(mesh, spacings)
+        k1, k2 = dx * dx * slopes * slopes / (4.0 * radii * radii), dx * dx * slopes / (4.0 * radii)
         lap_m = lap_m + scale_rows(k1, lap_m) + scale_rows(k2, thr_m)
         lap_n = lap_n + scale_rows(k1, lap_n) + scale_rows(k2, thr_n)
-    d = f.diffusivity(spec)
+        mass = effj_mass_factor(dx, radii, slopes)
+    elif spec.kind is ModelKind.KALINAY_TEMPORAL:
+        if mesh.degree.max() > 2:
+            raise MeshError("the temporally corrected model is only defined on unbranched channels")
+        g = kalinay_g(mesh.positions[:, 0], slopes, spec.epsilon)
+        mass = 1.0 + _per_mesh(mesh, slope_matrix) @ g
+    d = diffusion_coefficient(spec, slopes)
     matrix, neumann = scale_rows(d, lap_m), scale_rows(d, lap_n)
     if spec.kind is not ModelKind.SIMPLE_DIFFUSION:
         adv_m, adv_n, adv_notes = advection_parts(mesh, spec)
         matrix, neumann, notes = matrix + adv_m, neumann + adv_n, adv_notes + notes
+        downwind = _per_mesh(mesh, upwind)[2]
     return SpatialOperator(matrix, neumann, tuple(mesh.node_ids[mesh.leaf_indices()].tolist()),
-                           _read_only(f.mass(spec)), notes)
+                           _read_only(mass), _read_only(downwind), notes)
 
 
 # ----------------------------------------------------------------------
@@ -391,6 +342,11 @@ class FluxWindow:
     strength: float
     t_start: float = 0.0
     t_end: float = float("inf")
+
+    def __post_init__(self):
+        if not self.t_end > self.t_start:  # NaN compares false too
+            raise ValueError(f"lateral window from {self.t_start!r} until {self.t_end!r} "
+                             "never acts: 'until' must come after 'from'")
 
 
 @dataclass(frozen=True)
@@ -419,17 +375,16 @@ def lateral_operator(mesh: NetworkMesh, spec: ModelSpec) -> CSR:
     closures reuse one-sided slope estimates of J itself in place of
     external end-slope data.
     """
-    f = fields(mesh)
-    radii, slopes, dx = f.radii, f.slopes, f.spacings
-    n, leaves = mesh.n_nodes, mesh.leaf_indices()
+    radii, n, leaves = mesh.radii, mesh.n_nodes, mesh.leaf_indices()
     lead = build(np.arange(n), np.arange(n), 2.0 / radii, (n, n))
     if spec.kind is not ModelKind.EXPANDED_FLUX:
         return lead
 
-    s_full = f.slope
+    slopes, dx = _per_mesh(mesh, radius_slopes), _per_mesh(mesh, spacings)
+    s_full = _per_mesh(mesh, slope_matrix)
     s_bound = build(np.arange(len(leaves)), leaves, 1.0, (len(leaves), n)) @ s_full
-    lap_m, lap_n = f.laplacian
-    thr_m, thr_n, _ = f.third
+    lap_m, lap_n = _per_mesh(mesh, laplacian_parts)
+    thr_m, thr_n, _ = _per_mesh(mesh, third_derivative_parts)
     j2 = lap_m + lap_n @ s_bound
     j3 = thr_m + thr_n @ s_bound
     correction = scale_rows(dx * dx / (12.0 * radii),

@@ -134,7 +134,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray                    # (n_snapshots, n_nodes)
     fluxes: np.ndarray | None = None      # effective wall flux, same shape
-    notes: tuple[str, ...] = ()
     stability: StabilityReport | None = None
     step_time_s: float | None = None      # wall time of the march per model-step
 
@@ -484,9 +483,8 @@ def run_models(
             times=np.array(times),
             states=states[:, i].copy(),
             fluxes=fluxes[:, i].copy() if fluxes is not None else None,
-            notes=op.notes,
             stability=report,
             step_time_s=march_s / (n_steps * copies),
         )
-        for i, (spec, op, report) in enumerate(zip(specs, ops, reports))
+        for i, (spec, report) in enumerate(zip(specs, reports))
     ]

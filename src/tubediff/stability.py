@@ -12,9 +12,9 @@ advective or third-derivative term lowers its own bound.
 
 Two conditions admit no step at all and fail their nodes with
 ``dt_max`` 0: a mass factor m(x) <= 0, whose time derivative has the
-wrong sign or none, and a downwind upwind stencil (see
-:attr:`Fields.downwind`) under a model with the advection term.
-Reports name the binding node and the nodes that fail.
+wrong sign or none, and a downwind upwind stencil (the operator's
+``downwind`` mask).  Reports name the binding node and the nodes that
+fail, and warn of every stencil the assembly degraded.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import assemble_model, fields
-from .models import ModelKind, ModelSpec
+from .discretize import assemble_model
+from .models import ModelSpec
 from .network import NetworkMesh
 
 # float slack so a step sitting exactly at its bound still passes
@@ -64,15 +64,12 @@ def check_model(mesh: NetworkMesh, spec: ModelSpec, dt: float) -> StabilityRepor
                            minlength=mesh.n_nodes)
 
     reversed_time = mass <= 0.0
-    warnings = [f"nonpositive-mass-factor node={mesh.node_ids[i]}"
-                for i in np.flatnonzero(reversed_time)]
-    refused = reversed_time
-    if spec.kind is not ModelKind.SIMPLE_DIFFUSION:
-        f = fields(mesh)
-        warnings += list(f.wind_notes)
-        warnings += [f"downwind-amplification node={mesh.node_ids[i]}"
-                     for i in np.flatnonzero(f.downwind)]
-        refused = refused | f.downwind
+    warnings = [*(f"nonpositive-mass-factor node={mesh.node_ids[i]}"
+                  for i in np.flatnonzero(reversed_time)),
+                *op.notes,
+                *(f"downwind-amplification node={mesh.node_ids[i]}"
+                  for i in np.flatnonzero(op.downwind))]
+    refused = reversed_time | op.downwind
 
     passes = (dt * row_sums <= 2.0 * mass * (1.0 + TOLERANCE)) & ~refused
     dt_max = np.where(refused, 0.0, 2.0 * mass / row_sums)

@@ -43,6 +43,12 @@ class _Channel:
     """Closed forms shared by the exact channels (see the module docstring)."""
 
     growth = 0.0
+    positive = ("sigma",)  # fields without which the closed forms break down
+
+    def __post_init__(self):
+        for name in self.positive:
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"'{name}' must be positive, got {getattr(self, name)!r}")
 
     def _gain(self, t):
         return 1.0
@@ -103,6 +109,7 @@ class SinusoidChannel(_Channel):
     center: float = 1.0
     margin: float = 1.0
     d0: float = 1.0
+    positive = ("sigma", "wavenumber")
 
     @property
     def x0(self) -> float:

@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +19,9 @@ import pytest
 import yaml
 
 import tubediff
-from tubediff.cli import build_geometry, build_policy, main
+from tubediff.cli import COMMANDS, build_geometry, build_policy, main
 from tubediff.geometry import ball_on_stick, constricted_tree
-from tubediff.integrate import ConstraintPolicy
+from tubediff.integrate import ConstraintPolicy, StabilityWarning
 from tubediff.models import ModelSpec
 from tubediff.network import NetworkMesh, format_mesh
 from tubediff.verify import ConeChannel, SinusoidChannel
@@ -98,6 +99,13 @@ class TestConfigErrors:
         ({"kind": "cone", "x1": float("inf"), "n": 40},
          "'x1' must be a finite number, got inf"),
         ({"kind": "sinusoid", "wavenumber": 0.5, "n": 2}, "'n' must be at least 3, got 2"),
+        ({"kind": "sinusoid", "wavenumber": 0.0, "n": 40},
+         "'wavenumber' must be positive, got 0.0"),
+        ({"kind": "sinusoid", "wavenumber": -0.5, "n": 40},
+         "'wavenumber' must be positive, got -0.5"),
+        ({"kind": "cone", "sigma": 0.0, "n": 40}, "'sigma' must be positive, got 0.0"),
+        ({"kind": "sinusoid", "wavenumber": 0.5, "sigma": -2.0, "n": 40},
+         "'sigma' must be positive, got -2.0"),
     ])
     def test_channel_geometry_error_is_one_line(self, tmp_path, capsys, geometry, message):
         cfg = write_config(tmp_path, small_channel(geometry=geometry))
@@ -205,6 +213,29 @@ class TestConfigErrors:
         rows = (tmp_path / "trajectory.csv").read_text().splitlines()
         assert len(rows) == 1 + 3 * 40
 
+    @pytest.mark.parametrize("window", [{"from": 1.0, "until": 1.0}, {"from": 2.0, "until": 1.0},
+                                        {"until": 0.0}, {"until": math.nan}])
+    def test_a_window_that_never_acts_is_one_error_line(self, tmp_path, capsys, window):
+        doc = regulated_tree()
+        doc["lateral"][0].update(window)
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+        assert len(lines) == 1 and "never acts" in lines[0], lines
+
+    @pytest.mark.filterwarnings("always::RuntimeWarning")
+    def test_only_a_forced_step_warns_with_the_force_tag(self, tmp_path, capsys, monkeypatch):
+        def command(cfg, out, force):
+            np.zeros(1) / np.zeros(1)
+            warnings.warn("fick-jacobs: marching anyway", StabilityWarning)
+            return 0
+        monkeypatch.setitem(COMMANDS, "simulate", command)
+        cfg = write_config(tmp_path, small_channel())
+        assert main(["simulate", "--config", cfg]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: invalid value encountered in divide",
+            "warning: fick-jacobs: marching anyway (--force)"]
+
     def test_a_window_may_stay_open_for_good(self, tmp_path, capsys):
         doc = regulated_tree()
         doc["lateral"][0]["until"] = math.inf
@@ -300,6 +331,16 @@ class TestSimulate:
         assert manifest["step_time_s"] > 0.0
         text = format_mesh(ball_on_stick(1))
         assert manifest["geometry_sha256"] == hashlib.sha256(text.encode()).hexdigest()
+
+    def test_manifest_lists_each_stencil_note_once(self, tmp_path):
+        doc = yaml.safe_load(open(f"{CONFIGS}/ball_on_stick_regulated.yaml"))
+        doc["run"].update(t_end=0.05, snapshots=3)
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "manifest.yaml").read_text()
+        notes = [f"first-order-upwind node={i}" for i in (32, 54, 62)]
+        assert [text.count(note) for note in notes] == [1, 1, 1]
+        assert set(notes) <= set(yaml.safe_load(text)["warnings"])
 
     def test_reruns_are_byte_identical(self, tmp_path):
         for sub in ("a", "b"):

@@ -14,11 +14,13 @@ from tubediff.discretize import (
     LateralFluxField,
     advection_parts,
     assemble_model,
-    fields,
     laplacian_parts,
     lateral_operator,
+    radius_slopes,
     slope_matrix,
+    spacings,
     third_derivative_parts,
+    upwind,
     wind_stencils,
 )
 from tubediff.models import ModelKind, ModelSpec
@@ -379,6 +381,11 @@ class TestLateralFlux:
         assert field.values(mesh, 0.5)[2] == 3.0
         assert np.array_equal(field.values(mesh, 1.0), np.zeros(5))
 
+    @pytest.mark.parametrize("t_start,t_end", [(1.0, 1.0), (2.0, 1.0), (0.0, math.nan)])
+    def test_a_window_that_never_acts_is_refused(self, t_start, t_end):
+        with pytest.raises(ValueError, match="never acts"):
+            FluxWindow((2,), 3.0, t_start, t_end)
+
     def test_leading_term_for_fick_jacobs(self):
         mesh = chain_mesh([2.0] * 5)
         field = LateralFluxField((FluxWindow((0, 1, 2, 3, 4), 3.0),))
@@ -399,35 +406,38 @@ class TestLateralFlux:
 
 
 class TestSharedFields:
-    def test_one_record_per_mesh(self):
+    def test_one_part_per_mesh(self):
         mesh = y_mesh(radii=(1.2, 0.7, 0.31, 0.9, 1.05, 0.4))
-        f = fields(mesh)
-        assert fields(mesh) is f
-        assert fields(y_mesh()) is not f
-        assert f.radii is mesh.radii
-        assert np.array_equal(f.slopes, slope_matrix(mesh) @ mesh.radii)
-        assert np.array_equal(f.spacings, loop_spacings(mesh))
-        for a in (f.radii, f.slopes, f.spacings, f.downwind):
+        slopes = discretize._per_mesh(mesh, radius_slopes)
+        assert discretize._per_mesh(mesh, radius_slopes) is slopes
+        assert discretize._per_mesh(y_mesh(), radius_slopes) is not slopes
+        dx = discretize._per_mesh(mesh, spacings)
+        _, _, downwind = discretize._per_mesh(mesh, upwind)
+        assert assemble_model(mesh, FJ).downwind is downwind
+        assert np.array_equal(slopes, slope_matrix(mesh) @ mesh.radii)
+        assert np.array_equal(dx, loop_spacings(mesh))
+        for a in (mesh.radii, slopes, dx, downwind):
             assert not a.flags.writeable
 
     def test_slopes_match_the_loop_reference(self):
         mesh = interval_mesh(0.0, 5.0, 41, lambda x: 1.0 + 0.3 * x)
-        f = fields(mesh)
-        assert f.slopes == pytest.approx(loop_slopes(f.radii, mesh), rel=1e-13)
+        slopes = discretize._per_mesh(mesh, radius_slopes)
+        assert slopes == pytest.approx(loop_slopes(mesh.radii, mesh), rel=1e-13)
 
-    def test_new_radii_get_their_own_record(self):
+    def test_new_radii_get_their_own_parts(self):
         r1, r2 = (1.2, 0.7, 0.31, 0.9, 1.05, 0.4), (0.5, 0.9, 1.4, 1.1, 0.6, 0.8)
         mesh = y_mesh(radii=r1)
-        before = fields(mesh)
+        before = discretize._per_mesh(mesh, radius_slopes)
         original = dense(assemble_model(mesh, EF).matrix)
         swapped = mesh.with_radii(r2)
-        assert fields(swapped) is not before
+        assert discretize._per_mesh(swapped, radius_slopes) is not before
         got, want = assemble_model(swapped, EF), assemble_model(y_mesh(radii=r2), EF)
         assert np.array_equal(dense(got.matrix), dense(want.matrix))
         assert np.array_equal(dense(got.neumann), dense(want.neumann))
         assert np.array_equal(got.mass_diag, want.mass_diag)
-        # the original mesh keeps its record and its operator
-        assert fields(mesh) is before and np.array_equal(before.radii, r1)
+        # the original mesh keeps its parts and its operator
+        assert discretize._per_mesh(mesh, radius_slopes) is before
+        assert np.array_equal(mesh.radii, r1)
         assert np.array_equal(dense(assemble_model(mesh, EF).matrix), original)
 
     def test_record_is_dropped_with_its_mesh(self):

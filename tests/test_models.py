@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from tubediff.discretize import fields
+from tubediff.discretize import assemble_model
 from tubediff.models import (
     ModelKind,
     ModelSpec,
@@ -27,7 +27,7 @@ KT = ModelSpec(ModelKind.KALINAY_TEMPORAL)
 
 def temporal_mass(mesh):
     """The temporal model's per-node factors 1 + g'(x), as assembly reads them."""
-    return fields(mesh).mass(KT)
+    return assemble_model(mesh, KT).mass_diag
 
 
 def test_models_import_no_other_package_module():

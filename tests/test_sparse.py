@@ -14,10 +14,20 @@ from hypothesis import strategies as st
 
 from tests.sparse_oracle import dense, to_scipy
 from tests.test_properties import PROPERTY, trees
-from tubediff.discretize import advection_parts, assemble_model, fields, lateral_operator
+from tubediff.discretize import (
+    _per_mesh,
+    advection_parts,
+    assemble_model,
+    laplacian_parts,
+    lateral_operator,
+    radius_slopes,
+    slope_matrix,
+    spacings,
+    third_derivative_parts,
+)
 from tubediff.geometry import ball_on_stick, constricted_tree
 from tubediff.integrate import _stack
-from tubediff.models import ModelKind, ModelSpec
+from tubediff.models import ModelKind, ModelSpec, diffusion_coefficient
 from tubediff.sparse import CSR, build
 
 COMPOSE_RTOL = 1e-15
@@ -31,19 +41,24 @@ def applicable_models(mesh):
             if kind is not ModelKind.KALINAY_TEMPORAL or mesh.degree.max() <= 2]
 
 
+def expansion(mesh):
+    """Expanded-flux grid factors dx**2 R'**2 / (4 R**2) and dx**2 R' / (4 R)."""
+    dx, radii, slopes = _per_mesh(mesh, spacings), mesh.radii, _per_mesh(mesh, radius_slopes)
+    return dx * dx * slopes * slopes / (4.0 * radii * radii), dx * dx * slopes / (4.0 * radii)
+
+
 def scipy_assembly(mesh, spec):
     """``assemble_model``'s composition of the stencil parts, in scipy."""
-    f = fields(mesh)
-    lap_m, lap_n = (to_scipy(m) for m in f.laplacian)
+    lap_m, lap_n = (to_scipy(m) for m in _per_mesh(mesh, laplacian_parts))
     if spec.kind is ModelKind.SIMPLE_DIFFUSION:
         return spec.d0 * lap_m, spec.d0 * lap_n
     adv_m, adv_n = (to_scipy(m) for m in advection_parts(mesh, spec)[:2])
     if spec.kind in (ModelKind.ZWANZIG, ModelKind.REGUERA_RUBI, ModelKind.KALINAY_PERCUS):
-        d = sp.diags(f.diffusivity(spec))
+        d = sp.diags(diffusion_coefficient(spec, _per_mesh(mesh, radius_slopes)))
         return d @ lap_m + adv_m, d @ lap_n + adv_n
     if spec.kind is ModelKind.EXPANDED_FLUX:
-        thr_m, thr_n = (to_scipy(m) for m in f.third[:2])
-        k1, k2 = (sp.diags(k) for k in f.expansion)
+        thr_m, thr_n = (to_scipy(m) for m in _per_mesh(mesh, third_derivative_parts)[:2])
+        k1, k2 = (sp.diags(k) for k in expansion(mesh))
         return (spec.d0 * (lap_m + k1 @ lap_m + k2 @ thr_m) + adv_m,
                 spec.d0 * (lap_n + k1 @ lap_n + k2 @ thr_n) + adv_n)
     return spec.d0 * lap_m + adv_m, spec.d0 * lap_n + adv_n
@@ -51,15 +66,15 @@ def scipy_assembly(mesh, spec):
 
 def scipy_lateral(mesh):
     """The expanded-flux ``lateral_operator``, composed in scipy."""
-    f = fields(mesh)
-    s_full = to_scipy(f.slope)
+    radii, slopes = mesh.radii, _per_mesh(mesh, radius_slopes)
+    s_full = to_scipy(_per_mesh(mesh, slope_matrix))
     s_bound = s_full[mesh.leaf_indices()]
-    lap_m, lap_n = (to_scipy(m) for m in f.laplacian)
-    thr_m, thr_n = (to_scipy(m) for m in f.third[:2])
-    correction = sp.diags(f.spacings**2 / (12.0 * f.radii)) @ (
-        sp.diags(2.0 * f.slopes / f.radii) @ s_full
+    lap_m, lap_n = (to_scipy(m) for m in _per_mesh(mesh, laplacian_parts))
+    thr_m, thr_n = (to_scipy(m) for m in _per_mesh(mesh, third_derivative_parts)[:2])
+    correction = sp.diags(_per_mesh(mesh, spacings)**2 / (12.0 * radii)) @ (
+        sp.diags(2.0 * slopes / radii) @ s_full
         + (lap_m + lap_n @ s_bound) + (thr_m + thr_n @ s_bound) / 3.0)
-    return sp.diags(2.0 / f.radii) + correction
+    return sp.diags(2.0 / radii) + correction
 
 
 def assert_close(ours, reference):
@@ -177,4 +192,4 @@ def test_composed_operators_agree_with_scipy(mesh, d0):
     assert_close(lateral_operator(mesh, ModelSpec(ModelKind.EXPANDED_FLUX)),
                  scipy_lateral(mesh))
     assert_close(lateral_operator(mesh, ModelSpec(ModelKind.FICK_JACOBS)),
-                 sp.diags(2.0 / fields(mesh).radii))
+                 sp.diags(2.0 / mesh.radii))

@@ -182,6 +182,15 @@ class TestModelScreen:
         fj = check_model(mesh, FJ, dt=0.01)
         assert zw.dt_max > fj.dt_max
 
+    def test_warns_of_every_assembly_note(self):
+        # on two nodes neither leaf has a two-edge walk for its
+        # third-derivative closure
+        mesh = interval_mesh(0.0, 1.0, 2, lambda x: 1.0 + 0.5 * x)
+        op = assemble_model(mesh, EF)
+        assert op.notes == ("no-third-derivative-closure node=0",
+                            "no-third-derivative-closure node=1")
+        assert check_model(mesh, EF, dt=1e-3).warnings == op.notes
+
     def test_nonpositive_mass_factor_fails_with_zero_step(self):
         # the temporal factor 1 + g' is about (-9.59, 3.16, 15.9) here
         nodes = [(0, (0.0, 0.0, 0.0), 0.35), (1, (1.0, 0.0, 0.0), 0.79),
