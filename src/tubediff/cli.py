@@ -54,7 +54,6 @@ from .verify import (
     exact_boundary,
     fitted_slope,
     model_errors,
-    refinement_ladder,
     tree_convergence,
 )
 
@@ -287,12 +286,10 @@ def build_policy(cfg: dict) -> ConstraintPolicy | None:
 
 
 def _out_dir(cfg: dict, override: str | None) -> Path:
+    """Where the artifacts go; each command makes it only once it has them."""
     if override is not None:
-        out = Path(override)
-    else:
-        out = Path(_section(cfg, "output", required=False).get("directory", "."))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+        return Path(override)
+    return _read(_section(cfg, "output", required=False), "directory", Path, ".", "a path")
 
 
 def cmd_simulate(cfg: dict, out_override: str | None, force: bool) -> int:
@@ -315,6 +312,7 @@ def cmd_simulate(cfg: dict, out_override: str | None, force: bool) -> int:
     )[0]
     report = traj.stability
 
+    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "trajectory.csv"
     traj.to_csv(csv_path)
 
@@ -367,6 +365,7 @@ def cmd_compare(cfg: dict, out_override: str | None, force: bool) -> int:
     errors = model_errors(geometry.channel, specs, mesh=geometry.mesh,
                           dt=dt, t_end=t_end, force=force)
 
+    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "errors.csv"
     with open(csv_path, "w") as fh:
         fh.write("model,l1\n")
@@ -403,7 +402,7 @@ def cmd_convergence(cfg: dict, out_override: str | None, force: bool) -> int:
         if kind in TREE_BUILDERS:
             meshes = [TREE_BUILDERS[kind](k) for k in range(levels + 1)]
         else:
-            meshes = refinement_ladder(geometry.mesh, levels + 1)
+            meshes = [refine(geometry.mesh, k) for k in range(levels + 1)]
 
         def initial(mesh):
             return build_initial(cfg, Geometry(mesh, None))
@@ -412,6 +411,7 @@ def cmd_convergence(cfg: dict, out_override: str | None, force: bool) -> int:
             meshes, model, dt=dt, t_end=t_end, initial=initial, force=force,
         )
 
+    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "convergence.csv"
     with open(csv_path, "w") as fh:
         fh.write("level,N,dx,l1,slope\n")
@@ -477,8 +477,8 @@ def main(argv=None) -> int:
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except StabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except StabilityError as exc:  # the CLI's switch is --force, not force=True
+        print(f"error: {str(exc).replace('force=True', '--force')}", file=sys.stderr)
         print(exc.report.as_table(), file=sys.stderr)
         return 1
     except SimulationError as exc:

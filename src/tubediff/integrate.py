@@ -210,18 +210,6 @@ def _stack(blocks, diagonal: bool) -> CSR:
     return CSR(indptr, indices, data, shape)
 
 
-def _schedule(lateral: LateralFluxField, mesh: NetworkMesh, copies: int, k: int, dt: float):
-    """Scheduled wall flux at step ``k`` for ``copies`` stacked states, and the
-    first step with ``k * dt`` at or past the next window edge (``ceil(edge / dt)``
-    can be a step late), where it can change."""
-    edge = min((e for w in lateral.windows for e in (w.t_start, w.t_end) if e > k * dt),
-               default=math.inf)
-    edge_step = max(int(edge / dt) - 1, k) if edge < math.inf else edge
-    while edge_step * dt < edge:
-        edge_step += 1
-    return np.tile(lateral.values(mesh, k * dt), copies), edge_step
-
-
 def _distinct(a: np.ndarray) -> np.ndarray:
     """The sorted distinct values of ``a`` (``np.unique`` without its
     ``numpy.ma`` import)."""
@@ -305,9 +293,17 @@ def _euler(plan: _Plan, c: np.ndarray, snap_steps: list[int], boundary: Boundary
     width, size = n + margin, copies * (n + margin)
     where = policy.where(mesh, copies) if policy is not None else None
     held = place[where] if policy is not None else None
-    base, edge_step = (_schedule(lateral, mesh, copies, 0, dt) if lateral is not None
-                       else (None, math.inf))
-    j = source = None
+    # the steps where the scheduled wall flux can change: 0 and, per window edge in
+    # the run, the first k with k * dt at or past it (ceil(edge / dt) can be a step late)
+    changes = {0}
+    windows = lateral.windows if lateral is not None else ()
+    for edge in {e for w in windows for e in (w.t_start, w.t_end)}:
+        if 0.0 < edge <= snap_steps[-1] * dt:
+            k = max(int(edge / dt) - 1, 0)
+            while k * dt < edge:
+                k += 1
+            changes.add(k)
+    base = j = source = None
     table: dict[bytes, tuple] = {}
     snap_set = set(snap_steps)
     times, states, fluxes = [], [], []
@@ -316,9 +312,9 @@ def _euler(plan: _Plan, c: np.ndarray, snap_steps: list[int], boundary: Boundary
         """The threshold bands at step k, as bytes, and their entry in the
         window's table: wall flux, scaled lateral source and, per position,
         the lowest and the highest level that keep its band."""
-        nonlocal base, edge_step
-        if k >= edge_step:
-            base, edge_step = _schedule(lateral, mesh, copies, k, dt)
+        nonlocal base
+        if k in changes:
+            base = np.tile(lateral.values(mesh, k * dt), copies)
             table.clear()
         band = policy.bands(c, held) if policy is not None else None
         key = band.tobytes() if policy is not None else b""
@@ -360,7 +356,7 @@ def _euler(plan: _Plan, c: np.ndarray, snap_steps: list[int], boundary: Boundary
         terms = np.empty(vals.shape)
     pattern, since = None, 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0, k1 in _chunks(snap_steps, length):
+        for k0, k1 in _chunks(sorted(snap_set | changes), length):
             if boundary is not None:
                 g = boundary.series(boundary_nodes, np.arange(k0, k1) * dt)
                 ends = (neumann @ g.T).T * scale[live]
@@ -371,7 +367,7 @@ def _euler(plan: _Plan, c: np.ndarray, snap_steps: list[int], boundary: Boundary
                     pattern, since = (pattern, since) if key == pattern else (key, k)
                 if k == k0 and k in snap_set:
                     record(k)
-                end = min(k1, edge_step, k + max(1, (k - since) // 2), k + len(rows) - 1)
+                end = min(k1, k + max(1, (k - since) // 2), k + len(rows) - 1)
                 rows[0][:] = c
                 for r in range(1, end - k + 1):
                     if cols is not None:
@@ -445,6 +441,9 @@ def run_models(
     if policy is not None and lateral is None:
         raise ValueError("a policy overrides lateral wall flux, but there is no 'lateral' "
                          "section; a window of strength 0.0 gives the policy alone")
+    if not t_end / dt < 2**53:
+        raise ValueError(f"t_end={t_end} is {t_end / dt:g} steps of dt={dt}; "
+                         "the step count must stay below 2**53")
     n_steps = max(1, int(round(t_end / dt)))
     if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
         raise ValueError(f"t_end={t_end} is not a whole number of steps of dt={dt}")
@@ -470,7 +469,8 @@ def run_models(
 
     ops = [assemble_model(mesh, spec) for spec in specs]
     plan = _Plan.build(mesh, specs, ops, dt, lateral)
-    snap_steps = _distinct(np.round(np.linspace(0, n_steps, n_snapshots)).astype(int)).tolist()
+    snap_points = np.linspace(0, n_steps, min(n_snapshots, n_steps + 1))  # more only repeat
+    snap_steps = _distinct(np.round(snap_points).astype(int)).tolist()
     start = time.perf_counter()
     times, rows, fluxes = _euler(plan, plan.row(c0), snap_steps, boundary, lateral, policy)
     march_s = time.perf_counter() - start

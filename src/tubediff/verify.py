@@ -26,7 +26,7 @@ import numpy as np
 
 from .integrate import BoundaryData, Trajectory, run_models
 from .models import ModelKind, ModelSpec
-from .network import NetworkMesh, c_exp, interval_mesh, refine
+from .network import NetworkMesh, c_exp, interval_mesh
 
 # exact values this small (relative to the largest) are excluded from
 # relative-error averages
@@ -196,10 +196,6 @@ class ConvergenceResult:
     def slope(self) -> float:
         return fitted_slope(self.spacings, self.errors)
 
-    def tail_slope(self, k: int = 3) -> float:
-        """Fitted order over the k finest grids only."""
-        return fitted_slope(self.spacings[-k:], self.errors[-k:])
-
     def slope2_deviation(self, k: int = 3) -> float:
         """Coarsest error over its second-order reference value.
 
@@ -233,14 +229,6 @@ def channel_convergence(
                                    force=force)[spec.kind.value])
         spacings.append((channel.x1 - channel.x0) / (n - 1))
     return ConvergenceResult(ns, tuple(spacings), tuple(errors))
-
-
-def refinement_ladder(mesh: NetworkMesh, levels: int) -> list[NetworkMesh]:
-    """The mesh followed by its successive edge bisections, ``levels`` in all."""
-    meshes = [mesh]
-    for _ in range(levels - 1):
-        meshes.append(refine(meshes[-1], 1))
-    return meshes[:levels]
 
 
 def common_node_error(traj: Trajectory, reference: Trajectory) -> float:

@@ -23,7 +23,7 @@ from tubediff.cli import COMMANDS, build_geometry, build_policy, main
 from tubediff.geometry import ball_on_stick, constricted_tree
 from tubediff.integrate import ConstraintPolicy, StabilityWarning
 from tubediff.models import ModelSpec
-from tubediff.network import NetworkMesh, format_mesh
+from tubediff.network import NetworkMesh, format_mesh, read_mesh, refine
 from tubediff.verify import ConeChannel, SinusoidChannel
 
 CONFIGS = "configs"
@@ -270,6 +270,98 @@ class TestConfigErrors:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ") and "at least two nodes" in line
 
+    @pytest.mark.parametrize("command,edit,message", [
+        ("simulate", lambda doc: doc.pop("run"), "config needs a 'run' section"),
+        ("simulate", lambda doc: doc.update(run=[1]), "'run' section must be a mapping"),
+        ("simulate", lambda doc: doc["run"].pop("model"), "'run' section needs 'model'"),
+        ("simulate", lambda doc: doc["run"].pop("dt"), "'run' section needs 'dt'"),
+        ("simulate", lambda doc: doc.update(geometry={"kind": "file"}),
+         "file geometry needs 'path'"),
+        ("simulate", lambda doc: doc["lateral"][0].update(nodes="11 12"),
+         "'nodes' must be a list of node ids, got '11 12'"),
+        ("simulate", lambda doc: doc.update(initial={"kind": "exact"}),
+         "initial kind 'exact' needs a cone or sinusoid geometry"),
+        ("simulate", lambda doc: doc.update(boundary={"kind": "exact"}),
+         "boundary kind 'exact' needs a cone or sinusoid geometry"),
+        ("simulate", lambda doc: doc.update(initial={"kind": "wave"}),
+         "unknown initial kind 'wave'; choose one of: uniform, exact, arc-bump"),
+        ("simulate", lambda doc: doc.update(boundary={"kind": "open"}),
+         "unknown boundary kind 'open'; choose one of: closed, exact, slopes"),
+        ("simulate", lambda doc: doc.update(boundary={"kind": "slopes", "slopes": [1]}),
+         "boundary kind 'slopes' needs a 'slopes' mapping"),
+        ("simulate", lambda doc: doc.update(lateral={"nodes": [11], "strength": 1.0}),
+         "'lateral' must be a list of window mappings"),
+        ("simulate", lambda doc: doc["lateral"][0].pop("nodes"),
+         "each lateral window needs 'nodes' and 'strength'"),
+        ("simulate", lambda doc: doc["lateral"][0].pop("strength"),
+         "each lateral window needs 'nodes' and 'strength'"),
+        ("simulate", lambda doc: doc.update(policy=[1]), "'policy' section must be a mapping"),
+        ("simulate", lambda doc: doc["policy"].update(c_lo=6.0),
+         "policy: c_lo must lie below c_hi"),
+        ("compare", lambda doc: doc.update(geometry={"kind": "cone", "n": 20}, compare={}),
+         "'compare' section needs a nonempty 'models' list"),
+        ("convergence", lambda doc: doc.update(convergence={"levels": 2}),
+         "tree convergence needs 'levels' of at least 3"),
+        ("simulate", lambda doc: doc["geometry"].update(levels=-1),
+         "levels must be >= 0, got -1"),
+    ])
+    def test_a_refusal_is_one_error_line(self, tmp_path, capsys, command, edit, message):
+        doc = regulated_tree()
+        edit(doc)
+        cfg = write_config(tmp_path, doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_a_document_that_is_no_mapping_is_one_error_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, [regulated_tree()])
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config file {cfg} must hold a mapping at top level\n")
+
+    @pytest.mark.parametrize("change,message", [
+        (("root 0", "root 7"), "root id 7 is not a node"),
+        (("edge 1 2 1.0", "edge 1 2 1.0 3"), "line 5: expected: edge <idA> <idB> [length]"),
+        (("root 0", "root 0 1"), "line 6: expected: root <id>"),
+        (("root 0", "root 0\nbranch 1"), "line 7: unknown statement 'branch'"),
+    ])
+    def test_a_malformed_geometry_file_is_one_error_line(self, tmp_path, capsys, change,
+                                                         message):
+        chain = ("node 0 0.0 0.0 0.0 1.0\nnode 1 1.0 0.0 0.0 1.0\nnode 2 2.0 0.0 0.0 1.0\n"
+                 "edge 0 1 1.0\nedge 1 2 1.0\nroot 0\n")
+        path = tmp_path / "chain.geom"
+        path.write_text(chain.replace(*change))
+        cfg = write_config(tmp_path, small_channel(geometry={"kind": "file", "path": str(path)}))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: geometry file {path}: {message}\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "compare", "convergence"])
+    @pytest.mark.parametrize("dt,steps", [(1.0e-320, "inf"), (1.0e-300, "1e+300")])
+    def test_a_step_count_past_2_53_is_one_error_line(self, tmp_path, capsys, command, dt,
+                                                      steps):
+        # int(round(t_end / dt)) overflows at the first, and numpy cannot take the second
+        doc = small_channel(compare={"models": ["fick-jacobs"]},
+                            convergence={"ns": [10, 20, 40]})
+        doc["run"].update(dt=dt, t_end=1.0)
+        cfg = write_config(tmp_path, doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: t_end=1.0 is {steps} steps of dt={dt}; the step count must stay below 2**53\n")
+
+    @pytest.mark.parametrize("command", ["simulate", "compare", "convergence"])
+    def test_a_refused_config_makes_no_output_directory(self, tmp_path, command):
+        doc = small_channel(compare={"models": ["fick-jacobs"]},
+                            convergence={"ns": [10, 20, 40]},
+                            output={"directory": str(tmp_path / "made")})
+        del doc["run"]["dt"]
+        cfg = write_config(tmp_path, doc)
+        assert main([command, "--config", cfg]) == 2
+        assert not (tmp_path / "made").exists()
+
+    def test_a_directory_that_is_no_path_is_one_error_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, small_channel(output={"directory": 5}))
+        assert main(["simulate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "error: 'directory' must be a path, got 5\n"
+
 
 class TestStabilityCheck:
     def test_cable_at_the_limit_passes_on_the_boundary(self, capsys):
@@ -376,10 +468,41 @@ class TestSimulate:
     def test_unstable_step_is_refused_then_forced(self, tmp_path, capsys):
         cfg = f"{CONFIGS}/cable_stability_fail.yaml"
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
-        assert "binding node" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "binding node" in err and "force=True" not in err
+        assert err.splitlines()[0].endswith("; pass --force to march anyway")
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path),
                      "--force"]) == 0
         assert "marching anyway" in capsys.readouterr().err
+
+    def test_a_forced_march_that_blows_up_exits_1(self, tmp_path, capsys):
+        doc = small_channel(geometry={"kind": "cone", "n": 101}, initial={"kind": "uniform"})
+        doc["run"].update(dt=0.02, t_end=20.0)
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path), "--force"]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: state of fick-jacobs became non-finite by t=8; reduce dt or check data")
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    def test_a_window_past_any_run_writes_what_an_open_one_does(self, tmp_path):
+        # 1.0e308 / dt overflows; an edge past the run's end is never divided by dt
+        for until in (1.0e308, math.inf):
+            doc = regulated_tree()
+            doc["lateral"][0]["until"] = until
+            cfg = write_config(tmp_path, doc)
+            assert main(["simulate", "--config", cfg, "--out", str(tmp_path / str(until))]) == 0
+        assert ((tmp_path / "1e+308" / "trajectory.csv").read_bytes()
+                == (tmp_path / "inf" / "trajectory.csv").read_bytes())
+
+    def test_a_refined_file_geometry_writes_to_the_configured_directory(self, tmp_path):
+        path, out = "geometries/ball_on_stick.geom", tmp_path / "nested" / "out"
+        doc = small_channel(geometry={"kind": "file", "path": path, "levels": 1},
+                            output={"directory": str(out)})
+        doc["run"].update(dt=1.0e-4, t_end=1.0e-3, snapshots=2)
+        assert main(["simulate", "--config", write_config(tmp_path, doc)]) == 0
+        rows = (out / "trajectory.csv").read_text().splitlines()
+        assert len(rows) == 1 + 2 * refine(read_mesh(path), 1).n_nodes
+        assert yaml.safe_load((out / "manifest.yaml").read_text())["steps"] == 10
 
     def test_tube_contents_ledger_matches_the_csv(self, tmp_path):
         doc = {

@@ -1,5 +1,7 @@
 """Tests for the forward-Euler driver and its supporting pieces."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -426,6 +428,20 @@ class TestRunDriver:
                 mesh, (SIMPLE,), dt=1.5, t_end=900.0,
                 initial=np.sin(np.pi * x / 4.0), force=True,
             )
+
+    def test_more_snapshots_than_steps_cost_no_memory(self):
+        # every step is a snapshot either way; 10**6 requested points are not drawn
+        mesh, kwargs = ball_on_stick(0), dict(dt=1.0e-4, t_end=1.0e-3, initial=1.0)
+        every = run_models(mesh, (FJ,), **kwargs, n_snapshots=11)[0]
+        tracemalloc.start()
+        try:
+            many = run_models(mesh, (FJ,), **kwargs, n_snapshots=10**6)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(many.times, every.times) and len(every.times) == 11
+        assert np.array_equal(many.states, every.states)
+        assert peak < 2**20
 
     def test_fractional_step_count_is_rejected(self):
         mesh = chain_mesh([1.0] * 5)

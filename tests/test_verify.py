@@ -8,7 +8,7 @@ import pytest
 from tubediff.discretize import assemble_model
 from tubediff.integrate import Trajectory, run_models
 from tubediff.models import ModelKind, ModelSpec
-from tubediff.network import format_mesh, refine
+from tubediff.network import refine
 from tubediff.verify import (
     ConeChannel,
     ConvergenceResult,
@@ -19,7 +19,6 @@ from tubediff.verify import (
     fitted_slope,
     l1_error,
     model_errors,
-    refinement_ladder,
     tree_convergence,
 )
 
@@ -254,14 +253,6 @@ class TestConvergence:
         assert result.errors[0] > result.errors[-1]
         assert 1.7 <= result.slope <= 2.3
 
-    def test_tail_slope_uses_the_finest_grids(self):
-        result = ConvergenceResult(
-            ns=(11, 21, 41, 81),
-            spacings=(0.8, 0.4, 0.2, 0.1),
-            errors=(1.0, 0.06, 0.015, 0.00375),
-        )
-        assert result.tail_slope(3) == pytest.approx(2.0, rel=1e-12)
-
     def test_slope2_deviation_against_hand_values(self):
         # finest three sit exactly on e = 0.375 h^2, so the reference at
         # h = 0.8 is 0.24 and the coarsest error is 1.0 / 0.24 above it
@@ -283,17 +274,6 @@ class TestConvergence:
 
 
 class TestBranchedComparison:
-    def test_ladder_counts(self):
-        meshes = refinement_ladder(y_mesh(), 3)
-        assert [m.n_nodes for m in meshes] == [6, 11, 21]
-
-    def test_ladder_rungs_equal_direct_refinement(self):
-        mesh = y_mesh(radii=(1.2, 0.7, 0.31, 0.9, 1.05, 0.4))
-        meshes = refinement_ladder(mesh, 4)
-        assert len(meshes) == 4
-        for k, rung in enumerate(meshes):
-            assert format_mesh(rung) == format_mesh(refine(mesh, k))
-
     def test_common_node_error_against_synthetic_reference(self):
         coarse = y_mesh()
         fine = refine(coarse, 1)
@@ -312,7 +292,7 @@ class TestBranchedComparison:
         assert err == pytest.approx(0.01, rel=1e-12)
 
     def test_tree_convergence_errors_shrink_with_refinement(self):
-        meshes = refinement_ladder(y_mesh(), 4)
+        meshes = [refine(y_mesh(), k) for k in range(4)]
 
         def initial(mesh):
             return 1.0 + np.exp(-mesh.arc_lengths())
