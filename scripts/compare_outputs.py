@@ -17,8 +17,10 @@ and gives the largest relative difference per numeric column.  Of
 timing (``step_time_s``) is compared.  Exit codes and console output
 (with the output directory masked) are compared too; a manifest key
 that only one checkout writes is named as ``only in a`` or ``only in
-b``.  The exit status
-is 0 when everything matches byte for byte, 1 otherwise.
+b``.  Each run's header line also gives the peak resident memory of
+its process under both checkouts (``ru_maxrss`` from ``os.wait4``),
+for information only.  The exit status is 0 when everything matches
+byte for byte, 1 otherwise.
 
 With ``--rtol R`` a numeric CSV cell or manifest value may also differ
 by at most R relative (lines marked ``~``); exit codes and console
@@ -56,14 +58,23 @@ def commands(config: Path) -> list[str]:
     return ["simulate", "stability-check"]
 
 
-def run_cli(checkout: Path, command: str, config: Path, out: Path) -> tuple[int, str]:
+def run_cli(checkout: Path, command: str, config: Path,
+            out: Path) -> tuple[int, str, float]:
+    """Exit code, console output (stdout, then stderr) and peak RSS in MB
+    of one CLI process."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", CLI_ENTRY, command, "--config", str(config),
-         "--out", str(out)],
-        cwd=checkout, env=env, capture_output=True, text=True,
-    )
-    return proc.returncode, (proc.stdout + proc.stderr).replace(str(out), "<out>")
+    with tempfile.TemporaryFile("w+") as stdout, tempfile.TemporaryFile("w+") as stderr:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", CLI_ENTRY, command, "--config", str(config),
+             "--out", str(out)],
+            cwd=checkout, env=env, stdout=stdout, stderr=stderr, text=True,
+        )
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4
+        stdout.seek(0)
+        stderr.seek(0)
+        text = stdout.read() + stderr.read()
+    return proc.returncode, text.replace(str(out), "<out>"), usage.ru_maxrss / 1024.0
 
 
 def column_differences(path_a: Path, path_b: Path) -> dict[str, float] | str:
@@ -173,9 +184,9 @@ def compare_command(checkouts: dict, work: Path, label: str, command: str,
         out = work / side / f"{label}-{command}"
         out.mkdir(parents=True, exist_ok=True)
         results[side] = (run_cli(checkout, command, configs[side], out), out)
-    (rc_a, text_a), out_a = results["a"]
-    (rc_b, text_b), out_b = results["b"]
-    print(f"{label} [{command}] exit {rc_a}/{rc_b}")
+    (rc_a, text_a, rss_a), out_a = results["a"]
+    (rc_b, text_b, rss_b), out_b = results["b"]
+    print(f"{label} [{command}] exit {rc_a}/{rc_b}, peak RSS {rss_a:.2f}/{rss_b:.2f} MB")
     lines = compare_run(out_a, out_b, rtol)
     if rc_a != rc_b or text_a != text_b:
         lines.append("! exit code or console output differs")

@@ -201,10 +201,16 @@ def build_geometry(cfg: dict, model: ModelSpec) -> Geometry:
 
 
 def _fingerprint(mesh) -> str:
-    """SHA-256 of the mesh text; only ``simulate`` records it and loads hashlib."""
-    import hashlib
-
-    return hashlib.sha256(format_mesh(mesh).encode()).hexdigest()
+    """SHA-256 of the mesh text by the interpreter's own module, hashlib's
+    fallback: importing hashlib loads OpenSSL (3.4 MB of peak memory)."""
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256(format_mesh(mesh).encode()).hexdigest()
 
 
 def build_initial(cfg: dict, geometry: Geometry):

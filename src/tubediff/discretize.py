@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tubediff.network import MeshError, NetworkMesh, upwind_stencil
-from tubediff.sparse import CSR, build, scale_rows
+from tubediff.sparse import CSR, add, build, scale_rows
 from tubediff.models import (
     ModelKind,
     ModelSpec,
@@ -276,9 +276,9 @@ def third_derivative_parts(
     slot = np.searchsorted(leaves, o)
     neu_w = np.bincount(slot, weights=1.0 / (h * h) / count, minlength=len(leaves))
 
-    matrix = interior_slope @ lap_m + build(o[:, None], cols, vals, (n, n))
-    neumann = interior_slope @ lap_n + build(leaves, np.arange(len(leaves)), neu_w,
-                                             (n, len(leaves)))
+    matrix = add(interior_slope @ lap_m, build(o[:, None], cols, vals, (n, n)))
+    neumann = add(interior_slope @ lap_n, build(leaves, np.arange(len(leaves)), neu_w,
+                                                (n, len(leaves))))
     notes = tuple(f"no-third-derivative-closure node={mesh.node_ids[i]}"
                   for i in leaves[n_walks[leaves] == 0])
     return matrix, neumann, notes
@@ -311,8 +311,8 @@ def _assemble(mesh: NetworkMesh, spec: ModelSpec) -> SpatialOperator:
         thr_m, thr_n, notes = _per_mesh(mesh, third_derivative_parts)
         dx = _per_mesh(mesh, spacings)
         k1, k2 = dx * dx * slopes * slopes / (4.0 * radii * radii), dx * dx * slopes / (4.0 * radii)
-        lap_m = lap_m + scale_rows(k1, lap_m) + scale_rows(k2, thr_m)
-        lap_n = lap_n + scale_rows(k1, lap_n) + scale_rows(k2, thr_n)
+        lap_m = add(lap_m, scale_rows(k1, lap_m), scale_rows(k2, thr_m))
+        lap_n = add(lap_n, scale_rows(k1, lap_n), scale_rows(k2, thr_n))
         mass = effj_mass_factor(dx, radii, slopes)
     elif spec.kind is ModelKind.KALINAY_TEMPORAL:
         if mesh.degree.max() > 2:
@@ -323,7 +323,7 @@ def _assemble(mesh: NetworkMesh, spec: ModelSpec) -> SpatialOperator:
     matrix, neumann = scale_rows(d, lap_m), scale_rows(d, lap_n)
     if spec.kind is not ModelKind.SIMPLE_DIFFUSION:
         adv_m, adv_n, adv_notes = advection_parts(mesh, spec)
-        matrix, neumann, notes = matrix + adv_m, neumann + adv_n, adv_notes + notes
+        matrix, neumann, notes = add(matrix, adv_m), add(neumann, adv_n), adv_notes + notes
         downwind = _per_mesh(mesh, upwind)[2]
     return SpatialOperator(matrix, neumann, tuple(mesh.node_ids[mesh.leaf_indices()].tolist()),
                            _read_only(mass), _read_only(downwind), notes)
@@ -385,8 +385,8 @@ def lateral_operator(mesh: NetworkMesh, spec: ModelSpec) -> CSR:
     s_bound = build(np.arange(len(leaves)), leaves, 1.0, (len(leaves), n)) @ s_full
     lap_m, lap_n = _per_mesh(mesh, laplacian_parts)
     thr_m, thr_n, _ = _per_mesh(mesh, third_derivative_parts)
-    j2 = lap_m + lap_n @ s_bound
-    j3 = thr_m + thr_n @ s_bound
+    j2 = add(lap_m, lap_n @ s_bound)
+    j3 = add(thr_m, thr_n @ s_bound)
     correction = scale_rows(dx * dx / (12.0 * radii),
-                            scale_rows(2.0 * slopes / radii, s_full) + j2 + (1.0 / 3.0) * j3)
-    return lead + correction
+                            add(scale_rows(2.0 * slopes / radii, s_full), j2, (1.0 / 3.0) * j3))
+    return add(lead, correction)

@@ -445,7 +445,7 @@ def run_models(
         raise ValueError(f"t_end={t_end} is {t_end / dt:g} steps of dt={dt}; "
                          "the step count must stay below 2**53")
     n_steps = max(1, int(round(t_end / dt)))
-    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
+    if abs(n_steps * dt - t_end) > 1e-9 * t_end:
         raise ValueError(f"t_end={t_end} is not a whole number of steps of dt={dt}")
 
     reports = []

@@ -43,20 +43,21 @@ class CSR:
     def nnz(self) -> int:
         return len(self.data)
 
-    @cached_property
+    @property
     def rows(self) -> np.ndarray:
-        """The row of every stored entry."""
+        """The row of every stored entry (made on each call, never kept)."""
         return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
 
     @cached_property
     def padded(self) -> tuple[np.ndarray, np.ndarray]:
         """Slot-major padded columns and values, each (longest row, n_rows)."""
-        slot = np.arange(self.nnz) - self.indptr[self.rows]
+        rows = self.rows
+        slot = np.arange(self.nnz) - self.indptr[rows]
         own = np.minimum(np.arange(self.shape[0]), self.shape[1] - 1)
         cols = np.tile(own, (slot.max(initial=-1) + 1, 1))
         vals = np.zeros(cols.shape)
-        cols[slot, self.rows] = self.indices
-        vals[slot, self.rows] = self.data
+        cols[slot, rows] = self.indices
+        vals[slot, rows] = self.data
         return cols, vals
 
     @cached_property
@@ -64,12 +65,13 @@ class CSR:
         """Diagonal (DIA) copy ``(lo, values)``: ``values[s, i]`` is the entry
         in column ``i + lo + s`` (0.0 where absent), its band spanning the
         diagonal; None when that band is wider than the longest row."""
-        offsets = self.indices - self.rows
+        rows = self.rows
+        offsets = self.indices - rows
         lo, hi = offsets.min(initial=0), offsets.max(initial=0)
         if hi - lo >= np.diff(self.indptr).max(initial=0):
             return None
         values = np.zeros((hi - lo + 1, self.shape[0]))
-        values[offsets - lo, self.rows] = self.data
+        values[offsets - lo, rows] = self.data
         return int(lo), values
 
     def __matmul__(self, other):
@@ -86,11 +88,6 @@ class CSR:
         terms = x[cols]
         terms *= vals.reshape(vals.shape + (1,) * (x.ndim - 1))
         return np.add.reduce(terms, axis=0)
-
-    def __add__(self, other: CSR) -> CSR:
-        return build(np.concatenate([self.rows, other.rows]),
-                     np.concatenate([self.indices, other.indices]),
-                     np.concatenate([self.data, other.data]), self.shape)
 
     def __rmul__(self, scalar: float) -> CSR:
         return CSR(self.indptr, self.indices, self.data * scalar, self.shape)
@@ -113,6 +110,14 @@ def build(rows, cols, vals, shape) -> CSR:
     first = order[starts][sums != 0.0]  # each kept entry's first triplet
     counts = np.bincount(rows[first], minlength=shape[0])
     return CSR(np.concatenate([[0], np.cumsum(counts)]), cols[first], sums[sums != 0.0], shape)
+
+
+def add(*terms: CSR) -> CSR:
+    """Sum of matrices of one shape in one build: each entry adds its
+    terms left to right, the bits of ``add(add(a, b), c)``."""
+    return build(np.concatenate([m.rows for m in terms]),
+                 np.concatenate([m.indices for m in terms]),
+                 np.concatenate([m.data for m in terms]), terms[0].shape)
 
 
 def scale_rows(d: np.ndarray, m: CSR) -> CSR:

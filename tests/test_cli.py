@@ -132,6 +132,18 @@ class TestConfigErrors:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "whole number of steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dt,t_end", [(4.0e-10, 1.0e-9), (1.0e-9, 1.0e-10)])
+    def test_a_short_run_of_partial_steps_is_one_error_line(self, tmp_path, capsys, dt,
+                                                            t_end):
+        # an absolute tolerance passed both: 2 steps ending at 8e-10, and 1
+        # step ending at 1e-9 that the manifest recorded as 0 steps
+        doc = small_channel()
+        doc["run"].update(dt=dt, t_end=t_end)
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: t_end={t_end} is not a whole number of steps of dt={dt}\n")
+
     def test_no_arguments_is_a_usage_error(self):
         assert main([]) == 2
 
@@ -596,7 +608,7 @@ class TestCompare:
 
 
 def test_importing_the_cli_loads_no_scipy():
-    # nor OpenSSL: only simulate's geometry hash imports hashlib
+    # nor OpenSSL, which hashlib loads
     src = Path(tubediff.__file__).resolve().parents[1]
     code = ("import sys; import tubediff.cli; print(sorted(m for m in sys.modules "
             "if m.startswith('scipy') or m == '_hashlib'))")
@@ -621,6 +633,20 @@ def test_an_absent_policy_key_keeps_the_policy_default():
     assert build_policy({"policy": {}}) == ConstraintPolicy()
 
 
+def simulate_in_a_process(tmp_path, doc, report: str) -> str:
+    """The last line a fresh process prints after ``simulate`` on ``doc``:
+    the exit code and the Python expression ``report``."""
+    cfg = write_config(tmp_path, doc)
+    src = Path(tubediff.__file__).resolve().parents[1]
+    code = ("import sys; from tubediff.cli import main; "
+            f"code = main(['simulate', '--config', {cfg!r}, '--out', {str(tmp_path)!r}]); "
+            f"print(code, {report})")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    return done.stdout.splitlines()[-1]
+
+
 def test_a_policy_run_loads_no_numpy_ma(tmp_path):
     # a flagless np.unique imports numpy.ma, which every CLI process would pay for
     doc = {
@@ -629,15 +655,17 @@ def test_a_policy_run_loads_no_numpy_ma(tmp_path):
         "lateral": [{"nodes": [5, 6], "strength": 1.0}],
         "policy": {"nodes": [6, 5, 6]},
     }
-    cfg = write_config(tmp_path, doc)
-    src = Path(tubediff.__file__).resolve().parents[1]
-    code = ("import sys; from tubediff.cli import main; "
-            f"code = main(['simulate', '--config', {cfg!r}, '--out', {str(tmp_path)!r}]); "
-            "print(code, 'numpy.ma' in sys.modules)")
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    assert done.stdout.splitlines()[-1] == "0 False"
+    assert simulate_in_a_process(tmp_path, doc, "'numpy.ma' in sys.modules") == "0 False"
+
+
+def test_simulate_hashes_the_geometry_without_openssl(tmp_path):
+    # hashlib loads OpenSSL through _hashlib, 3.4 MB of peak memory; the
+    # manifest's digest is checked against hashlib in TestSimulate
+    doc = {"run": {"model": "fick-jacobs", "dt": 1.0e-3, "t_end": 0.01},
+           "geometry": {"kind": "ball-on-stick"}}
+    assert simulate_in_a_process(
+        tmp_path, doc, "sorted(m for m in sys.modules if m in ('hashlib', '_hashlib'))"
+    ) == "0 []"
 
 
 class TestConvergence:

@@ -4,7 +4,10 @@ Products with vectors must give scipy's bits on the same arrays, the
 build must sum duplicates in the order given, and every operator
 composed from the stencil parts must agree with the same composition
 done in scipy, within ``COMPOSE_RTOL`` of each row's absolute sum.
+The assembled operators of three meshes are pinned to their bytes.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -28,7 +31,8 @@ from tubediff.discretize import (
 from tubediff.geometry import ball_on_stick, constricted_tree
 from tubediff.integrate import _stack
 from tubediff.models import ModelKind, ModelSpec, diffusion_coefficient
-from tubediff.sparse import CSR, build
+from tubediff.sparse import CSR, add, build
+from tubediff.verify import ConeChannel
 
 COMPOSE_RTOL = 1e-15
 # each tree example assembles every model on up to 120 nodes
@@ -119,6 +123,77 @@ def test_build_matches_scipy_coo_summation(n_rows, n_cols, data):
     assert np.all(ours.data != 0.0)
     assert all(np.all(np.diff(ours.indices[a:b]) > 0)
                for a, b in zip(ours.indptr[:-1], ours.indptr[1:]))
+
+
+def chained_sum(terms) -> CSR:
+    """``terms`` summed two at a time, each partial sum built."""
+    total = terms[0]
+    for m in terms[1:]:
+        total = build(np.concatenate([total.rows, m.rows]),
+                      np.concatenate([total.indices, m.indices]),
+                      np.concatenate([total.data, m.data]), total.shape)
+    return total
+
+
+@PROPERTY
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_one_pass_sum_equals_the_chained_sum_bit_for_bit(n_rows, n_cols, data):
+    # few rows and columns make the terms share entries; a term may be the
+    # negation of an earlier one, so that entries cancel exactly
+    values = st.sampled_from([1.0, -1.0, 1e16, -1e16, 0.1, 3.0e-7]) | st.floats(-5.0, 5.0)
+    terms = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        if terms and data.draw(st.booleans()):
+            terms.append(-1.0 * terms[data.draw(st.integers(0, len(terms) - 1))])
+            continue
+        size = data.draw(st.integers(0, 12))
+        rows, cols, vals = (data.draw(st.lists(s, min_size=size, max_size=size)) for s in (
+            st.integers(0, n_rows - 1), st.integers(0, n_cols - 1), values))
+        terms.append(build(np.array(rows, dtype=int), np.array(cols, dtype=int),
+                           np.array(vals, dtype=float), (n_rows, n_cols)))
+    ours, reference = add(*terms), chained_sum(terms)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(ours, name), getattr(reference, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# sha256 of the dtype names and bytes of indptr, indices and data of the
+# matrix, the Neumann coupling and the lateral map, recorded with chained sums
+PINNED_OPERATORS = {
+    ("ball", "simple-diffusion"): "4a0037a137a29c1b6555077077ff8f800db918e1b7e76aeaaba222a0cabc9ac8",
+    ("ball", "fick-jacobs"): "987fed097ddf6f6d45a046b195147c8959795914611d4f3b6b1e78f0ea8b6177",
+    ("ball", "zwanzig"): "359741a553b4ceb80ea91944c37a90c311d3d4194f543ec803d60b09ea736f74",
+    ("ball", "reguera-rubi"): "68fe9706801073be545c4977beb4e635ae621ee7885083ac522c08e028390db1",
+    ("ball", "kalinay-percus"): "24064a3a30467a8561fc49ceceab7e2484549398b18dc6afc7c046710e3898c9",
+    ("ball", "expanded-flux"): "40ef5dd5e5c4177ddea6a3674d1dccabe9bde464dc9ea76831f9a4b63dae0637",
+    ("tree", "simple-diffusion"): "8962c8aa12ee4430366b209c76f182a5a9bac9941ba040995cde5741c7812f5f",
+    ("tree", "fick-jacobs"): "615813dd390a8b64efa58db38d657b22724988c1b0dc8e54fa2dee7a6a86d3e8",
+    ("tree", "zwanzig"): "76b635a5556a2edad9a1a6510f7751f1b4edf530a80692d7f96a0bdf4fa782e6",
+    ("tree", "reguera-rubi"): "f5624511935301ca8aa540e224f3259e5bc4b7f16c4145acef301ae54dd47fa9",
+    ("tree", "kalinay-percus"): "b00feef294d6f1ddb43c09d048c7e7bafabef399c5f6b4151748c83a5c649da2",
+    ("tree", "expanded-flux"): "9558e81bb02d64d2a7c5e15072f75b99099dd591b0d84bdf31550b74e4d6a4be",
+    ("cone", "simple-diffusion"): "b49641c6cd5e9fd4edcb716e360f9960e61547d9d646a0f68fcb8a422972f17b",
+    ("cone", "fick-jacobs"): "fe82d0773aaa10e9c50c870182053eb18a035e4e85096c65d19cfdf0875d837a",
+    ("cone", "zwanzig"): "d730494bba74ac50b25e6503b1fafd551ba281710a11ecb318670cb650c493b6",
+    ("cone", "reguera-rubi"): "b76b18caf2f7ce4365483898018a0a97a0c0588b9970c77fa363e8ea8c73328c",
+    ("cone", "kalinay-percus"): "f93fbe96c10213e29d6b01d2e03c9a6796699b5284397a9d1bd034abb0891b75",
+    ("cone", "kalinay-temporal"): "fe82d0773aaa10e9c50c870182053eb18a035e4e85096c65d19cfdf0875d837a",
+    ("cone", "expanded-flux"): "47b5e0af00e765d9cbf113671b0fdb905dd5a35efd24f55207208ae099287ed0",
+}
+PINNED_MESHES = {"ball": ball_on_stick(3), "tree": constricted_tree(3),
+                 "cone": ConeChannel(taper=1.0).mesh(160)}
+
+
+@pytest.mark.parametrize("mesh_name,model", PINNED_OPERATORS)
+def test_assembled_operators_keep_their_bytes(mesh_name, model):
+    mesh, spec = PINNED_MESHES[mesh_name], ModelSpec.from_name(model)
+    op = assemble_model(mesh, spec)
+    digest = hashlib.sha256()
+    for m in (op.matrix, op.neumann, lateral_operator(mesh, spec)):
+        for a in (m.indptr, m.indices, m.data):
+            digest.update(str(a.dtype).encode())
+            digest.update(a.tobytes())
+    assert digest.hexdigest() == PINNED_OPERATORS[mesh_name, model]
 
 
 @TREE_PROPERTY

@@ -217,17 +217,20 @@ class TestModelScreen:
             check_model(mesh, FJ, dt=-0.1)
 
     def test_expanded_flux_screen_memory_stays_sparse(self):
-        # 993 nodes: one dense n x n float64 matrix would take 7.9 MB
-        mesh = constricted_tree(5)
-        n = mesh.n_nodes
+        # the screen assembles the operator: 232 B per operator non-zero at
+        # its peak (2.3 MB), where chained sums of the terms, each matrix
+        # keeping its row index, took 267 B and one dense 1985 x 1985
+        # matrix would take 31.5 MB
+        mesh = constricted_tree(6)
         tracemalloc.start()
         try:
-            check_model(mesh, EF, dt=1e-6)
+            check_model(mesh, EF, dt=1e-7)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert n == 993
-        assert peak < 8 * n * n
+        nnz = assemble_model(mesh, EF).matrix.nnz
+        assert nnz == 9921
+        assert peak <= 245 * nnz
 
     def test_seven_model_band_march_memory_stays_sparse(self):
         # 7 x 2000 stacked rows, marched through their band; the peak is
