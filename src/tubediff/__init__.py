@@ -1,6 +1,6 @@
 """Reduced-order diffusion in tubes and branched tubular networks."""
 
-from tubediff.network import (
+from .network import (
     MeshError,
     NetworkMesh,
     interval_mesh,

@@ -46,7 +46,7 @@ from .integrate import (
     trapezoid_weights,
 )
 from .models import ModelSpec
-from .network import MeshError, format_mesh, read_mesh, refine
+from .network import MeshError, _text_pieces, read_mesh, refine
 from .stability import check_model
 from .verify import (
     CHANNELS,
@@ -201,8 +201,9 @@ def build_geometry(cfg: dict, model: ModelSpec) -> Geometry:
 
 
 def _fingerprint(mesh) -> str:
-    """SHA-256 of the mesh text by the interpreter's own module, hashlib's
-    fallback: importing hashlib loads OpenSSL (3.4 MB of peak memory)."""
+    """SHA-256 of the mesh text, fed a piece at a time, by the interpreter's
+    own module, hashlib's fallback: importing hashlib loads OpenSSL (3.4 MB
+    of peak memory)."""
     try:
         from _sha2 import sha256  # Python 3.12+
     except ImportError:
@@ -210,7 +211,10 @@ def _fingerprint(mesh) -> str:
             from _sha256 import sha256  # Python 3.10 and 3.11
         except ImportError:
             from hashlib import sha256
-    return sha256(format_mesh(mesh).encode()).hexdigest()
+    digest = sha256()
+    for piece in _text_pieces(mesh):
+        digest.update(piece.encode())
+    return digest.hexdigest()
 
 
 def build_initial(cfg: dict, geometry: Geometry):

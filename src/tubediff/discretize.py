@@ -28,15 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tubediff.network import MeshError, NetworkMesh, upwind_stencil
-from tubediff.sparse import CSR, add, build, scale_rows
-from tubediff.models import (
+from .models import (
     ModelKind,
     ModelSpec,
     diffusion_coefficient,
     effj_mass_factor,
     kalinay_g,
 )
+from .network import MeshError, NetworkMesh, upwind_stencil
+from .sparse import CSR, add, build, scale_rows
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,11 @@ from .sparse import CSR, scale_rows
 from .stability import StabilityReport, check_model
 
 
+# trajectory rows formatted at a time: a snapshot of a large tree is never
+# one string
+CSV_PIECE = 1024
+
+
 class SimulationError(RuntimeError):
     """The march produced a non-finite state."""
 
@@ -146,20 +151,23 @@ class Trajectory:
         return math.pi * self.mesh.radii**2 * self.states[k]
 
     def to_csv(self, path) -> None:
-        """One row per snapshot and node, written a snapshot at a time;
-        floats keep full precision."""
+        """One row per snapshot and node, written ``CSV_PIECE`` rows at a
+        time; floats keep full precision."""
         heads = [f"{i},{x!r}" for i, x in zip(self.mesh.node_ids.tolist(),
                                                self.mesh.arc_lengths().tolist())]
-        big_g = math.pi * self.mesh.radii**2 * self.states
+        area = math.pi * self.mesh.radii**2
         with open(path, "w") as f:
             f.write("t,node_id,x_arc,c,G" + (",J\n" if self.fluxes is not None else "\n"))
             for k, t in enumerate(map(repr, self.times.tolist())):
-                rows = zip(heads, self.states[k].tolist(), big_g[k].tolist())
-                if self.fluxes is None:
-                    f.write("".join(f"{t},{h},{c!r},{g!r}\n" for h, c, g in rows))
-                else:
-                    f.write("".join(f"{t},{h},{c!r},{g!r},{j!r}\n"
-                                    for (h, c, g), j in zip(rows, self.fluxes[k].tolist())))
+                for p in range(0, len(heads), CSV_PIECE):
+                    piece = slice(p, p + CSV_PIECE)
+                    conc = self.states[k, piece]
+                    rows = zip(heads[piece], conc.tolist(), (area[piece] * conc).tolist())
+                    if self.fluxes is None:
+                        f.write("".join(f"{t},{h},{c!r},{g!r}\n" for h, c, g in rows))
+                    else:
+                        f.write("".join(f"{t},{h},{c!r},{g!r},{j!r}\n" for (h, c, g), j
+                                        in zip(rows, self.fluxes[k, piece].tolist())))
 
 
 def trapezoid_weights(mesh: NetworkMesh) -> np.ndarray:

@@ -75,6 +75,111 @@ def _radius_check(ids: np.ndarray, radii: np.ndarray):
             lambda i: f"node {ids[i]}: radius must be positive and finite, got {radii[i]}")
 
 
+def _orient(ids, indptr, origin, nbr, twin, dx, iroot: int):
+    """Orient a tree from storage index ``iroot``: each node's parent
+    (-1 at the root) and its arc length from the root.
+
+    ``twin[k]`` is the reverse of directed edge ``k``.  The Euler tour
+    takes, after edge u -> v, v's next edge after v -> u in its row
+    (cyclically), from the root's first edge to the edge back from its
+    last neighbour; pointer jumping (Wyllie's list ranking, 1979) gives
+    every edge its place in it.  An edge before its reverse points away
+    from the root, and its two places bound the nodes below it.  Each
+    node then continues the path of its parent through the child with
+    most nodes below it (heavy-path decomposition, Sleator and Tarjan,
+    1983), so a path from the root changes path fewer than log2(n)
+    times, and the arcs are summed a path at a time, in waves of the
+    paths that start after as many changes.  Each arc is its parent's
+    plus the edge length, as a breadth-first walk adds them: the bits do
+    not depend on the order of the walk.
+    """
+    n, m = len(indptr) - 1, len(nbr)
+    index = np.int32 if m < 2**31 else np.intp  # halves the tour's memory
+    toured = False
+    if np.diff(indptr).min() > 0:
+        after = twin.astype(index)
+        after += 1
+        wrap = after == indptr[nbr + 1]
+        after[wrap] = indptr[nbr[wrap]]
+        end = twin[indptr[iroot + 1] - 1]
+        after[end] = end
+        rank = np.ones(m, dtype=index)
+        rank[end] = 0
+        for _ in range(m.bit_length()):  # enough for any tour; a cycle never ends
+            step = rank[after]
+            if not step.any():
+                break
+            rank += step
+            after = after[after]
+        toured = bool((after == end).all())
+        del after, wrap, step
+    if not toured:  # not a tree: its n - 1 edges close a cycle
+        reached = np.zeros(n, dtype=bool)
+        reached[iroot] = True
+        frontier = np.array([iroot])
+        while len(frontier):
+            ahead = np.zeros(n, dtype=bool)
+            ahead[nbr[row_slots(indptr, frontier)]] = True
+            frontier = np.flatnonzero(ahead & ~reached)
+            reached |= ahead
+        raise MeshError(f"mesh is disconnected; unreachable nodes: {ids[~reached].tolist()}")
+
+    place = np.subtract(m - 1, rank, out=rank)
+    away = place < place[twin]
+    tour = np.empty(m, dtype=index)
+    tour[place] = np.arange(m, dtype=index)
+    down = tour[away[tour]]  # the edges away from the root, in tour order
+    del away, tour
+    parent = np.full(n, -1, dtype=np.intp)
+    parent[nbr[down]] = origin[down]
+    # the heavy child has the most nodes below it (half the tour between an
+    # edge and its reverse), the first in the tour among equals
+    key = (place[twin[down]] - place[down]).astype(np.int64) * m - place[down]
+    best = np.full(n, np.iinfo(np.int64).min)
+    np.maximum.at(best, origin[down], key)
+    light = key != best[origin[down]]
+    del key, best
+    turns = np.zeros(m, dtype=np.int8)
+    turns[place[down[light]]] = 1
+    turns[place[twin[down[light]]]] = -1
+    wave = np.cumsum(turns, dtype=index)[place[down]]
+    del turns, place
+
+    arc = np.full(n, math.nan)
+    arc[iroot] = 0.0
+    by_wave = np.argsort(wave, kind="stable")
+    bounds = np.searchsorted(wave[by_wave], np.arange(wave.max() + 2))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        edges = down[by_wave[lo:hi]]  # each path in order, path after path
+        first = light[by_wave[lo:hi]]
+        first[0] = True
+        ptr = np.append(np.flatnonzero(first), len(edges))
+        arc[nbr[edges]] = _running_sums(arc[origin[edges[ptr[:-1]]]], dx[edges], ptr)
+    return parent, arc
+
+
+def _running_sums(start: np.ndarray, steps: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """Running sums along the runs ``steps[ptr[r]:ptr[r + 1]]``, each
+    from its ``start`` and added one step at a time.  Runs are summed as
+    the rows of a table, one table for the runs whose lengths share a
+    power of two, so padding at most doubles it."""
+    out = np.empty(len(steps))
+    counts = np.diff(ptr)
+    band = np.frexp(counts)[1]
+    for b in np.flatnonzero(np.bincount(band)):
+        runs = np.flatnonzero(band == b)
+        slots = row_slots(ptr, runs)
+        row = np.repeat(np.arange(len(runs)), counts[runs])
+        col = slots - ptr[runs][row] + 1
+        table = np.zeros((len(runs), counts[runs].max() + 1))
+        table[:, 0] = start[runs]
+        table[row, col] = steps[slots]
+        with np.errstate(over="ignore"):  # an arc may overflow, as a float sum does
+            np.cumsum(table, axis=1, out=table)
+        out[slots] = table[row, col]
+    return out
+
+
 class NetworkMesh:
     """Connected tree of tubular segments, held in read-only arrays.
 
@@ -135,14 +240,17 @@ class NetworkMesh:
              lambda k: f"edge ({a[k]}, {b[k]}): length must be positive and finite, "
                        f"got {lengths[k]}"),
         ])
+        # what only checks or builds the tree is dropped once used: a large
+        # tree's peak memory is its own arrays plus the largest of these
+        del pairs, a, b, lo, hi, by_pair, repeat, known, missing
 
         root = int(root)
         iroot, is_node = self._lookup(root)
         if not is_node:
             raise MeshError(f"root id {root} is not a node")
         self.root: int = root
-        if len(pairs) != n - 1:
-            raise MeshError(f"a tree on {n} nodes needs {n - 1} edges, got {len(pairs)}"
+        if len(lengths) != n - 1:
+            raise MeshError(f"a tree on {n} nodes needs {n - 1} edges, got {len(lengths)}"
                             " (extra edges close a cycle)")
 
         # Directed edges in CSR form: row i holds i's neighbours, sorted by
@@ -155,31 +263,16 @@ class NetworkMesh:
         self.origin = tail[order]
         self.nbr = head[order]
         self.nbr_dx = np.concatenate([lengths, lengths])[order]
+        # the reverse of each directed edge: edge j of the two concatenated
+        # halves is reversed by the edge one half away
+        twin = np.empty_like(order)
+        twin[order] = np.arange(len(order))
+        twin = twin[(order + len(lengths)) % len(order)]
+        del tail, head, order
 
-        # Orientation: breadth-first from the root over the CSR rows, as
-        # lists (a numpy walk per BFS level is slower on deep trees and
-        # chains).  parent[i] is the toward-root neighbour, -1 at the root.
-        starts, nbr, dx = self.indptr.tolist(), self.nbr.tolist(), self.nbr_dx.tolist()
-        iroot = int(iroot)
-        parent = [-1] * n
-        arc = [math.nan] * n
-        arc[iroot] = 0.0
-        visited = [False] * n
-        visited[iroot] = True
-        queue = [iroot]
-        for i in queue:  # the queue grows while it is walked
-            for k in range(starts[i], starts[i + 1]):
-                j = nbr[k]
-                if not visited[j]:
-                    visited[j] = True
-                    parent[j] = i
-                    arc[j] = arc[i] + dx[k]
-                    queue.append(j)
-        if len(queue) < n:
-            missing = ids[~np.array(visited)].tolist()
-            raise MeshError(f"mesh is disconnected; unreachable nodes: {missing}")
-        self.parent = np.array(parent, dtype=np.intp)
-        self._arc = np.array(arc)
+        self.parent, self._arc = _orient(ids, self.indptr, self.origin, self.nbr, twin,
+                                         self.nbr_dx, int(iroot))
+        del twin
 
         # Every two-edge walk origin -> first -> second with second != origin,
         # ordered by origin, then first id, then second id.
@@ -308,14 +401,28 @@ def load_mesh(text: str) -> NetworkMesh:
     return NetworkMesh(ids, positions, radii, edges, lengths, root)
 
 
+# lines of mesh text made at a time, so that hashing or writing a large
+# mesh never holds its whole text
+TEXT_PIECE = 1024
+
+
 def format_mesh(mesh: NetworkMesh) -> str:
     """Serialize a mesh so that load_mesh(format_mesh(m)) reproduces it bit for bit."""
-    lines = [f"node {i} {x!r} {y!r} {z!r} {r!r}" for i, (x, y, z), r in zip(
-        mesh.node_ids.tolist(), mesh.positions.tolist(), mesh.radii.tolist())]
-    lines += [f"edge {a} {b} {length!r}" for (a, b), length in zip(
-        mesh.node_ids[mesh.ends].tolist(), mesh.lengths.tolist())]
-    lines.append(f"root {mesh.root}")
-    return "\n".join(lines) + "\n"
+    return "".join(_text_pieces(mesh))
+
+
+def _text_pieces(mesh: NetworkMesh):
+    """The text of ``format_mesh``, ``TEXT_PIECE`` lines at a time."""
+    ids = mesh.node_ids
+    for p in range(0, mesh.n_nodes, TEXT_PIECE):
+        piece = slice(p, p + TEXT_PIECE)
+        yield "".join(f"node {i} {x!r} {y!r} {z!r} {r!r}\n" for i, (x, y, z), r in zip(
+            ids[piece].tolist(), mesh.positions[piece].tolist(), mesh.radii[piece].tolist()))
+    for p in range(0, len(mesh.lengths), TEXT_PIECE):
+        piece = slice(p, p + TEXT_PIECE)
+        yield "".join(f"edge {a} {b} {length!r}\n" for (a, b), length in zip(
+            ids[mesh.ends[piece]].tolist(), mesh.lengths[piece].tolist()))
+    yield f"root {mesh.root}\n"
 
 
 def read_mesh(path) -> NetworkMesh:
@@ -323,7 +430,8 @@ def read_mesh(path) -> NetworkMesh:
 
 
 def write_mesh(mesh: NetworkMesh, path) -> None:
-    Path(path).write_text(format_mesh(mesh))
+    with open(path, "w") as f:
+        f.writelines(_text_pieces(mesh))
 
 
 # ----------------------------------------------------------------------

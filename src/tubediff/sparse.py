@@ -101,13 +101,23 @@ def build(rows, cols, vals, shape) -> CSR:
     order fixes its rounding; entries that are or sum to 0.0 are left out.
     """
     rows, cols, vals = (a.ravel() for a in np.broadcast_arrays(rows, cols, vals))
-    key = rows.astype(np.int64) * shape[1] + cols
+    # the sort key as narrow as the shape allows, and each temporary
+    # dropped once used: the triplets are the largest arrays of a build
+    key = rows.astype(np.int32 if shape[0] * shape[1] < 2**31 else np.int64)
+    key *= shape[1]
+    key += cols
     order = np.argsort(key, kind="stable")
     key = key[order]
-    starts = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]])[: len(key)])
-    group = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(key))))
-    sums = np.bincount(group, weights=vals[order], minlength=len(starts))
-    first = order[starts][sums != 0.0]  # each kept entry's first triplet
+    new = np.concatenate([[True], key[1:] != key[:-1]])[: len(key)]
+    del key
+    first = order[new]  # each entry's first triplet
+    weights = vals[order]
+    group = np.cumsum(new, out=order)  # each triplet's entry, in order's place
+    del order, new
+    group -= 1
+    sums = np.bincount(group, weights=weights, minlength=len(first))
+    del group, weights
+    first = first[sums != 0.0]
     counts = np.bincount(rows[first], minlength=shape[0])
     return CSR(np.concatenate([[0], np.cumsum(counts)]), cols[first], sums[sums != 0.0], shape)
 

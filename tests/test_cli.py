@@ -5,12 +5,14 @@ console output, and the CSV artifacts.  Heavyweight experiment configs
 are exercised by the acceptance suite; here the runs are kept short.
 """
 
+import ast
 import hashlib
 import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -19,7 +21,8 @@ import pytest
 import yaml
 
 import tubediff
-from tubediff.cli import COMMANDS, build_geometry, build_policy, main
+import tubediff.network as network
+from tubediff.cli import COMMANDS, _fingerprint, build_geometry, build_policy, main
 from tubediff.geometry import ball_on_stick, constricted_tree
 from tubediff.integrate import ConstraintPolicy, StabilityWarning
 from tubediff.models import ModelSpec
@@ -408,7 +411,7 @@ class TestStabilityCheck:
 
     def test_formats_no_mesh_text(self, monkeypatch, capsys):
         # only simulate records the geometry's fingerprint
-        monkeypatch.setattr("tubediff.cli.format_mesh", None)
+        monkeypatch.setattr("tubediff.cli._text_pieces", None)
         assert main(["stability-check", "--config",
                      f"{CONFIGS}/ball_on_stick_regulated.yaml"]) == 0
 
@@ -666,6 +669,40 @@ def test_simulate_hashes_the_geometry_without_openssl(tmp_path):
     assert simulate_in_a_process(
         tmp_path, doc, "sorted(m for m in sys.modules if m in ('hashlib', '_hashlib'))"
     ) == "0 []"
+
+
+def test_the_package_imports_its_own_modules_relatively():
+    # a copy of the package under another name must not mix in this one:
+    # its enums would not be this package's, and a kind test would fail
+    for path in sorted(Path(tubediff.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            assert not [n for n in names if n.split(".")[0] == "tubediff"], path.name
+
+
+@pytest.mark.parametrize("piece", [network.TEXT_PIECE, 7])
+def test_the_streamed_digest_is_the_digest_of_the_whole_text(monkeypatch, piece):
+    mesh = ball_on_stick(2)
+    monkeypatch.setattr(network, "TEXT_PIECE", piece)
+    assert _fingerprint(mesh) == hashlib.sha256(format_mesh(mesh).encode()).hexdigest()
+
+
+def test_hashing_a_large_tree_holds_one_piece_of_its_text():
+    # 15,873 nodes, 1.4 MB of text: hashed a piece at a time the traced peak
+    # is 0.45 MB, where the whole text and its lines took 6.0 MB
+    mesh = constricted_tree(9)
+    tracemalloc.start()
+    try:
+        _fingerprint(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.0e6
 
 
 class TestConvergence:

@@ -587,8 +587,11 @@ class TestCsvOutput:
         traj.to_csv(path)
         assert path.read_text().startswith("t,node_id,x_arc,c,G,J\n")
 
+    @pytest.mark.parametrize("piece", [integrate.CSV_PIECE, 10])
     @pytest.mark.parametrize("lateral", [False, True])
-    def test_bytes_equal_the_reference_writer(self, tmp_path, lateral):
+    def test_bytes_equal_the_reference_writer(self, tmp_path, monkeypatch, lateral, piece):
+        # 63 nodes: a snapshot is written in pieces of 10 rows and one of 3
+        monkeypatch.setattr(integrate, "CSV_PIECE", piece)
         mesh = ball_on_stick(1)
         field = LateralFluxField((FluxWindow((11, 12), 3.0, t_end=0.01),)) if lateral else None
         x = mesh.arc_lengths()

@@ -7,6 +7,7 @@ either a leaf or an interior node.
 
 import contextlib
 import io
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from tubediff.cli import main
 from tubediff.discretize import assemble_model, slope_matrix
+from tubediff.geometry import ball_on_stick, constricted_tree
 from tubediff.models import ModelKind, ModelSpec
 from tubediff.network import MeshError, format_mesh, load_mesh, refine
 from tubediff.stability import check_model
@@ -145,6 +147,108 @@ def test_array_refine_matches_the_edge_loop(spec, levels, data):
     assert bits(fine.arc_lengths()) == bits(arc)
     assert [w[:3] for w in fine.walks.tolist()] == [w[:3] for w in walks]
     assert bits([w[3:] for w in fine.walks.tolist()]) == bits([w[3:] for w in walks])
+
+
+def joined_spec(parents, root, seed):
+    """A tree spec in which node ``i + 1`` joins node ``parents[i]``, with
+    shuffled ids, random lengths and the root at node ``root``."""
+    rng = np.random.default_rng(seed)
+    n = len(parents) + 1
+    ids = rng.permutation(n).tolist()
+    lengths = rng.uniform(0.05, 2.0, n - 1).tolist()
+    nodes = [(ids[i], (float(i), 0.0, 0.0), 1.0) for i in range(n)]
+    edges = [(ids[p], ids[i + 1], dx) for i, (p, dx) in enumerate(zip(parents, lengths))]
+    return nodes, edges, ids[root]
+
+
+def assert_oriented_as_the_walk(spec):
+    mesh = mesh_from(*spec)
+    parent, arc, _ = loop_orientation(*spec)
+    assert mesh.parent.tolist() == parent
+    assert bits(mesh.arc_lengths()) == bits(arc)
+
+
+@PROPERTY
+@given(tree_specs(max_nodes=40))
+def test_orientation_equals_the_breadth_first_walk(spec):
+    assert_oriented_as_the_walk(spec)
+
+
+@PROPERTY
+@given(st.integers(2, 400), st.integers(0, 2**32 - 1), st.data())
+def test_random_recursive_trees_orient_as_the_walk(n, seed, data):
+    # node i joins a uniformly drawn earlier node
+    parents = np.random.default_rng(seed).integers(0, np.arange(1, n)).tolist()
+    assert_oriented_as_the_walk(joined_spec(parents, data.draw(st.integers(0, n - 1)), seed))
+
+
+def caterpillar(k):
+    """A spine of ``k`` nodes, each with one leg."""
+    return list(range(k - 1)) + list(range(k))
+
+
+SHAPES = {  # parents, root
+    "chain rooted mid-chain": (list(range(1000)), 500),
+    "chain of 10^4 nodes": (list(range(9999)), 0),
+    "chain of 10^4 nodes rooted at its far end": (list(range(9999)), 9999),
+    "star rooted at its centre": ([0] * 300, 0),
+    "star rooted at a leaf": ([0] * 300, 17),
+    "caterpillar rooted mid-spine": (caterpillar(500), 250),
+    "broom: a long handle ending in a star": (list(range(400)) + [400] * 400, 0),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_tree_shapes_orient_as_the_walk(shape):
+    parents, root = SHAPES[shape]
+    assert_oriented_as_the_walk(joined_spec(parents, root, seed=len(parents)))
+
+
+@pytest.mark.parametrize("level", range(10))
+@pytest.mark.parametrize("builder", [constricted_tree, ball_on_stick])
+def test_shipped_trees_orient_as_the_walk(builder, level):
+    assert_oriented_as_the_walk(spec_of(builder(level)))
+
+
+@st.composite
+def cyclic_specs(draw):
+    """A valid tree spec with cycles closed in it: a chord between two
+    nodes not yet joined, a separate triangle, or both; one spec keeps
+    the chord without a node added, and has one edge too many."""
+    nodes, edges, root = draw(tree_specs(min_nodes=3))
+    ids = [nid for nid, _, _ in nodes]
+    top = max(ids)
+    kind = draw(st.sampled_from(["chord", "chord and node", "triangle", "both"]))
+    if kind != "triangle":
+        joined = {frozenset(e[:2]) for e in edges}
+        a, b = draw(st.sampled_from([(a, b) for a in ids for b in ids
+                                     if a < b and frozenset((a, b)) not in joined]))
+        edges.insert(draw(st.integers(0, len(edges))), (a, b, 1.0))
+        if kind != "chord":
+            top += 1
+            nodes.insert(draw(st.integers(0, len(nodes))), (top, (0.0, 0.0, 0.0), 1.0))
+    if kind in ("triangle", "both"):
+        t = [top + 1, top + 2, top + 3]
+        nodes += [(i, (0.0, 0.0, 0.0), 1.0) for i in t]
+        edges += [(t[0], t[1], 1.0), (t[1], t[2], 1.0), (t[2], t[0], 1.0)]
+    return nodes, edges, root
+
+
+@PROPERTY
+@given(cyclic_specs())
+def test_cycles_are_refused_in_the_walks_words(spec):
+    nodes, edges, root = spec
+    n = len(nodes)
+    if len(edges) != n - 1:
+        words = f"a tree on {n} nodes needs {n - 1} edges, got {len(edges)} " \
+                "(extra edges close a cycle)"
+    else:
+        _, arc, _ = loop_orientation(*spec)
+        unreached = [nid for (nid, _, _), x in zip(nodes, arc) if math.isnan(x)]
+        words = f"mesh is disconnected; unreachable nodes: {unreached}"
+    with pytest.raises(MeshError) as refused:
+        mesh_from(*spec)
+    assert str(refused.value) == words
 
 
 # each fault and the words of the error it must raise

@@ -217,10 +217,10 @@ class TestModelScreen:
             check_model(mesh, FJ, dt=-0.1)
 
     def test_expanded_flux_screen_memory_stays_sparse(self):
-        # the screen assembles the operator: 232 B per operator non-zero at
-        # its peak (2.3 MB), where chained sums of the terms, each matrix
-        # keeping its row index, took 267 B and one dense 1985 x 1985
-        # matrix would take 31.5 MB
+        # the screen assembles the operator: 198 B per operator non-zero at
+        # its peak (2.0 MB), where a build with 64-bit keys and a group
+        # array took 232 B, chained sums of the terms, each matrix keeping
+        # its row index, 267 B, and one dense 1985 x 1985 matrix 31.5 MB
         mesh = constricted_tree(6)
         tracemalloc.start()
         try:
@@ -230,7 +230,7 @@ class TestModelScreen:
             tracemalloc.stop()
         nnz = assemble_model(mesh, EF).matrix.nnz
         assert nnz == 9921
-        assert peak <= 245 * nnz
+        assert peak <= 210 * nnz
 
     def test_seven_model_band_march_memory_stays_sparse(self):
         # 7 x 2000 stacked rows, marched through their band; the peak is
