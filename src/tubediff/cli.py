@@ -400,6 +400,9 @@ def cmd_convergence(cfg: dict, out_override: str | None, force: bool) -> int:
             raise ConfigError("channel convergence needs an 'ns' list "
                               "of at least 3 node counts")
         ns = _read(conv, "ns", _ints, what="a list of node counts")
+        for n in ns:
+            if n < 3:
+                raise ConfigError(f"'ns' entries must be at least 3, got {n}")
         result = channel_convergence(
             geometry.channel, model, ns=list(ns),
             dt=dt, t_end=t_end, force=force,

@@ -9,7 +9,7 @@ leaves.  All stencils work on arbitrary trees with nonuniform spacing:
 
 * second derivative: the branched generalization of (1, -2, 1)/h**2,
   closed at leaves with a mirrored ghost node built from the end slope;
-* first derivative: second-order upwinding along two-edge paths chosen on
+* first derivative: second-order upwinding along two-edge walks chosen on
   the side the information comes from;
 * third derivative: a central difference of the nodal second-derivative
   field, with dedicated one-sided closures at the leaves.
@@ -35,8 +35,8 @@ from .models import (
     effj_mass_factor,
     kalinay_g,
 )
-from .network import MeshError, NetworkMesh, upwind_stencil
-from .sparse import CSR, add, build, scale_rows
+from .network import MeshError, NetworkMesh
+from .sparse import CSR, add, build, row_slots, scale_rows
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,32 @@ class SpatialOperator:
 # ----------------------------------------------------------------------
 # component stencils
 # ----------------------------------------------------------------------
+
+
+def two_edge_walks(mesh: NetworkMesh, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Directed edges ``(e1, e2)`` of the two-edge walks origin -> first ->
+    second (second != origin) that start on the edges masked by ``starts``,
+    ordered by origin, then first id, then second id."""
+    first = np.flatnonzero(starts)
+    e1 = np.repeat(first, mesh.degree[mesh.nbr[first]])
+    e2 = row_slots(mesh.indptr, mesh.nbr[first])
+    keep = mesh.nbr[e2] != mesh.origin[e1]
+    return e1[keep], e2[keep]
+
+
+def upwind_stencil(dx1: float, dx2: float) -> tuple[float, float, float]:
+    """Second-order one-sided derivative weights along a two-edge walk.
+
+    Returns (a0, a1, a2) with f'(origin) ~= a0*f0 + a1*f1 + a2*f2, exact for
+    quadratics, on floats or equally shaped arrays.  a0 = -(a1 + a2), so the
+    weights annihilate constants exactly in floating point; on a uniform
+    spacing h they are the familiar (-3, 4, -1) / (2h).
+    """
+    r = 1.0 / (dx1 * dx2 * (dx1 + dx2))
+    a1 = r * (dx1 + dx2) ** 2
+    a2 = -r * dx1 * dx1
+    a0 = -(a1 + a2)
+    return a0, a1, a2
 
 
 def laplacian_parts(mesh: NetworkMesh) -> tuple[CSR, CSR]:
@@ -106,12 +132,12 @@ def slope_matrix(mesh: NetworkMesh) -> CSR:
     central_w = np.where(toward[c], -1.0 / span[rows[c]],
                          1.0 / (n_away[rows[c]] * span[rows[c]]))
 
-    walks = mesh.walks[~central[mesh.walks["origin"]]]
-    o = walks["origin"]
+    e1, e2 = two_edge_walks(mesh, ~central[rows])
+    o = rows[e1]
     n_walks = np.bincount(o, minlength=n)
     share = sign / np.maximum(n_walks, 1)
-    a0, a1, a2 = upwind_stencil(walks["dx1"], walks["dx2"])
-    path_cols = np.stack([o, walks["first"], walks["second"]], axis=1)
+    a0, a1, a2 = upwind_stencil(dx[e1], dx[e2])
+    path_cols = np.stack([o, cols[e1], cols[e2]], axis=1)
     path_w = share[o, None] * np.stack([a0, a1, a2], axis=1)
 
     e = (~central & (n_walks == 0))[rows]  # too small for a two-edge path
@@ -148,16 +174,15 @@ def wind_stencils(mesh: NetworkMesh, radii: np.ndarray, slopes: np.ndarray):
     active = (mesh.degree > 1) & (slopes != 0.0)  # leaves carry the end slope
     upwind_toward = ~(slopes > 0.0)
 
-    walks = mesh.walks
-    o, i1, i2 = walks["origin"], walks["first"], walks["second"]
-    on_side = active[o] & ((mesh.parent[o] == i1) == upwind_toward[o])
-    o, i1, i2 = o[on_side], i1[on_side], i2[on_side]
-    a0, a1, a2 = upwind_stencil(walks["dx1"][on_side], walks["dx2"][on_side])
+    rows, nbr, dx = mesh.origin, mesh.nbr, mesh.nbr_dx
+    on_side = active[rows] & ((mesh.parent[rows] == nbr) == upwind_toward[rows])
+    e1, e2 = two_edge_walks(mesh, on_side)
+    o, i1, i2 = rows[e1], nbr[e1], nbr[e2]
+    a0, a1, a2 = upwind_stencil(dx[e1], dx[e2])
     path_slope = a0 * radii[o] + a1 * radii[i1] + a2 * radii[i2]
 
     fallback = active & (np.bincount(o, minlength=n) == 0)
-    rows, nbr, dx = mesh.origin, mesh.nbr, mesh.nbr_dx
-    e = fallback[rows] & ((mesh.parent[rows] == nbr) == upwind_toward[rows])
+    e = fallback[rows] & on_side
     i, j, dx = rows[e], nbr[e], dx[e]
     edge_slope = (radii[j] - radii[i]) / dx
 
@@ -264,14 +289,14 @@ def third_derivative_parts(
     interior_slope = scale_rows((mesh.degree > 1).astype(float), slope)
 
     leaves = mesh.leaf_indices()
-    walks = mesh.walks[mesh.degree[mesh.walks["origin"]] == 1]
-    o = walks["origin"]
+    e1, e2 = two_edge_walks(mesh, mesh.degree[mesh.origin] == 1)
+    o = mesh.origin[e1]
     n_walks = np.bincount(o, minlength=n)
     count = n_walks[o]
-    h = 0.5 * (walks["dx1"] + walks["dx2"])
+    h = 0.5 * (mesh.nbr_dx[e1] + mesh.nbr_dx[e2])
     w = 1.0 / (2.0 * h * h * h)
     sign = np.where(mesh.parent[o] < 0, 1.0, -1.0)
-    cols = np.stack([o, walks["first"], walks["second"]], axis=1)
+    cols = np.stack([o, mesh.nbr[e1], mesh.nbr[e2]], axis=1)
     vals = (sign[:, None] * np.array([3.0, -4.0, 1.0]) * w[:, None]) / count[:, None]
     slot = np.searchsorted(leaves, o)
     neu_w = np.bincount(slot, weights=1.0 / (h * h) / count, minlength=len(leaves))
@@ -336,7 +361,7 @@ def _assemble(mesh: NetworkMesh, spec: ModelSpec) -> SpatialOperator:
 
 @dataclass(frozen=True)
 class FluxWindow:
-    """Constant lateral flux on a set of nodes during [t_start, t_end)."""
+    """Constant lateral flux on a set of distinct nodes during [t_start, t_end)."""
 
     node_ids: tuple[int, ...]
     strength: float
@@ -347,6 +372,11 @@ class FluxWindow:
         if not self.t_end > self.t_start:  # NaN compares false too
             raise ValueError(f"lateral window from {self.t_start!r} until {self.t_end!r} "
                              "never acts: 'until' must come after 'from'")
+        seen = set()
+        for node_id in self.node_ids:
+            if node_id in seen:  # each window adds its strength once per node
+                raise ValueError(f"lateral window names node {node_id} twice")
+            seen.add(node_id)
 
 
 @dataclass(frozen=True)
@@ -359,7 +389,7 @@ class LateralFluxField:
         out = np.zeros(mesh.n_nodes)
         for w in self.windows:
             if w.t_start <= t < w.t_end:
-                np.add.at(out, mesh.indices(w.node_ids), w.strength)
+                out[mesh.indices(w.node_ids)] += w.strength
         return out
 
 

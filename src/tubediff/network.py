@@ -7,7 +7,8 @@ Each node carries the tube radius there; the mesh is the one source of
 radii for every stencil, coefficient field and artifact, so a tube with
 a closed-form profile is sampled into its mesh once, when it is built.
 Meshes are treated as immutable once constructed: operations that change
-geometry (refinement, new radii) return new meshes.
+geometry (refinement, new radii) return new meshes.  The stencils built
+on a mesh, and the two-edge walks they run along, live in :mod:`.discretize`.
 """
 
 from __future__ import annotations
@@ -19,10 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from .sparse import row_slots
-
-# One two-edge walk origin -> first -> second; node fields are storage indices.
-WALK_DTYPE = np.dtype([("origin", np.intp), ("first", np.intp), ("second", np.intp),
-                       ("dx1", float), ("dx2", float)])
 
 
 class MeshError(ValueError):
@@ -191,9 +188,8 @@ class NetworkMesh:
     Adjacency is held over storage indices: directed edge ``k`` runs
     from ``origin[k]`` to ``nbr[k]`` with length ``nbr_dx[k]``, and node
     ``i``'s edges fill ``indptr[i]:indptr[i+1]``, sorted by neighbour id.
-    ``parent`` (-1 at the root) orients the tree, ``degree`` counts
-    incident edges and ``walks`` lists every two-edge walk (see
-    ``WALK_DTYPE``) in the same order.
+    ``parent`` (-1 at the root) orients the tree and ``degree`` counts
+    incident edges.
     """
 
     def __init__(self, node_ids, positions, radii, edges, lengths, root: int):
@@ -274,23 +270,10 @@ class NetworkMesh:
                                          self.nbr_dx, int(iroot))
         del twin
 
-        # Every two-edge walk origin -> first -> second with second != origin,
-        # ordered by origin, then first id, then second id.
-        e1 = np.repeat(np.arange(len(self.nbr)), self.degree[self.nbr])
-        e2 = row_slots(self.indptr, self.nbr)
-        keep = self.nbr[e2] != self.origin[e1]
-        e1, e2 = e1[keep], e2[keep]
-        self.walks = np.empty(len(e1), dtype=WALK_DTYPE)
-        self.walks["origin"] = self.origin[e1]
-        self.walks["first"] = self.nbr[e1]
-        self.walks["second"] = self.nbr[e2]
-        self.walks["dx1"] = self.nbr_dx[e1]
-        self.walks["dx2"] = self.nbr_dx[e2]
-
         self.node_ids, self.positions, self.radii = ids, positions, radii
         self.ends, self.lengths = ends, lengths
         for arr in (ids, positions, radii, ends, lengths, self.degree, self.indptr,
-                    self.origin, self.nbr, self.nbr_dx, self.parent, self.walks):
+                    self.origin, self.nbr, self.nbr_dx, self.parent):
             arr.flags.writeable = False
 
     def with_radii(self, radii) -> NetworkMesh:
@@ -477,23 +460,3 @@ def refine(mesh: NetworkMesh, levels: int = 1) -> NetworkMesh:
         ends = np.stack([a, mid, mid, b], axis=1).reshape(-1, 2)
         lengths = np.repeat(lengths / 2.0, 2)
     return NetworkMesh(ids, positions, radii, ids[ends], lengths, mesh.root)
-
-
-# ----------------------------------------------------------------------
-# stencil weights
-# ----------------------------------------------------------------------
-
-
-def upwind_stencil(dx1: float, dx2: float) -> tuple[float, float, float]:
-    """Second-order one-sided derivative weights along a two-edge path.
-
-    Returns (a0, a1, a2) with f'(origin) ~= a0*f0 + a1*f1 + a2*f2, exact for
-    quadratics; takes floats or equally shaped arrays.  a0 is defined as -(a1 + a2) so the weights annihilate
-    constants exactly in floating point.  On a uniform spacing h this is the
-    familiar (-3, 4, -1) / (2h) one-sided difference.
-    """
-    r = 1.0 / (dx1 * dx2 * (dx1 + dx2))
-    a1 = r * (dx1 + dx2) ** 2
-    a2 = -r * dx1 * dx1
-    a0 = -(a1 + a2)
-    return a0, a1, a2

@@ -192,6 +192,12 @@ class ConvergenceResult:
     spacings: tuple[float, ...]
     errors: tuple[float, ...]
 
+    def __post_init__(self):
+        for k, err in enumerate(self.errors):  # a log-log fit needs each error > 0
+            if not 0.0 < err < math.inf:
+                raise ValueError(f"convergence level {k} (N={self.ns[k]}) has error {err!r}, "
+                                 "so no order can be fitted to the ladder")
+
     @property
     def slope(self) -> float:
         return fitted_slope(self.spacings, self.errors)

@@ -121,6 +121,19 @@ class TestConfigErrors:
         assert main(["convergence", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "at least 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ns, n", [([2, 4, 8], 2), ([0, 4, 8], 0), ([20, 40, 1], 1)])
+    def test_every_convergence_grid_needs_three_nodes(self, tmp_path, capsys, ns, n):
+        cfg = write_config(tmp_path, small_channel(convergence={"ns": ns}))
+        assert main(["convergence", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: 'ns' entries must be at least 3, got {n}\n"
+
+    def test_a_window_naming_a_node_twice_is_one_error_line(self, tmp_path, capsys):
+        doc = regulated_tree()
+        doc["lateral"][0]["nodes"] = [11, 12, 11]
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: lateral window names node 11 twice\n"
+
     def test_compare_rejects_tree_geometry(self, tmp_path, capsys):
         doc = small_channel(compare={"models": ["fick-jacobs"]})
         doc["geometry"] = {"kind": "ball-on-stick"}
@@ -745,6 +758,22 @@ class TestConvergence:
         assert ns == [31, 62, 124]
         errors = [float(r.split(",")[3]) for r in rows[1:]]
         assert errors[0] > errors[1] > errors[2]
+
+    def test_a_ladder_with_no_error_is_refused_before_any_output(self, tmp_path, capsys):
+        # no 'initial' section: the start is uniform, a steady state, so
+        # every level's error is 0 and no order can be fitted
+        doc = {
+            "run": {"model": "fick-jacobs", "dt": 1.0e-4, "t_end": 1.0e-3},
+            "geometry": {"kind": "ball-on-stick", "levels": 0},
+            "convergence": {"levels": 3},
+        }
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["convergence", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: convergence level 0 (N=31) has error 0.0, "
+            "so no order can be fitted to the ladder\n")
+        assert not out.exists()
 
     def test_file_geometry_ladder_bisects_the_file_mesh(self, tmp_path):
         doc = {

@@ -21,15 +21,12 @@ from tubediff.discretize import (
     spacings,
     third_derivative_parts,
     upwind,
+    upwind_stencil,
     wind_stencils,
 )
 from tubediff.models import ModelKind, ModelSpec
 from tests.sparse_oracle import dense
-from tubediff.network import (
-    MeshError,
-    interval_mesh,
-    upwind_stencil,
-)
+from tubediff.network import MeshError, interval_mesh
 from tests.mesh_reference import mesh_from
 from tests.test_network import chain_mesh, y_mesh
 

@@ -145,7 +145,8 @@ class TestBatchedMarch:
         mesh = ball_on_stick(1)
         field = LateralFluxField((
             FluxWindow((11, 12, 13), 3.0, t_start=0.0, t_end=0.05),
-            FluxWindow((23, 31, 23), -2.0, t_start=0.02),
+            FluxWindow((23, 31), -2.0, t_start=0.02),
+            FluxWindow((23,), -2.0, t_start=0.02),
         ))
         specs = (FJ, EF)
         kwargs = dict(dt=5.0e-4, t_end=0.1, initial=5.0, lateral=field,
@@ -171,7 +172,8 @@ class TestBatchedMarch:
         monkeypatch.setattr(CSR, "__matmul__", counted)
         field = LateralFluxField((
             FluxWindow((11, 12, 13), 3.0, t_start=0.0, t_end=0.3),
-            FluxWindow((23, 31, 23), -2.0, t_start=0.5),
+            FluxWindow((23, 31), -2.0, t_start=0.5),
+            FluxWindow((23,), -2.0, t_start=0.5),
         ))
         policy = ConstraintPolicy(node_ids=(23, 12, 11, 23, 31, 2), c_hi=5.02, c_lo=4.98)
         specs, n_steps, dt = (FJ, EF), 2000, 5.0e-4
@@ -522,11 +524,15 @@ class TestBoundarySeries:
 
 class TestLateralFlux:
     def test_repeated_ids_add_up(self):
+        # a node named by several windows takes each window's strength;
+        # one window may name a node only once
         mesh = chain_mesh([1.0] * 5)
-        field = LateralFluxField((FluxWindow((1, 3, 1), 0.5),
+        field = LateralFluxField((FluxWindow((1, 3), 0.5), FluxWindow((1,), 0.5),
                                   FluxWindow((1,), 0.25, t_start=1.0)))
         assert np.array_equal(field.values(mesh, 0.0), [0.0, 1.0, 0.0, 0.5, 0.0])
         assert np.array_equal(field.values(mesh, 1.0), [0.0, 1.25, 0.0, 0.5, 0.0])
+        with pytest.raises(ValueError, match="names node 1 twice"):
+            FluxWindow((1, 3, 1), 0.5)
 
     def test_windows_turn_off_in_recorded_fluxes(self):
         mesh = chain_mesh([1.0] * 5)

@@ -10,7 +10,7 @@ import pytest
 from tests.mesh_reference import mesh_from
 from tests.sparse_oracle import dense
 import tubediff.network as network
-from tubediff.discretize import slope_matrix
+from tubediff.discretize import slope_matrix, two_edge_walks, upwind_stencil
 from tubediff.geometry import constricted_tree
 from tubediff.network import (
     GeometryParseError,
@@ -20,7 +20,6 @@ from tubediff.network import (
     interval_mesh,
     load_mesh,
     refine,
-    upwind_stencil,
     write_mesh,
 )
 
@@ -53,13 +52,22 @@ def y_mesh(radii=(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)):
     return mesh_from(nodes, edges, root=0)
 
 
+def all_walks(mesh):
+    """Every two-edge walk of ``two_edge_walks`` over all directed edges,
+    as (origin, first, second, dx1, dx2): storage indices and lengths."""
+    e1, e2 = two_edge_walks(mesh, np.ones(len(mesh.nbr), dtype=bool))
+    return list(zip(mesh.origin[e1].tolist(), mesh.nbr[e1].tolist(), mesh.nbr[e2].tolist(),
+                    mesh.nbr_dx[e1].tolist(), mesh.nbr_dx[e2].tolist()))
+
+
 def walks_from(mesh, node_id, side):
     """Two-edge walks leaving a node ``toward`` the root or ``away`` from it,
-    read off ``mesh.walks`` as (first id, second id, dx1, dx2)."""
-    w = mesh.walks[mesh.walks["origin"] == mesh.index(node_id)]
-    w = w[(mesh.parent[w["origin"]] == w["first"]) == (side == "toward")]
-    return [(mesh.node_ids[j], mesh.node_ids[k], dx1, dx2)
-            for j, k, dx1, dx2 in zip(w["first"], w["second"], w["dx1"], w["dx2"])]
+    read off ``two_edge_walks`` as (first id, second id, dx1, dx2)."""
+    i = mesh.index(node_id)
+    e1, e2 = two_edge_walks(mesh, (mesh.origin == i)
+                            & ((mesh.parent[i] == mesh.nbr) == (side == "toward")))
+    return [(mesh.node_ids[mesh.nbr[j]], mesh.node_ids[mesh.nbr[k]], mesh.nbr_dx[j],
+             mesh.nbr_dx[k]) for j, k in zip(e1, e2)]
 
 
 class TestLoading:
@@ -194,8 +202,10 @@ class TestWithRadii:
         other = mesh.with_radii(np.arange(1.0, 7.0))
         assert np.array_equal(other.radii, np.arange(1.0, 7.0))
         assert np.array_equal(mesh.radii, np.ones(6))
-        for name in ("node_ids", "positions", "ends", "lengths", "parent", "walks"):
+        for name in ("node_ids", "positions", "ends", "lengths", "parent", "indptr", "nbr",
+                     "nbr_dx"):
             assert getattr(other, name) is getattr(mesh, name), name
+        assert all_walks(other) == all_walks(mesh)
         assert not other.radii.flags.writeable
 
     def test_nonpositive_radius_rejected(self):
@@ -263,21 +273,31 @@ class TestOrientation:
         mesh = y_mesh()
         assert mesh.degree[mesh.index(2)] == 3
 
-    def test_a_large_build_peaks_near_its_own_arrays(self):
-        # 15,873 nodes: the mesh keeps 240 B per node and its build peaks at
-        # 304 B (an Euler tour ranked in 32-bit indices, each temporary
-        # dropped once used), where a breadth-first walk over Python lists
-        # peaked at 635 B
-        fine = constricted_tree(9)
-        args = (fine.node_ids, fine.positions, fine.radii, fine.node_ids[fine.ends],
-                fine.lengths, fine.root)
+    @staticmethod
+    def traced_build(mesh):
+        """Bytes a rebuild of ``mesh`` keeps once built, and its peak."""
+        args = (mesh.node_ids, mesh.positions, mesh.radii, mesh.node_ids[mesh.ends],
+                mesh.lengths, mesh.root)
         tracemalloc.start()
         try:
-            NetworkMesh(*args)
-            peak = tracemalloc.get_traced_memory()[1]
+            again = NetworkMesh(*args)  # noqa: F841 (kept alive while traced)
+            kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 400 * fine.n_nodes
+        return kept, peak
+
+    def test_a_large_build_peaks_near_its_own_arrays(self):
+        # 15,873 nodes: the build peaks at 247 B per node (an Euler tour
+        # ranked in 32-bit indices, each temporary dropped once used), where
+        # a breadth-first walk over Python lists peaked at 635 B
+        fine = constricted_tree(9)
+        assert self.traced_build(fine)[1] <= 400 * fine.n_nodes
+
+    def test_a_large_mesh_keeps_only_its_own_arrays(self):
+        # 160 B per node: fourteen arrays of one or two words a node (three
+        # for positions); a record of every two-edge walk kept 80 B more
+        fine = constricted_tree(9)
+        assert self.traced_build(fine)[0] <= 170 * fine.n_nodes
 
 
 class TestTwoPaths:

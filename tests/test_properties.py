@@ -24,6 +24,7 @@ from tubediff.stability import check_model
 from tests.mesh_reference import loop_orientation, loop_refine, mesh_from, spec_of
 from tests.sparse_oracle import dense
 from tests.test_discretize import loop_slopes
+from tests.test_network import all_walks
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=100)
 
@@ -102,8 +103,9 @@ def test_mesh_text_round_trips_bit_exactly(mesh):
     assert np.array_equal(again.lengths, mesh.lengths)
     assert np.array_equal(again.radii, mesh.radii)
     assert np.array_equal(again.positions, mesh.positions)
-    for name in ("indptr", "nbr", "nbr_dx", "parent", "walks"):
+    for name in ("indptr", "nbr", "nbr_dx", "parent"):
         assert np.array_equal(getattr(again, name), getattr(mesh, name)), name
+    assert all_walks(again) == all_walks(mesh)
 
 
 @PROPERTY
@@ -145,8 +147,9 @@ def test_array_refine_matches_the_edge_loop(spec, levels, data):
     parent, arc, walks = loop_orientation(want_nodes, want_edges, root)
     assert fine.parent.tolist() == parent
     assert bits(fine.arc_lengths()) == bits(arc)
-    assert [w[:3] for w in fine.walks.tolist()] == [w[:3] for w in walks]
-    assert bits([w[3:] for w in fine.walks.tolist()]) == bits([w[3:] for w in walks])
+    got = all_walks(fine)
+    assert [w[:3] for w in got] == [w[:3] for w in walks]
+    assert bits([w[3:] for w in got]) == bits([w[3:] for w in walks])
 
 
 def joined_spec(parents, root, seed):
@@ -163,9 +166,10 @@ def joined_spec(parents, root, seed):
 
 def assert_oriented_as_the_walk(spec):
     mesh = mesh_from(*spec)
-    parent, arc, _ = loop_orientation(*spec)
+    parent, arc, walks = loop_orientation(*spec)
     assert mesh.parent.tolist() == parent
     assert bits(mesh.arc_lengths()) == bits(arc)
+    assert all_walks(mesh) == walks
 
 
 @PROPERTY
@@ -292,7 +296,7 @@ def broken_specs(draw):
         edges[k] = (a, b, draw(st.sampled_from([0.0, -0.0, -0.5, np.inf])))
     elif fault == "disconnected":
         # close a cycle over a two-edge walk; the edge count stays right
-        walks = mesh_from(nodes, edges, root).walks
+        walks = all_walks(mesh_from(nodes, edges, root))
         origin, _, second, _, _ = walks[draw(st.integers(0, len(walks) - 1))]
         edges.append((ids[origin], ids[second], 1.0))
         nodes.append((max(ids) + 1, (0.0, 0.0, 0.0), 1.0))

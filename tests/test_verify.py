@@ -253,6 +253,11 @@ class TestConvergence:
         assert result.errors[0] > result.errors[-1]
         assert 1.7 <= result.slope <= 2.3
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0e-3, math.inf, math.nan])
+    def test_a_ladder_error_that_cannot_be_fitted_is_refused(self, bad):
+        with pytest.raises(ValueError, match=r"level 1 \(N=21\) has error"):
+            ConvergenceResult(ns=(11, 21, 41), spacings=(0.4, 0.2, 0.1), errors=(1.0, bad, 0.1))
+
     def test_slope2_deviation_against_hand_values(self):
         # finest three sit exactly on e = 0.375 h^2, so the reference at
         # h = 0.8 is 0.24 and the coarsest error is 1.0 / 0.24 above it
