@@ -3,34 +3,43 @@
 
     python3 scripts/phase_memory.py CHECKOUT [--levels 7 10 12] [--steps 40]
 
-For each level, a fresh process puts ``CHECKOUT/src`` first on its path
-and runs the phases of ``tubediff simulate`` in-process on
+For each level, fresh processes put ``CHECKOUT/src`` first on their path
+and run the phases of ``tubediff simulate`` in-process on
 ``constricted_tree(level)`` with the ``expanded-flux`` model, the way
 the CLI does (through ``tubediff.cli``'s own builders):
 
 - ``import``: ``tubediff.cli`` and what it imports;
 - ``build``: the model and the tree;
-- ``run_models``: assembly, stability screen and ``--steps`` forward-Euler
-  steps, at 4e-7 / 4**(level - 7), a third of the screened limit or
-  less (the level-7 step of the ``tree-setup`` benchmark);
+- ``assemble``: the model's operator (``assemble_model``);
+- ``screen``: the stability screen of that operator (``check_model``);
+- ``march``: ``run_models``, its operator and screen served from the
+  per-mesh cache, for ``--steps`` forward-Euler steps at
+  4e-7 / 4**(level - 7), a third of the screened limit or less (the
+  level-7 step of the ``tree-setup`` benchmark);
 - ``to_csv``: five snapshots into a temporary directory;
 - ``hash``: the geometry fingerprint the manifest records.
 
-After each phase it reads ``ru_maxrss`` (the peak resident memory of the
-process so far) and the wall time the phase took.  The result is one
-JSON object on stdout: per level, the node count, the step, and per
-phase ``rss_mb`` and ``s``.
+One process reads ``ru_maxrss`` (the peak resident memory of the process
+so far) and the wall time after each phase.  A second runs the same
+phases, each under its own ``tracemalloc`` trace, and reads the phase's
+traced peak over its entry, in bytes per non-zero of the operator; its
+trace would inflate the first process's ``ru_maxrss``.  The result is
+one JSON object on stdout: per level, the node count, the step, the
+operator's non-zeros, and per phase ``rss_mb``, ``s`` and
+``peak_b_per_nnz``.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import resource
 import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 
@@ -38,37 +47,57 @@ def rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def child(level: int, steps: int) -> dict:
+def child(level: int, steps: int, traced: bool) -> dict:
     phases = {}
-    t0 = time.perf_counter()
 
-    def done(name: str) -> None:
-        nonlocal t0
-        now = time.perf_counter()
-        phases[name] = {"rss_mb": round(rss_mb(), 2), "s": round(now - t0, 4)}
+    def phase(name: str, run):
+        """``run()``, recording its time and ``ru_maxrss``, or its traced peak."""
+        if traced:
+            tracemalloc.start()
         t0 = time.perf_counter()
+        result = run()
+        s = time.perf_counter() - t0
+        if traced:
+            phases[name] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        else:
+            phases[name] = {"rss_mb": round(rss_mb(), 2), "s": round(s, 4)}
+        return result
 
-    import tubediff.cli as cli
+    cli = phase("import", lambda: importlib.import_module("tubediff.cli"))
+    from tubediff.discretize import assemble_model
     from tubediff.integrate import run_models
-    done("import")
+    from tubediff.stability import check_model
 
     dt = 4.0e-7 / 4 ** (level - 7)
     cfg = {"run": {"model": "expanded-flux", "dt": dt, "t_end": steps * dt, "snapshots": 5},
            "geometry": {"kind": "constricted-tree", "levels": level},
            "initial": {"kind": "arc-bump", "center": 1.6, "width": 0.4, "baseline": 0.2}}
-    t0 = time.perf_counter()
-    model = cli.build_model(cfg)
-    geometry = cli.build_geometry(cfg, model)
-    done("build")
-    traj = run_models(geometry.mesh, (model,), dt=dt, t_end=steps * dt,
-                      initial=cli.build_initial(cfg, geometry), n_snapshots=5)[0]
-    done("run_models")
+
+    def build():
+        model = cli.build_model(cfg)
+        return model, cli.build_geometry(cfg, model)
+
+    model, geometry = phase("build", build)
+    mesh = geometry.mesh
+    nnz = phase("assemble", lambda: assemble_model(mesh, model)).matrix.nnz
+    phase("screen", lambda: check_model(mesh, model, dt))
+    traj = phase("march", lambda: run_models(
+        mesh, (model,), dt=dt, t_end=steps * dt, initial=cli.build_initial(cfg, geometry),
+        n_snapshots=5)[0])
     with tempfile.TemporaryDirectory() as out:
-        traj.to_csv(Path(out) / "trajectory.csv")
-        done("to_csv")
-    cli._fingerprint(geometry.mesh)
-    done("hash")
-    return {"nodes": geometry.mesh.n_nodes, "dt": dt, "phases": phases}
+        phase("to_csv", lambda: traj.to_csv(Path(out) / "trajectory.csv"))
+    phase("hash", lambda: cli._fingerprint(mesh))
+    if traced:
+        phases = {name: round(peak / nnz, 1) for name, peak in phases.items()}
+    return {"nodes": mesh.n_nodes, "dt": dt, "nnz": nnz, "phases": phases}
+
+
+def run_child(checkout: Path, level: int, steps: int, traced: bool) -> dict:
+    done = subprocess.run([sys.executable, __file__, str(checkout), "--child", str(level),
+                           "--steps", str(steps)] + ["--traced"] * traced,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def main(argv=None) -> int:
@@ -77,18 +106,19 @@ def main(argv=None) -> int:
     parser.add_argument("--levels", type=int, nargs="+", default=[7, 10, 12])
     parser.add_argument("--steps", type=int, default=40)
     parser.add_argument("--child", type=int, help=argparse.SUPPRESS)
+    parser.add_argument("--traced", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    src = str(args.checkout.resolve() / "src")
     if args.child is not None:
-        sys.path.insert(0, src)
-        print(json.dumps(child(args.child, args.steps)))
+        sys.path.insert(0, str(args.checkout.resolve() / "src"))
+        print(json.dumps(child(args.child, args.steps, args.traced)))
         return 0
     result = {}
     for level in args.levels:
-        done = subprocess.run([sys.executable, __file__, str(args.checkout), "--child",
-                               str(level), "--steps", str(args.steps)],
-                              capture_output=True, text=True, check=True)
-        result[str(level)] = json.loads(done.stdout.splitlines()[-1])
+        level_result = run_child(args.checkout, level, args.steps, traced=False)
+        peaks = run_child(args.checkout, level, args.steps, traced=True)["phases"]
+        for name, peak in peaks.items():
+            level_result["phases"][name]["peak_b_per_nnz"] = peak
+        result[str(level)] = level_result
     print(json.dumps(result, indent=1))
     return 0
 

@@ -165,10 +165,9 @@ def build_geometry(cfg: dict, model: ModelSpec) -> Geometry:
     if not (isinstance(kind, str) and kind in known):
         raise ConfigError(f"unknown geometry kind {kind!r}; choose one of: {', '.join(known)}")
     if kind == "file":
-        path = section.get("path")
-        if path is None:
+        if section.get("path") is None:
             raise ConfigError("file geometry needs 'path'")
-        path = Path(path)
+        path = _read(section, "path", Path, what="a path")
         if not path.exists():
             raise ConfigError(f"geometry file not found: {path}")
         try:
@@ -403,6 +402,9 @@ def cmd_convergence(cfg: dict, out_override: str | None, force: bool) -> int:
         for n in ns:
             if n < 3:
                 raise ConfigError(f"'ns' entries must be at least 3, got {n}")
+        for coarse, fine in zip(ns, ns[1:]):
+            if fine <= coarse:
+                raise ConfigError(f"'ns' entries must increase, got {fine} after {coarse}")
         result = channel_convergence(
             geometry.channel, model, ns=list(ns),
             dt=dt, t_end=t_end, force=force,

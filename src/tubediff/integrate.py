@@ -207,8 +207,11 @@ def _stack(blocks, diagonal: bool) -> CSR:
     """CSR blocks one below the other, each row in its stored order.
 
     With ``diagonal`` each block also takes its own columns (a block
-    diagonal); without, all blocks share the columns of the first.
+    diagonal); without, all blocks share the columns of the first.  A
+    lone block is returned as it is.
     """
+    if len(blocks) == 1:
+        return blocks[0]
     nnz = np.cumsum([0] + [b.nnz for b in blocks])
     cols = np.cumsum([0] + [b.shape[1] for b in blocks]) if diagonal else [0] * len(blocks)
     indptr = np.concatenate([[0]] + [b.indptr[1:] + off for b, off in zip(blocks, nnz)])
@@ -264,9 +267,7 @@ class _Plan(NamedTuple):
         size = copies * (n + margin)
         place = (np.arange(n) - lo + (n + margin) * np.arange(copies)[:, None]).ravel()
         if band is None:
-            cols, vals = increment.padded
-            cols = np.vstack([cols, np.arange(len(cols[0]))])
-            vals = np.vstack([vals, np.ones(len(cols[0]))])
+            cols, vals = increment.pad(identity=True)
         else:  # 0.0 off the models
             cols, vals = None, np.zeros((margin + 1, size))
             vals[:, place] = band[1]

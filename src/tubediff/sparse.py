@@ -51,11 +51,19 @@ class CSR:
     @cached_property
     def padded(self) -> tuple[np.ndarray, np.ndarray]:
         """Slot-major padded columns and values, each (longest row, n_rows)."""
+        return self.pad()
+
+    def pad(self, identity: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """``padded``, made anew; with ``identity`` (a square matrix) every
+        row takes one more slot, 1.0 on its own column: ``self + I``, the
+        identity summed last."""
         rows = self.rows
         slot = np.arange(self.nnz) - self.indptr[rows]
         own = np.minimum(np.arange(self.shape[0]), self.shape[1] - 1)
-        cols = np.tile(own, (slot.max(initial=-1) + 1, 1))
+        cols = np.tile(own, (slot.max(initial=-1) + 1 + identity, 1))
         vals = np.zeros(cols.shape)
+        if identity:
+            vals[-1] = 1.0
         cols[slot, rows] = self.indices
         vals[slot, rows] = self.data
         return cols, vals
@@ -65,24 +73,26 @@ class CSR:
         """Diagonal (DIA) copy ``(lo, values)``: ``values[s, i]`` is the entry
         in column ``i + lo + s`` (0.0 where absent), its band spanning the
         diagonal; None when that band is wider than the longest row."""
-        rows = self.rows
-        offsets = self.indices - rows
-        lo, hi = offsets.min(initial=0), offsets.max(initial=0)
-        if hi - lo >= np.diff(self.indptr).max(initial=0):
+        lengths = np.diff(self.indptr)
+        full = np.flatnonzero(lengths)  # rows are sorted: first and last column
+        lo = (self.indices[self.indptr[full]] - full).min(initial=0)
+        hi = (self.indices[self.indptr[full + 1] - 1] - full).max(initial=0)
+        if hi - lo >= lengths.max(initial=0):
             return None
+        rows = self.rows
         values = np.zeros((hi - lo + 1, self.shape[0]))
-        values[offsets - lo, rows] = self.data
+        values[self.indices - rows - lo, rows] = self.data
         return int(lo), values
 
     def __matmul__(self, other):
         """Product with a CSR matrix (each entry spread over the matching
         row of ``other``, then one build), a vector or columns of vectors."""
         if isinstance(other, CSR):
+            shape = (self.shape[0], other.shape[1])
             counts = np.diff(other.indptr)[self.indices]
             slots = row_slots(other.indptr, self.indices)
-            return build(np.repeat(self.rows, counts), other.indices[slots],
-                         np.repeat(self.data, counts) * other.data[slots],
-                         (self.shape[0], other.shape[1]))
+            return _summed(_keys(np.repeat(self.rows, counts), other.indices[slots], shape),
+                           np.repeat(self.data, counts) * other.data[slots], shape)
         x = np.asarray(other, dtype=float)
         cols, vals = self.padded
         terms = x[cols]
@@ -93,44 +103,77 @@ class CSR:
         return CSR(self.indptr, self.indices, self.data * scalar, self.shape)
 
 
-def build(rows, cols, vals, shape) -> CSR:
-    """CSR matrix from (broadcast) triplets.
+def _key_dtype(shape) -> type:
+    """The narrowest integer that holds every key ``row * n_cols + col``."""
+    return np.int32 if shape[0] * shape[1] < 2**31 else np.int64
 
-    Duplicates are summed in the order given (a stable sort, then a
-    bincount, which adds one by one), so listing a row's terms in stencil
-    order fixes its rounding; entries that are or sum to 0.0 are left out.
-    """
-    rows, cols, vals = (a.ravel() for a in np.broadcast_arrays(rows, cols, vals))
-    # the sort key as narrow as the shape allows, and each temporary
-    # dropped once used: the triplets are the largest arrays of a build
-    key = rows.astype(np.int32 if shape[0] * shape[1] < 2**31 else np.int64)
+
+def _keys(rows, cols, shape) -> np.ndarray:
+    """The sort key ``row * n_cols + col`` of (broadcast) rows and columns."""
+    key = rows.astype(_key_dtype(shape))
     key *= shape[1]
     key += cols
+    return key.ravel()
+
+
+def _summed(key: np.ndarray, vals: np.ndarray, shape) -> CSR:
+    """CSR matrix from the sort keys of its terms and their values.
+
+    Duplicates are summed in the order given (a stable sort, then a
+    bincount, which adds one by one); entries that sum to 0.0 are left
+    out.  Each kept entry's row and column are read back from its key, so
+    no row or column array lives through the sort.  Callers pass ``key``
+    and ``vals`` unnamed, so that each is freed here once used.
+    """
     order = np.argsort(key, kind="stable")
     key = key[order]
     new = np.concatenate([[True], key[1:] != key[:-1]])[: len(key)]
-    del key
-    first = order[new]  # each entry's first triplet
-    weights = vals[order]
-    group = np.cumsum(new, out=order)  # each triplet's entry, in order's place
+    key = key[new]  # each entry's key
+    vals = vals[order]
+    group = np.cumsum(new, out=order)  # each term's entry, in order's place
     del order, new
     group -= 1
-    sums = np.bincount(group, weights=weights, minlength=len(first))
-    del group, weights
-    first = first[sums != 0.0]
-    counts = np.bincount(rows[first], minlength=shape[0])
-    return CSR(np.concatenate([[0], np.cumsum(counts)]), cols[first], sums[sums != 0.0], shape)
+    sums = np.bincount(group, weights=vals, minlength=len(key))
+    del group, vals
+    kept = sums != 0.0
+    rows, cols = np.divmod(key[kept], shape[1])
+    del key
+    counts = np.bincount(rows, minlength=shape[0])
+    return CSR(np.concatenate([[0], np.cumsum(counts)]), cols.astype(np.int64, copy=False),
+               sums[kept], shape)
+
+
+def build(rows, cols, vals, shape) -> CSR:
+    """CSR matrix from (broadcast) triplets.
+
+    Duplicates are summed in the order given, so listing a row's terms in
+    stencil order fixes its rounding; entries that are or sum to 0.0 are
+    left out.
+    """
+    rows, cols, vals = np.broadcast_arrays(rows, cols, vals)
+    return _summed(_keys(rows, cols, shape), vals.ravel(), shape)
+
+
+def _entry_keys(terms, shape) -> np.ndarray:
+    """The sort keys of every stored entry of ``terms``, term after term."""
+    key = np.empty(sum(m.nnz for m in terms), dtype=_key_dtype(shape))
+    row_key = np.arange(shape[0], dtype=key.dtype) * shape[1]
+    start = 0
+    for m in terms:
+        part = key[start:start + m.nnz]
+        part[:] = np.repeat(row_key, np.diff(m.indptr))
+        part += m.indices
+        start += m.nnz
+    return key
 
 
 def add(*terms: CSR) -> CSR:
     """Sum of matrices of one shape in one build: each entry adds its
     terms left to right, the bits of ``add(add(a, b), c)``."""
-    return build(np.concatenate([m.rows for m in terms]),
-                 np.concatenate([m.indices for m in terms]),
-                 np.concatenate([m.data for m in terms]), terms[0].shape)
+    shape = terms[0].shape
+    return _summed(_entry_keys(terms, shape), np.concatenate([m.data for m in terms]), shape)
 
 
 def scale_rows(d: np.ndarray, m: CSR) -> CSR:
     """``diag(d) @ m``."""
-    return CSR(m.indptr, m.indices, m.data * d[m.rows], m.shape)
-
+    return CSR(m.indptr, m.indices, m.data * np.repeat(d, np.diff(m.indptr)), m.shape)

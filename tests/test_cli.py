@@ -21,6 +21,7 @@ import pytest
 import yaml
 
 import tubediff
+import tubediff.cli as cli
 import tubediff.network as network
 from tubediff.cli import COMMANDS, _fingerprint, build_geometry, build_policy, main
 from tubediff.geometry import ball_on_stick, constricted_tree
@@ -126,6 +127,23 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, small_channel(convergence={"ns": ns}))
         assert main(["convergence", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"error: 'ns' entries must be at least 3, got {n}\n"
+
+    @pytest.mark.parametrize("ns, message", [([5, 5, 9], "got 5 after 5"),
+                                             ([17, 9, 5], "got 9 after 17"),
+                                             ([5, 9, 9, 17], "got 9 after 9")])
+    def test_convergence_grids_must_grow_before_any_march(self, tmp_path, capsys, monkeypatch,
+                                                          ns, message):
+        # [5, 5, 9] fitted a slope to two identical grids, and [17, 9, 5]
+        # took the coarsest grid for the finest
+        monkeypatch.setattr(cli, "channel_convergence",
+                            lambda *args, **kwargs: pytest.fail("marched a refused ladder"))
+        doc = small_channel(convergence={"ns": ns})
+        doc["run"].update(dt=1.0e-4, t_end=1.0e-2)
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["convergence", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: 'ns' entries must increase, {message}\n"
+        assert not out.exists()
 
     def test_a_window_naming_a_node_twice_is_one_error_line(self, tmp_path, capsys):
         doc = regulated_tree()
@@ -389,6 +407,12 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, small_channel(output={"directory": 5}))
         assert main(["simulate", "--config", cfg]) == 2
         assert capsys.readouterr().err == "error: 'directory' must be a path, got 5\n"
+
+    @pytest.mark.parametrize("path", [7, [1, 2], True])
+    def test_a_geometry_path_that_is_no_path_is_one_error_line(self, tmp_path, capsys, path):
+        cfg = write_config(tmp_path, small_channel(geometry={"kind": "file", "path": path}))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: 'path' must be a path, got {path!r}\n"
 
 
 class TestStabilityCheck:

@@ -20,6 +20,7 @@ from tubediff.discretize import assemble_model, slope_matrix
 from tubediff.geometry import ball_on_stick, constricted_tree
 from tubediff.models import ModelKind, ModelSpec
 from tubediff.network import MeshError, format_mesh, load_mesh, refine
+from tubediff.sparse import add, build
 from tubediff.stability import check_model
 from tests.mesh_reference import loop_orientation, loop_refine, mesh_from, spec_of
 from tests.sparse_oracle import dense
@@ -332,3 +333,72 @@ def test_broken_meshes_are_refused(tmp_path_factory, case):
     assert code == 2
     (line,) = err.getvalue().splitlines()
     assert line.startswith("error: ") and "Traceback" not in line
+
+
+def triplet_build(rows, cols, vals, shape):
+    """The sum that keeps its triplets: rows and columns ride through a
+    stable sort by (row, column), each run of duplicates is summed by a
+    bincount in the order given, and sums of 0.0 are left out.  Returns
+    ``(indptr, indices, data)``."""
+    rows, cols, vals = (np.ravel(a) for a in np.broadcast_arrays(rows, cols, vals))
+    order = np.argsort(rows.astype(np.int64) * shape[1] + cols, kind="stable")
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    new = np.concatenate([[True], (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])])
+    new = new[: len(rows)]
+    sums = np.bincount(np.cumsum(new) - 1, weights=vals, minlength=int(new.sum()))
+    kept = sums != 0.0
+    rows, cols = rows[new][kept], cols[new][kept]
+    return (np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=shape[0]))]), cols,
+            sums[kept])
+
+
+def assert_same_arrays(ours, reference):
+    for a, b in zip((ours.indptr, ours.indices, ours.data), reference):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def triplets(draw, shape):
+    """Up to 30 triplets on a few positions of ``shape``, so that they
+    repeat: values that cancel (1e16, -1e16), exact zeros, and, on a
+    drawn flag, the negated triplets once more, so that sums reach 0.0."""
+    def position(n):
+        return st.sampled_from(sorted({0, n // 2, n - 1})) | st.integers(0, n - 1)
+
+    size = draw(st.integers(0, 30))
+    rows, cols = (draw(st.lists(position(n), min_size=size, max_size=size)) for n in shape)
+    vals = draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e16, -1e16, 0.1, 3.0e-7])
+                         | st.floats(-5.0, 5.0), min_size=size, max_size=size))
+    if draw(st.booleans()):
+        rows, cols, vals = rows * 2, cols * 2, vals + [-v for v in vals]
+    return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
+            np.array(vals, dtype=float))
+
+
+# 70,000**2 >= 2**31: that shape sums by 64-bit keys, the others by 32-bit
+KEY_SHAPES = {"32-bit": st.sampled_from([(1, 1), (4, 3), (2, 9), (12, 12)]),
+              "64-bit": st.just((70_000, 70_000))}
+
+
+@pytest.mark.parametrize("keys", sorted(KEY_SHAPES))
+@settings(PROPERTY, max_examples=40)
+@given(st.data())
+def test_keyed_build_equals_the_triplet_build(keys, data):
+    shape = data.draw(KEY_SHAPES[keys])
+    rows, cols, vals = data.draw(triplets(shape))
+    assert_same_arrays(build(rows, cols, vals, shape), triplet_build(rows, cols, vals, shape))
+
+
+@pytest.mark.parametrize("keys", sorted(KEY_SHAPES))
+@settings(PROPERTY, max_examples=40)
+@given(st.data())
+def test_keyed_add_equals_concatenating_the_terms(keys, data):
+    shape = data.draw(KEY_SHAPES[keys])
+    terms = [build(*data.draw(triplets(shape)), shape)
+             for _ in range(data.draw(st.integers(1, 4)))]
+    if data.draw(st.booleans()):  # whole terms cancel
+        terms.append(-1.0 * terms[data.draw(st.integers(0, len(terms) - 1))])
+    reference = triplet_build(np.concatenate([m.rows for m in terms]),
+                              np.concatenate([m.indices for m in terms]),
+                              np.concatenate([m.data for m in terms]), shape)
+    assert_same_arrays(add(*terms), reference)

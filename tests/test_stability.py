@@ -217,10 +217,12 @@ class TestModelScreen:
             check_model(mesh, FJ, dt=-0.1)
 
     def test_expanded_flux_screen_memory_stays_sparse(self):
-        # the screen assembles the operator: 198 B per operator non-zero at
-        # its peak (2.0 MB), where a build with 64-bit keys and a group
-        # array took 232 B, chained sums of the terms, each matrix keeping
-        # its row index, 267 B, and one dense 1985 x 1985 matrix 31.5 MB
+        # the screen assembles the operator: 155 B per operator non-zero at
+        # its peak (1.5 MB), where builds that kept their row and column
+        # triplets through the sort took 198 B, a build with 64-bit keys
+        # and a group array 232 B, chained sums of the terms, each matrix
+        # keeping its row index, 267 B, and one dense 1985 x 1985 matrix
+        # 31.5 MB
         mesh = constricted_tree(6)
         tracemalloc.start()
         try:
@@ -230,7 +232,7 @@ class TestModelScreen:
             tracemalloc.stop()
         nnz = assemble_model(mesh, EF).matrix.nnz
         assert nnz == 9921
-        assert peak <= 210 * nnz
+        assert peak <= 170 * nnz
 
     def test_seven_model_band_march_memory_stays_sparse(self):
         # 7 x 2000 stacked rows, marched through their band; the peak is
@@ -253,6 +255,22 @@ class TestModelScreen:
                           lateral=LateralFluxField((FluxWindow((11, 12, 13), 3.0),)),
                           policy=ConstraintPolicy(c_hi=5.05, c_lo=4.95))
         assert peak < 2.2e6
+
+    def test_a_single_model_plan_build_peaks_near_its_operator(self):
+        # a tree has no band, so the plan pads its one operator: 55 B per
+        # non-zero at the peak, where a plan that copied the lone block,
+        # scaled it through a row index per entry, sought the band through
+        # per-entry offsets and stacked the identity slot onto a padded
+        # copy took 72 B
+        mesh = constricted_tree(6)
+        ops = [assemble_model(mesh, EF)]
+        tracemalloc.start()
+        try:
+            _Plan.build(mesh, (EF,), ops, 1.0e-7, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 60 * ops[0].matrix.nnz
 
     @pytest.mark.parametrize("case", ["seven-model-cone", "tree-window"])
     def test_a_plan_keeps_only_its_own_arrays(self, case):
