@@ -22,11 +22,13 @@ the CLI does (through ``tubediff.cli``'s own builders):
 One process reads ``ru_maxrss`` (the peak resident memory of the process
 so far) and the wall time after each phase.  A second runs the same
 phases, each under its own ``tracemalloc`` trace, and reads the phase's
-traced peak over its entry, in bytes per non-zero of the operator; its
-trace would inflate the first process's ``ru_maxrss``.  The result is
-one JSON object on stdout: per level, the node count, the step, the
-operator's non-zeros, and per phase ``rss_mb``, ``s`` and
-``peak_b_per_nnz``.
+traced peak over its entry, in bytes per non-zero of the operator (and
+for ``build`` also per node, the unit of the mesh bounds in
+``tests/test_network.py``); its trace would inflate the first process's
+``ru_maxrss``.  The result is one JSON object on stdout: per level, the
+node count, the step, the operator's non-zeros, and per phase
+``rss_mb``, ``s`` and ``peak_b_per_nnz``, and ``peak_b_per_node`` for
+``build``.
 """
 
 from __future__ import annotations
@@ -89,7 +91,9 @@ def child(level: int, steps: int, traced: bool) -> dict:
         phase("to_csv", lambda: traj.to_csv(Path(out) / "trajectory.csv"))
     phase("hash", lambda: cli._fingerprint(mesh))
     if traced:
-        phases = {name: round(peak / nnz, 1) for name, peak in phases.items()}
+        per_node = round(phases["build"] / mesh.n_nodes, 1)
+        phases = {name: {"peak_b_per_nnz": round(peak / nnz, 1)} for name, peak in phases.items()}
+        phases["build"]["peak_b_per_node"] = per_node
     return {"nodes": mesh.n_nodes, "dt": dt, "nnz": nnz, "phases": phases}
 
 
@@ -117,7 +121,7 @@ def main(argv=None) -> int:
         level_result = run_child(args.checkout, level, args.steps, traced=False)
         peaks = run_child(args.checkout, level, args.steps, traced=True)["phases"]
         for name, peak in peaks.items():
-            level_result["phases"][name]["peak_b_per_nnz"] = peak
+            level_result["phases"][name].update(peak)
         result[str(level)] = level_result
     print(json.dumps(result, indent=1))
     return 0

@@ -89,8 +89,15 @@ def _section(cfg: dict, name: str, required: bool = True) -> dict:
     return value
 
 
+def _number(value) -> float:
+    """``float(value)``, refusing a boolean, which YAML reads from ``true``."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _finite(value) -> float:
-    number = float(value)
+    number = _number(value)
     if not math.isfinite(number):
         raise ValueError(f"{number} is not finite")
     return number
@@ -120,10 +127,10 @@ def _ints(value) -> tuple[int, ...]:
     return tuple(_whole(n) for n in value)
 
 
-def _positive(section: dict, key: str, kind=float):
+def _positive(section: dict, key: str):
     if key not in section:
         raise ConfigError(f"'run' section needs '{key}'")
-    value = _read(section, key, kind)
+    value = _read(section, key, _number)
     if not (math.isfinite(value) and value > 0):
         raise ConfigError(f"'{key}' must be positive and finite, got {value}")
     return value
@@ -272,7 +279,7 @@ def build_lateral(cfg: dict) -> LateralFluxField | None:
             _read(entry, "nodes", _ints, what="a list of node ids"),
             _read(entry, "strength"),
             t_start=_read(entry, "from", default=0.0),
-            t_end=_read(entry, "until", float, np.inf, "a number"),
+            t_end=_read(entry, "until", _number, np.inf, "a number"),
         ))
     return LateralFluxField(tuple(windows))
 

@@ -72,45 +72,36 @@ def _radius_check(ids: np.ndarray, radii: np.ndarray):
             lambda i: f"node {ids[i]}: radius must be positive and finite, got {radii[i]}")
 
 
-def _orient(ids, indptr, origin, nbr, twin, dx, iroot: int):
+def _orient(ids, indptr, nbr, twin, dx, iroot: int):
     """Orient a tree from storage index ``iroot``: each node's parent
     (-1 at the root) and its arc length from the root.
 
-    ``twin[k]`` is the reverse of directed edge ``k``.  The Euler tour
-    takes, after edge u -> v, v's next edge after v -> u in its row
-    (cyclically), from the root's first edge to the edge back from its
-    last neighbour; pointer jumping (Wyllie's list ranking, 1979) gives
-    every edge its place in it.  An edge before its reverse points away
-    from the root, and its two places bound the nodes below it.  Each
-    node then continues the path of its parent through the child with
-    most nodes below it (heavy-path decomposition, Sleator and Tarjan,
-    1983), so a path from the root changes path fewer than log2(n)
-    times, and the arcs are summed a path at a time, in waves of the
-    paths that start after as many changes.  Each arc is its parent's
-    plus the edge length, as a breadth-first walk adds them: the bits do
-    not depend on the order of the walk.
+    ``twin[k]`` is the reverse of directed edge ``k``.  One walk of the
+    Euler tour gives both: from the root's first edge, after edge
+    u -> v it takes v's next edge after v -> u in its row (cyclically),
+    and so takes each directed edge of a tree once.  An edge u -> v to a
+    node other than u's parent reaches v for the first time: v's arc is
+    u's plus the edge length, as a breadth-first walk adds them, so the
+    bits do not depend on the order of the walk.  Where the n - 1 edges
+    close a cycle, some node stays unreached and the mesh is refused.
     """
-    n, m = len(indptr) - 1, len(nbr)
-    index = np.int32 if m < 2**31 else np.intp  # halves the tour's memory
-    toured = False
-    if np.diff(indptr).min() > 0:
-        after = twin.astype(index)
-        after += 1
+    n = len(indptr) - 1
+    parent = np.full(n, -1, dtype=np.intp)
+    arc = np.full(n, math.nan)
+    arc[iroot] = 0.0
+    if indptr[iroot] < indptr[iroot + 1]:  # an isolated root reaches nothing
+        after = twin + 1
         wrap = after == indptr[nbr + 1]
         after[wrap] = indptr[nbr[wrap]]
-        end = twin[indptr[iroot + 1] - 1]
-        after[end] = end
-        rank = np.ones(m, dtype=index)
-        rank[end] = 0
-        for _ in range(m.bit_length()):  # enough for any tour; a cycle never ends
-            step = rank[after]
-            if not step.any():
-                break
-            rank += step
-            after = after[after]
-        toured = bool((after == end).all())
-        del after, wrap, step
-    if not toured:  # not a tree: its n - 1 edges close a cycle
+        to, nxt, length = (memoryview(a) for a in (nbr, after, dx))
+        up, at = memoryview(parent), memoryview(arc)
+        u, k = iroot, int(indptr[iroot])
+        for _ in range(len(to)):  # the tour's length: a walk round a cycle never ends
+            v = to[k]
+            if v != up[u]:
+                up[v], at[v] = u, at[u] + length[k]
+            u, k = v, nxt[k]
+    if np.isnan(arc).any():  # not a tree: its n - 1 edges close a cycle
         reached = np.zeros(n, dtype=bool)
         reached[iroot] = True
         frontier = np.array([iroot])
@@ -120,61 +111,7 @@ def _orient(ids, indptr, origin, nbr, twin, dx, iroot: int):
             frontier = np.flatnonzero(ahead & ~reached)
             reached |= ahead
         raise MeshError(f"mesh is disconnected; unreachable nodes: {ids[~reached].tolist()}")
-
-    place = np.subtract(m - 1, rank, out=rank)
-    away = place < place[twin]
-    tour = np.empty(m, dtype=index)
-    tour[place] = np.arange(m, dtype=index)
-    down = tour[away[tour]]  # the edges away from the root, in tour order
-    del away, tour
-    parent = np.full(n, -1, dtype=np.intp)
-    parent[nbr[down]] = origin[down]
-    # the heavy child has the most nodes below it (half the tour between an
-    # edge and its reverse), the first in the tour among equals
-    key = (place[twin[down]] - place[down]).astype(np.int64) * m - place[down]
-    best = np.full(n, np.iinfo(np.int64).min)
-    np.maximum.at(best, origin[down], key)
-    light = key != best[origin[down]]
-    del key, best
-    turns = np.zeros(m, dtype=np.int8)
-    turns[place[down[light]]] = 1
-    turns[place[twin[down[light]]]] = -1
-    wave = np.cumsum(turns, dtype=index)[place[down]]
-    del turns, place
-
-    arc = np.full(n, math.nan)
-    arc[iroot] = 0.0
-    by_wave = np.argsort(wave, kind="stable")
-    bounds = np.searchsorted(wave[by_wave], np.arange(wave.max() + 2))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        edges = down[by_wave[lo:hi]]  # each path in order, path after path
-        first = light[by_wave[lo:hi]]
-        first[0] = True
-        ptr = np.append(np.flatnonzero(first), len(edges))
-        arc[nbr[edges]] = _running_sums(arc[origin[edges[ptr[:-1]]]], dx[edges], ptr)
     return parent, arc
-
-
-def _running_sums(start: np.ndarray, steps: np.ndarray, ptr: np.ndarray) -> np.ndarray:
-    """Running sums along the runs ``steps[ptr[r]:ptr[r + 1]]``, each
-    from its ``start`` and added one step at a time.  Runs are summed as
-    the rows of a table, one table for the runs whose lengths share a
-    power of two, so padding at most doubles it."""
-    out = np.empty(len(steps))
-    counts = np.diff(ptr)
-    band = np.frexp(counts)[1]
-    for b in np.flatnonzero(np.bincount(band)):
-        runs = np.flatnonzero(band == b)
-        slots = row_slots(ptr, runs)
-        row = np.repeat(np.arange(len(runs)), counts[runs])
-        col = slots - ptr[runs][row] + 1
-        table = np.zeros((len(runs), counts[runs].max() + 1))
-        table[:, 0] = start[runs]
-        table[row, col] = steps[slots]
-        with np.errstate(over="ignore"):  # an arc may overflow, as a float sum does
-            np.cumsum(table, axis=1, out=table)
-        out[slots] = table[row, col]
-    return out
 
 
 class NetworkMesh:
@@ -266,8 +203,8 @@ class NetworkMesh:
         twin = twin[(order + len(lengths)) % len(order)]
         del tail, head, order
 
-        self.parent, self._arc = _orient(ids, self.indptr, self.origin, self.nbr, twin,
-                                         self.nbr_dx, int(iroot))
+        self.parent, self._arc = _orient(ids, self.indptr, self.nbr, twin, self.nbr_dx,
+                                         int(iroot))
         del twin
 
         self.node_ids, self.positions, self.radii = ids, positions, radii

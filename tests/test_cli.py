@@ -189,7 +189,18 @@ class TestConfigErrors:
         ("from", lambda doc: doc.update(
             lateral=[{"nodes": [1], "strength": 1.0, "from": None}])),
         ("dt", lambda doc: doc["run"].update(dt=float("nan"))),
-    ])
+    ] + [pytest.param(key, edit, id=f"{key}-true") for key, edit in [
+        # YAML reads `true` as a boolean, which float() takes for 1.0
+        ("dt", lambda doc: doc["run"].update(dt=True)),
+        ("t_end", lambda doc: doc["run"].update(t_end=True)),
+        ("d0", lambda doc: doc["run"].update(model={"name": "fick-jacobs", "d0": True})),
+        ("sigma", lambda doc: doc["geometry"].update(sigma=True)),
+        ("strength", lambda doc: doc.update(lateral=[{"nodes": [1], "strength": True}])),
+        ("until", lambda doc: doc.update(
+            lateral=[{"nodes": [1], "strength": 1.0, "until": True}])),
+        ("c_hi", lambda doc: doc.update(policy={"c_hi": True})),
+        ("value", lambda doc: doc.update(initial={"kind": "uniform", "value": True})),
+    ]])
     def test_bad_value_is_one_error_line_naming_the_key(self, tmp_path, capsys, key, edit):
         doc = small_channel()
         edit(doc)

@@ -287,9 +287,9 @@ class TestOrientation:
         return kept, peak
 
     def test_a_large_build_peaks_near_its_own_arrays(self):
-        # 15,873 nodes: the build peaks at 247 B per node (an Euler tour
-        # ranked in 32-bit indices, each temporary dropped once used), where
-        # a breadth-first walk over Python lists peaked at 635 B
+        # 15,873 nodes: the build peaks at 240 B per node (one walk of the
+        # Euler tour through memoryviews, each temporary dropped once used),
+        # where a breadth-first walk over Python lists peaked at 635 B
         fine = constricted_tree(9)
         assert self.traced_build(fine)[1] <= 400 * fine.n_nodes
 

@@ -215,16 +215,31 @@ def test_shipped_trees_orient_as_the_walk(builder, level):
     assert_oriented_as_the_walk(spec_of(builder(level)))
 
 
+def test_an_arc_that_overflows_is_infinite():
+    # no warning either: a RuntimeWarning fails the suite
+    spec = ([(i, (float(i), 0.0, 0.0), 1.0) for i in range(4)],
+            [(0, 1, 1e308), (1, 2, 1e308), (2, 3, 1.0)], 0)
+    assert_oriented_as_the_walk(spec)
+    assert mesh_from(*spec).arc_lengths().tolist() == [0.0, 1e308, math.inf, math.inf]
+
+
 @st.composite
 def cyclic_specs(draw):
     """A valid tree spec with cycles closed in it: a chord between two
-    nodes not yet joined, a separate triangle, or both; one spec keeps
+    nodes not yet joined, a separate triangle, or both; or a new root
+    with no edges and a triangle on a node of the tree.  One spec keeps
     the chord without a node added, and has one edge too many."""
     nodes, edges, root = draw(tree_specs(min_nodes=3))
     ids = [nid for nid, _, _ in nodes]
     top = max(ids)
-    kind = draw(st.sampled_from(["chord", "chord and node", "triangle", "both"]))
-    if kind != "triangle":
+    kind = draw(st.sampled_from(["chord", "chord and node", "triangle", "both",
+                                 "isolated root"]))
+    if kind == "isolated root":
+        root, a, b, c = top + 1, draw(st.sampled_from(ids)), top + 2, top + 3
+        nodes.insert(draw(st.integers(0, len(nodes))), (root, (0.0, 0.0, 0.0), 1.0))
+        nodes += [(b, (0.0, 0.0, 0.0), 1.0), (c, (0.0, 0.0, 0.0), 1.0)]
+        edges += [(a, b, 1.0), (b, c, 1.0), (c, a, 1.0)]
+    elif kind != "triangle":
         joined = {frozenset(e[:2]) for e in edges}
         a, b = draw(st.sampled_from([(a, b) for a in ids for b in ids
                                      if a < b and frozenset((a, b)) not in joined]))
