@@ -13,7 +13,8 @@ the CLI does (through ``tubediff.cli``'s own builders):
 - ``assemble``: the model's operator (``assemble_model``);
 - ``screen``: the stability screen of that operator (``check_model``);
 - ``march``: ``run_models``, its operator and screen served from the
-  per-mesh cache, for ``--steps`` forward-Euler steps at
+  parts the two phases before it built, which it frees once its march
+  plan is built, for ``--steps`` forward-Euler steps at
   4e-7 / 4**(level - 7), a third of the screened limit or less (the
   level-7 step of the ``tree-setup`` benchmark);
 - ``to_csv``: five snapshots into a temporary directory;
@@ -21,13 +22,15 @@ the CLI does (through ``tubediff.cli``'s own builders):
 
 One process reads ``ru_maxrss`` (the peak resident memory of the process
 so far) and the wall time after each phase.  A second runs the same
-phases, each under its own ``tracemalloc`` trace, and reads the phase's
-traced peak over its entry, in bytes per non-zero of the operator (and
-for ``build`` also per node, the unit of the mesh bounds in
-``tests/test_network.py``); its trace would inflate the first process's
-``ru_maxrss``.  The result is one JSON object on stdout: per level, the
-node count, the step, the operator's non-zeros, and per phase
-``rss_mb``, ``s`` and ``peak_b_per_nnz``, and ``peak_b_per_node`` for
+phases under one ``tracemalloc`` trace and reads, per phase, its traced
+peak over its entry and what it leaves allocated (traced memory at its
+end minus at its entry; negative when it frees more than it keeps), in
+bytes per non-zero of the operator (and the peak of ``build`` also per
+node, the unit of the mesh bounds in ``tests/test_network.py``); its
+trace would inflate the first process's ``ru_maxrss``.  The result is
+one JSON object on stdout: per level, the node count, the step, the
+operator's non-zeros, and per phase ``rss_mb``, ``s``,
+``peak_b_per_nnz`` and ``kept_b_per_nnz``, and ``peak_b_per_node`` for
 ``build``.
 """
 
@@ -51,17 +54,21 @@ def rss_mb() -> float:
 
 def child(level: int, steps: int, traced: bool) -> dict:
     phases = {}
+    if traced:
+        tracemalloc.start()  # one trace, so a phase's frees of earlier blocks show
 
     def phase(name: str, run):
-        """``run()``, recording its time and ``ru_maxrss``, or its traced peak."""
+        """``run()``, recording its time and ``ru_maxrss``, or its traced
+        peak and what it leaves allocated, both over its entry."""
         if traced:
-            tracemalloc.start()
+            tracemalloc.reset_peak()
+            entry = tracemalloc.get_traced_memory()[0]
         t0 = time.perf_counter()
         result = run()
         s = time.perf_counter() - t0
         if traced:
-            phases[name] = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
+            current, peak = tracemalloc.get_traced_memory()
+            phases[name] = (peak - entry, current - entry)
         else:
             phases[name] = {"rss_mb": round(rss_mb(), 2), "s": round(s, 4)}
         return result
@@ -91,8 +98,10 @@ def child(level: int, steps: int, traced: bool) -> dict:
         phase("to_csv", lambda: traj.to_csv(Path(out) / "trajectory.csv"))
     phase("hash", lambda: cli._fingerprint(mesh))
     if traced:
-        per_node = round(phases["build"] / mesh.n_nodes, 1)
-        phases = {name: {"peak_b_per_nnz": round(peak / nnz, 1)} for name, peak in phases.items()}
+        per_node = round(phases["build"][0] / mesh.n_nodes, 1)
+        phases = {name: {"peak_b_per_nnz": round(peak / nnz, 1),
+                         "kept_b_per_nnz": round(kept / nnz, 1)}
+                  for name, (peak, kept) in phases.items()}
         phases["build"]["peak_b_per_node"] = per_node
     return {"nodes": mesh.n_nodes, "dt": dt, "nnz": nnz, "phases": phases}
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 import warnings
 from dataclasses import MISSING, dataclass, fields
@@ -90,8 +91,9 @@ def _section(cfg: dict, name: str, required: bool = True) -> dict:
 
 
 def _number(value) -> float:
-    """``float(value)``, refusing a boolean, which YAML reads from ``true``."""
-    if isinstance(value, bool):
+    """``float(value)``, refusing a boolean, which YAML reads from ``true``,
+    and text, which ``float`` would parse."""
+    if isinstance(value, (bool, str)):
         raise TypeError(f"{value!r} is not a number")
     return float(value)
 
@@ -115,7 +117,7 @@ def _read(section: dict, key: str, convert=_finite, default=None, what="a finite
 
 def _whole(value) -> int:
     """An integral number as an int; ``int`` alone would truncate 40.7 to 40."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+    if isinstance(value, (bool, str)) or isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value!r} is not a whole number")
     return int(value)
 
@@ -136,12 +138,20 @@ def _positive(section: dict, key: str):
     return value
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """YAML 1.1, but an exponent without a dot (``2e-4``) is a float, not text."""
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float", re.compile(r"^[-+]?[0-9]+[eE][-+]?[0-9]+$"), list("-+0123456789"))
+
+
 def load_config(path: str | Path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        cfg = yaml.safe_load(path.read_text())
+        cfg = yaml.load(path.read_text(), Loader=_ConfigLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
     if not isinstance(cfg, dict):

@@ -15,10 +15,10 @@ leaves.  All stencils work on arbitrary trees with nonuniform spacing:
   field, with dedicated one-sided closures at the leaves.
 
 The radius R and its slope come from the mesh's node radii alone, and
-every stencil and coefficient field is built once per mesh (see
-:func:`_per_mesh`).  Matrix/vector layouts use mesh storage indices
-throughout; leaf slots in the ``neumann`` coupling follow storage order
-as well.
+every stencil and coefficient field is built once per mesh within a run
+(see :func:`_per_mesh` and :func:`forget`).  Matrix/vector layouts use
+mesh storage indices throughout; leaf slots in the ``neumann`` coupling
+follow storage order as well.
 """
 
 from __future__ import annotations
@@ -205,9 +205,9 @@ def wind_stencils(mesh: NetworkMesh, radii: np.ndarray, slopes: np.ndarray):
 # per-mesh parts
 # ----------------------------------------------------------------------
 
-# Parts derived from each mesh, built on first request and dropped with
-# the mesh.  Meshes never change after construction, so entries never
-# go stale.
+# Parts derived from each mesh, built on first request and kept until a
+# run forgets them (:func:`forget`) or the mesh is dropped.  Meshes never
+# change after construction, so entries never go stale.
 _DERIVED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -218,6 +218,11 @@ def _per_mesh(mesh: NetworkMesh, make, *args):
     if key not in store:
         store[key] = make(mesh, *args)
     return store[key]
+
+
+def forget(mesh: NetworkMesh) -> None:
+    """Drop the parts built for ``mesh``; a later request builds them anew."""
+    _DERIVED.pop(mesh, None)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -316,7 +321,8 @@ def third_derivative_parts(
 
 def assemble_model(mesh: NetworkMesh, spec: ModelSpec) -> SpatialOperator:
     """The full spatial operator of one model variant, assembled once per
-    mesh and model; the stability screen and the march share it."""
+    mesh and model within a run; the stability screen and the march plan
+    share it."""
     return _per_mesh(mesh, _assemble, spec)
 
 

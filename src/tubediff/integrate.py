@@ -24,6 +24,7 @@ from .discretize import (
     LateralFluxField,
     SpatialOperator,
     assemble_model,
+    forget,
     lateral_operator,
 )
 from .network import NetworkMesh
@@ -478,6 +479,8 @@ def run_models(
 
     ops = [assemble_model(mesh, spec) for spec in specs]
     plan = _Plan.build(mesh, specs, ops, dt, lateral)
+    del ops
+    forget(mesh)  # the march, the artifacts and later phases reuse the parts' memory
     snap_points = np.linspace(0, n_steps, min(n_snapshots, n_steps + 1))  # more only repeat
     snap_steps = _distinct(np.round(snap_points).astype(int)).tolist()
     start = time.perf_counter()

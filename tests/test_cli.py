@@ -200,6 +200,12 @@ class TestConfigErrors:
             lateral=[{"nodes": [1], "strength": 1.0, "until": True}])),
         ("c_hi", lambda doc: doc.update(policy={"c_hi": True})),
         ("value", lambda doc: doc.update(initial={"kind": "uniform", "value": True})),
+    ]] + [pytest.param(key, edit, id=f"{key}-text") for key, edit in [
+        # float() and int() parse text, so a quoted number ran as one
+        ("dt", lambda doc: doc["run"].update(dt="1.0e-3")),
+        ("t_end", lambda doc: doc["run"].update(t_end="0.5")),
+        ("n", lambda doc: doc["geometry"].update(n="40")),
+        ("levels", lambda doc: doc.update(geometry={"kind": "constricted-tree", "levels": "1"})),
     ]])
     def test_bad_value_is_one_error_line_naming_the_key(self, tmp_path, capsys, key, edit):
         doc = small_channel()
@@ -208,6 +214,18 @@ class TestConfigErrors:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
         lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
         assert len(lines) == 1 and f"'{key}'" in lines[0], lines
+
+    def test_an_exponent_without_a_dot_is_a_number(self, tmp_path, capsys):
+        # YAML 1.1 reads 2e-4 as text; the config reader takes it as 2.0e-4
+        text = Path(CONFIGS, "cone_taper5_stability.yaml").read_text()
+        assert "dt: 2.0e-4" in text
+        printed = []
+        for dt in ("2.0e-4", "2e-4"):
+            path = tmp_path / f"{dt}.yaml"
+            path.write_text(text.replace("dt: 2.0e-4", f"dt: {dt}"))
+            assert main(["stability-check", "--config", str(path)]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0].startswith("dt=0.0002  dt_max=") and printed[1] == printed[0]
 
     @pytest.mark.parametrize("command,key,edit", [
         ("simulate", "model", lambda doc: doc["run"].update(model={"name": [1]})),

@@ -26,7 +26,8 @@ from tubediff.discretize import (
 )
 from tubediff.models import ModelKind, ModelSpec
 from tests.sparse_oracle import dense
-from tubediff.network import MeshError, interval_mesh
+from tubediff.network import MeshError, interval_mesh, refine
+from tubediff.verify import ConeChannel, model_errors, tree_convergence
 from tests.mesh_reference import mesh_from
 from tests.test_network import chain_mesh, y_mesh
 
@@ -477,3 +478,42 @@ class TestSharedFields:
         assert calls == {"slope_matrix": 1, "laplacian_parts": 1,
                          "third_derivative_parts": 1, "wind_stencils": 1,
                          "assemble_model": 1}
+
+    def test_compare_builds_each_part_once(self, monkeypatch):
+        # the seven models of a compare run share every stencil: their
+        # screens, assemblies and march plan build each part once
+        calls = {}
+
+        def counted(name):
+            build = getattr(discretize, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return build(*args, **kwargs)
+            return wrapper
+
+        for name in ("slope_matrix", "laplacian_parts", "third_derivative_parts",
+                     "wind_stencils"):
+            monkeypatch.setattr(discretize, name, counted(name))
+        channel = ConeChannel(taper=2.0)
+        errors = model_errors(channel, [ModelSpec(kind) for kind in ModelKind],
+                              mesh=channel.mesh(41), dt=2.0e-4, t_end=2.0e-3)
+        assert len(errors) == len(ModelKind)
+        assert calls == {"slope_matrix": 1, "laplacian_parts": 1,
+                         "third_derivative_parts": 1, "wind_stencils": 1}
+
+    def test_a_convergence_ladder_holds_one_rung_of_parts(self, monkeypatch):
+        meshes = [refine(y_mesh(), k) for k in range(4)]
+        held = []
+        build = discretize._assemble
+
+        def counted(mesh, spec):
+            held.append(sum(m in discretize._DERIVED for m in meshes))
+            return build(mesh, spec)
+
+        monkeypatch.setattr(discretize, "_assemble", counted)
+        tree_convergence(meshes, FJ, dt=5e-4, t_end=1e-2,
+                         initial=lambda mesh: 1.0 + np.exp(-mesh.arc_lengths()))
+        # each rung's run drops its parts before the next rung assembles
+        assert held == [1, 1, 1, 1]
+        assert not any(m in discretize._DERIVED for m in meshes)

@@ -13,7 +13,7 @@ from tubediff.discretize import (
     assemble_model,
     lateral_operator,
 )
-from tubediff.geometry import ball_on_stick
+from tubediff.geometry import ball_on_stick, constricted_tree
 from tubediff.integrate import (
     BoundaryData,
     ConstraintPolicy,
@@ -402,9 +402,28 @@ class TestRunDriver:
         mesh = interval_mesh(0.0, 10.0, 41, lambda x: 1.0 + 0.2 * x)
         x = mesh.positions[:, 0]
         c0 = np.exp(-((x - 5.0) ** 2))
-        a = run_models(mesh, (FJ,), dt=0.005, t_end=1.0, initial=c0)[0]
-        b = run_models(mesh, (FJ,), dt=0.005, t_end=1.0, initial=c0)[0]
-        assert np.array_equal(a.states, b.states)
+        a = run_models(mesh, (FJ, EF), dt=0.005, t_end=1.0, initial=c0)
+        # the run dropped the mesh's parts, so the rerun builds them anew
+        assert mesh not in discretize._DERIVED
+        b = run_models(mesh, (FJ, EF), dt=0.005, t_end=1.0, initial=c0)
+        for ta, tb in zip(a, b):
+            assert np.array_equal(ta.states, tb.states)
+
+    def test_a_run_keeps_no_more_than_its_trajectories(self):
+        # once its plan is built the run frees the mesh's stencils, fields and
+        # operators (about 84 B per operator non-zero); it keeps its results
+        mesh = constricted_tree(6)
+        kwargs = dict(dt=1.6e-6, t_end=1.6e-5, initial=1.0)
+        run_models(constricted_tree(1), (EF,), **kwargs)  # first-call allocations
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            traj = run_models(mesh, (EF,), **kwargs)[0]
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        arrays = traj.times.nbytes + traj.states.nbytes
+        assert kept <= 1.1 * arrays, (kept, arrays)
 
     def test_overlarge_step_is_refused(self):
         mesh = chain_mesh([1.0] * 5)  # dt_max = 0.5
