@@ -30,6 +30,7 @@ import sys
 import warnings
 from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -71,23 +72,35 @@ class ConfigError(Exception):
     """The configuration document is missing, malformed, or inconsistent."""
 
 
+# the keys each section knows; a section with kinds knows 'kind' and the keys of its
+# kind, a channel's being its class fields but d0 (from the model), and 'n'.  Without
+# a kind an initial or boundary section is exact on a channel, of its first on a tree.
+KEYS = {
+    "run": ("model", "dt", "t_end", "snapshots"),
+    "geometry": {
+        **{kind: ("n", *(f.name for f in fields(channel) if f.name != "d0"))
+           for kind, channel in CHANNELS.items()},
+        "file": ("path", "levels"),
+        **dict.fromkeys(TREE_BUILDERS, ("levels",)),
+    },
+    "initial": {"uniform": ("value",), "exact": (), "arc-bump": ("center", "width", "baseline")},
+    "boundary": {"closed": (), "exact": (), "slopes": ("slopes",)},
+    "lateral": ("nodes", "strength", "from", "until"),  # of each window
+    "policy": ("nodes", "c_hi", "c_lo", "outflow_strength"),
+    "compare": ("models",),
+    "convergence": ("ns", "levels"),
+    "output": ("directory",),
+}
+MODEL_KEYS = ("name", "d0", "epsilon")  # of a 'model' given as a mapping
+
+
 @dataclass
 class Geometry:
     """Resolved geometry: the mesh, and the channel if analytic."""
 
     mesh: object
     channel: object | None
-
-
-def _section(cfg: dict, name: str, required: bool = True) -> dict:
-    value = cfg.get(name)
-    if value is None:
-        if required:
-            raise ConfigError(f"config needs a '{name}' section")
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"'{name}' section must be a mapping")
-    return value
+    refined: object = None  # a tree's k -> its mesh bisected k more times
 
 
 def _number(value) -> float:
@@ -156,12 +169,55 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config file {path} must hold a mapping at top level")
+    _check_keys(cfg)
     return cfg
 
 
+def _check_keys(cfg: dict) -> None:
+    """Refuse a missing 'run' or 'geometry' section, a section of the wrong
+    shape and a key that its section (of its kind) does not know; every
+    section is checked, whether the command reads it or not."""
+    _known(cfg, KEYS, "config")
+    for name, keys in KEYS.items():
+        section = cfg.get(name)
+        if section is None:
+            if name in ("run", "geometry"):
+                raise ConfigError(f"config needs a '{name}' section")
+            continue
+        mappings = section if name == "lateral" else [section]
+        if not (isinstance(mappings, list) and mappings
+                and all(isinstance(mapping, dict) for mapping in mappings)):
+            raise ConfigError("'lateral' must be a list of window mappings" if name == "lateral"
+                              else f"'{name}' section must be a mapping")
+        where = f"'{name}' section"
+        if isinstance(keys, dict):  # an unknown kind, which the reader refuses, takes any kind's
+            kind = _kind(cfg, name)
+            known = isinstance(kind, str) and kind in keys
+            where += f" of kind '{kind}'" if known else ""
+            keys = ("kind", *(keys[kind] if known else sum(keys.values(), ())))
+        for mapping in mappings:
+            _known(mapping, keys, where)
+    if isinstance(cfg["run"].get("model"), dict):
+        _known(cfg["run"]["model"], MODEL_KEYS, "'run' section's model")
+
+
+def _known(mapping: dict, keys, where: str) -> None:
+    for key in mapping:
+        if key not in keys:
+            from difflib import get_close_matches  # only on a refusal
+            (close,) = get_close_matches(str(key), keys, 1, 0.0)
+            raise ConfigError(f"{where}: unknown key {key!r}; did you mean {close!r}?")
+
+
+def _kind(cfg: dict, name: str):
+    """A section's kind, or its default (see KEYS)."""
+    channel = cfg["geometry"].get("kind") in tuple(CHANNELS)
+    default = None if name == "geometry" else "exact" if channel else next(iter(KEYS[name]))
+    return (cfg.get(name) or {}).get("kind", default)
+
+
 def build_model(cfg: dict) -> ModelSpec:
-    section = _section(cfg, "run")
-    entry = section.get("model")
+    entry = cfg["run"].get("model")
     if entry is None:
         raise ConfigError("'run' section needs 'model'")
     if isinstance(entry, str):
@@ -176,11 +232,28 @@ def build_model(cfg: dict) -> ModelSpec:
 
 
 def build_geometry(cfg: dict, model: ModelSpec) -> Geometry:
-    section = _section(cfg, "geometry")
+    section = cfg["geometry"]
     kind = section.get("kind")
-    known = (*CHANNELS, "file", *sorted(TREE_BUILDERS))
-    if not (isinstance(kind, str) and kind in known):
-        raise ConfigError(f"unknown geometry kind {kind!r}; choose one of: {', '.join(known)}")
+    if not (isinstance(kind, str) and kind in KEYS["geometry"]):
+        raise ConfigError(f"unknown geometry kind {kind!r}; "
+                          f"choose one of: {', '.join(KEYS['geometry'])}")
+    if kind in CHANNELS:  # a channel field without a default is required
+        values = {}
+        for field in fields(CHANNELS[kind]):
+            if field.name == "d0":
+                continue
+            if field.default is MISSING and field.name not in section:
+                raise ConfigError(f"{kind} geometry needs '{field.name}'")
+            values[field.name] = _read(section, field.name, default=field.default)
+        channel = CHANNELS[kind](**values, d0=model.d0)
+        if section.get("n") is None:
+            raise ConfigError(f"{kind} geometry needs 'n'")
+        n = _read(section, "n", _whole, what="a whole number")
+        if n < 3:
+            raise ConfigError(f"'n' must be at least 3, got {n}")
+        return Geometry(channel.mesh(n), channel)
+
+    build = TREE_BUILDERS.get(kind)
     if kind == "file":
         if section.get("path") is None:
             raise ConfigError("file geometry needs 'path'")
@@ -188,32 +261,11 @@ def build_geometry(cfg: dict, model: ModelSpec) -> Geometry:
         if not path.exists():
             raise ConfigError(f"geometry file not found: {path}")
         try:
-            mesh = read_mesh(path)
+            build = partial(refine, read_mesh(path))
         except MeshError as exc:
             raise ConfigError(f"geometry file {path}: {exc}") from exc
-        levels = _read(section, "levels", _whole, 0, "a whole number")
-        if levels:
-            mesh = refine(mesh, levels)
-        return Geometry(mesh, None)
-    if kind in TREE_BUILDERS:
-        mesh = TREE_BUILDERS[kind](_read(section, "levels", _whole, 0, "a whole number"))
-        return Geometry(mesh, None)
-
-    # a channel's keys are its class fields; one without a default is required
-    values = {}
-    for field in fields(CHANNELS[kind]):
-        if field.name == "d0":
-            continue
-        if field.default is MISSING and field.name not in section:
-            raise ConfigError(f"{kind} geometry needs '{field.name}'")
-        values[field.name] = _read(section, field.name, default=field.default)
-    channel = CHANNELS[kind](**values, d0=model.d0)
-    if section.get("n") is None:
-        raise ConfigError(f"{kind} geometry needs 'n'")
-    n = _read(section, "n", _whole, what="a whole number")
-    if n < 3:
-        raise ConfigError(f"'n' must be at least 3, got {n}")
-    return Geometry(channel.mesh(n), channel)
+    levels = _read(section, "levels", _whole, 0, "a whole number")
+    return Geometry(build(levels), None, lambda k: build(levels + k))
 
 
 def _fingerprint(mesh) -> str:
@@ -234,8 +286,7 @@ def _fingerprint(mesh) -> str:
 
 
 def build_initial(cfg: dict, geometry: Geometry):
-    section = _section(cfg, "initial", required=False)
-    kind = section.get("kind", "exact" if geometry.channel else "uniform")
+    section, kind = cfg.get("initial") or {}, _kind(cfg, "initial")
     if kind == "uniform":
         return _read(section, "value", default=1.0)
     if kind == "exact":
@@ -251,19 +302,17 @@ def build_initial(cfg: dict, geometry: Geometry):
         bump = np.exp(-(((arc - center) / width) ** 2))
         return baseline + bump / geometry.mesh.radii**2
     raise ConfigError(f"unknown initial kind {kind!r}; "
-                      "choose one of: uniform, exact, arc-bump")
+                      f"choose one of: {', '.join(KEYS['initial'])}")
 
 
 def build_boundary(cfg: dict, geometry: Geometry) -> BoundaryData | None:
-    section = _section(cfg, "boundary", required=False)
-    kind = section.get("kind", "exact" if geometry.channel else "closed")
+    section, kind = cfg.get("boundary") or {}, _kind(cfg, "boundary")
     if kind == "closed":
         return None
     if kind == "exact":
-        channel = geometry.channel
-        if channel is None:
+        if geometry.channel is None:
             raise ConfigError(f"boundary kind 'exact' needs {_CHANNEL_GEOMETRY}")
-        return exact_boundary(channel, geometry.mesh)
+        return exact_boundary(geometry.channel, geometry.mesh)
     if kind == "slopes":
         entries = section.get("slopes")
         if not isinstance(entries, dict) or not entries:
@@ -272,39 +321,32 @@ def build_boundary(cfg: dict, geometry: Geometry) -> BoundaryData | None:
                                   lambda m: {_whole(k): _finite(v) for k, v in m.items()},
                                   what="a mapping of leaf ids to finite numbers"))
     raise ConfigError(f"unknown boundary kind {kind!r}; "
-                      "choose one of: closed, exact, slopes")
+                      f"choose one of: {', '.join(KEYS['boundary'])}")
 
 
 def build_lateral(cfg: dict) -> LateralFluxField | None:
     entries = cfg.get("lateral")
     if entries is None:
         return None
-    if not isinstance(entries, list) or not entries:
-        raise ConfigError("'lateral' must be a list of window mappings")
-    windows = []
-    for entry in entries:
-        if not isinstance(entry, dict) or "nodes" not in entry or "strength" not in entry:
-            raise ConfigError("each lateral window needs 'nodes' and 'strength'")
-        windows.append(FluxWindow(
-            _read(entry, "nodes", _ints, what="a list of node ids"),
-            _read(entry, "strength"),
-            t_start=_read(entry, "from", default=0.0),
-            t_end=_read(entry, "until", _number, np.inf, "a number"),
-        ))
-    return LateralFluxField(tuple(windows))
+    if not all("nodes" in entry and "strength" in entry for entry in entries):
+        raise ConfigError("each lateral window needs 'nodes' and 'strength'")
+    return LateralFluxField(tuple(FluxWindow(
+        _read(entry, "nodes", _ints, what="a list of node ids"),
+        _read(entry, "strength"),
+        t_start=_read(entry, "from", default=0.0),
+        t_end=_read(entry, "until", _number, np.inf, "a number"),
+    ) for entry in entries))
 
 
 def build_policy(cfg: dict) -> ConstraintPolicy | None:
     section = cfg.get("policy")
     if section is None:
         return None
-    if not isinstance(section, dict):
-        raise ConfigError("'policy' section must be a mapping")
     node_ids = None
     if section.get("nodes", "all") != "all":
         node_ids = _read(section, "nodes", _ints, what="'all' or a list of node ids")
     levels = {key: _read(section, key)
-              for key in ("c_hi", "c_lo", "outflow_strength") if key in section}
+              for key in KEYS["policy"] if key in section and key != "nodes"}
     try:
         return ConstraintPolicy(node_ids=node_ids, **levels)
     except ValueError as exc:
@@ -315,17 +357,20 @@ def _out_dir(cfg: dict, override: str | None) -> Path:
     """Where the artifacts go; each command makes it only once it has them."""
     if override is not None:
         return Path(override)
-    return _read(_section(cfg, "output", required=False), "directory", Path, ".", "a path")
+    return _read(cfg.get("output") or {}, "directory", Path, ".", "a path")
+
+
+def _read_run(cfg: dict, *times: str) -> tuple:
+    """The model, the geometry and the positive ``times`` of the 'run' section."""
+    model = build_model(cfg)
+    geometry = build_geometry(cfg, model)
+    return (model, geometry, *(_positive(cfg["run"], key) for key in times))
 
 
 def cmd_simulate(cfg: dict, out_override: str | None, force: bool) -> int:
     out = _out_dir(cfg, out_override)
-    section = _section(cfg, "run")
-    model = build_model(cfg)
-    geometry = build_geometry(cfg, model)
-    dt = _positive(section, "dt")
-    t_end = _positive(section, "t_end")
-    snapshots = _read(section, "snapshots", _whole, 11, "a whole number")
+    model, geometry, dt, t_end = _read_run(cfg, "dt", "t_end")
+    snapshots = _read(cfg["run"], "snapshots", _whole, 11, "a whole number")
     initial = build_initial(cfg, geometry)
     boundary = build_boundary(cfg, geometry)
     lateral = build_lateral(cfg)
@@ -372,12 +417,10 @@ def _contents_ledger(traj) -> dict:
 
 def cmd_compare(cfg: dict, out_override: str | None, force: bool) -> int:
     out = _out_dir(cfg, out_override)
-    section = _section(cfg, "run")
-    base = build_model(cfg)
-    geometry = build_geometry(cfg, base)
+    base, geometry, dt, t_end = _read_run(cfg, "dt", "t_end")
     if geometry.channel is None:
         raise ConfigError(f"compare needs {_CHANNEL_GEOMETRY}")
-    names = _section(cfg, "compare").get("models")
+    names = (cfg.get("compare") or {}).get("models")
     if not isinstance(names, list) or not names:
         raise ConfigError("'compare' section needs a nonempty 'models' list")
     try:
@@ -385,9 +428,6 @@ def cmd_compare(cfg: dict, out_override: str | None, force: bool) -> int:
                  for name in names]
     except ValueError as exc:
         raise ConfigError(f"'compare' section: {exc}") from None
-
-    dt = _positive(section, "dt")
-    t_end = _positive(section, "t_end")
     errors = model_errors(geometry.channel, specs, mesh=geometry.mesh,
                           dt=dt, t_end=t_end, force=force)
 
@@ -403,13 +443,8 @@ def cmd_compare(cfg: dict, out_override: str | None, force: bool) -> int:
 
 def cmd_convergence(cfg: dict, out_override: str | None, force: bool) -> int:
     out = _out_dir(cfg, out_override)
-    section = _section(cfg, "run")
-    model = build_model(cfg)
-    geometry = build_geometry(cfg, model)
-    conv = _section(cfg, "convergence")
-    dt = _positive(section, "dt")
-    t_end = _positive(section, "t_end")
-
+    model, geometry, dt, t_end = _read_run(cfg, "dt", "t_end")
+    conv = cfg.get("convergence") or {}
     if geometry.channel is not None:
         ns = conv.get("ns")
         if not isinstance(ns, list) or len(ns) < 3:
@@ -430,17 +465,10 @@ def cmd_convergence(cfg: dict, out_override: str | None, force: bool) -> int:
         levels = _read(conv, "levels", _whole, 0, "a whole number")
         if levels < 3:
             raise ConfigError("tree convergence needs 'levels' of at least 3")
-        kind = _section(cfg, "geometry")["kind"]
-        if kind in TREE_BUILDERS:
-            meshes = [TREE_BUILDERS[kind](k) for k in range(levels + 1)]
-        else:
-            meshes = [refine(geometry.mesh, k) for k in range(levels + 1)]
-
-        def initial(mesh):
-            return build_initial(cfg, Geometry(mesh, None))
-
+        meshes = [geometry.mesh, *map(geometry.refined, range(1, levels + 1))]
         result = tree_convergence(
-            meshes, model, dt=dt, t_end=t_end, initial=initial, force=force,
+            meshes, model, dt=dt, t_end=t_end, force=force,
+            initial=lambda mesh: build_initial(cfg, Geometry(mesh, None)),
         )
 
     out.mkdir(parents=True, exist_ok=True)
@@ -459,10 +487,7 @@ def cmd_convergence(cfg: dict, out_override: str | None, force: bool) -> int:
 
 
 def cmd_stability_check(cfg: dict, out_override: str | None, force: bool) -> int:
-    section = _section(cfg, "run")
-    model = build_model(cfg)
-    geometry = build_geometry(cfg, model)
-    dt = _positive(section, "dt")
+    model, geometry, dt = _read_run(cfg, "dt")
     report = check_model(geometry.mesh, model, dt)
     print(report.as_table())
     return 0 if report.passed else 1

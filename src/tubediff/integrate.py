@@ -22,7 +22,6 @@ import numpy as np
 
 from .discretize import (
     LateralFluxField,
-    SpatialOperator,
     assemble_model,
     forget,
     lateral_operator,
@@ -174,27 +173,6 @@ class Trajectory:
 def trapezoid_weights(mesh: NetworkMesh) -> np.ndarray:
     """Nodal quadrature weights: half the incident edge lengths."""
     return 0.5 * mesh.incident_lengths()
-
-
-def step(c: np.ndarray, op: SpatialOperator, dt: float, neumann_values=None,
-         source: np.ndarray | None = None) -> np.ndarray:
-    """One forward-Euler update, ``(dt M^-1 A c + c) + (dt/m) N g + (dt/m)
-    source`` summed in that order as ``run_models`` does, with the end slopes
-    g in ``op.boundary_nodes`` order (None: all zero); raises on non-finite results."""
-    n_b = len(op.boundary_nodes)
-    g = np.zeros(n_b) if neumann_values is None else np.asarray(neumann_values, dtype=float)
-    if g.shape != (n_b,):
-        raise ValueError(f"expected {n_b} boundary slopes, got shape {g.shape}")
-    scale = dt / op.mass_diag
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = scale_rows(scale, op.matrix) @ c
-        out += c
-        out += scale * (op.neumann @ g)
-        if source is not None:
-            out += scale * source
-    if not np.isfinite(out).all():
-        raise SimulationError("state became non-finite; reduce dt or check data")
-    return out
 
 
 # a chunk's end slopes and Neumann terms, a block's states and the table of lateral
@@ -436,8 +414,7 @@ def run_models(
     ``lateral`` windows.
 
     The models' step matrices I + dt M^-1 A are stacked (:class:`_Plan`)
-    and marched as one (:func:`_euler`); the states equal, bit for bit,
-    those of ``step``.
+    and marched as one (:func:`_euler`).
     """
     specs = tuple(specs)
     if not specs:

@@ -9,10 +9,9 @@ after an exponential gain in time that offsets the curvature of the
 radius profile.
 
 One base gives the tube-integrated field G = gain(t) R(x) K(x, t), K the
-heat kernel, the concentration c = G / (pi R^2), its spatial slope (for
-end conditions) and its time derivative (for residual checks) as closed
-forms; a kind supplies its fields, R(x), the term R'/R of the log-slope
-and, where the profile curves, the gain and the rate it adds to c_t/(d0 c).
+heat kernel, the concentration c = G / (pi R^2) and its spatial slope (for
+end conditions) as closed forms; a kind supplies its fields, R(x), the term
+R'/R of the log-slope and, where the profile curves, the gain.
 A channel's mesh samples R(x) at its nodes once; the solver reads the
 radii from the mesh alone.
 """
@@ -42,7 +41,6 @@ def _gaussian(x, spread, sigma, center):
 class _Channel:
     """Closed forms shared by the exact channels (see the module docstring)."""
 
-    growth = 0.0
     positive = ("sigma",)  # fields without which the closed forms break down
 
     def __post_init__(self):
@@ -74,12 +72,6 @@ class _Channel:
         s = self.spread(t)
         log_slope = -(x - self.center) / (2.0 * s) - self._radius_term(x)
         return self.concentration(x, t) * log_slope
-
-    def time_derivative(self, x, t: float):
-        x = np.asarray(x)
-        s = self.spread(t)
-        shape = (x - self.center) ** 2 / (4.0 * s * s) - 1.0 / (2.0 * s) + self.growth
-        return self.d0 * self.concentration(x, t) * shape
 
 
 @dataclass(frozen=True)
@@ -118,10 +110,6 @@ class SinusoidChannel(_Channel):
     @property
     def x1(self) -> float:
         return math.pi / self.wavenumber - self.margin
-
-    @property
-    def growth(self) -> float:
-        return self.wavenumber * self.wavenumber
 
     def radius(self, x):
         return np.sin(self.wavenumber * np.asarray(x))
@@ -201,20 +189,6 @@ class ConvergenceResult:
     @property
     def slope(self) -> float:
         return fitted_slope(self.spacings, self.errors)
-
-    def slope2_deviation(self, k: int = 3) -> float:
-        """Coarsest error over its second-order reference value.
-
-        The reference line has slope exactly 2 and is least-squares
-        fitted (in log-log) to the ``k`` finest grids, then evaluated at
-        the coarsest spacing.  Ratios well above 1 mean the coarsest
-        grid sits above the second-order trend of the fine grids.
-        """
-        h = np.log(np.asarray(self.spacings[-k:], dtype=float))
-        e = np.log(np.asarray(self.errors[-k:], dtype=float))
-        intercept = float(np.mean(e - 2.0 * h))
-        predicted = math.exp(intercept + 2.0 * math.log(self.spacings[0]))
-        return self.errors[0] / predicted
 
 
 def channel_convergence(

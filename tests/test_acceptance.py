@@ -24,8 +24,10 @@ import math
 
 import numpy as np
 
+from tests.march_reference import step
 from tests.sparse_oracle import dense
 from tests.test_network import chain_mesh
+from tests.verify_reference import slope2_deviation
 from tubediff.discretize import (
     FluxWindow,
     LateralFluxField,
@@ -35,7 +37,7 @@ from tubediff.discretize import (
     wind_stencils,
 )
 from tubediff.geometry import ball_on_stick, constricted_tree
-from tubediff.integrate import BoundaryData, ConstraintPolicy, run_models, step
+from tubediff.integrate import BoundaryData, ConstraintPolicy, run_models
 from tubediff.models import (
     MODEL_NAMES,
     ModelKind,
@@ -234,7 +236,7 @@ def test_06_cone_convergence_slopes_and_coarse_grid_excess():
         ConeChannel(taper=0.2), EF, ns=ns, dt=2.0e-4, t_end=10.0)
     steep_ef = channel_convergence(
         ConeChannel(taper=5.0), EF, ns=ns, dt=2.0e-4, t_end=10.0)
-    deviation = steep_ef.slope2_deviation(3)
+    deviation = slope2_deviation(steep_ef, 3)
     tail = fitted_slope(steep_ef.spacings[-3:], steep_ef.errors[-3:])
     clauses = [
         (

@@ -7,8 +7,10 @@ are exercised by the acceptance suite; here the runs are kept short.
 
 import ast
 import hashlib
+import importlib.util
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -677,10 +679,12 @@ class TestCompare:
 
 
 def test_importing_the_cli_loads_no_scipy():
-    # nor OpenSSL, which hashlib loads
+    # nor OpenSSL, which hashlib loads, nor difflib, which only a refused key needs
     src = Path(tubediff.__file__).resolve().parents[1]
-    code = ("import sys; import tubediff.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith('scipy') or m == '_hashlib'))")
+    config = Path(CONFIGS, "ball_on_stick_regulated.yaml").resolve()
+    code = ("import sys; import tubediff.cli; "
+            f"tubediff.cli.load_config({str(config)!r}); print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy') or m in ('_hashlib', 'difflib')))")
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
@@ -841,3 +845,170 @@ class TestConvergence:
         rows = (tmp_path / "convergence.csv").read_text().splitlines()
         ns = [int(r.split(",")[1]) for r in rows[1:]]
         assert ns[1:] == [2 * ns[0], 4 * ns[0]]
+
+    def test_a_builder_ladder_starts_at_the_configured_levels(self, tmp_path, monkeypatch):
+        # rung k is the configured tree bisected k more times, as for a file
+        # geometry; the builder ladder once started at level 0 and threw the
+        # configured tree away
+        built = []
+        monkeypatch.setitem(cli.TREE_BUILDERS, "ball-on-stick",
+                            lambda levels: built.append(levels) or ball_on_stick(levels))
+        ladders = []
+        for geometry in ({"kind": "ball-on-stick", "levels": 1},
+                         {"kind": "file", "path": "geometries/ball_on_stick.geom", "levels": 1}):
+            doc = {
+                "run": {"model": "fick-jacobs", "dt": 2.0e-5, "t_end": 2.0e-4},
+                "geometry": geometry,
+                "convergence": {"levels": 3},
+                "initial": {"kind": "arc-bump", "center": 1.6, "width": 0.4, "baseline": 0.2},
+            }
+            cfg = write_config(tmp_path, doc)
+            assert main(["convergence", "--config", cfg, "--out", str(tmp_path)]) == 0
+            rows = (tmp_path / "convergence.csv").read_text().splitlines()
+            ladders.append([int(r.split(",")[1]) for r in rows[1:]])
+        assert ladders == [[62, 124, 248]] * 2
+        assert built == [1, 2, 3, 4]
+
+
+def own_command(path: Path) -> str:
+    """The command a shipped config is written for."""
+    doc = yaml.safe_load(path.read_text())
+    for command in ("compare", "convergence"):
+        if command in doc:
+            return command
+    return "stability-check" if "stability" in path.stem else "simulate"
+
+
+SHIPPED = sorted(Path(CONFIGS).glob("*.yaml"))
+
+
+def key_mappings(doc):
+    """Each mapping of config keys in ``doc``, with the name a refusal gives it."""
+    yield "config", doc
+    for name, section in doc.items():
+        for mapping in section if name == "lateral" else [section]:
+            yield f"'{name}' section", mapping
+    if isinstance(doc["run"].get("model"), dict):
+        yield "'run' section's model", doc["run"]["model"]
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("path", SHIPPED, ids=lambda path: path.stem)
+    def test_each_misspelt_key_is_refused_before_any_march(self, tmp_path, capsys, monkeypatch,
+                                                           path):
+        for name in ("run_models", "model_errors", "channel_convergence", "tree_convergence",
+                     "check_model"):
+            monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("marched"))
+        doc = yaml.safe_load(path.read_text())
+        refused = 0
+        for index, (where, mapping) in enumerate(key_mappings(doc)):
+            for key in mapping:
+                typo = key + key[-1]
+                copy = yaml.safe_load(path.read_text())
+                target = list(key_mappings(copy))[index][1]
+                items = list(target.items())
+                target.clear()
+                target.update((typo if k == key else k, v) for k, v in items)
+                cfg = write_config(tmp_path, copy)
+                assert main([own_command(path), "--config", cfg, "--out", str(tmp_path)]) == 2
+                (line,) = capsys.readouterr().err.splitlines()
+                assert line.startswith(f"error: {where}"), line
+                assert line.endswith(f": unknown key '{typo}'; did you mean '{key}'?"), line
+                refused += 1
+        assert refused >= 6
+
+    def test_a_misspelt_model_key_is_refused(self, tmp_path, capsys):
+        doc = small_channel()
+        doc["run"]["model"] = {"name": "fick-jacobs", "epsilom": 2.0}
+        cfg = write_config(tmp_path, doc)
+        assert main(["stability-check", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "error: 'run' section's model: unknown key 'epsilom'; did you mean 'epsilon'?\n")
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_a_section_the_command_never_reads_is_checked_too(self, tmp_path, capsys, command):
+        doc = small_channel(output={"directroy": str(tmp_path)})
+        cfg = write_config(tmp_path, doc)
+        assert main([command, "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "error: 'output' section: unknown key 'directroy'; did you mean 'directory'?\n")
+
+    def test_a_kindless_section_is_checked_against_its_default_kind(self, tmp_path, capsys):
+        # a uniform value on a tree; on a channel the default start is exact,
+        # which has no value to take
+        tree = regulated_tree()
+        tree["initial"] = {"value": 5.0}
+        assert main(["simulate", "--config", write_config(tmp_path, tree),
+                     "--out", str(tmp_path)]) == 0
+        channel = small_channel(initial={"value": 5.0})
+        assert main(["simulate", "--config", write_config(tmp_path, channel),
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: 'initial' section of kind 'exact': unknown key 'value'; did you mean 'kind'?")
+
+    def test_a_wrong_or_deleted_value_runs_or_is_refused_in_one_line(self, tmp_path, capsys):
+        # one value (a section included) of a shipped config replaced by one of
+        # twelve wrong values or deleted, marching a few steps at most
+        wrong = (None, True, "text", [], {}, -1, 0, math.nan, math.inf, 2.5, [1, "a"], {"a": 1})
+
+        def paths(node, path=()):
+            items = (node.items() if isinstance(node, dict)
+                     else enumerate(node) if isinstance(node, list) else ())
+            for key, value in items:
+                yield path + (key,)
+                yield from paths(value, path + (key,))
+
+        rng = random.Random(15)
+        codes = []
+        for _ in range(120):
+            path = rng.choice(SHIPPED)
+            doc = yaml.safe_load(path.read_text())
+            doc["run"]["t_end"] = 4 * doc["run"]["dt"]
+            *route, last = rng.choice(list(paths(doc)))
+            parent = doc
+            for key in route:
+                parent = parent[key]
+            choice = rng.randrange(len(wrong) + 1)
+            if choice == len(wrong):
+                del parent[last]
+            else:
+                parent[last] = wrong[choice]
+            cfg = write_config(tmp_path, doc)
+            code = main([own_command(path), "--config", cfg, "--out", str(tmp_path / "out")])
+            errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+            assert code in (0, 1, 2)
+            assert code != 2 or len(errors) == 1, (path.name, route, last, errors)
+            codes.append(code)
+        assert 0 in codes and 2 in codes
+
+
+def test_every_benchmark_workload_config_loads(tmp_path, monkeypatch):
+    # the benchmark's generated configs must pass the key check: read
+    # perfbench/workloads.py as it stands, for seeds 1-60, set-up and full
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path("perfbench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    loaded = 0
+    for make in workloads.WORKLOADS.values():
+        for seed in range(1, 61):
+            for setup in (False, True):
+                for cfg in make(seed, setup).configs.values():
+                    path = tmp_path / "workload.yaml"
+                    path.write_text(workloads.dump(cfg))
+                    assert cli.load_config(path) == cfg
+                    loaded += 1
+    assert loaded == 480
+
+
+def test_the_readme_lists_every_known_key():
+    text = Path("README.md").read_text()
+    section = text.split("### Configuration format", 1)[1].split("\n### ", 1)[0]
+    assert "unknown key" in section
+    words = set(cli.KEYS) | set(cli.MODEL_KEYS) | {"kind"}
+    for keys in cli.KEYS.values():
+        kinds = keys if isinstance(keys, dict) else {None: keys}
+        words |= {kind for kind in kinds if kind} | {key for known in kinds.values()
+                                                     for key in known}
+    assert [w for w in sorted(words) if not re.search(rf"\b{re.escape(w)}\b", section)] == []

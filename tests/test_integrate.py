@@ -22,7 +22,6 @@ from tubediff.integrate import (
     StabilityWarning,
     Trajectory,
     run_models,
-    step,
     trapezoid_weights,
 )
 from tubediff.sparse import CSR
@@ -31,6 +30,7 @@ from tubediff.network import interval_mesh
 from tubediff.verify import ConeChannel, SinusoidChannel, exact_boundary
 
 from tests.csv_reference import reference_csv
+from tests.march_reference import step
 from tests.test_network import chain_mesh, y_mesh
 
 SIMPLE = ModelSpec(ModelKind.SIMPLE_DIFFUSION)

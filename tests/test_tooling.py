@@ -1,0 +1,23 @@
+"""Smoke checks of the measurement scripts under ``scripts/``."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def test_phase_memory_reports_every_phase():
+    # the script drives tubediff.cli's own builders (build_model,
+    # build_geometry, build_initial, _fingerprint) in fresh processes
+    done = subprocess.run([sys.executable, str(REPO / "scripts" / "phase_memory.py"), str(REPO),
+                           "--levels", "1", "--steps", "2"],
+                          capture_output=True, text=True, check=True, timeout=120)
+    level = json.loads(done.stdout)["1"]
+    assert level["nodes"] == 63 and level["nnz"] > 0
+    phases = ("import", "build", "assemble", "screen", "march", "to_csv", "hash")
+    assert list(level["phases"]) == list(phases)
+    for name in phases:
+        assert {"rss_mb", "s", "peak_b_per_nnz", "kept_b_per_nnz"} <= set(level["phases"][name])
+    assert "peak_b_per_node" in level["phases"]["build"]
