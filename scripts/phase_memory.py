@@ -13,12 +13,17 @@ the CLI does (through ``tubediff.cli``'s own builders):
 - ``assemble``: the model's operator (``assemble_model``);
 - ``screen``: the stability screen of that operator (``check_model``);
 - ``march``: ``run_models``, its operator and screen served from the
-  parts the two phases before it built, which it frees once its march
-  plan is built, for ``--steps`` forward-Euler steps at
+  parts the two phases before it built, which it frees before it
+  builds its march plan, for ``--steps`` forward-Euler steps at
   4e-7 / 4**(level - 7), a third of the screened limit or less (the
   level-7 step of the ``tree-setup`` benchmark);
 - ``to_csv``: five snapshots into a temporary directory;
 - ``hash``: the geometry fingerprint the manifest records.
+
+Between ``import`` and ``build`` the child calls ``tubediff.cli.main``
+with no arguments (it prints its usage, discarded), so that the process
+ends the way a CLI process ends, with whatever ``main`` sets up for its
+exit.
 
 One process reads ``ru_maxrss`` (the peak resident memory of the process
 so far) and the wall time after each phase.  A second runs the same
@@ -31,13 +36,17 @@ trace would inflate the first process's ``ru_maxrss``.  The result is
 one JSON object on stdout: per level, the node count, the step, the
 operator's non-zeros, and per phase ``rss_mb``, ``s``,
 ``peak_b_per_nnz`` and ``kept_b_per_nnz``, and ``peak_b_per_node`` for
-``build``.
+``build``; and ``exit_s``, the time from the end of the first process's
+last phase to its reaping by the parent (``time.monotonic``, one clock
+for every process on Linux): its output, then its interpreter's exit.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
+import io
 import json
 import resource
 import subprocess
@@ -74,6 +83,8 @@ def child(level: int, steps: int, traced: bool) -> dict:
         return result
 
     cli = phase("import", lambda: importlib.import_module("tubediff.cli"))
+    with contextlib.redirect_stderr(io.StringIO()):
+        cli.main([])
     from tubediff.discretize import assemble_model
     from tubediff.integrate import run_models
     from tubediff.stability import check_model
@@ -97,20 +108,23 @@ def child(level: int, steps: int, traced: bool) -> dict:
     with tempfile.TemporaryDirectory() as out:
         phase("to_csv", lambda: traj.to_csv(Path(out) / "trajectory.csv"))
     phase("hash", lambda: cli._fingerprint(mesh))
+    ended = time.monotonic()
     if traced:
         per_node = round(phases["build"][0] / mesh.n_nodes, 1)
         phases = {name: {"peak_b_per_nnz": round(peak / nnz, 1),
                          "kept_b_per_nnz": round(kept / nnz, 1)}
                   for name, (peak, kept) in phases.items()}
         phases["build"]["peak_b_per_node"] = per_node
-    return {"nodes": mesh.n_nodes, "dt": dt, "nnz": nnz, "phases": phases}
+    return {"nodes": mesh.n_nodes, "dt": dt, "nnz": nnz, "phases": phases, "ended": ended}
 
 
 def run_child(checkout: Path, level: int, steps: int, traced: bool) -> dict:
     done = subprocess.run([sys.executable, __file__, str(checkout), "--child", str(level),
                            "--steps", str(steps)] + ["--traced"] * traced,
                           capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.splitlines()[-1])
+    result = json.loads(done.stdout.splitlines()[-1])
+    result["exit_s"] = round(time.monotonic() - result.pop("ended"), 4)
+    return result
 
 
 def main(argv=None) -> int:

@@ -19,11 +19,18 @@ Four subcommands share one YAML configuration format:
 
 Exit codes: 0 success, 1 numerical failure (unstable step or
 non-finite state), 2 configuration or I/O failure.
+
+A process pays only for its own command: ``integrate`` (the march) and
+``verify`` (the exact-solution metrics) are imported where a command
+calls them, so ``stability-check`` loads neither and a tree
+``simulate`` no ``verify``.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import math
 import re
 import sys
@@ -32,32 +39,19 @@ from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 import yaml
 
 from .discretize import FluxWindow, LateralFluxField
-from .geometry import ball_on_stick, constricted_tree
-from .integrate import (
-    BoundaryData,
-    ConstraintPolicy,
-    SimulationError,
-    StabilityError,
-    StabilityWarning,
-    run_models,
-    trapezoid_weights,
-)
+from .geometry import CHANNELS, ball_on_stick, constricted_tree
 from .models import ModelSpec
 from .network import MeshError, _text_pieces, read_mesh, refine
-from .stability import check_model
-from .verify import (
-    CHANNELS,
-    channel_convergence,
-    exact_boundary,
-    fitted_slope,
-    model_errors,
-    tree_convergence,
-)
+from .stability import SimulationError, StabilityError, StabilityWarning, check_model
+
+if TYPE_CHECKING:
+    from .integrate import BoundaryData, ConstraintPolicy
 
 TREE_BUILDERS = {
     "ball-on-stick": ball_on_stick,
@@ -312,8 +306,10 @@ def build_boundary(cfg: dict, geometry: Geometry) -> BoundaryData | None:
     if kind == "exact":
         if geometry.channel is None:
             raise ConfigError(f"boundary kind 'exact' needs {_CHANNEL_GEOMETRY}")
+        from .verify import exact_boundary
         return exact_boundary(geometry.channel, geometry.mesh)
     if kind == "slopes":
+        from .integrate import BoundaryData
         entries = section.get("slopes")
         if not isinstance(entries, dict) or not entries:
             raise ConfigError("boundary kind 'slopes' needs a 'slopes' mapping")
@@ -342,6 +338,7 @@ def build_policy(cfg: dict) -> ConstraintPolicy | None:
     section = cfg.get("policy")
     if section is None:
         return None
+    from .integrate import ConstraintPolicy
     node_ids = None
     if section.get("nodes", "all") != "all":
         node_ids = _read(section, "nodes", _ints, what="'all' or a list of node ids")
@@ -368,6 +365,7 @@ def _read_run(cfg: dict, *times: str) -> tuple:
 
 
 def cmd_simulate(cfg: dict, out_override: str | None, force: bool) -> int:
+    from .integrate import run_models
     out = _out_dir(cfg, out_override)
     model, geometry, dt, t_end = _read_run(cfg, "dt", "t_end")
     snapshots = _read(cfg["run"], "snapshots", _whole, 11, "a whole number")
@@ -409,6 +407,7 @@ def cmd_simulate(cfg: dict, out_override: str | None, force: bool) -> int:
 def _contents_ledger(traj) -> dict:
     """Total tube contents sum w pi R^2 c (trapezoid weights w) at the
     first and the last snapshot."""
+    from .integrate import trapezoid_weights
     w = trapezoid_weights(traj.mesh)
     initial, final = (float(w @ traj.tube_contents(k)) for k in (0, -1))
     change = (final - initial) / initial if initial != 0.0 else None
@@ -416,6 +415,7 @@ def _contents_ledger(traj) -> dict:
 
 
 def cmd_compare(cfg: dict, out_override: str | None, force: bool) -> int:
+    from .verify import model_errors
     out = _out_dir(cfg, out_override)
     base, geometry, dt, t_end = _read_run(cfg, "dt", "t_end")
     if geometry.channel is None:
@@ -442,6 +442,7 @@ def cmd_compare(cfg: dict, out_override: str | None, force: bool) -> int:
 
 
 def cmd_convergence(cfg: dict, out_override: str | None, force: bool) -> int:
+    from .verify import channel_convergence, fitted_slope, tree_convergence
     out = _out_dir(cfg, out_override)
     model, geometry, dt, t_end = _read_run(cfg, "dt", "t_end")
     conv = cfg.get("convergence") or {}
@@ -518,6 +519,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # what is left at exit is frozen, so the interpreter's last collection does
+    # not sweep it all (about 15 ms a process); registered once however often
+    # main runs
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     try:
         args = make_parser().parse_args(argv)
     except SystemExit as exc:

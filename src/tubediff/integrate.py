@@ -28,31 +28,18 @@ from .discretize import (
 )
 from .network import NetworkMesh
 from .sparse import CSR, scale_rows
-from .stability import StabilityReport, check_model
+from .stability import (
+    SimulationError,
+    StabilityError,
+    StabilityReport,
+    StabilityWarning,
+    check_model,
+)
 
 
 # trajectory rows formatted at a time: a snapshot of a large tree is never
 # one string
 CSV_PIECE = 1024
-
-
-class SimulationError(RuntimeError):
-    """The march produced a non-finite state."""
-
-
-class StabilityError(SimulationError):
-    """The requested step fails the stability screen."""
-
-    def __init__(self, report: StabilityReport, model: str):
-        super().__init__(
-            f"{model}: dt={report.dt:g} exceeds the stable limit dt_max={report.dt_max:g} "
-            f"(binding node {report.binding_node}); pass force=True to march anyway"
-        )
-        self.report = report
-
-
-class StabilityWarning(UserWarning):
-    """A step that fails the stability screen is marched anyway (``force``)."""
 
 
 @dataclass(frozen=True)
@@ -97,9 +84,9 @@ class ConstraintPolicy:
     outflow_strength: float = 2.0
 
     def __post_init__(self):
-        if self.c_lo >= self.c_hi:
+        if not self.c_lo < self.c_hi:  # NaN compares false too
             raise ValueError("c_lo must lie below c_hi")
-        if self.outflow_strength <= 0.0:
+        if not self.outflow_strength > 0.0:
             raise ValueError("outflow_strength must be positive")
 
     def where(self, mesh: NetworkMesh, copies: int = 1):
@@ -234,10 +221,11 @@ class _Plan(NamedTuple):
     lat: CSR | None           # the models' lateral maps, stacked
 
     @classmethod
-    def build(cls, mesh: NetworkMesh, specs, ops, dt: float, lateral) -> _Plan:
+    def build(cls, mesh: NetworkMesh, specs, ops, dt: float, lats) -> _Plan:
+        """The plan of the models ``specs`` with operators ``ops`` and lateral
+        maps ``lats`` (``lateral_operator``, or None without lateral flux)."""
         n, copies = mesh.n_nodes, len(specs)
-        lat = (_stack([lateral_operator(mesh, spec) for spec in specs], diagonal=True)
-               if lateral is not None else None)
+        lat = _stack(lats, diagonal=True) if lats is not None else None
         scale = dt / np.concatenate([op.mass_diag for op in ops])
         with np.errstate(over="ignore", invalid="ignore"):  # dt M^-1 A
             increment = scale_rows(scale, _stack([op.matrix for op in ops], diagonal=True))
@@ -455,9 +443,10 @@ def run_models(
         raise ValueError(f"initial state must have {n} entries")
 
     ops = [assemble_model(mesh, spec) for spec in specs]
-    plan = _Plan.build(mesh, specs, ops, dt, lateral)
-    del ops
-    forget(mesh)  # the march, the artifacts and later phases reuse the parts' memory
+    lats = [lateral_operator(mesh, spec) for spec in specs] if lateral is not None else None
+    forget(mesh)  # the plan, the march and the artifacts reuse the parts' memory
+    plan = _Plan.build(mesh, specs, ops, dt, lats)
+    del ops, lats
     snap_points = np.linspace(0, n_steps, min(n_snapshots, n_steps + 1))  # more only repeat
     snap_steps = _distinct(np.round(snap_points).astype(int)).tolist()
     start = time.perf_counter()

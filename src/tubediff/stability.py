@@ -14,7 +14,10 @@ Two conditions admit no step at all and fail their nodes with
 ``dt_max`` 0: a mass factor m(x) <= 0, whose time derivative has the
 wrong sign or none, and a downwind upwind stencil (the operator's
 ``downwind`` mask).  Reports name the binding node and the nodes that
-fail, and warn of every stencil the assembly degraded.
+fail, and warn of every stencil the assembly degraded.  The errors a
+refused or failed march raises live here too, beside the report that
+``StabilityError`` carries, so the command line can catch them without
+loading the march.
 """
 
 from __future__ import annotations
@@ -54,9 +57,28 @@ class StabilityReport:
         return "\n".join(lines)
 
 
+class SimulationError(RuntimeError):
+    """The march produced a non-finite state."""
+
+
+class StabilityError(SimulationError):
+    """The requested step fails the stability screen."""
+
+    def __init__(self, report: StabilityReport, model: str):
+        super().__init__(
+            f"{model}: dt={report.dt:g} exceeds the stable limit dt_max={report.dt_max:g} "
+            f"(binding node {report.binding_node}); pass force=True to march anyway"
+        )
+        self.report = report
+
+
+class StabilityWarning(UserWarning):
+    """A step that fails the stability screen is marched anyway (``force``)."""
+
+
 def check_model(mesh: NetworkMesh, spec: ModelSpec, dt: float) -> StabilityReport:
     """Row bound on the model's assembled operator, per node."""
-    if dt <= 0.0:
+    if not dt > 0.0:  # NaN compares false too
         raise ValueError("time step must be positive")
     op = assemble_model(mesh, spec)
     mass = op.mass_diag

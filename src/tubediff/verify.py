@@ -1,19 +1,8 @@
-"""Closed-form transients and the error metrics built on them.
+"""Error metrics against the exact channels' closed-form transients.
 
-Two channel families admit exact time-dependent solutions of the
-classical reduced model and therefore serve as references for every
-discretization here.  In a linearly tapered tube a drifting Gaussian
-stays exact because the taper contributes nothing beyond the plain heat
-flow of the area-weighted field.  In a sinusoidal tube the same holds
-after an exponential gain in time that offsets the curvature of the
-radius profile.
-
-One base gives the tube-integrated field G = gain(t) R(x) K(x, t), K the
-heat kernel, the concentration c = G / (pi R^2) and its spatial slope (for
-end conditions) as closed forms; a kind supplies its fields, R(x), the term
-R'/R of the log-slope and, where the profile curves, the gain.
-A channel's mesh samples R(x) at its nodes once; the solver reads the
-radii from the mesh alone.
+The channels (``ConeChannel``, ``SinusoidChannel``) are defined in
+``geometry`` with the other tubes, so that reading a channel geometry
+does not load the march this module runs; they are named here too.
 """
 
 from __future__ import annotations
@@ -23,106 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import ConeChannel, SinusoidChannel  # re-exported, see above
 from .integrate import BoundaryData, Trajectory, run_models
 from .models import ModelKind, ModelSpec
-from .network import NetworkMesh, c_exp, interval_mesh
+from .network import NetworkMesh
 
 # exact values this small (relative to the largest) are excluded from
 # relative-error averages
 RELATIVE_FLOOR = 1e-12
-
-
-def _gaussian(x, spread, sigma, center):
-    """Heat-kernel factor (sigma^2/2pi)^(1/4) spread^(-1/2) exp(...)."""
-    amp = (sigma * sigma / (2.0 * math.pi)) ** 0.25
-    return amp / np.sqrt(spread) * np.exp(-((x - center) ** 2) / (4.0 * spread))
-
-
-class _Channel:
-    """Closed forms shared by the exact channels (see the module docstring)."""
-
-    positive = ("sigma",)  # fields without which the closed forms break down
-
-    def __post_init__(self):
-        for name in self.positive:
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"'{name}' must be positive, got {getattr(self, name)!r}")
-
-    def _gain(self, t):
-        return 1.0
-
-    def mesh(self, n: int) -> NetworkMesh:
-        return interval_mesh(self.x0, self.x1, n, self.radius)
-
-    def spread(self, t: float) -> float:
-        return self.sigma * self.sigma + self.d0 * t
-
-    def tube_contents(self, x, t: float):
-        x = np.asarray(x)
-        return (self._gain(t) * self.radius(x)
-                * _gaussian(x, self.spread(t), self.sigma, self.center))
-
-    def concentration(self, x, t: float):
-        radius = self.radius(x)
-        return self.tube_contents(x, t) / (math.pi * radius * radius)
-
-    def slope(self, x, t: float):
-        """d(concentration)/dx, exact."""
-        x = np.asarray(x)
-        s = self.spread(t)
-        log_slope = -(x - self.center) / (2.0 * s) - self._radius_term(x)
-        return self.concentration(x, t) * log_slope
-
-
-@dataclass(frozen=True)
-class ConeChannel(_Channel):
-    """Linearly tapered tube R = 1 + taper * x with a Gaussian transient."""
-
-    taper: float = 0.0
-    sigma: float = 4.0
-    center: float = 0.0
-    x0: float = 0.0
-    x1: float = 10.0
-    d0: float = 1.0
-
-    def radius(self, x):
-        return 1.0 + self.taper * np.asarray(x)
-
-    def _radius_term(self, x):
-        return self.taper / self.radius(x)
-
-
-@dataclass(frozen=True)
-class SinusoidChannel(_Channel):
-    """Tube R = sin(wavenumber * x) on a margin inside one positive arch."""
-
-    wavenumber: float
-    sigma: float = 2.0
-    center: float = 1.0
-    margin: float = 1.0
-    d0: float = 1.0
-    positive = ("sigma", "wavenumber")
-
-    @property
-    def x0(self) -> float:
-        return self.margin
-
-    @property
-    def x1(self) -> float:
-        return math.pi / self.wavenumber - self.margin
-
-    def radius(self, x):
-        return np.sin(self.wavenumber * np.asarray(x))
-
-    def _radius_term(self, x):
-        return self.wavenumber / np.tan(self.wavenumber * x)
-
-    def _gain(self, t):
-        return c_exp(self.d0 * self.wavenumber * self.wavenumber * t)
-
-
-# the exact channel kinds by their geometry ``kind`` name
-CHANNELS = {"cone": ConeChannel, "sinusoid": SinusoidChannel}
 
 
 def l1_error(numeric: np.ndarray, exact: np.ndarray) -> float:

@@ -3,8 +3,8 @@ bit for bit, those of a march by ``step``."""
 
 import numpy as np
 
-from tubediff.integrate import SimulationError
 from tubediff.sparse import scale_rows
+from tubediff.stability import SimulationError
 
 
 def step(c: np.ndarray, op, dt: float, neumann_values=None,

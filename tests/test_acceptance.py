@@ -36,7 +36,7 @@ from tubediff.discretize import (
     third_derivative_parts,
     wind_stencils,
 )
-from tubediff.geometry import ball_on_stick, constricted_tree
+from tubediff.geometry import ConeChannel, SinusoidChannel, ball_on_stick, constricted_tree
 from tubediff.integrate import BoundaryData, ConstraintPolicy, run_models
 from tubediff.models import (
     MODEL_NAMES,
@@ -46,8 +46,6 @@ from tubediff.models import (
 )
 from tubediff.stability import check_model
 from tubediff.verify import (
-    ConeChannel,
-    SinusoidChannel,
     channel_convergence,
     fitted_slope,
     model_errors,

@@ -24,13 +24,15 @@ import yaml
 
 import tubediff
 import tubediff.cli as cli
+import tubediff.integrate as integrate
 import tubediff.network as network
+import tubediff.verify as verify
 from tubediff.cli import COMMANDS, _fingerprint, build_geometry, build_policy, main
-from tubediff.geometry import ball_on_stick, constricted_tree
-from tubediff.integrate import ConstraintPolicy, StabilityWarning
+from tubediff.geometry import ConeChannel, SinusoidChannel, ball_on_stick, constricted_tree
+from tubediff.integrate import ConstraintPolicy
 from tubediff.models import ModelSpec
 from tubediff.network import NetworkMesh, format_mesh, read_mesh, refine
-from tubediff.verify import ConeChannel, SinusoidChannel
+from tubediff.stability import StabilityWarning
 
 CONFIGS = "configs"
 
@@ -137,7 +139,7 @@ class TestConfigErrors:
                                                           ns, message):
         # [5, 5, 9] fitted a slope to two identical grids, and [17, 9, 5]
         # took the coarsest grid for the finest
-        monkeypatch.setattr(cli, "channel_convergence",
+        monkeypatch.setattr(verify, "channel_convergence",
                             lambda *args, **kwargs: pytest.fail("marched a refused ladder"))
         doc = small_channel(convergence={"ns": ns})
         doc["run"].update(dt=1.0e-4, t_end=1.0e-2)
@@ -706,18 +708,48 @@ def test_an_absent_policy_key_keeps_the_policy_default():
     assert build_policy({"policy": {}}) == ConstraintPolicy()
 
 
-def simulate_in_a_process(tmp_path, doc, report: str) -> str:
-    """The last line a fresh process prints after ``simulate`` on ``doc``:
-    the exit code and the Python expression ``report``."""
-    cfg = write_config(tmp_path, doc)
+def in_a_process(code: str) -> str:
+    """The last line a fresh Python process prints running ``code``."""
     src = Path(tubediff.__file__).resolve().parents[1]
-    code = ("import sys; from tubediff.cli import main; "
-            f"code = main(['simulate', '--config', {cfg!r}, '--out', {str(tmp_path)!r}]); "
-            f"print(code, {report})")
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     return done.stdout.splitlines()[-1]
+
+
+def command_in_a_process(tmp_path, doc, report: str, command: str = "simulate") -> str:
+    """The last line a fresh process prints after ``command`` on ``doc``:
+    the exit code and the Python expression ``report``."""
+    cfg = write_config(tmp_path, doc)
+    return in_a_process(
+        "import sys; from tubediff.cli import main; "
+        f"code = main([{command!r}, '--config', {cfg!r}, '--out', {str(tmp_path)!r}]); "
+        f"print(code, {report})")
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # the screen marches nothing, and a tree has no exact field to measure against
+    loaded = "sorted(m for m in sys.modules if m in ('tubediff.integrate', 'tubediff.verify'))"
+    assert command_in_a_process(tmp_path, regulated_tree(), loaded,
+                                 "stability-check") == "0 []"
+    assert command_in_a_process(tmp_path, regulated_tree(), loaded) == (
+        "0 ['tubediff.integrate']")
+    assert command_in_a_process(tmp_path, small_channel(compare={"models": ["fick-jacobs"]}),
+                                 loaded, "compare") == (
+        "0 ['tubediff.integrate', 'tubediff.verify']")
+
+
+def test_main_freezes_what_is_left_at_exit_once(tmp_path):
+    # else the interpreter's last collection sweeps every object numpy and the
+    # package made; a handler registered before main's runs after it
+    cfg = write_config(tmp_path, regulated_tree())
+    assert in_a_process(
+        "import atexit, gc; calls = []; freeze = gc.freeze; "
+        "gc.freeze = lambda: calls.append(freeze()); "
+        "atexit.register(lambda: print(len(calls), gc.get_freeze_count() > 0)); "
+        "from tubediff.cli import main; "
+        f"codes = [main(['stability-check', '--config', {cfg!r}]) for _ in range(2)]"
+    ) == "1 True"
 
 
 def test_a_policy_run_loads_no_numpy_ma(tmp_path):
@@ -728,7 +760,7 @@ def test_a_policy_run_loads_no_numpy_ma(tmp_path):
         "lateral": [{"nodes": [5, 6], "strength": 1.0}],
         "policy": {"nodes": [6, 5, 6]},
     }
-    assert simulate_in_a_process(tmp_path, doc, "'numpy.ma' in sys.modules") == "0 False"
+    assert command_in_a_process(tmp_path, doc, "'numpy.ma' in sys.modules") == "0 False"
 
 
 def test_simulate_hashes_the_geometry_without_openssl(tmp_path):
@@ -736,7 +768,7 @@ def test_simulate_hashes_the_geometry_without_openssl(tmp_path):
     # manifest's digest is checked against hashlib in TestSimulate
     doc = {"run": {"model": "fick-jacobs", "dt": 1.0e-3, "t_end": 0.01},
            "geometry": {"kind": "ball-on-stick"}}
-    assert simulate_in_a_process(
+    assert command_in_a_process(
         tmp_path, doc, "sorted(m for m in sys.modules if m in ('hashlib', '_hashlib'))"
     ) == "0 []"
 
@@ -896,9 +928,10 @@ class TestConfigKeys:
     @pytest.mark.parametrize("path", SHIPPED, ids=lambda path: path.stem)
     def test_each_misspelt_key_is_refused_before_any_march(self, tmp_path, capsys, monkeypatch,
                                                            path):
-        for name in ("run_models", "model_errors", "channel_convergence", "tree_convergence",
-                     "check_model"):
-            monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("marched"))
+        for module, name in ((integrate, "run_models"), (verify, "model_errors"),
+                             (verify, "channel_convergence"), (verify, "tree_convergence"),
+                             (cli, "check_model")):
+            monkeypatch.setattr(module, name, lambda *args, **kwargs: pytest.fail("marched"))
         doc = yaml.safe_load(path.read_text())
         refused = 0
         for index, (where, mapping) in enumerate(key_mappings(doc)):

@@ -27,7 +27,8 @@ from tubediff.discretize import (
 from tubediff.models import ModelKind, ModelSpec
 from tests.sparse_oracle import dense
 from tubediff.network import MeshError, interval_mesh, refine
-from tubediff.verify import ConeChannel, model_errors, tree_convergence
+from tubediff.geometry import ConeChannel
+from tubediff.verify import model_errors, tree_convergence
 from tests.mesh_reference import mesh_from
 from tests.test_network import chain_mesh, y_mesh
 

@@ -1,5 +1,6 @@
 """Tests for the forward-Euler driver and its supporting pieces."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,13 +14,10 @@ from tubediff.discretize import (
     assemble_model,
     lateral_operator,
 )
-from tubediff.geometry import ball_on_stick, constricted_tree
+from tubediff.geometry import ConeChannel, SinusoidChannel, ball_on_stick, constricted_tree
 from tubediff.integrate import (
     BoundaryData,
     ConstraintPolicy,
-    SimulationError,
-    StabilityError,
-    StabilityWarning,
     Trajectory,
     run_models,
     trapezoid_weights,
@@ -27,7 +25,8 @@ from tubediff.integrate import (
 from tubediff.sparse import CSR
 from tubediff.models import ModelKind, ModelSpec
 from tubediff.network import interval_mesh
-from tubediff.verify import ConeChannel, SinusoidChannel, exact_boundary
+from tubediff.stability import SimulationError, StabilityError, StabilityWarning
+from tubediff.verify import exact_boundary
 
 from tests.csv_reference import reference_csv
 from tests.march_reference import step
@@ -425,6 +424,20 @@ class TestRunDriver:
         arrays = traj.times.nbytes + traj.states.nbytes
         assert kept <= 1.1 * arrays, (kept, arrays)
 
+    def test_the_plan_is_built_after_the_parts_are_dropped(self, monkeypatch):
+        # its build then reuses the parts' memory (about 84 B per operator
+        # non-zero), so the march phase of a run peaks lower
+        mesh, build, held = ball_on_stick(1), integrate._Plan.build, []
+
+        def recording(*args):
+            held.append(mesh in discretize._DERIVED)
+            return build(*args)
+
+        monkeypatch.setattr(integrate._Plan, "build", recording)
+        run_models(mesh, (FJ, EF), dt=1.0e-5, t_end=1.0e-4, initial=1.0,
+                   lateral=LateralFluxField((FluxWindow((5, 6), 1.0),)))
+        assert held == [False]
+
     def test_overlarge_step_is_refused(self):
         mesh = chain_mesh([1.0] * 5)  # dt_max = 0.5
         with pytest.raises(StabilityError):
@@ -530,6 +543,14 @@ class TestConstraintPolicy:
             ConstraintPolicy(node_ids=(0,), c_hi=4.0, c_lo=6.0)
         with pytest.raises(ValueError):
             ConstraintPolicy(node_ids=(0,), outflow_strength=0.0)
+
+    @pytest.mark.parametrize("level", [{"c_lo": math.nan}, {"c_hi": math.nan},
+                                       {"outflow_strength": math.nan}])
+    def test_a_nan_level_or_outflow_is_rejected(self, level):
+        # with c_lo NaN every level fell in the lowest band: a scheduled flux
+        # of 3.0 was recorded as 0.0 at every snapshot
+        with pytest.raises(ValueError, match="c_lo must lie below c_hi|must be positive"):
+            ConstraintPolicy(**level)
 
 
 class TestBoundarySeries:

@@ -28,11 +28,10 @@ from tubediff.discretize import (
     spacings,
     third_derivative_parts,
 )
-from tubediff.geometry import ball_on_stick, constricted_tree
+from tubediff.geometry import ConeChannel, ball_on_stick, constricted_tree
 from tubediff.integrate import _stack
 from tubediff.models import ModelKind, ModelSpec, diffusion_coefficient
 from tubediff.sparse import CSR, add, build
-from tubediff.verify import ConeChannel
 
 COMPOSE_RTOL = 1e-15
 # each tree example assembles every model on up to 120 nodes; shrinking a

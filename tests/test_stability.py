@@ -1,18 +1,19 @@
 """Tests for the explicit-Euler stability screens."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from tubediff.discretize import FluxWindow, LateralFluxField, assemble_model
-from tubediff.geometry import ball_on_stick, constricted_tree
-from tubediff.integrate import ConstraintPolicy, StabilityError, _Plan, run_models
+from tubediff.discretize import FluxWindow, LateralFluxField, assemble_model, lateral_operator
+from tubediff.geometry import ConeChannel, ball_on_stick, constricted_tree
+from tubediff.integrate import ConstraintPolicy, _Plan, run_models
 from tubediff.models import ModelKind, ModelSpec
 from tubediff.network import interval_mesh
 from tubediff.sparse import CSR
-from tubediff.stability import StabilityReport, check_model
-from tubediff.verify import ConeChannel, model_errors
+from tubediff.stability import StabilityError, StabilityReport, check_model
+from tubediff.verify import model_errors
 
 from tests.mesh_reference import mesh_from
 from tests.sparse_oracle import dense
@@ -216,6 +217,11 @@ class TestModelScreen:
         with pytest.raises(ValueError):
             check_model(mesh, FJ, dt=-0.1)
 
+    def test_rejects_a_nan_step(self):
+        # a NaN step failed every node of a report instead
+        with pytest.raises(ValueError, match="time step must be positive"):
+            check_model(ball_on_stick(1), FJ, math.nan)
+
     def test_expanded_flux_screen_memory_stays_sparse(self):
         # the screen assembles the operator: 155 B per operator non-zero at
         # its peak (1.5 MB), where builds that kept their row and column
@@ -285,10 +291,11 @@ class TestModelScreen:
             mesh, specs = constricted_tree(5), (EF,)
             lateral = LateralFluxField((FluxWindow((11, 12, 13), 3.0),))
         ops = [assemble_model(mesh, spec) for spec in specs]
-        _Plan.build(mesh, specs, ops, 1.0e-5, lateral)
+        lats = [lateral_operator(mesh, spec) for spec in specs] if lateral is not None else None
+        _Plan.build(mesh, specs, ops, 1.0e-5, lats)
         tracemalloc.start()
         try:
-            plan = _Plan.build(mesh, specs, ops, 5.0e-6, lateral)
+            plan = _Plan.build(mesh, specs, ops, 5.0e-6, lats)
             kept = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()

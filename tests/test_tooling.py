@@ -21,3 +21,4 @@ def test_phase_memory_reports_every_phase():
     for name in phases:
         assert {"rss_mb", "s", "peak_b_per_nnz", "kept_b_per_nnz"} <= set(level["phases"][name])
     assert "peak_b_per_node" in level["phases"]["build"]
+    assert 0.0 < level["exit_s"] < 60.0  # from the last phase to the reaping

@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from tubediff.discretize import assemble_model
+from tubediff.geometry import ConeChannel, SinusoidChannel
 from tubediff.integrate import Trajectory, run_models
 from tubediff.models import ModelKind, ModelSpec
 from tubediff.network import refine
 from tubediff.verify import (
-    ConeChannel,
     ConvergenceResult,
-    SinusoidChannel,
     channel_convergence,
     common_node_error,
     exact_boundary,
