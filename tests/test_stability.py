@@ -291,11 +291,16 @@ class TestModelScreen:
             mesh, specs = constricted_tree(5), (EF,)
             lateral = LateralFluxField((FluxWindow((11, 12, 13), 3.0),))
         ops = [assemble_model(mesh, spec) for spec in specs]
-        lats = [lateral_operator(mesh, spec) for spec in specs] if lateral is not None else None
-        _Plan.build(mesh, specs, ops, 1.0e-5, lats)
+
+        # built inside the trace, as a run builds them for its plan: a lone
+        # map is the plan's own array, so it must count on both sides
+        def lats():
+            return [lateral_operator(mesh, s) for s in specs] if lateral is not None else None
+
+        _Plan.build(mesh, specs, ops, 1.0e-5, lats())
         tracemalloc.start()
         try:
-            plan = _Plan.build(mesh, specs, ops, 5.0e-6, lats)
+            plan = _Plan.build(mesh, specs, ops, 5.0e-6, lats())
             kept = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
