@@ -11,12 +11,14 @@ the CLI does (through ``tubediff.cli``'s own builders):
 - ``import``: ``tubediff.cli`` and what it imports;
 - ``build``: the model and the tree;
 - ``assemble``: the model's operator (``assemble_model``);
-- ``screen``: the stability screen of that operator (``check_model``);
-- ``march``: ``run_models``, its operator and screen served from the
-  parts the two phases before it built, which it frees before it
-  builds its march plan, for ``--steps`` forward-Euler steps at
-  4e-7 / 4**(level - 7), a third of the screened limit or less (the
-  level-7 step of the ``tree-setup`` benchmark);
+- ``screen``: the stability screen of that operator (``check_model``),
+  which is then dropped;
+- ``march``: ``run_models``, which assembles and screens its own
+  operator from the parts the ``assemble`` phase built, frees those
+  parts before it builds its march plan, and takes ``--steps``
+  forward-Euler steps at 4e-7 / 4**(level - 7), a third of the
+  screened limit or less (the level-7 step of the ``tree-setup``
+  benchmark);
 - ``to_csv``: five snapshots into a temporary directory;
 - ``hash``: the geometry fingerprint the manifest records.
 
@@ -100,8 +102,10 @@ def child(level: int, steps: int, traced: bool) -> dict:
 
     model, geometry = phase("build", build)
     mesh = geometry.mesh
-    nnz = phase("assemble", lambda: assemble_model(mesh, model)).matrix.nnz
-    phase("screen", lambda: check_model(mesh, model, dt))
+    op = phase("assemble", lambda: assemble_model(mesh, model))
+    nnz = op.matrix.nnz
+    phase("screen", lambda: check_model(mesh, op, dt))
+    del op
     traj = phase("march", lambda: run_models(
         mesh, (model,), dt=dt, t_end=steps * dt, initial=cli.build_initial(cfg, geometry),
         n_snapshots=5)[0])

@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 import yaml
 
-from .discretize import FluxWindow, LateralFluxField
+from .discretize import FluxWindow, LateralFluxField, assemble_model
 from .geometry import CHANNELS, ball_on_stick, constricted_tree
 from .models import ModelSpec
 from .network import MeshError, _text_pieces, read_mesh, refine
@@ -489,7 +489,7 @@ def cmd_convergence(cfg: dict, out_override: str | None, force: bool) -> int:
 
 def cmd_stability_check(cfg: dict, out_override: str | None, force: bool) -> int:
     model, geometry, dt = _read_run(cfg, "dt")
-    report = check_model(geometry.mesh, model, dt)
+    report = check_model(geometry.mesh, assemble_model(geometry.mesh, model), dt)
     print(report.as_table())
     return 0 if report.passed else 1
 

@@ -211,13 +211,12 @@ def wind_stencils(mesh: NetworkMesh, radii: np.ndarray, slopes: np.ndarray):
 _DERIVED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _per_mesh(mesh: NetworkMesh, make, *args):
-    """``make(mesh, *args)``, computed once per mesh and arguments."""
+def _per_mesh(mesh: NetworkMesh, make):
+    """``make(mesh)``, computed once per mesh."""
     store = _DERIVED.setdefault(mesh, {})
-    key = (make, *args)
-    if key not in store:
-        store[key] = make(mesh, *args)
-    return store[key]
+    if make not in store:
+        store[make] = make(mesh)
+    return store[make]
 
 
 def forget(mesh: NetworkMesh) -> None:
@@ -320,14 +319,8 @@ def third_derivative_parts(
 
 
 def assemble_model(mesh: NetworkMesh, spec: ModelSpec) -> SpatialOperator:
-    """The full spatial operator of one model variant, assembled once per
-    mesh and model within a run; the stability screen and the march plan
-    share it."""
-    return _per_mesh(mesh, _assemble, spec)
-
-
-def _assemble(mesh: NetworkMesh, spec: ModelSpec) -> SpatialOperator:
-    """One rule for every model: A = D(x) L + advection, where L is the
+    """A model variant's full spatial operator, assembled from the mesh's
+    parts on every call by one rule: A = D(x) L + advection, where L is the
     Laplacian plus, for expanded-flux, its grid-scaled k1 L and k2 L3
     terms, and the advection rows, with their downwind mask, join for
     every model but simple diffusion.  The time-derivative factor is 1

@@ -58,7 +58,6 @@ STICK_NODES = 16
 ARM_NODES = 8
 
 STICK_LENGTH = SPACING * (STICK_NODES - 1)
-ARM_LENGTH = SPACING * ARM_NODES
 
 _NECK_FLOOR = 0.2
 _BULB_AMPLITUDE = 1.3

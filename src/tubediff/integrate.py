@@ -1,7 +1,7 @@
 """Explicit time stepping for the assembled spatial operators.
 
-The march screens the step size of every model against the stability
-bounds, assembles their operators and stacks them into one block
+The march assembles the operator of every model, screens the step size
+against its stability bound and stacks the operators into one block
 system, then marches forward Euler while recording evenly spaced
 snapshots.  Boundary end slopes may vary in time, lateral wall flux
 follows a windowed schedule, and an optional constraint policy
@@ -404,11 +404,12 @@ def run_models(
     The models' step matrices I + dt M^-1 A are stacked (:class:`_Plan`)
     and marched as one (:func:`_euler`).
     """
+    for name, value in ("dt", dt), ("t_end", t_end):
+        if not 0.0 < value < math.inf:  # NaN compares false too
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
     specs = tuple(specs)
     if not specs:
         raise ValueError("need at least one model")
-    if t_end <= 0.0:
-        raise ValueError("t_end must be positive")
     if n_snapshots < 2:
         raise ValueError(
             f"n_snapshots={n_snapshots}: need at least 2 (the initial and the final state)"
@@ -419,13 +420,14 @@ def run_models(
     if not t_end / dt < 2**53:
         raise ValueError(f"t_end={t_end} is {t_end / dt:g} steps of dt={dt}; "
                          "the step count must stay below 2**53")
-    n_steps = max(1, int(round(t_end / dt)))
+    n_steps = int(round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-9 * t_end:
         raise ValueError(f"t_end={t_end} is not a whole number of steps of dt={dt}")
 
-    reports = []
-    for spec in specs:
-        report = check_model(mesh, spec, dt)
+    ops, reports = [], []
+    for spec in specs:  # each model assembled once: screened, then marched
+        ops.append(assemble_model(mesh, spec))
+        report = check_model(mesh, ops[-1], dt)
         if not report.passed:
             if not force:
                 raise StabilityError(report, spec.kind.value)
@@ -442,7 +444,6 @@ def run_models(
     if c0.shape != (n,):
         raise ValueError(f"initial state must have {n} entries")
 
-    ops = [assemble_model(mesh, spec) for spec in specs]
     lats = [lateral_operator(mesh, spec) for spec in specs] if lateral is not None else None
     forget(mesh)  # the plan, the march and the artifacts reuse the parts' memory
     plan = _Plan.build(mesh, specs, ops, dt, lats)

@@ -125,7 +125,7 @@ def test_03_cable_step_limit_formula_and_empirical_behavior():
         h = 10.0 / (n - 1)
         expected = h * h / (2.0 * d0)
         spec = ModelSpec(ModelKind.FICK_JACOBS, d0=d0)
-        report = check_model(mesh, spec, dt=expected)
+        report = check_model(mesh, assemble_model(mesh, spec), dt=expected)
         clauses.append((
             f"n={n} d0={d0}: dt_max {report.dt_max!r} vs h^2/2D {expected!r}",
             abs(report.dt_max - expected) <= 1e-12 * expected,

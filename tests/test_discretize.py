@@ -418,6 +418,15 @@ class TestSharedFields:
         for a in (mesh.radii, slopes, dx, downwind):
             assert not a.flags.writeable
 
+    def test_operators_are_assembled_on_every_call_and_never_stored(self):
+        mesh = y_mesh(radii=(1.2, 0.7, 0.31, 0.9, 1.05, 0.4))
+        op = assemble_model(mesh, EF)
+        again = assemble_model(mesh, EF)
+        assert again is not op
+        assert np.array_equal(dense(again.matrix), dense(op.matrix))
+        assert not any(isinstance(part, discretize.SpatialOperator)
+                       for part in discretize._DERIVED[mesh].values())
+
     def test_slopes_match_the_loop_reference(self):
         mesh = interval_mesh(0.0, 5.0, 41, lambda x: 1.0 + 0.3 * x)
         slopes = discretize._per_mesh(mesh, radius_slopes)
@@ -506,15 +515,15 @@ class TestSharedFields:
     def test_a_convergence_ladder_holds_one_rung_of_parts(self, monkeypatch):
         meshes = [refine(y_mesh(), k) for k in range(4)]
         held = []
-        build = discretize._assemble
+        build = integrate.assemble_model
 
         def counted(mesh, spec):
-            held.append(sum(m in discretize._DERIVED for m in meshes))
+            held.append(sum(m in discretize._DERIVED for m in meshes if m is not mesh))
             return build(mesh, spec)
 
-        monkeypatch.setattr(discretize, "_assemble", counted)
+        monkeypatch.setattr(integrate, "assemble_model", counted)
         tree_convergence(meshes, FJ, dt=5e-4, t_end=1e-2,
                          initial=lambda mesh: 1.0 + np.exp(-mesh.arc_lengths()))
         # each rung's run drops its parts before the next rung assembles
-        assert held == [1, 1, 1, 1]
+        assert held == [0, 0, 0, 0]
         assert not any(m in discretize._DERIVED for m in meshes)

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tubediff.discretize import assemble_model
 from tubediff.geometry import (
     ARM_NODES,
     SPACING,
@@ -92,7 +93,7 @@ class TestStabilityScreen:
     def test_every_level_is_certified(self, builder, kind):
         for level in range(4):
             mesh = builder(level)
-            report = check_model(mesh, ModelSpec(kind), 1e-6)
+            report = check_model(mesh, assemble_model(mesh, ModelSpec(kind)), 1e-6)
             assert report.passed, f"level {level}: {report.failing_nodes}"
             assert not any("downwind" in w for w in report.warnings)
 

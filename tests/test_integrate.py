@@ -125,13 +125,13 @@ class TestBatchedMarch:
 
     def test_screen_and_march_share_one_assembly_per_model(self, monkeypatch):
         assembled = []
-        build = discretize._assemble
+        build = integrate.assemble_model
 
         def counted(mesh, spec):
             assembled.append(spec.kind)
             return build(mesh, spec)
 
-        monkeypatch.setattr(discretize, "_assemble", counted)
+        monkeypatch.setattr(integrate, "assemble_model", counted)
         channel = ConeChannel(taper=2.0)
         mesh = channel.mesh(41)
         run_models(mesh, ALL_MODELS, dt=2.0e-4, t_end=2.0e-3,
@@ -481,6 +481,25 @@ class TestRunDriver:
         mesh = chain_mesh([1.0] * 5)
         with pytest.raises(ValueError):
             run_models(mesh, (SIMPLE,), dt=0.3, t_end=1.0, initial=1.0)
+
+    @pytest.mark.parametrize("name", ["dt", "t_end"])
+    @pytest.mark.parametrize("value", [0.0, -1.0e-3, math.nan, math.inf])
+    def test_a_time_that_is_not_positive_and_finite_is_refused_first(self, name, value):
+        # before any division by dt, where 0 raised ZeroDivisionError, a negative
+        # dt was "not a whole number of steps" and a NaN "nan steps"; before the
+        # empty model list too
+        times = {"dt": 0.1, "t_end": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite, got {value!r}"):
+            run_models(chain_mesh([1.0] * 5), (), initial=[1.0], **times)
+
+    def test_no_models_are_refused(self):
+        with pytest.raises(ValueError, match="need at least one model"):
+            run_models(chain_mesh([1.0] * 5), (), dt=0.1, t_end=1.0, initial=1.0)
+
+    def test_an_initial_state_of_the_wrong_length_is_refused(self):
+        with pytest.raises(ValueError, match="initial state must have 5 entries"):
+            run_models(chain_mesh([1.0] * 5), (SIMPLE,), dt=0.1, t_end=1.0,
+                       initial=[1.0] * 4)
 
     def test_time_dependent_end_slope_changes_the_answer(self):
         mesh = chain_mesh([1.0] * 5)

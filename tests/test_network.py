@@ -400,6 +400,10 @@ class TestIntervalMesh:
         assert mesh.root == 0
         assert mesh.arc_lengths()[-1] == pytest.approx(10.0, rel=1e-14)
 
+    def test_one_node_is_refused(self):
+        with pytest.raises(MeshError, match="interval mesh needs at least two nodes"):
+            interval_mesh(0.0, 1.0, 1, np.ones_like)
+
     def test_sinusoid_domain_must_keep_radius_positive(self):
         with pytest.raises(MeshError):
             interval_mesh(0.0, 10.0, 20, lambda x: np.sin(0.5 * x))  # sin crosses zero

@@ -1,11 +1,16 @@
 """Tests for the explicit-Euler stability screens."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tubediff
 from tubediff.discretize import FluxWindow, LateralFluxField, assemble_model, lateral_operator
 from tubediff.geometry import ConeChannel, ball_on_stick, constricted_tree
 from tubediff.integrate import ConstraintPolicy, _Plan, run_models
@@ -24,15 +29,21 @@ EF = ModelSpec(ModelKind.EXPANDED_FLUX)
 SIMPLE = ModelSpec(ModelKind.SIMPLE_DIFFUSION)
 
 
+def screen(mesh, spec, dt):
+    """The stability screen of the model's operator on ``mesh``."""
+    return check_model(mesh, assemble_model(mesh, spec), dt)
+
+
 def diffusive_screen(mesh, dt, d0=1.0):
     """The diffusive bound alone: the screen of the radius-blind model."""
     spec = ModelSpec(ModelKind.SIMPLE_DIFFUSION, d0=d0)
-    return check_model(mesh, spec, dt)
+    return screen(mesh, spec, dt)
 
 
 def march_peak(mesh, specs, **kwargs) -> int:
-    """Peak traced allocation of ``run_models`` alone, in bytes: the
-    operators are assembled before tracing starts."""
+    """Peak traced allocation of ``run_models``, in bytes: the mesh's parts
+    are built before tracing starts, so the run's own assemblies of its
+    operators, its plan and its march are what it measures."""
     for spec in specs:
         assemble_model(mesh, spec)
     tracemalloc.start()
@@ -114,15 +125,15 @@ class TestAdvectionBound:
     # (2/3, -5, 8/3, -1/2, 8/3, -1/2), absolute sum 12, bound 2/12.
 
     def test_branch_bound_and_binding_node(self):
-        report = check_model(symmetric_y_mesh(), FJ, dt=0.1)
+        report = screen(symmetric_y_mesh(), FJ, dt=0.1)
         assert report.dt_max == pytest.approx(1.0 / 6.0, rel=1e-12)
         assert report.binding_node == 1
 
     def test_pass_at_bound_fail_past_it(self):
         # the next tightest row, node 2, sums to 16/3 (bound 0.375)
         mesh = symmetric_y_mesh()
-        assert check_model(mesh, FJ, dt=1.0 / 6.0).passed
-        report = check_model(mesh, FJ, dt=0.17)
+        assert screen(mesh, FJ, dt=1.0 / 6.0).passed
+        report = screen(mesh, FJ, dt=0.17)
         assert not report.passed
         assert report.failing_nodes == [1]
 
@@ -132,16 +143,16 @@ class TestAdvectionBound:
         # the Y), so it halves the advective part of the step
         y = symmetric_y_mesh()
         chain = chain_mesh([1.0, 2.0, 3.0, 4.0], h=1.0)
-        dt_y = check_model(y, FJ, dt=0.01).dt_max
-        dt_c = check_model(chain, FJ, dt=0.01).dt_max
-        dt_d = check_model(chain, SIMPLE, dt=0.01).dt_max
+        dt_y = screen(y, FJ, dt=0.01).dt_max
+        dt_c = screen(chain, FJ, dt=0.01).dt_max
+        dt_d = screen(chain, SIMPLE, dt=0.01).dt_max
         assert dt_d == pytest.approx(0.5, rel=1e-12)
         assert 1.0 / dt_y - 1.0 / dt_d == pytest.approx(2.0 * (1.0 / dt_c - 1.0 / dt_d),
                                                         rel=1e-12)
         assert (dt_c, dt_y) == pytest.approx((0.25, 1.0 / 6.0), rel=1e-12)
 
     def test_first_order_fallback_note_is_carried(self):
-        report = check_model(symmetric_y_mesh(), FJ, dt=0.25)
+        report = screen(symmetric_y_mesh(), FJ, dt=0.25)
         assert "first-order-upwind node=2" in report.warnings
         assert "first-order-upwind node=4" in report.warnings
 
@@ -150,7 +161,7 @@ class TestModelScreen:
     def test_simple_diffusion_matches_diffusion_only(self):
         # the radius-blind model screens with the h^2 / 2 D bound alone
         mesh = chain_mesh([1.0, 2.0, 3.0, 4.0, 5.0], h=0.5)
-        combined = check_model(mesh, SIMPLE, dt=0.01)
+        combined = screen(mesh, SIMPLE, dt=0.01)
         assert combined.dt_max == 0.125
         assert combined.warnings == ()
 
@@ -159,28 +170,28 @@ class TestModelScreen:
         # row (-1.5, 2, -0.5) to (1, -2, 1), so the row (1, -3.5, 3, -0.5)
         # sums to 8 and binds at 0.25, below the diffusive 0.5
         mesh = chain_mesh([1.0, 2.0, 3.0, 4.0, 5.0], h=1.0)
-        report = check_model(mesh, FJ, dt=0.1)
+        report = screen(mesh, FJ, dt=0.1)
         assert report.dt_max == pytest.approx(0.25, rel=1e-12)
         assert report.binding_node == 1
         # shallower taper: at R = 5 the upwind row is 0.4 (-1.5, 2, -0.5),
         # the row sums to 5.6 and the bound relaxes toward 0.5
         wide = chain_mesh([4.0, 5.0, 6.0, 7.0, 8.0], h=1.0)
-        report = check_model(wide, FJ, dt=0.1)
+        report = screen(wide, FJ, dt=0.1)
         assert report.dt_max == pytest.approx(2.0 / 5.6, rel=1e-12)
 
     def test_mass_factor_scales_the_admissible_step(self):
         # linear cone, slope 1: the temporal-correction mass factor is
         # constant and equals 1 + (pi/3 - 1)/2
         mesh = interval_mesh(0.0, 3.0, 7, lambda x: 1.0 + x)
-        fj = check_model(mesh, FJ, dt=1e-3)
-        kal = check_model(mesh, ModelSpec(ModelKind.KALINAY_TEMPORAL), dt=1e-3)
+        fj = screen(mesh, FJ, dt=1e-3)
+        kal = screen(mesh, ModelSpec(ModelKind.KALINAY_TEMPORAL), dt=1e-3)
         assert kal.dt_max / fj.dt_max == pytest.approx(1.0235987755982988, rel=1e-12)
 
     def test_corrected_models_loosen_the_diffusive_bound(self):
         # Zwanzig shrinks D, so the admissible step grows by 1 + s^2/2
         mesh = chain_mesh([1.0, 2.0, 3.0, 4.0, 5.0], h=1.0)
-        zw = check_model(mesh, ModelSpec(ModelKind.ZWANZIG), dt=0.01)
-        fj = check_model(mesh, FJ, dt=0.01)
+        zw = screen(mesh, ModelSpec(ModelKind.ZWANZIG), dt=0.01)
+        fj = screen(mesh, FJ, dt=0.01)
         assert zw.dt_max > fj.dt_max
 
     def test_warns_of_every_assembly_note(self):
@@ -190,20 +201,20 @@ class TestModelScreen:
         op = assemble_model(mesh, EF)
         assert op.notes == ("no-third-derivative-closure node=0",
                             "no-third-derivative-closure node=1")
-        assert check_model(mesh, EF, dt=1e-3).warnings == op.notes
+        assert check_model(mesh, op, dt=1e-3).warnings == op.notes
 
     def test_nonpositive_mass_factor_fails_with_zero_step(self):
         # the temporal factor 1 + g' is about (-9.59, 3.16, 15.9) here
         nodes = [(0, (0.0, 0.0, 0.0), 0.35), (1, (1.0, 0.0, 0.0), 0.79),
                  (2, (2.0, 0.0, 0.0), 2.42)]
         mesh = mesh_from(nodes, [(0, 1, 1.185), (1, 2, 0.234)], root=0)
-        report = check_model(mesh, ModelSpec(ModelKind.KALINAY_TEMPORAL), dt=1e-3)
+        report = screen(mesh, ModelSpec(ModelKind.KALINAY_TEMPORAL), dt=1e-3)
         assert not report.passed
         assert report.dt_max == 0.0
         assert report.failing_nodes == [0]
         assert "nonpositive-mass-factor node=0" in report.warnings
         # the same chain under a model without the factor passes
-        assert check_model(mesh, FJ, dt=1e-3).passed
+        assert screen(mesh, FJ, dt=1e-3).passed
 
     def test_report_table_mentions_verdict(self):
         mesh = interval_mesh(0.0, 1.0, 11, np.ones_like)
@@ -215,16 +226,16 @@ class TestModelScreen:
     def test_rejects_nonpositive_step(self):
         mesh = chain_mesh([1.0, 2.0, 3.0], h=1.0)
         with pytest.raises(ValueError):
-            check_model(mesh, FJ, dt=-0.1)
+            screen(mesh, FJ, dt=-0.1)
 
     def test_rejects_a_nan_step(self):
         # a NaN step failed every node of a report instead
         with pytest.raises(ValueError, match="time step must be positive"):
-            check_model(ball_on_stick(1), FJ, math.nan)
+            screen(ball_on_stick(1), FJ, math.nan)
 
     def test_expanded_flux_screen_memory_stays_sparse(self):
-        # the screen assembles the operator: 155 B per operator non-zero at
-        # its peak (1.5 MB), where builds that kept their row and column
+        # the operator's assembly and screen: 155 B per operator non-zero at
+        # their peak (1.5 MB), where builds that kept their row and column
         # triplets through the sort took 198 B, a build with 64-bit keys
         # and a group array 232 B, chained sums of the terms, each matrix
         # keeping its row index, 267 B, and one dense 1985 x 1985 matrix
@@ -232,7 +243,7 @@ class TestModelScreen:
         mesh = constricted_tree(6)
         tracemalloc.start()
         try:
-            check_model(mesh, EF, dt=1e-7)
+            screen(mesh, EF, dt=1e-7)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -241,9 +252,9 @@ class TestModelScreen:
         assert peak <= 170 * nnz
 
     def test_seven_model_band_march_memory_stays_sparse(self):
-        # 7 x 2000 stacked rows, marched through their band; the peak is
-        # 3.9 MB (70 B per stacked non-zero), and one dense model matrix
-        # would take 32 MB
+        # 7 x 2000 stacked rows, assembled and marched through their band;
+        # the peak is 4.0 MB (71 B per stacked non-zero), and one dense
+        # model matrix would take 32 MB
         channel = ConeChannel(taper=0.2)
         mesh = channel.mesh(2000)
         specs = tuple(ModelSpec(kind) for kind in ModelKind)
@@ -324,7 +335,7 @@ class TestStepsThePerNodeScreenPassed:
     def test_shipped_trees_refuse_nine_tenths_of_the_old_limit(self, builder, kind,
                                                                old_dt_max):
         mesh = builder(1)
-        report = check_model(mesh, ModelSpec(kind), 0.9 * old_dt_max[builder.__name__])
+        report = screen(mesh, ModelSpec(kind), 0.9 * old_dt_max[builder.__name__])
         assert not report.passed
         assert report.failing_nodes
 
@@ -355,13 +366,22 @@ class TestGrowingChain:
                                            "(ROADMAP item 1)")
     def test_expanded_flux_step_is_refused(self):
         mesh = self.chain()
-        report = check_model(mesh, EF, 1.0)
-        assert not check_model(mesh, EF, report.dt_max / 2).passed
+        report = screen(mesh, EF, 1.0)
+        assert not screen(mesh, EF, report.dt_max / 2).passed
 
     def test_fick_jacobs_on_the_same_chain_is_admitted(self):
         mesh = self.chain()
         op = assemble_model(mesh, FJ)
         eigenvalues = np.linalg.eigvals(dense(op.matrix) / op.mass_diag[:, None])
         assert eigenvalues.real.max() < 1e-12 * np.abs(eigenvalues).max()
-        report = check_model(mesh, FJ, 1.0)
-        assert check_model(mesh, FJ, report.dt_max / 2).passed
+        report = check_model(mesh, op, 1.0)
+        assert check_model(mesh, op, report.dt_max / 2).passed
+
+
+def test_importing_the_screen_loads_no_assembly_and_no_models():
+    src = Path(tubediff.__file__).resolve().parents[1]
+    code = ("import sys, tubediff.stability; print(sorted(m for m in sys.modules "
+            "if m in ('tubediff.discretize', 'tubediff.models')))")
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

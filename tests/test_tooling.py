@@ -1,6 +1,7 @@
 """Smoke checks of the measurement scripts under ``scripts/``."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -22,3 +23,21 @@ def test_phase_memory_reports_every_phase():
         assert {"rss_mb", "s", "peak_b_per_nnz", "kept_b_per_nnz"} <= set(level["phases"][name])
     assert "peak_b_per_node" in level["phases"]["build"]
     assert 0.0 < level["exit_s"] < 60.0  # from the last phase to the reaping
+
+
+
+def test_process_peaks_reports_each_command_and_checkout(tmp_path):
+    # a copy of the package is the second checkout
+    copy = tmp_path / "copy"
+    shutil.copytree(REPO / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    done = subprocess.run([sys.executable, str(REPO / "scripts" / "process_peaks.py"),
+                           str(REPO), str(copy), "--layouts", "1"],
+                          capture_output=True, text=True, check=True, timeout=120)
+    rows = [line.split() for line in done.stdout.splitlines()[2:]]
+    assert [(row[0], row[4]) for row in rows] == [
+        (command, str(checkout)) for command in ("stability-check", "simulate")
+        for checkout in (REPO, copy)]
+    assert [row[3] for row in rows[::2]] == ["-", "-"]
+    assert {row[3] for row in rows[1::2]} <= {"0/1", "1/1"}
+    for row in rows:
+        assert 10.0 < float(row[1]) == float(row[2]) < 1000.0  # one layout: median = max
