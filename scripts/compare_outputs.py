@@ -19,8 +19,10 @@ timing (``step_time_s``) is compared.  Exit codes and console output
 that only one checkout writes is named as ``only in a`` or ``only in
 b``.  Each run's header line also gives the peak resident memory of
 its process under both checkouts (``ru_maxrss`` from ``os.wait4``),
-for information only.  The exit status is 0 when everything matches
-byte for byte, 1 otherwise.
+and the report ends with, per command, the median peak of each
+checkout and in how many runs DIR_B's was lower (ties count for
+neither); both are for information only.  The exit status is 0 when
+everything matches byte for byte, 1 otherwise.
 
 With ``--rtol R`` a numeric CSV cell or manifest value may also differ
 by at most R relative (lines marked ``~``); exit codes and console
@@ -39,6 +41,7 @@ import argparse
 import csv
 import importlib.util
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -175,10 +178,23 @@ def grid_configs(checkout: Path, directory: Path) -> list[Path]:
     return paths
 
 
+def peak_summary(peaks: list[tuple[str, float, float]]) -> list[str]:
+    """Per command, in order of first run: the median of the peaks (MB) of
+    ``(command, a, b)`` rows and in how many rows b is lower than a."""
+    lines = []
+    for command in dict.fromkeys(row[0] for row in peaks):
+        a, b = zip(*(row[1:] for row in peaks if row[0] == command))
+        lower = sum(pb < pa for pa, pb in zip(a, b))
+        lines.append(f"{command}: median peak RSS {statistics.median(a):.2f}/"
+                     f"{statistics.median(b):.2f} MB, b lower in {lower}/{len(a)}")
+    return lines
+
+
 def compare_command(checkouts: dict, work: Path, label: str, command: str,
-                    configs: dict, rtol: float | None) -> bool:
-    """Run ``command`` on each checkout's config, print the report, and
-    say whether everything matched."""
+                    configs: dict, rtol: float | None, peaks: list) -> bool:
+    """Run ``command`` on each checkout's config, print the report, add
+    ``(command, peak a, peak b)`` to ``peaks`` and say whether everything
+    matched."""
     results = {}
     for side, checkout in checkouts.items():
         out = work / side / f"{label}-{command}"
@@ -187,6 +203,7 @@ def compare_command(checkouts: dict, work: Path, label: str, command: str,
     (rc_a, text_a, rss_a), out_a = results["a"]
     (rc_b, text_b, rss_b), out_b = results["b"]
     print(f"{label} [{command}] exit {rc_a}/{rc_b}, peak RSS {rss_a:.2f}/{rss_b:.2f} MB")
+    peaks.append((command, rss_a, rss_b))
     lines = compare_run(out_a, out_b, rtol)
     if rc_a != rc_b or text_a != text_b:
         lines.append("! exit code or console output differs")
@@ -211,20 +228,22 @@ def main(argv=None) -> int:
     work = args.work or Path(tempfile.mkdtemp(prefix="compare_outputs-"))
     print(f"outputs under {work}")
 
-    same = True
+    same, peaks = True, []
     for config in sorted((checkouts["a"] / "configs").glob("*.yaml")):
         for command in commands(config):
             paths = {side: checkout / "configs" / config.name
                      for side, checkout in checkouts.items()}
             same &= compare_command(checkouts, work, config.stem, command, paths,
-                                    args.rtol)
+                                    args.rtol, peaks)
     if args.grid:
         for config in grid_configs(checkouts["a"], work / "grid"):
             same &= compare_command(checkouts, work, config.stem, "compare",
-                                    {"a": config, "b": config}, None)
+                                    {"a": config, "b": config}, None, peaks)
     print(("all artifacts identical" if args.rtol is None
            else f"all artifacts identical or within rtol {args.rtol:g}")
           if same else "differences found")
+    for line in peak_summary(peaks):
+        print(line)
     return 0 if same else 1
 
 

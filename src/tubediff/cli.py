@@ -169,8 +169,9 @@ def load_config(path: str | Path) -> dict:
 
 def _check_keys(cfg: dict) -> None:
     """Refuse a missing 'run' or 'geometry' section, a section of the wrong
-    shape and a key that its section (of its kind) does not know; every
-    section is checked, whether the command reads it or not."""
+    shape, a key that its section (of its kind) does not know and an
+    unknown kind; every section is checked, whether the command reads it
+    or not."""
     _known(cfg, KEYS, "config")
     for name, keys in KEYS.items():
         section = cfg.get(name)
@@ -183,14 +184,16 @@ def _check_keys(cfg: dict) -> None:
                 and all(isinstance(mapping, dict) for mapping in mappings)):
             raise ConfigError("'lateral' must be a list of window mappings" if name == "lateral"
                               else f"'{name}' section must be a mapping")
-        where = f"'{name}' section"
-        if isinstance(keys, dict):  # an unknown kind, which the reader refuses, takes any kind's
-            kind = _kind(cfg, name)
+        where, kinds = f"'{name}' section", keys
+        if isinstance(keys, dict):  # an unknown kind takes any kind's keys: a misspelt
+            kind = _kind(cfg, name)  # 'kind' is named before the kind is refused
             known = isinstance(kind, str) and kind in keys
             where += f" of kind '{kind}'" if known else ""
             keys = ("kind", *(keys[kind] if known else sum(keys.values(), ())))
         for mapping in mappings:
             _known(mapping, keys, where)
+        if isinstance(kinds, dict) and not known:
+            raise ConfigError(f"unknown {name} kind {kind!r}; choose one of: {', '.join(kinds)}")
     if isinstance(cfg["run"].get("model"), dict):
         _known(cfg["run"]["model"], MODEL_KEYS, "'run' section's model")
 
@@ -227,10 +230,7 @@ def build_model(cfg: dict) -> ModelSpec:
 
 def build_geometry(cfg: dict, model: ModelSpec) -> Geometry:
     section = cfg["geometry"]
-    kind = section.get("kind")
-    if not (isinstance(kind, str) and kind in KEYS["geometry"]):
-        raise ConfigError(f"unknown geometry kind {kind!r}; "
-                          f"choose one of: {', '.join(KEYS['geometry'])}")
+    kind = section["kind"]  # a known one (load_config)
     if kind in CHANNELS:  # a channel field without a default is required
         values = {}
         for field in fields(CHANNELS[kind]):
@@ -288,15 +288,12 @@ def build_initial(cfg: dict, geometry: Geometry):
             raise ConfigError(f"initial kind 'exact' needs {_CHANNEL_GEOMETRY}")
         x = geometry.mesh.positions[:, 0]
         return geometry.channel.concentration(x, 0.0)
-    if kind == "arc-bump":
-        arc = geometry.mesh.arc_lengths()
-        center = _read(section, "center", default=0.0)
-        width = _positive(section, "width") if "width" in section else 1.0
-        baseline = _read(section, "baseline", default=0.0)
-        bump = np.exp(-(((arc - center) / width) ** 2))
-        return baseline + bump / geometry.mesh.radii**2
-    raise ConfigError(f"unknown initial kind {kind!r}; "
-                      f"choose one of: {', '.join(KEYS['initial'])}")
+    arc = geometry.mesh.arc_lengths()  # arc-bump, the one kind left (load_config)
+    center = _read(section, "center", default=0.0)
+    width = _positive(section, "width") if "width" in section else 1.0
+    baseline = _read(section, "baseline", default=0.0)
+    bump = np.exp(-(((arc - center) / width) ** 2))
+    return baseline + bump / geometry.mesh.radii**2
 
 
 def build_boundary(cfg: dict, geometry: Geometry) -> BoundaryData | None:
@@ -308,16 +305,13 @@ def build_boundary(cfg: dict, geometry: Geometry) -> BoundaryData | None:
             raise ConfigError(f"boundary kind 'exact' needs {_CHANNEL_GEOMETRY}")
         from .verify import exact_boundary
         return exact_boundary(geometry.channel, geometry.mesh)
-    if kind == "slopes":
-        from .integrate import BoundaryData
-        entries = section.get("slopes")
-        if not isinstance(entries, dict) or not entries:
-            raise ConfigError("boundary kind 'slopes' needs a 'slopes' mapping")
-        return BoundaryData(_read(section, "slopes",
-                                  lambda m: {_whole(k): _finite(v) for k, v in m.items()},
-                                  what="a mapping of leaf ids to finite numbers"))
-    raise ConfigError(f"unknown boundary kind {kind!r}; "
-                      f"choose one of: {', '.join(KEYS['boundary'])}")
+    from .integrate import BoundaryData  # slopes, the one kind left (load_config)
+    entries = section.get("slopes")
+    if not isinstance(entries, dict) or not entries:
+        raise ConfigError("boundary kind 'slopes' needs a 'slopes' mapping")
+    return BoundaryData(_read(section, "slopes",
+                              lambda m: {_whole(k): _finite(v) for k, v in m.items()},
+                              what="a mapping of leaf ids to finite numbers"))
 
 
 def build_lateral(cfg: dict) -> LateralFluxField | None:

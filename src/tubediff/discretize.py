@@ -44,8 +44,7 @@ class SpatialOperator:
     """Assembled right-hand side of the semi-discrete system."""
 
     matrix: CSR
-    neumann: CSR
-    boundary_nodes: tuple[int, ...]
+    neumann: CSR  # one column per leaf, in storage order
     mass_diag: np.ndarray
     downwind: np.ndarray  # nodes no step is stable at (see :func:`upwind`)
     notes: tuple[str, ...] = ()
@@ -349,8 +348,7 @@ def assemble_model(mesh: NetworkMesh, spec: ModelSpec) -> SpatialOperator:
         adv_m, adv_n, adv_notes = advection_parts(mesh, spec)
         matrix, neumann, notes = add(matrix, adv_m), add(neumann, adv_n), adv_notes + notes
         downwind = _per_mesh(mesh, upwind)[2]
-    return SpatialOperator(matrix, neumann, tuple(mesh.node_ids[mesh.leaf_indices()].tolist()),
-                           _read_only(mass), _read_only(downwind), notes)
+    return SpatialOperator(matrix, neumann, _read_only(mass), _read_only(downwind), notes)
 
 
 # ----------------------------------------------------------------------
@@ -390,6 +388,19 @@ class LateralFluxField:
             if w.t_start <= t < w.t_end:
                 out[mesh.indices(w.node_ids)] += w.strength
         return out
+
+    def change_steps(self, dt: float, last: int) -> set[int]:
+        """The steps 0 ... ``last`` of size ``dt`` at which ``values`` can
+        change: 0 and, per window edge in the run, the first k with k * dt at
+        or past it (ceil(edge / dt) can be a step late)."""
+        changes = {0}
+        for edge in {e for w in self.windows for e in (w.t_start, w.t_end)}:
+            if 0.0 < edge <= last * dt:
+                k = max(int(edge / dt) - 1, 0)
+                while k * dt < edge:
+                    k += 1
+                changes.add(k)
+        return changes
 
 
 def lateral_operator(mesh: NetworkMesh, spec: ModelSpec) -> CSR:

@@ -27,7 +27,7 @@ from .discretize import (
     lateral_operator,
 )
 from .network import NetworkMesh
-from .sparse import CSR, scale_rows
+from .sparse import CSR, nonempty_rows, scale_rows, stack
 from .stability import (
     SimulationError,
     StabilityError,
@@ -169,24 +169,6 @@ def trapezoid_weights(mesh: NetworkMesh) -> np.ndarray:
 CHUNK_VALUES, BLOCK_STEPS, BAND_ROWS = 2**15, 32, 400
 
 
-def _stack(blocks, diagonal: bool) -> CSR:
-    """CSR blocks one below the other, each row in its stored order.
-
-    With ``diagonal`` each block also takes its own columns (a block
-    diagonal); without, all blocks share the columns of the first.  A
-    lone block is returned as it is.
-    """
-    if len(blocks) == 1:
-        return blocks[0]
-    nnz = np.cumsum([0] + [b.nnz for b in blocks])
-    cols = np.cumsum([0] + [b.shape[1] for b in blocks]) if diagonal else [0] * len(blocks)
-    indptr = np.concatenate([[0]] + [b.indptr[1:] + off for b, off in zip(blocks, nnz)])
-    indices = np.concatenate([b.indices + off for b, off in zip(blocks, cols)])
-    data = np.concatenate([b.data for b in blocks])
-    shape = (sum(b.shape[0] for b in blocks), cols[-1] if diagonal else blocks[0].shape[1])
-    return CSR(indptr, indices, data, shape)
-
-
 def _distinct(a: np.ndarray) -> np.ndarray:
     """The sorted distinct values of ``a`` (``np.unique`` without its
     ``numpy.ma`` import)."""
@@ -215,9 +197,8 @@ class _Plan(NamedTuple):
     cols: np.ndarray | None   # I + dt M^-1 A padded, its identity a last slot ...
     vals: np.ndarray          # ... or dt M^-1 A for positions -lo ... size - hi - 1
     scale: np.ndarray         # dt/m, model after model
-    boundary_nodes: tuple[int, ...]
-    neumann: CSR              # the Neumann terms of the rows in live ...
-    live: np.ndarray          # ... the stacked rows of leaves, the only ones with entries
+    neumann: CSR              # the Neumann terms of the rows in live, the stacked rows
+    live: np.ndarray          # with any: leaves and, for expanded-flux, their neighbours
     lat: CSR | None           # the models' lateral maps, stacked
 
     @classmethod
@@ -225,10 +206,10 @@ class _Plan(NamedTuple):
         """The plan of the models ``specs`` with operators ``ops`` and lateral
         maps ``lats`` (``lateral_operator``, or None without lateral flux)."""
         n, copies = mesh.n_nodes, len(specs)
-        lat = _stack(lats, diagonal=True) if lats is not None else None
+        lat = stack(lats, diagonal=True) if lats is not None else None
         scale = dt / np.concatenate([op.mass_diag for op in ops])
         with np.errstate(over="ignore", invalid="ignore"):  # dt M^-1 A
-            increment = scale_rows(scale, _stack([op.matrix for op in ops], diagonal=True))
+            increment = scale_rows(scale, stack([op.matrix for op in ops], diagonal=True))
         band = increment.band if copies * n >= BAND_ROWS else None
         lo, margin = (band[0], len(band[1]) - 1) if band else (0, 0)
         size = copies * (n + margin)
@@ -239,12 +220,9 @@ class _Plan(NamedTuple):
             cols, vals = None, np.zeros((margin + 1, size))
             vals[:, place] = band[1]
             vals = vals[:, -lo:size - margin - lo]
-        neumann = _stack([op.neumann for op in ops], diagonal=False)
-        live = np.flatnonzero(np.diff(neumann.indptr))
+        live, neumann = nonempty_rows(stack([op.neumann for op in ops], diagonal=False))
         return cls(mesh, tuple(spec.kind.value for spec in specs), dt, lo, margin, place,
-                   cols, vals, scale, ops[0].boundary_nodes,
-                   CSR(np.concatenate([[0], neumann.indptr[live + 1]]), neumann.indices,
-                       neumann.data, (len(live), neumann.shape[1])), live, lat)
+                   cols, vals, scale, neumann, live, lat)
 
     def row(self, c0: np.ndarray) -> np.ndarray:
         """Every model at the state ``c0``, as a row."""
@@ -260,29 +238,20 @@ class _Plan(NamedTuple):
 
 def _euler(plan: _Plan, c: np.ndarray, snap_steps: list[int], boundary: BoundaryData | None,
            lateral: LateralFluxField | None, policy: ConstraintPolicy | None):
-    """Forward Euler from the row ``c``: the times, rows and (with ``lateral``)
-    wall fluxes at ``snap_steps``.  End slopes are evaluated, and finiteness
+    """Forward Euler from the row ``c``: the rows and (with ``lateral``) wall
+    fluxes at ``snap_steps``.  End slopes are evaluated, and finiteness
     checked, once per chunk of steps; the threshold bands once per block."""
-    (mesh, names, dt, lo, margin, place, cols, vals, scale, boundary_nodes, neumann, live,
-     lat) = plan
+    mesh, names, dt, lo, margin, place, cols, vals, scale, neumann, live, lat = plan
     n, copies, live_at = mesh.n_nodes, len(names), place[live]
     width, size = n + margin, copies * (n + margin)
     where = policy.where(mesh, copies) if policy is not None else None
     held = place[where] if policy is not None else None
-    # the steps where the scheduled wall flux can change: 0 and, per window edge in
-    # the run, the first k with k * dt at or past it (ceil(edge / dt) can be a step late)
-    changes = {0}
-    windows = lateral.windows if lateral is not None else ()
-    for edge in {e for w in windows for e in (w.t_start, w.t_end)}:
-        if 0.0 < edge <= snap_steps[-1] * dt:
-            k = max(int(edge / dt) - 1, 0)
-            while k * dt < edge:
-                k += 1
-            changes.add(k)
+    changes = lateral.change_steps(dt, snap_steps[-1]) if lateral is not None else {0}
+    leaves = mesh.node_ids[mesh.leaf_indices()].tolist()  # the Neumann columns' order
     base = j = source = None
     table: dict[bytes, tuple] = {}
     snap_set = set(snap_steps)
-    times, states, fluxes = [], [], []
+    states, fluxes = [], []
 
     def wall_flux(k: int):
         """The threshold bands at step k, as bytes, and their entry in the
@@ -308,15 +277,14 @@ def _euler(plan: _Plan, c: np.ndarray, snap_steps: list[int], boundary: Boundary
             table[key] = hit
         return key, hit
 
-    def record(k: int) -> None:
-        times.append(k * dt)
+    def record() -> None:
         states.append(c.copy())
         if lateral is not None:
             fluxes.append(j)
 
     # per step, a chunk (one end-slope call, one finite check) holds the end slopes and
     # the Neumann terms padded, summed and scaled; without end data, it counts a state
-    length = max(1, CHUNK_VALUES // (size if boundary is None else len(boundary_nodes)
+    length = max(1, CHUNK_VALUES // (size if boundary is None else len(leaves)
                                      + (len(neumann.padded[0]) + 2) * len(live_at)))
     # rows[r]: the state after step r of a block, half as long as its bands have
     # held; only a policy looks back over a block, so without one two rows take turns
@@ -334,7 +302,7 @@ def _euler(plan: _Plan, c: np.ndarray, snap_steps: list[int], boundary: Boundary
     with np.errstate(over="ignore", invalid="ignore"):
         for k0, k1 in _chunks(sorted(snap_set | changes), length):
             if boundary is not None:
-                g = boundary.series(boundary_nodes, np.arange(k0, k1) * dt)
+                g = boundary.series(leaves, np.arange(k0, k1) * dt)
                 ends = (neumann @ g.T).T * scale[live]
             k = k0
             while k < k1:
@@ -342,7 +310,7 @@ def _euler(plan: _Plan, c: np.ndarray, snap_steps: list[int], boundary: Boundary
                     key, (j, source, limits) = wall_flux(k)
                     pattern, since = (pattern, since) if key == pattern else (key, k)
                 if k == k0 and k in snap_set:
-                    record(k)
+                    record()
                 end = min(k1, k + max(1, (k - since) // 2), k + len(rows) - 1)
                 rows[0][:] = c
                 for r in range(1, end - k + 1):
@@ -375,8 +343,8 @@ def _euler(plan: _Plan, c: np.ndarray, snap_steps: list[int], boundary: Boundary
                 )
         if lateral is not None:
             j = wall_flux(snap_steps[-1])[1][0]
-        record(snap_steps[-1])
-    return times, states, fluxes
+        record()
+    return states, fluxes
 
 
 def run_models(
@@ -451,15 +419,16 @@ def run_models(
     snap_points = np.linspace(0, n_steps, min(n_snapshots, n_steps + 1))  # more only repeat
     snap_steps = _distinct(np.round(snap_points).astype(int)).tolist()
     start = time.perf_counter()
-    times, rows, fluxes = _euler(plan, plan.row(c0), snap_steps, boundary, lateral, policy)
+    rows, fluxes = _euler(plan, plan.row(c0), snap_steps, boundary, lateral, policy)
     march_s = time.perf_counter() - start
+    times = np.array(snap_steps) * dt
     states = plan.unstack(rows)
     fluxes = np.array(fluxes).reshape(len(times), copies, n) if lateral is not None else None
     return [
         Trajectory(
             mesh=mesh,
             model=spec.kind.value,
-            times=np.array(times),
+            times=times.copy(),
             states=states[:, i].copy(),
             fluxes=fluxes[:, i].copy() if fluxes is not None else None,
             stability=report,

@@ -177,3 +177,28 @@ def add(*terms: CSR) -> CSR:
 def scale_rows(d: np.ndarray, m: CSR) -> CSR:
     """``diag(d) @ m``."""
     return CSR(m.indptr, m.indices, m.data * np.repeat(d, np.diff(m.indptr)), m.shape)
+
+
+def stack(blocks, diagonal: bool) -> CSR:
+    """CSR blocks one below the other, each row in its stored order.
+
+    With ``diagonal`` each block also takes its own columns (a block
+    diagonal); without, all blocks share the columns of the first.  A
+    lone block is returned as it is.
+    """
+    if len(blocks) == 1:
+        return blocks[0]
+    nnz = np.cumsum([0] + [b.nnz for b in blocks])
+    cols = np.cumsum([0] + [b.shape[1] for b in blocks]) if diagonal else [0] * len(blocks)
+    indptr = np.concatenate([[0]] + [b.indptr[1:] + off for b, off in zip(blocks, nnz)])
+    indices = np.concatenate([b.indices + off for b, off in zip(blocks, cols)])
+    data = np.concatenate([b.data for b in blocks])
+    shape = (sum(b.shape[0] for b in blocks), cols[-1] if diagonal else blocks[0].shape[1])
+    return CSR(indptr, indices, data, shape)
+
+
+def nonempty_rows(m: CSR) -> tuple[np.ndarray, CSR]:
+    """The rows of ``m`` that hold an entry, and ``m`` with those rows only."""
+    rows = np.flatnonzero(np.diff(m.indptr))
+    return rows, CSR(np.concatenate([[0], m.indptr[rows + 1]]), m.indices, m.data,
+                     (len(rows), m.shape[1]))

@@ -11,8 +11,9 @@ def step(c: np.ndarray, op, dt: float, neumann_values=None,
          source: np.ndarray | None = None) -> np.ndarray:
     """One forward-Euler update, ``(dt M^-1 A c + c) + (dt/m) N g + (dt/m)
     source`` summed in that order as ``run_models`` does, with the end slopes
-    g in ``op.boundary_nodes`` order (None: all zero); raises on non-finite results."""
-    n_b = len(op.boundary_nodes)
+    g in the order of the Neumann columns, the leaves in storage order (None: all
+    zero); raises on non-finite results."""
+    n_b = op.neumann.shape[1]
     g = np.zeros(n_b) if neumann_values is None else np.asarray(neumann_values, dtype=float)
     if g.shape != (n_b,):
         raise ValueError(f"expected {n_b} boundary slopes, got shape {g.shape}")

@@ -966,6 +966,25 @@ class TestConfigKeys:
         assert capsys.readouterr().err == (
             "error: 'output' section: unknown key 'directroy'; did you mean 'directory'?\n")
 
+    @pytest.mark.parametrize("command", ["stability-check", "compare"])
+    @pytest.mark.parametrize("section,message", [
+        ({"initial": {"kind": "bogus"}},
+         "unknown initial kind 'bogus'; choose one of: uniform, exact, arc-bump"),
+        ({"boundary": {"kind": "nope"}},
+         "unknown boundary kind 'nope'; choose one of: closed, exact, slopes"),
+        # the keys come first: a misspelt 'kind' is named, as is a misspelt key of any kind
+        ({"initial": {"kidn": "uniform"}},
+         "'initial' section of kind 'exact': unknown key 'kidn'; did you mean 'kind'?"),
+        ({"boundary": {"kind": "nope", "slpoes": {0: 1.0}}},
+         "'boundary' section: unknown key 'slpoes'; did you mean 'slopes'?"),
+    ])
+    def test_a_section_the_command_never_reads_has_a_known_kind(self, tmp_path, capsys,
+                                                                command, section, message):
+        doc = small_channel(compare={"models": ["fick-jacobs"]}, **section)
+        cfg = write_config(tmp_path, doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_a_kindless_section_is_checked_against_its_default_kind(self, tmp_path, capsys):
         # a uniform value on a tree; on a channel the default start is exact,
         # which has no value to take

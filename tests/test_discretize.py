@@ -380,6 +380,19 @@ class TestLateralFlux:
         assert field.values(mesh, 0.5)[2] == 3.0
         assert np.array_equal(field.values(mesh, 1.0), np.zeros(5))
 
+    def test_change_steps_are_the_first_steps_at_or_past_each_edge(self):
+        field = LateralFluxField((FluxWindow((1,), 1.0, t_start=0.3, t_end=1.0e308),
+                                  FluxWindow((2,), 1.0, t_start=3 * 0.1, t_end=1.0)))
+        # 3 * 0.1 rounds above 0.3, so both starts switch at step 3, where
+        # ceil(3 * 0.1 / 0.1) would be a step late; 1.0 is 10 * 0.1 exactly, kept
+        # at the last step; 1.0e308 / 0.1 would overflow, but that edge lies past the run
+        assert field.change_steps(0.1, 10) == {0, 3, 10}
+        assert field.change_steps(0.1, 9) == {0, 3}
+        assert LateralFluxField().change_steps(0.1, 10) == {0}
+        mesh = chain_mesh([1.0] * 5)
+        values = [field.values(mesh, k * 0.1).tolist() for k in range(11)]
+        assert {k for k in range(1, 11) if values[k] != values[k - 1]} == {3, 10}
+
     @pytest.mark.parametrize("t_start,t_end", [(1.0, 1.0), (2.0, 1.0), (0.0, math.nan)])
     def test_a_window_that_never_acts_is_refused(self, t_start, t_end):
         with pytest.raises(ValueError, match="never acts"):

@@ -29,9 +29,8 @@ from tubediff.discretize import (
     third_derivative_parts,
 )
 from tubediff.geometry import ConeChannel, ball_on_stick, constricted_tree
-from tubediff.integrate import _stack
 from tubediff.models import ModelKind, ModelSpec, diffusion_coefficient
-from tubediff.sparse import CSR, add, build
+from tubediff.sparse import CSR, add, build, nonempty_rows, stack
 
 COMPOSE_RTOL = 1e-15
 # each tree example assembles every model on up to 120 nodes; shrinking a
@@ -201,14 +200,32 @@ def test_assembled_operators_keep_their_bytes(mesh_name, model):
 def test_products_with_vectors_equal_scipy_bit_for_bit(mesh, seed):
     rng = np.random.default_rng(seed)
     ops = [assemble_model(mesh, spec) for spec in applicable_models(mesh)]
-    matrix = _stack([op.matrix for op in ops], diagonal=True)
-    neumann = _stack([op.neumann for op in ops], diagonal=False)
+    matrix = stack([op.matrix for op in ops], diagonal=True)
+    neumann = stack([op.neumann for op in ops], diagonal=False)
     lateral = lateral_operator(mesh, ModelSpec(ModelKind.EXPANDED_FLUX))
     for m in [op.matrix for op in ops] + [matrix, lateral]:
         x = rng.uniform(-2.0, 2.0, m.shape[1])
         assert np.array_equal(m @ x, to_scipy(m) @ x)
     g = rng.uniform(-1.0, 1.0, (7, neumann.shape[1]))
     assert np.array_equal(neumann @ g.T, to_scipy(neumann) @ g.T)
+
+
+@pytest.mark.parametrize("mesh,expanded_live", [
+    (ConeChannel(taper=0.2).mesh(20), [0, 1, 18, 19]),
+    (constricted_tree(1), [0, 23, 31, 32, 54, 62]),
+])
+def test_nonempty_rows_drop_exactly_the_empty_rows(mesh, expanded_live):
+    # the march's Neumann rows: the leaves' and, for expanded-flux, their neighbours'
+    ef = assemble_model(mesh, ModelSpec(ModelKind.EXPANDED_FLUX))
+    assert nonempty_rows(ef.neumann)[0].tolist() == expanded_live
+    full = stack([assemble_model(mesh, spec).neumann for spec in applicable_models(mesh)],
+                 diagonal=False)
+    live, kept = nonempty_rows(full)
+    assert live.tolist() == np.flatnonzero(to_scipy(full).getnnz(axis=1)).tolist()
+    assert kept.shape == (len(live), full.shape[1]) and kept.nnz == full.nnz
+    g = np.random.default_rng(5).uniform(-1.0, 1.0, (full.shape[1], 7))
+    assert (kept @ g).tobytes() == (full @ g)[live].tobytes()
+    assert nonempty_rows(build([1, 1, 3], [0, 2, 1], 1.0, (5, 3)))[1].indptr.tolist() == [0, 2, 3]
 
 
 def band_product(m: CSR, x: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Smoke checks of the measurement scripts under ``scripts/``."""
 
+import importlib.util
 import json
 import shutil
 import subprocess
@@ -24,6 +25,20 @@ def test_phase_memory_reports_every_phase():
     assert "peak_b_per_node" in level["phases"]["build"]
     assert 0.0 < level["exit_s"] < 60.0  # from the last phase to the reaping
 
+
+def test_compare_outputs_sums_up_the_peaks_per_command():
+    spec = importlib.util.spec_from_file_location(
+        "compare_outputs", REPO / "scripts" / "compare_outputs.py")
+    compare_outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare_outputs)
+    rows = [("simulate", 32.5, 32.25), ("compare", 32.0, 32.0), ("simulate", 33.0, 33.5),
+            ("compare", 31.0, 30.5), ("simulate", 32.0, 31.5)]
+    # a tie (32.0 and 32.0) counts for neither checkout
+    assert compare_outputs.peak_summary(rows) == [
+        "simulate: median peak RSS 32.50/32.25 MB, b lower in 2/3",
+        "compare: median peak RSS 31.50/31.25 MB, b lower in 1/2",
+    ]
+    assert compare_outputs.peak_summary([]) == []
 
 
 def test_process_peaks_reports_each_command_and_checkout(tmp_path):
