@@ -20,7 +20,7 @@ the CLI does (through ``tubediff.cli``'s own builders):
   screened limit or less (the level-7 step of the ``tree-setup``
   benchmark);
 - ``to_csv``: five snapshots into a temporary directory;
-- ``hash``: the geometry fingerprint the manifest records.
+- ``hash``: the geometry digest the manifest records (``network.digest``).
 
 Between ``import`` and ``build`` the child calls ``tubediff.cli.main``
 with no arguments (it prints its usage, discarded), so that the process
@@ -89,6 +89,7 @@ def child(level: int, steps: int, traced: bool) -> dict:
         cli.main([])
     from tubediff.discretize import assemble_model
     from tubediff.integrate import run_models
+    from tubediff.network import digest
     from tubediff.stability import check_model
 
     dt = 4.0e-7 / 4 ** (level - 7)
@@ -111,7 +112,7 @@ def child(level: int, steps: int, traced: bool) -> dict:
         n_snapshots=5)[0])
     with tempfile.TemporaryDirectory() as out:
         phase("to_csv", lambda: traj.to_csv(Path(out) / "trajectory.csv"))
-    phase("hash", lambda: cli._fingerprint(mesh))
+    phase("hash", lambda: digest(mesh))
     ended = time.monotonic()
     if traced:
         per_node = round(phases["build"][0] / mesh.n_nodes, 1)

@@ -47,7 +47,7 @@ import yaml
 from .discretize import FluxWindow, LateralFluxField, assemble_model
 from .geometry import CHANNELS, ball_on_stick, constricted_tree
 from .models import ModelSpec
-from .network import MeshError, _text_pieces, read_mesh, refine
+from .network import MeshError, digest, read_mesh, refine
 from .stability import SimulationError, StabilityError, StabilityWarning, check_model
 
 if TYPE_CHECKING:
@@ -262,23 +262,6 @@ def build_geometry(cfg: dict, model: ModelSpec) -> Geometry:
     return Geometry(build(levels), None, lambda k: build(levels + k))
 
 
-def _fingerprint(mesh) -> str:
-    """SHA-256 of the mesh text, fed a piece at a time, by the interpreter's
-    own module, hashlib's fallback: importing hashlib loads OpenSSL (3.4 MB
-    of peak memory)."""
-    try:
-        from _sha2 import sha256  # Python 3.12+
-    except ImportError:
-        try:
-            from _sha256 import sha256  # Python 3.10 and 3.11
-        except ImportError:
-            from hashlib import sha256
-    digest = sha256()
-    for piece in _text_pieces(mesh):
-        digest.update(piece.encode())
-    return digest.hexdigest()
-
-
 def build_initial(cfg: dict, geometry: Geometry):
     section, kind = cfg.get("initial") or {}, _kind(cfg, "initial")
     if kind == "uniform":
@@ -385,27 +368,17 @@ def cmd_simulate(cfg: dict, out_override: str | None, force: bool) -> int:
         "config": cfg,
         "model": model.kind.value,
         "dt_max": float(report.dt_max),
-        "geometry_sha256": _fingerprint(geometry.mesh),
+        "geometry_sha256": digest(geometry.mesh),
         "nodes": geometry.mesh.n_nodes,
         "steps": int(round(t_end / dt)),
         "step_time_s": traj.step_time_s,
-        "tube_contents": _contents_ledger(traj),
+        "tube_contents": traj.contents_ledger(),
         "warnings": list(report.warnings),
     }
     with open(out / "manifest.yaml", "w") as fh:
         yaml.safe_dump(manifest, fh, sort_keys=False)
     print(f"wrote {csv_path}")
     return 0
-
-
-def _contents_ledger(traj) -> dict:
-    """Total tube contents sum w pi R^2 c (trapezoid weights w) at the
-    first and the last snapshot."""
-    from .integrate import trapezoid_weights
-    w = trapezoid_weights(traj.mesh)
-    initial, final = (float(w @ traj.tube_contents(k)) for k in (0, -1))
-    change = (final - initial) / initial if initial != 0.0 else None
-    return {"initial": initial, "final": final, "relative_change": change}
 
 
 def cmd_compare(cfg: dict, out_override: str | None, force: bool) -> int:
@@ -436,7 +409,7 @@ def cmd_compare(cfg: dict, out_override: str | None, force: bool) -> int:
 
 
 def cmd_convergence(cfg: dict, out_override: str | None, force: bool) -> int:
-    from .verify import channel_convergence, fitted_slope, tree_convergence
+    from .verify import channel_convergence, tree_convergence
     out = _out_dir(cfg, out_override)
     model, geometry, dt, t_end = _read_run(cfg, "dt", "t_end")
     conv = cfg.get("convergence") or {}
@@ -470,12 +443,9 @@ def cmd_convergence(cfg: dict, out_override: str | None, force: bool) -> int:
     csv_path = out / "convergence.csv"
     with open(csv_path, "w") as fh:
         fh.write("level,N,dx,l1,slope\n")
-        for k, (n, dx, err) in enumerate(zip(result.ns, result.spacings,
-                                             result.errors)):
-            slope = ""
-            if k > 0:
-                pair = slice(k - 1, k + 1)
-                slope = repr(fitted_slope(result.spacings[pair], result.errors[pair]))
+        slopes = ("", *map(repr, result.orders))  # the first rung has no pair
+        for k, (n, dx, err, slope) in enumerate(zip(result.ns, result.spacings,
+                                                    result.errors, slopes)):
             fh.write(f"{k},{n},{dx!r},{err!r},{slope}\n")
     print(f"wrote {csv_path}  (fitted slope {result.slope:.3f})")
     return 0

@@ -63,6 +63,7 @@ class BoundaryData:
         return out
 
     def validate(self, mesh: NetworkMesh) -> None:
+        mesh.indices(list(self.slopes))  # an unknown id before a non-leaf one
         leaves = set(mesh.node_ids[mesh.leaf_indices()].tolist())
         unknown = set(self.slopes) - leaves
         if unknown:
@@ -133,9 +134,14 @@ class Trajectory:
     def final(self) -> np.ndarray:
         return self.states[-1]
 
-    def tube_contents(self, k: int = -1) -> np.ndarray:
-        """Cross-section-integrated concentration pi R^2 c at snapshot k."""
-        return math.pi * self.mesh.radii**2 * self.states[k]
+    def contents_ledger(self) -> dict:
+        """Total tube contents sum w pi R^2 c, w the trapezoid weights (half
+        the incident edge lengths), at the first and the last snapshot."""
+        w = 0.5 * self.mesh.incident_lengths()
+        initial, final = (float(w @ (math.pi * self.mesh.radii**2 * self.states[k]))
+                          for k in (0, -1))
+        change = (final - initial) / initial if initial != 0.0 else None
+        return {"initial": initial, "final": final, "relative_change": change}
 
     def to_csv(self, path) -> None:
         """One row per snapshot and node, written ``CSV_PIECE`` rows at a
@@ -155,11 +161,6 @@ class Trajectory:
                     else:
                         f.write("".join(f"{t},{h},{c!r},{g!r},{j!r}\n" for (h, c, g), j
                                         in zip(rows, self.fluxes[k, piece].tolist())))
-
-
-def trapezoid_weights(mesh: NetworkMesh) -> np.ndarray:
-    """Nodal quadrature weights: half the incident edge lengths."""
-    return 0.5 * mesh.incident_lengths()
 
 
 # a chunk's end slopes and Neumann terms, a block's states and the table of lateral
@@ -392,6 +393,18 @@ def run_models(
     if abs(n_steps * dt - t_end) > 1e-9 * t_end:
         raise ValueError(f"t_end={t_end} is not a whole number of steps of dt={dt}")
 
+    n, copies = mesh.n_nodes, len(specs)
+    c0 = np.asarray(initial, dtype=float)
+    c0 = np.full(n, float(c0)) if c0.ndim == 0 else c0
+    if c0.shape != (n,):
+        raise ValueError(f"initial state must have {n} entries")
+    named = [w.node_ids for w in lateral.windows] if lateral is not None else []
+    named += [policy.node_ids or ()] if policy is not None else []
+    for node_ids in named:  # every id, in a window that opens or not, before any assembly
+        mesh.indices(node_ids)
+    if boundary is not None:
+        boundary.validate(mesh)
+
     ops, reports = [], []
     for spec in specs:  # each model assembled once: screened, then marched
         ops.append(assemble_model(mesh, spec))
@@ -402,15 +415,6 @@ def run_models(
             warnings.warn(f"{spec.kind.value}: dt={dt:g} exceeds the stable limit "
                           f"dt_max={report.dt_max:g}; marching anyway", StabilityWarning)
         reports.append(report)
-
-    if boundary is not None:
-        boundary.validate(mesh)
-
-    n, copies = mesh.n_nodes, len(specs)
-    c0 = np.asarray(initial, dtype=float)
-    c0 = np.full(n, float(c0)) if c0.ndim == 0 else c0
-    if c0.shape != (n,):
-        raise ValueError(f"initial state must have {n} entries")
 
     lats = [lateral_operator(mesh, spec) for spec in specs] if lateral is not None else None
     forget(mesh)  # the plan, the march and the artifacts reuse the parts' memory

@@ -345,6 +345,23 @@ def _text_pieces(mesh: NetworkMesh):
     yield f"root {mesh.root}\n"
 
 
+def digest(mesh: NetworkMesh) -> str:
+    """SHA-256 of the mesh text, fed a piece at a time, by the interpreter's
+    own module, hashlib's fallback: importing hashlib loads OpenSSL (3.4 MB
+    of peak memory)."""
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
+    out = sha256()
+    for piece in _text_pieces(mesh):
+        out.update(piece.encode())
+    return out.hexdigest()
+
+
 def read_mesh(path) -> NetworkMesh:
     return load_mesh(Path(path).read_text())
 

@@ -87,6 +87,12 @@ class ConvergenceResult:
     def slope(self) -> float:
         return fitted_slope(self.spacings, self.errors)
 
+    @property
+    def orders(self) -> tuple[float, ...]:
+        """The fitted slope of each pair of neighbouring rungs."""
+        return tuple(fitted_slope(self.spacings[k:k + 2], self.errors[k:k + 2])
+                     for k in range(len(self.errors) - 1))
+
 
 def channel_convergence(
     channel,

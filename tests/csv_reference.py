@@ -1,6 +1,8 @@
 """Scalar reference for the trajectory CSV: every value indexed row by
 row and the whole file built as one list of lines."""
 
+import math
+
 
 def reference_csv(traj) -> str:
     """The text ``Trajectory.to_csv`` must write, byte for byte."""
@@ -9,8 +11,9 @@ def reference_csv(traj) -> str:
         cols += ",J"
     lines = [cols]
     ids, arc = traj.mesh.node_ids.tolist(), traj.mesh.arc_lengths()
+    area = math.pi * traj.mesh.radii**2
     for k, t in enumerate(traj.times):
-        big_g = traj.tube_contents(k)
+        big_g = area * traj.states[k]  # tube contents pi R^2 c
         for i in range(traj.mesh.n_nodes):
             row = (
                 f"{float(t)!r},{ids[i]},{float(arc[i])!r},"

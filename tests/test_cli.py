@@ -14,7 +14,6 @@ import random
 import re
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -25,9 +24,8 @@ import yaml
 import tubediff
 import tubediff.cli as cli
 import tubediff.integrate as integrate
-import tubediff.network as network
 import tubediff.verify as verify
-from tubediff.cli import COMMANDS, _fingerprint, build_geometry, build_policy, main
+from tubediff.cli import COMMANDS, build_geometry, build_policy, main
 from tubediff.geometry import ConeChannel, SinusoidChannel, ball_on_stick, constricted_tree
 from tubediff.integrate import ConstraintPolicy
 from tubediff.models import ModelSpec
@@ -481,7 +479,7 @@ class TestStabilityCheck:
 
     def test_formats_no_mesh_text(self, monkeypatch, capsys):
         # only simulate records the geometry's fingerprint
-        monkeypatch.setattr("tubediff.cli._text_pieces", None)
+        monkeypatch.setattr("tubediff.network._text_pieces", None)
         assert main(["stability-check", "--config",
                      f"{CONFIGS}/ball_on_stick_regulated.yaml"]) == 0
 
@@ -495,6 +493,26 @@ class TestStabilityCheck:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("sections", [
+        {"lateral": [{"nodes": [999], "strength": 1.0, "from": 5.0}]},  # never opens
+        {"lateral": [{"nodes": [999], "strength": 1.0, "from": 5.0e-3}]},  # opens midway
+        {"lateral": [{"nodes": [5], "strength": 1.0}], "policy": {"nodes": [5, 999]}},
+        {"boundary": {"kind": "slopes", "slopes": {999: 1.0}}},
+    ])
+    def test_an_unknown_node_id_is_refused_before_any_assembly(
+            self, tmp_path, monkeypatch, capsys, sections):
+        assembled = []
+        assemble = integrate.assemble_model
+        monkeypatch.setattr(integrate, "assemble_model",
+                            lambda *args: assembled.append(args) or assemble(*args))
+        doc = {"run": {"model": "fick-jacobs", "dt": 1.0e-3, "t_end": 0.01},
+               "geometry": {"kind": "ball-on-stick"}, **sections}
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: no node with id 999"]
+        assert assembled == []
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_writes_trajectory_and_manifest(self, tmp_path):
         code = main(["simulate", "--config",
                      f"{CONFIGS}/ball_on_stick_regulated.yaml",
@@ -775,36 +793,22 @@ def test_simulate_hashes_the_geometry_without_openssl(tmp_path):
 
 def test_the_package_imports_its_own_modules_relatively():
     # a copy of the package under another name must not mix in this one:
-    # its enums would not be this package's, and a kind test would fail
+    # its enums would not be this package's, and a kind test would fail.
+    # Nor does a module import another's private name: what it needs is the
+    # owner's public function
     for path in sorted(Path(tubediff.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 names = [node.module]
+            elif isinstance(node, ast.ImportFrom):
+                private = [alias.name for alias in node.names if alias.name.startswith("_")]
+                assert not private, f"{path.name} imports {private} from .{node.module}"
+                continue
             else:
                 continue
             assert not [n for n in names if n.split(".")[0] == "tubediff"], path.name
-
-
-@pytest.mark.parametrize("piece", [network.TEXT_PIECE, 7])
-def test_the_streamed_digest_is_the_digest_of_the_whole_text(monkeypatch, piece):
-    mesh = ball_on_stick(2)
-    monkeypatch.setattr(network, "TEXT_PIECE", piece)
-    assert _fingerprint(mesh) == hashlib.sha256(format_mesh(mesh).encode()).hexdigest()
-
-
-def test_hashing_a_large_tree_holds_one_piece_of_its_text():
-    # 15,873 nodes, 1.4 MB of text: hashed a piece at a time the traced peak
-    # is 0.45 MB, where the whole text and its lines took 6.0 MB
-    mesh = constricted_tree(9)
-    tracemalloc.start()
-    try:
-        _fingerprint(mesh)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.0e6
 
 
 class TestConvergence:

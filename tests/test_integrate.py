@@ -20,7 +20,6 @@ from tubediff.integrate import (
     ConstraintPolicy,
     Trajectory,
     run_models,
-    trapezoid_weights,
 )
 from tubediff.sparse import CSR
 from tubediff.models import ModelKind, ModelSpec
@@ -341,16 +340,43 @@ class TestStep:
             step(np.zeros(4), op, 0.01, np.zeros(3))
 
 
-class TestQuadrature:
+def ledger(mesh, first, last) -> dict:
+    """The contents ledger of a run whose first and last states are given."""
+    return Trajectory(mesh, "fick-jacobs", np.array([0.0, 1.0]),
+                      np.array([first, last], dtype=float)).contents_ledger()
+
+
+def trapezoid_weights(mesh) -> np.ndarray:
+    """Half of each edge's length to each of its ends, edge by edge."""
+    w = np.zeros(mesh.n_nodes)
+    for (a, b), length in zip(mesh.ends.tolist(), mesh.lengths.tolist()):
+        w[a] += 0.5 * length
+        w[b] += 0.5 * length
+    return w
+
+
+class TestContentsLedger:
+    # unit radii: a state that is 1 at one node reads pi times that node's weight
     def test_chain_weights(self):
         mesh = chain_mesh([1.0] * 5)
-        assert np.array_equal(trapezoid_weights(mesh), [0.5, 1.0, 1.0, 1.0, 0.5])
+        reads = [ledger(mesh, e, e)["initial"] for e in np.eye(5)]
+        assert reads == [math.pi * w for w in [0.5, 1.0, 1.0, 1.0, 0.5]]
 
     def test_branch_node_collects_all_edges(self):
         mesh = y_mesh()
-        w = trapezoid_weights(mesh)
-        assert w[mesh.index(2)] == 1.5
-        assert w.sum() == pytest.approx(mesh.total_length(), rel=1e-15)
+        e = np.eye(mesh.n_nodes)[mesh.index(2)]
+        assert ledger(mesh, e, e)["initial"] == math.pi * 1.5
+        ones = np.ones(mesh.n_nodes)
+        total = ledger(mesh, ones, 3.0 * ones)
+        assert total["initial"] == pytest.approx(math.pi * mesh.total_length(), rel=1e-15)
+        assert total["final"] == pytest.approx(3.0 * total["initial"], rel=1e-15)
+        assert total["relative_change"] == pytest.approx(2.0, rel=1e-15)
+
+    def test_empty_tubes_have_no_relative_change(self):
+        mesh = chain_mesh([1.0] * 3)
+        read = ledger(mesh, np.zeros(3), np.ones(3))
+        assert read["initial"] == 0.0 and read["relative_change"] is None
+        assert read["final"] == pytest.approx(math.pi * 2.0, rel=1e-15)
 
 
 class TestConservation:
@@ -498,7 +524,8 @@ class TestRunDriver:
         with pytest.raises(ValueError, match="need at least one model"):
             run_models(chain_mesh([1.0] * 5), (), dt=0.1, t_end=1.0, initial=1.0)
 
-    def test_an_initial_state_of_the_wrong_length_is_refused(self):
+    def test_an_initial_state_of_the_wrong_length_is_refused(self, monkeypatch):
+        monkeypatch.setattr(integrate, "assemble_model", None)  # refused before any assembly
         with pytest.raises(ValueError, match="initial state must have 5 entries"):
             run_models(chain_mesh([1.0] * 5), (SIMPLE,), dt=0.1, t_end=1.0,
                        initial=[1.0] * 4)

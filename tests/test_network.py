@@ -1,21 +1,28 @@
 """Mesh loading, refinement, orientation, and derivative stencils."""
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tests.mesh_reference import mesh_from
 from tests.sparse_oracle import dense
+import tubediff
 import tubediff.network as network
 from tubediff.discretize import slope_matrix, two_edge_walks, upwind_stencil
-from tubediff.geometry import constricted_tree
+from tubediff.geometry import ball_on_stick, constricted_tree
 from tubediff.network import (
     GeometryParseError,
     MeshError,
     NetworkMesh,
+    digest,
     format_mesh,
     interval_mesh,
     load_mesh,
@@ -194,6 +201,39 @@ root 0
         assert format_mesh(mesh) == whole
         write_mesh(mesh, tmp_path / "tree.geom")
         assert (tmp_path / "tree.geom").read_bytes() == whole.encode()
+
+
+class TestDigest:
+    @pytest.mark.parametrize("piece", [network.TEXT_PIECE, 7])
+    def test_the_streamed_digest_is_the_digest_of_the_whole_text(self, monkeypatch, piece):
+        mesh = ball_on_stick(2)
+        monkeypatch.setattr(network, "TEXT_PIECE", piece)
+        assert digest(mesh) == hashlib.sha256(format_mesh(mesh).encode()).hexdigest()
+
+    def test_hashing_a_large_tree_holds_one_piece_of_its_text(self):
+        # 15,873 nodes, 1.4 MB of text: hashed a piece at a time the traced peak
+        # is 0.45 MB, where the whole text and its lines took 6.0 MB
+        mesh = constricted_tree(9)
+        tracemalloc.start()
+        try:
+            digest(mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.0e6
+
+    def test_without_the_interpreters_own_sha256_hashlib_gives_the_same_digest(self):
+        # a fresh process, since a module once imported stays importable; the
+        # digest there imports hashlib itself
+        code = ("import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+                "from tubediff.geometry import ball_on_stick; "
+                "from tubediff.network import digest; "
+                "print(digest(ball_on_stick(2)), 'hashlib' in sys.modules)")
+        src = Path(tubediff.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+        text = format_mesh(ball_on_stick(2))
+        assert done.stdout.split() == [hashlib.sha256(text.encode()).hexdigest(), "True"]
 
 
 class TestWithRadii:

@@ -12,7 +12,7 @@ REPO = Path(__file__).resolve().parents[1]
 
 def test_phase_memory_reports_every_phase():
     # the script drives tubediff.cli's own builders (build_model,
-    # build_geometry, build_initial, _fingerprint) in fresh processes
+    # build_geometry, build_initial) and network.digest in fresh processes
     done = subprocess.run([sys.executable, str(REPO / "scripts" / "phase_memory.py"), str(REPO),
                            "--levels", "1", "--steps", "2"],
                           capture_output=True, text=True, check=True, timeout=120)

@@ -247,6 +247,14 @@ class TestConvergence:
         errs = [7.0 * h**2 for h in hs]
         assert fitted_slope(hs, errs) == pytest.approx(2.0, rel=1e-12)
 
+    def test_orders_pair_neighbouring_rungs(self):
+        # e falls as h^2 from h = 0.4 to 0.2 and as h from 0.2 to 0.1; the fit
+        # to the whole ladder is neither
+        result = ConvergenceResult(ns=(11, 21, 41), spacings=(0.4, 0.2, 0.1),
+                                   errors=(0.16, 0.04, 0.02))
+        assert result.orders == pytest.approx((2.0, 1.0), rel=1e-12)
+        assert result.orders[1] == fitted_slope((0.2, 0.1), (0.04, 0.02))
+
     def test_classical_model_is_second_order(self):
         cone = ConeChannel(taper=0.2)
         result = channel_convergence(cone, FJ, ns=(21, 41, 81), dt=0.002, t_end=0.5)
