@@ -369,6 +369,8 @@ class FluxWindow:
         if not self.t_end > self.t_start:  # NaN compares false too
             raise ValueError(f"lateral window from {self.t_start!r} until {self.t_end!r} "
                              "never acts: 'until' must come after 'from'")
+        if not self.node_ids:
+            raise ValueError("lateral window names no node: its node list is empty")
         seen = set()
         for node_id in self.node_ids:
             if node_id in seen:  # each window adds its strength once per node

@@ -89,6 +89,8 @@ class ConstraintPolicy:
             raise ValueError("c_lo must lie below c_hi")
         if not self.outflow_strength > 0.0:
             raise ValueError("outflow_strength must be positive")
+        if self.node_ids is not None and not self.node_ids:  # None: every node
+            raise ValueError("the node list is empty: name at least one node, or all")
 
     def where(self, mesh: NetworkMesh, copies: int = 1):
         """Positions the thresholds govern in ``copies`` stacked states
@@ -178,10 +180,11 @@ def _distinct(a: np.ndarray) -> np.ndarray:
 
 
 def _chunks(snap_steps: list[int], length: int):
-    """Step ranges [k0, k1) of at most ``length`` steps, ending at every snapshot."""
+    """Step ranges [k0, k1) of at most ``length`` steps to each snapshot, then (last, last)."""
     for a, z in zip(snap_steps[:-1], snap_steps[1:]):
         for k0 in range(a, z, length):
             yield k0, min(k0 + length, z)
+    yield snap_steps[-1], snap_steps[-1]
 
 
 class _Plan(NamedTuple):
@@ -243,46 +246,22 @@ def _euler(plan: _Plan, c: np.ndarray, snap_steps: list[int], boundary: Boundary
     fluxes at ``snap_steps``.  End slopes are evaluated, and finiteness
     checked, once per chunk of steps; the threshold bands once per block."""
     mesh, names, dt, lo, margin, place, cols, vals, scale, neumann, live, lat = plan
-    n, copies, live_at = mesh.n_nodes, len(names), place[live]
+    n, copies, live_at, last = mesh.n_nodes, len(names), place[live], snap_steps[-1]
     width, size = n + margin, copies * (n + margin)
-    where = policy.where(mesh, copies) if policy is not None else None
-    held = place[where] if policy is not None else None
-    changes = lateral.change_steps(dt, snap_steps[-1]) if lateral is not None else {0}
+    changes = lateral.change_steps(dt, last) if lateral is not None else set()
     leaves = mesh.node_ids[mesh.leaf_indices()].tolist()  # the Neumann columns' order
-    base = j = source = None
-    table: dict[bytes, tuple] = {}
     snap_set = set(snap_steps)
-    states, fluxes = [], []
-
-    def wall_flux(k: int):
-        """The threshold bands at step k, as bytes, and their entry in the
-        window's table: wall flux, scaled lateral source and, per position,
-        the lowest and the highest level that keep its band."""
-        nonlocal base
-        if k in changes:
-            base = np.tile(lateral.values(mesh, k * dt), copies)
-            table.clear()
-        band = policy.bands(c, held) if policy is not None else None
-        key = band.tobytes() if policy is not None else b""
-        hit = table.get(key)
-        if hit is None:
-            flux, limits = base, None
-            if policy is not None:
-                flux = policy.flux(base, band, where)
-                limits = np.array([[-np.inf], [np.inf]]).repeat(c.size, axis=1)
-                limits[:, held] = policy.limits[:, band]
-            hit = (flux, np.zeros(size), limits)
-            hit[1][place] = scale * (lat @ flux)
-            if (len(table) + 1) * sum(np.size(a) for a in hit) > CHUNK_VALUES:
-                table.clear()
-            table[key] = hit
-        return key, hit
-
-    def record() -> None:
-        states.append(c.copy())
-        if lateral is not None:
-            fluxes.append(j)
-
+    states, fluxes, table = [], [], {}
+    # the wall flux at step k: the table's entry for the window and for key, the bands
+    # at the held positions as bytes (rows c < c_lo and c <= c_hi; NaN lies above both).
+    # It is looked up only where it can change: at a chunk start on a window edge, or
+    # where key differs from looked.  since: the step where the bands last changed
+    key, looked, pattern, since = b"", None if lateral is not None else b"", None, 0
+    j = source = None
+    if policy is not None:  # where the policy holds every position, c itself
+        where = policy.where(mesh, copies)
+        held = place[where] if len(place[where]) < size else slice(None)
+        bits, tops = np.empty((2, c[held].size), bool), policy.limits[1, :2, None]
     # per step, a chunk (one end-slope call, one finite check) holds the end slopes and
     # the Neumann terms padded, summed and scaled; without end data, it counts a state
     length = max(1, CHUNK_VALUES // (size if boundary is None else len(leaves)
@@ -299,42 +278,68 @@ def _euler(plan: _Plan, c: np.ndarray, snap_steps: list[int], boundary: Boundary
         gaps = [row[n - lo:size - width + n - lo].reshape(copies - 1, width)[:, :margin]
                 for row in rows]
         terms = np.empty(vals.shape)
-    pattern, since = None, 0
+    reduce, multiply, less_equal = np.add.reduce, np.multiply, np.less_equal
     with np.errstate(over="ignore", invalid="ignore"):
+        # the last chunk, (last, last), only looks up and records the final state
         for k0, k1 in _chunks(sorted(snap_set | changes), length):
-            if boundary is not None:
+            if boundary is not None and k0 < k1:
                 g = boundary.series(leaves, np.arange(k0, k1) * dt)
                 ends = (neumann @ g.T).T * scale[live]
+            if k0 in changes:
+                base, looked = np.tile(lateral.values(mesh, k0 * dt), copies), None
+                table.clear()
             k = k0
-            while k < k1:
-                if lateral is not None:
-                    key, (j, source, limits) = wall_flux(k)
-                    pattern, since = (pattern, since) if key == pattern else (key, k)
+            while k < k1 or k == k0:
+                if policy is not None:
+                    less_equal(c[held], tops, bits)
+                    key = bits.tobytes()
+                if key != looked:  # (flux, scaled lateral source, each position's band limits)
+                    hit = table.pop(key, None)  # the least recently used entry comes first
+                    if hit is None:
+                        flux, limits = base, None
+                        if policy is not None:
+                            band = 2 - bits.sum(0)  # as policy.bands(c, held) reads it
+                            flux = policy.flux(base, band, where)
+                            limits = np.array([[-np.inf], [np.inf]]).repeat(size, axis=1)
+                            limits[:, held] = policy.limits[:, band]
+                        hit = (flux, np.zeros(size), limits)
+                        hit[1][place] = scale * (lat @ flux)
+                        if table and (len(table) + 1) * sum(map(np.size, hit)) > CHUNK_VALUES:
+                            del table[next(iter(table))]
+                    j, source, limits = table[key] = hit
+                    pattern, since, looked = key, k if key != pattern else since, key
                 if k == k0 and k in snap_set:
-                    record()
-                end = min(k1, k + max(1, (k - since) // 2), k + len(rows) - 1)
-                rows[0][:] = c
-                for r in range(1, end - k + 1):
+                    states.append(c.copy())
+                    if lateral is not None:
+                        fluxes.append(j)
+                if k == k1:
+                    break
+                steps = 1 if k - since < 4 else min(k1 - k, (k - since) // 2, len(rows) - 1)
+                x = c  # a gather reads c in place; the band's identity add reads sums[0]
+                if cols is None:
+                    rows[0][:] = c
+                for r in range(1, steps + 1):
                     if cols is not None:
-                        terms = rows[r - 1].take(cols)
+                        terms = x.take(cols)
                         terms *= vals
-                        np.add.reduce(terms, axis=0, out=rows[r])
+                        x = reduce(terms, 0, out=rows[r])
                     else:  # c + (the summed increment), then the margins zeroed again
-                        np.multiply(windows[r - 1], vals, out=terms)
-                        np.add.reduce(terms, axis=0, out=sums[r])
+                        multiply(windows[r - 1], vals, out=terms)
+                        reduce(terms, 0, out=sums[r])
                         sums[r] += sums[r - 1]
                         gaps[r].fill(0.0)
+                        x = rows[r]
                     if boundary is not None:
-                        rows[r][live_at] += ends[k - k0 + r - 1]
+                        x[live_at] += ends[k - k0 + r - 1]
                     if source is not None:
-                        rows[r] += source
-                if policy is not None and end - k > 1:  # back to the first state out of band
-                    outside = (block[1:end - k] < limits[0]) | (block[1:end - k] > limits[1])
+                        x += source
+                if steps > 1 and policy is not None:  # back to the first state out of band
+                    outside = (block[1:steps] < limits[0]) | (block[1:steps] > limits[1])
                     first = int(outside.argmax())
                     if outside.flat[first]:
-                        end = k + first // c.size + 1
-                c = rows[end - k]
-                k = end
+                        steps = first // size + 1
+                c = rows[steps]
+                k += steps
             if not np.isfinite(c).all():
                 bad = [name for name, part in zip(names, plan.unstack([c])[0])
                        if not np.isfinite(part).all()]
@@ -342,9 +347,6 @@ def _euler(plan: _Plan, c: np.ndarray, snap_steps: list[int], boundary: Boundary
                     f"state of {', '.join(bad)} became non-finite by t={k1 * dt:g}; "
                     "reduce dt or check data"
                 )
-        if lateral is not None:
-            j = wall_flux(snap_steps[-1])[1][0]
-        record()
     return states, fluxes
 
 

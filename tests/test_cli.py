@@ -154,6 +154,21 @@ class TestConfigErrors:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == "error: lateral window names node 11 twice\n"
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["lateral"][0].update(nodes=[]),
+         "lateral window names no node: its node list is empty"),
+        (lambda doc: doc["policy"].update(nodes=[]),
+         "policy: the node list is empty: name at least one node, or all"),
+    ], ids=["lateral", "policy"])
+    def test_an_empty_node_list_is_one_error_line_naming_its_section(self, tmp_path, capsys,
+                                                                     edit, message):
+        doc = regulated_tree()
+        edit(doc)
+        cfg, out = write_config(tmp_path, doc), tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_compare_rejects_tree_geometry(self, tmp_path, capsys):
         doc = small_channel(compare={"models": ["fick-jacobs"]})
         doc["geometry"] = {"kind": "ball-on-stick"}

@@ -398,6 +398,11 @@ class TestLateralFlux:
         with pytest.raises(ValueError, match="never acts"):
             FluxWindow((2,), 3.0, t_start, t_end)
 
+    def test_a_window_on_no_node_is_refused(self):
+        # it changed nothing: a run with it wrote a J column of zeros
+        with pytest.raises(ValueError, match="names no node"):
+            FluxWindow((), 3.0)
+
     def test_leading_term_for_fick_jacobs(self):
         mesh = chain_mesh([2.0] * 5)
         field = LateralFluxField((FluxWindow((0, 1, 2, 3, 4), 3.0),))

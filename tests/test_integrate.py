@@ -98,6 +98,46 @@ def reference_march(mesh, spec, *, dt, t_end, initial, boundary=None,
         np.array(fluxes) if lateral is not None else None)
 
 
+def chattering_march(monkeypatch, entries):
+    """Two models on ball_on_stick(1) under a policy that flips almost every
+    step, with a table of ``entries`` lateral products (None: the default),
+    checked against the reference: the number of products it made, the
+    (window, threshold pattern) of the stacked state at every step, and the
+    step count.  The windows switch at t = 0.3 and 0.5."""
+    mesh = ball_on_stick(1)
+    if entries is not None:  # an entry holds flux, source and two rows of limits
+        monkeypatch.setattr(integrate, "CHUNK_VALUES", entries * 4 * 2 * mesh.n_nodes)
+    lateral_products, product = [], CSR.__matmul__
+
+    def counted(m, x):
+        if m.shape == (2 * mesh.n_nodes, 2 * mesh.n_nodes):  # the stacked lateral map
+            lateral_products.append(1)
+        return product(m, x)
+
+    monkeypatch.setattr(CSR, "__matmul__", counted)
+    field = LateralFluxField((
+        FluxWindow((11, 12, 13), 3.0, t_start=0.0, t_end=0.3),
+        FluxWindow((23, 31), -2.0, t_start=0.5),
+        FluxWindow((23,), -2.0, t_start=0.5),
+    ))
+    policy = ConstraintPolicy(node_ids=(23, 12, 11, 23, 31, 2), c_hi=5.02, c_lo=4.98)
+    specs, n_steps, dt = (FJ, EF), 2000, 5.0e-4
+    kwargs = dict(dt=dt, t_end=n_steps * dt, initial=5.0, lateral=field,
+                  policy=policy, n_snapshots=7)
+    trajs = run_models(mesh, specs, **kwargs)
+    monkeypatch.undo()
+    assert_matches_reference(trajs, specs, mesh, **kwargs)
+    where, per_model = policy.where(mesh), []
+    for spec in specs:
+        seen = []
+        reference_march(mesh, spec, **kwargs, visit=lambda k, c: seen.append(
+            policy.bands(c, where).tobytes()))
+        per_model.append(seen)
+    patterns = [(int(k * dt >= 0.3) + int(k * dt >= 0.5), b"".join(models))
+                for k, models in enumerate(zip(*per_model))]
+    return len(lateral_products), patterns, n_steps
+
+
 def assert_matches_reference(trajs, specs, mesh, **kwargs):
     assert [traj.model for traj in trajs] == [spec.kind.value for spec in specs]
     for traj, spec in zip(trajs, specs):
@@ -158,45 +198,27 @@ class TestBatchedMarch:
 
     @pytest.mark.parametrize("entries", [None, 3])
     def test_chattering_policy_reuses_lateral_products(self, monkeypatch, entries):
-        mesh = ball_on_stick(1)
-        if entries is not None:  # a table of `entries` patterns, so it is cleared often
-            monkeypatch.setattr(integrate, "CHUNK_VALUES", entries * 4 * 2 * mesh.n_nodes)
-        lateral_products, product = [], CSR.__matmul__
-
-        def counted(m, x):
-            if m.shape == (2 * mesh.n_nodes, 2 * mesh.n_nodes):  # the stacked lateral map
-                lateral_products.append(1)
-            return product(m, x)
-
-        monkeypatch.setattr(CSR, "__matmul__", counted)
-        field = LateralFluxField((
-            FluxWindow((11, 12, 13), 3.0, t_start=0.0, t_end=0.3),
-            FluxWindow((23, 31), -2.0, t_start=0.5),
-            FluxWindow((23,), -2.0, t_start=0.5),
-        ))
-        policy = ConstraintPolicy(node_ids=(23, 12, 11, 23, 31, 2), c_hi=5.02, c_lo=4.98)
-        specs, n_steps, dt = (FJ, EF), 2000, 5.0e-4
-        kwargs = dict(dt=dt, t_end=n_steps * dt, initial=5.0, lateral=field,
-                      policy=policy, n_snapshots=7)
-        trajs = run_models(mesh, specs, **kwargs)
-        monkeypatch.undo()
-        assert_matches_reference(trajs, specs, mesh, **kwargs)
-        # the (window, threshold pattern) of the stacked state at every step,
-        # from the reference: the windows switch at t = 0.3 and 0.5
-        where, per_model = policy.where(mesh), []
-        for spec in specs:
-            seen = []
-            reference_march(mesh, spec, **kwargs, visit=lambda k, c: seen.append(
-                policy.bands(c, where).tobytes()))
-            per_model.append(seen)
-        patterns = [(int(k * dt >= 0.3) + int(k * dt >= 0.5), b"".join(models))
-                    for k, models in enumerate(zip(*per_model))]
+        products, patterns, n_steps = chattering_march(monkeypatch, entries)
         flips = sum(a != b for a, b in zip(patterns, patterns[1:]))
-        assert flips > n_steps / 4  # the policy chatters ...
+        assert flips > n_steps / 4  # the policy chatters, across the edge at t = 0.3 too ...
+        edge, bands = 600, [bands for _, bands in patterns]
+        assert bands[edge - 1] != bands[edge - 2] and bands[edge + 1] != bands[edge]
         if entries is None:  # ... yet each (window, pattern) costs one product
-            assert len(lateral_products) == len(set(patterns)) < n_steps / 10
+            assert products == len(set(patterns)) < n_steps / 10
         else:
-            assert len(set(patterns)) < len(lateral_products) < flips  # cleared, and still reused
+            assert len(set(patterns)) < products < flips  # evicted, and still reused
+
+    @pytest.mark.parametrize("entries", [3, 5])
+    def test_a_pattern_seen_again_within_the_table_is_not_recomputed(self, monkeypatch,
+                                                                     entries):
+        # clearing the whole table when it is full makes 614 and 265 products here
+        products, patterns, _ = chattering_march(monkeypatch, entries)
+        recent, misses = [], 0  # the last `entries` patterns looked up, oldest first
+        for k, pattern in enumerate(patterns):
+            if k == 0 or pattern != patterns[k - 1]:
+                misses += pattern not in recent
+                recent = ([p for p in recent if p != pattern] + [pattern])[-entries:]
+        assert products == misses
 
     def test_chunks_that_split_snapshot_intervals(self, monkeypatch):
         channel = ConeChannel(taper=1.0)
@@ -217,6 +239,49 @@ class TestBatchedMarch:
         monkeypatch.undo()
         assert trajs[0].times == pytest.approx([0.0, 0.011, 0.021, 0.032, 0.042, 0.053])
         assert_matches_reference(trajs, specs, mesh, **kwargs)
+
+    def test_one_step_blocks_that_write_the_row_they_read_equal_the_reference(self):
+        # a block is one step until the bands have held for 4 steps, so the policy
+        # flipping at every step here makes a run of 1-step blocks on a tree (a
+        # gather), each reading the row it writes, with end slopes added in place
+        mesh = ball_on_stick(1)
+        specs = (FJ, EF)
+        kwargs = dict(dt=5.0e-4, t_end=0.02, initial=5.0, n_snapshots=41,
+                      boundary=BoundaryData({0: -0.5, 23: lambda t: 20.0 * t}),
+                      lateral=LateralFluxField((FluxWindow((11, 12, 13), 3.0),)),
+                      policy=ConstraintPolicy(c_hi=5.02, c_lo=4.98))
+        trajs = run_models(mesh, specs, **kwargs)
+        assert_matches_reference(trajs, specs, mesh, **kwargs)
+        for traj in trajs:
+            assert (traj.fluxes[1:] != traj.fluxes[:-1]).any(axis=1).sum() > 30
+
+    def test_lateral_windows_without_a_policy_equal_the_reference(self):
+        # blocks of up to 32 steps in two rows that take turns, cut at window edges
+        mesh = ball_on_stick(1)
+        specs = (FJ, EF)
+        field = LateralFluxField((
+            FluxWindow((11, 12, 13), 3.0, t_start=0.0113, t_end=0.1),
+            FluxWindow((23, 31), -2.0, t_start=0.0371),
+        ))
+        kwargs = dict(dt=5.0e-4, t_end=0.2, initial=5.0, lateral=field, n_snapshots=9,
+                      boundary=BoundaryData({0: -0.5}))
+        trajs = run_models(mesh, specs, **kwargs)
+        assert_matches_reference(trajs, specs, mesh, **kwargs)
+
+    def test_a_policy_on_an_id_list_equals_the_reference(self):
+        # the policy holds a proper subset of the positions: node 12 leaves the band
+        # and keeps its scheduled flux, node 11 next to it is held in the band
+        mesh = ball_on_stick(1)
+        specs = (FJ, EF)
+        policy = ConstraintPolicy(node_ids=(11, 23), c_hi=5.02, c_lo=4.98)
+        kwargs = dict(dt=5.0e-4, t_end=0.5, initial=5.0, policy=policy, n_snapshots=11,
+                      lateral=LateralFluxField((FluxWindow((11, 12, 13), 3.0),
+                                                FluxWindow((23, 31), -2.0))))
+        trajs = run_models(mesh, specs, **kwargs)
+        assert_matches_reference(trajs, specs, mesh, **kwargs)
+        for traj in trajs:
+            assert (traj.states[:, 12] > policy.c_hi).any() and (traj.fluxes[:, 12] == 3.0).all()
+            assert (traj.fluxes[:, 11] == -2.0).any()
 
     def test_band_stack_of_two_widths_equals_the_reference(self):
         channel = ConeChannel(taper=1.0)
@@ -591,6 +656,11 @@ class TestConstraintPolicy:
             ConstraintPolicy(node_ids=(0,), c_hi=4.0, c_lo=6.0)
         with pytest.raises(ValueError):
             ConstraintPolicy(node_ids=(0,), outflow_strength=0.0)
+
+    @pytest.mark.parametrize("node_ids", [(), []])
+    def test_a_policy_on_no_node_is_refused(self, node_ids):
+        with pytest.raises(ValueError, match="node list is empty"):
+            ConstraintPolicy(node_ids=node_ids)
 
     @pytest.mark.parametrize("level", [{"c_lo": math.nan}, {"c_hi": math.nan},
                                        {"outflow_strength": math.nan}])
